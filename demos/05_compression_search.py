@@ -25,7 +25,7 @@ F = poincare_inclusion(2)
 r, eps, k = 1.0, 0.5, 3
 
 print(f"== set-distance search: r={r}, eps={eps}, k={k} ==")
-params = SearchParams.for_set_distance(r, eps, k, m=2, seed=3)
+params = SearchParams.derive(r, eps, k, m=2, seed=3)
 print(f"C = 2(2 r eps + 1)/eps = {params.C}; R ladder = {params.R_schedule}")
 cfg = find_bunched_configuration(F, params)
 for rec in cfg.history:
@@ -46,7 +46,7 @@ print(
 )
 
 print(f"\n== Hausdorff variant (augmented map over a transported net) ==")
-params_h = SearchParams.for_hausdorff(r, eps, 2, m=2, seed=3)
+params_h = SearchParams.derive(r, eps, 2, hausdorff=True, m=2, seed=3)
 net = build_reference_net(r, eps / (2.0 * F.L), 2)
 print(f"net: l = {net.l} points at delta = eps/(2L) = {net.delta}; F^ maps into R^{F.n * net.l}")
 cfg_h = find_bunched_configuration(F, params_h, net=net)
@@ -57,7 +57,7 @@ print(
 )
 
 print("\n== compression sequences (epsilon halved per level) ==")
-base = SearchParams.for_set_distance(r, eps, 2, m=2, seed=3)
+base = SearchParams.derive(r, eps, 2, m=2, seed=3)
 for level, c in enumerate(corollary_sequences(F, k=2, levels=3, base_params=base)):
     print(
         f"  level {level}: eps = {c.epsilon:<6} separation {c.pairwise_manifold_min:>8.4f} "

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -102,10 +103,16 @@ def cmd_pack(args) -> int:
 def cmd_growth(args) -> int:
     if args.R_from is None or args.R_to is None:
         raise ValueError("growth: --R-from and --R-to are required")
+    if not (math.isfinite(args.R_from) and math.isfinite(args.R_to)):
+        raise ValueError("growth: --R-from and --R-to must be finite")
+    if not (math.isfinite(args.R_step) and args.R_step > 0.0):
+        raise ValueError(f"growth: --R-step must be finite and > 0 (got {args.R_step})")
     R_values = []
     R = args.R_from
     while R <= args.R_to + 1e-12:
         R_values.append(R)
+        if R + args.R_step == R:
+            raise ValueError(f"growth: --R-step {args.R_step} does not advance R from {R}")
         R += args.R_step
     rows = growth_table(args.C, R_values)
     if args.format == "csv":
@@ -141,9 +148,8 @@ def _map_handle(args):
 
 def cmd_search(args) -> int:
     F = _map_handle(args)
-    maker = SearchParams.for_hausdorff if args.hausdorff else SearchParams.for_set_distance
-    params = maker(
-        r=args.r, epsilon=args.eps, k=args.k, m=args.m,
+    params = SearchParams.derive(
+        r=args.r, epsilon=args.eps, k=args.k, hausdorff=args.hausdorff, m=args.m,
         cap=args.cap, seed=args.seed, R_max=args.R_max,
     )
     net = build_reference_net(args.r, args.eps / (2.0 * F.L), args.m)
@@ -246,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--k", type=int, default=None)
     p_search.add_argument("--cap", type=int, default=None)
     p_search.add_argument("--R-max", dest="R_max", type=float, default=None)
-    p_search.add_argument("--hausdorff", action="store_true")
+    p_search.add_argument("--hausdorff", action="store_true", default=None)
     p_search.add_argument("--samples", type=int, default=None)
 
     p_demo = sub.add_parser("demo-flat", help="flat-graph counterexample report")
@@ -260,7 +266,7 @@ _DEFAULTS = {
     "pack": {"C": 1.0, "R": 3.0, "m": 2, "cap": 100_000, "tolerance": 1e-9, "format": "json"},
     "growth": {"C": 1.0, "R_step": 1.0, "format": "csv"},
     "search": {
-        "map": "poincare", "m": 2, "r": 1.0, "eps": 0.5, "k": 3,
+        "map": "poincare", "m": 2, "r": 1.0, "eps": 0.5, "k": 3, "hausdorff": False,
         "cap": 100_000, "samples": 512, "seed": 0, "format": "json",
     },
     "demo-flat": {"K": 8, "format": "json"},

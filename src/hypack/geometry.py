@@ -30,7 +30,6 @@ __all__ = [
     "Transvection",
     "dist_given_q",
     "dist_polar_angle",
-    "dist_tangent_pair",
     "distance",
     "exp_map",
     "law_of_sines_residual",
@@ -59,7 +58,7 @@ DEFAULT_TOL = 1e-9
 _LOG2 = math.log(2.0)
 
 #: :func:`dist_given_q` evaluates sinh products directly while r1 + r2 is
-#: below this; there the kernel is also exactly symmetric in (r1, r2).
+#: below this, and in log-domain from there on.
 _DIRECT_TOTAL_MAX = 300.0
 
 
@@ -121,7 +120,8 @@ def dist_given_q(r1, r2, q):
     error for radii up to 1e4.
 
     The log-domain branch is evaluated only for elements with r1 + r2 >= 300,
-    and skipped entirely when there are none.
+    and skipped entirely when there are none.  Both branches are exactly
+    symmetric in (r1, r2).
     """
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
@@ -142,7 +142,9 @@ def dist_given_q(r1, r2, q):
         la = np.where(dr != 0.0, _LOG2 + 2.0 * _log_sinh(0.5 * np.abs(dr)), -np.inf)
         lb = np.where(
             (q > 0.0) & (r1 > 0.0) & (r2 > 0.0),
-            _LOG2 + _log_sinh(np.maximum(r1, 1e-300)) + _log_sinh(np.maximum(r2, 1e-300)) + np.log(np.maximum(q, 1e-320)),
+            _LOG2
+            + (_log_sinh(np.maximum(r1, 1e-300)) + _log_sinh(np.maximum(r2, 1e-300)))
+            + np.log(np.maximum(q, 1e-320)),
             -np.inf,
         )
     s = np.logaddexp(la, lb)
@@ -186,16 +188,6 @@ def dist_polar_angle(r1, r2, theta):
     theta = np.asarray(theta, dtype=float)
     q = np.sin(0.5 * theta) ** 2
     return dist_given_q(r1, r2, q)
-
-
-def dist_tangent_pair(norm_a, norm_b, q_ab):
-    """Distance between exp_p(a) and exp_p(b) from tangent data at any p.
-
-    ``q_ab = sin^2(angle(a,b)/2)`` measured in the tangent space at p.  The
-    basepoint drops out (constant curvature), which is how local geometry
-    at far basepoints is computed exactly.
-    """
-    return dist_given_q(norm_a, norm_b, q_ab)
 
 
 def _unit_gap_q(u1, u2):
@@ -271,18 +263,7 @@ class HPoint:
         tol = 1e-8 * max(1.0, c[0] * c[0])
         if abs(sq + 1.0) > tol:
             raise ValueError(f"from_coords: Minkowski self-product {sq} != -1")
-        rest = c[1:]
-        nr = float(np.linalg.norm(rest))
-        c[0] = math.sqrt(1.0 + nr * nr)
-        r = math.asinh(nr)
-        if nr == 0.0:
-            d = np.zeros(c.shape[0] - 1)
-            d[0] = 1.0
-        else:
-            d = rest / nr
-        d.setflags(write=False)
-        c.setflags(write=False)
-        return HPoint(r, d, c)
+        return HPoint._from_coords_trusted(c)
 
     @staticmethod
     def _from_coords_trusted(coords) -> "HPoint":
@@ -311,10 +292,6 @@ class HPoint:
         return self.direction.shape[0]
 
     @property
-    def polar(self) -> tuple[float, np.ndarray]:
-        return self.r, self.direction
-
-    @property
     def coords(self) -> np.ndarray:
         """Ambient coordinates; a range error beyond ``COORDS_RADIUS_MAX``."""
         if self.r > COORDS_RADIUS_MAX:
@@ -338,9 +315,6 @@ class HPoint:
                 f"ambient coordinates unavailable at radius {self.r:.3g}"
             )
         return self._coords
-
-    def is_close(self, other: "HPoint", tol: float = DEFAULT_TOL) -> bool:
-        return bool(distance(self, other) <= tol)
 
 
 @dataclass(frozen=True)
@@ -535,14 +509,10 @@ def triangle_angles(a: HPoint, b: HPoint, c: HPoint) -> tuple[float, float, floa
         if d <= 1e-12:
             raise ValueError(f"triangle_angles: vertices {name} coincide")
 
-    def log_back(x, y, d_yx):
-        # reuse d(y, x) only where the kernel is exactly symmetric, so every
-        # angle stays what log_map(x, y) gives
-        return _log_map_known(x, y, d_yx if x.r + y.r < _DIRECT_TOTAL_MAX else distance(x, y))
-
+    # the kernel is exactly symmetric, so each side length serves both ends
     ang_a = tangent_angle(_log_map_known(a, b, d_ab), _log_map_known(a, c, d_ac))
-    ang_b = tangent_angle(log_back(b, a, d_ab), _log_map_known(b, c, d_bc))
-    ang_c = tangent_angle(log_back(c, a, d_ac), log_back(c, b, d_bc))
+    ang_b = tangent_angle(_log_map_known(b, a, d_ab), _log_map_known(b, c, d_bc))
+    ang_c = tangent_angle(_log_map_known(c, a, d_ac), _log_map_known(c, b, d_bc))
     return ang_a, ang_b, ang_c
 
 

@@ -10,7 +10,6 @@ bound on the packing number.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +20,8 @@ from hypack.geometry import (
     HTangent,
     NumericRangeError,
     _log_sinh,
+    _unit_gap_q,
     dist_given_q,
-    dist_polar_angle,
     distance,
     exp_map,
     minkowski_inner,
@@ -38,6 +37,8 @@ __all__ = [
     "generate_centers",
     "growth_table",
     "growth_table_csv",
+    "lag_distance",
+    "min_lag_distance",
     "packing_angle",
     "verify_packing",
 ]
@@ -68,15 +69,58 @@ def packing_angle(C: float, R: float) -> float:
 
 
 def direction_count(alpha: float) -> int:
-    """Largest k with k*alpha <= pi - alpha; the family has k+1 directions."""
+    """Largest k with (k+1)*alpha <= pi in floating point; the family has k+1 directions.
+
+    Bisection on that monotone predicate: stepping k by one would never end
+    once k passes 2**53, where k+1 rounds back to k.
+    """
     if not 0.0 < alpha <= 0.5 * math.pi + 1e-12:
         raise ValueError("direction_count: alpha must lie in (0, pi/2]")
-    k = int(math.floor(math.pi / alpha)) - 1
-    while (k + 1) * alpha > math.pi:
-        k -= 1
-    while (k + 2) * alpha <= math.pi:
-        k += 1
-    return max(k, 1)
+    lo, hi = 0, 2 * int(math.pi / alpha) + 2  # (lo+1)*alpha <= pi < (hi+1)*alpha
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (mid + 1) * alpha <= math.pi:
+            lo = mid
+        else:
+            hi = mid
+    return max(lo, 1)
+
+
+def lag_distance(rho, alpha, lags):
+    """Distance between centers at radius rho whose plane angles are 2*lag*alpha apart.
+
+    Both centers sit at radius rho, so the pair is isosceles and the
+    distance depends only on the index lag:
+    dist_given_q(rho, rho, sin(|lag|*alpha)^2).  This is the one place an
+    index lag and the packing angle become a distance.  Accepts arrays.
+    """
+    half = np.abs(np.asarray(lags, dtype=float)) * alpha
+    return dist_given_q(rho, rho, np.sin(half) ** 2)
+
+
+def min_lag_distance(rho, alpha, indices) -> float:
+    """Exact minimum of :func:`lag_distance` over all pairs of `indices`.
+
+    Every pairwise lag lies between the smallest gap of the sorted indices
+    and their span, and sin^2(lag*alpha) rises and then falls, with no
+    interior minimum, while lag*alpha stays in [0, pi].  The closest pair is
+    therefore an adjacent pair or the first and last center, and those two
+    lags certify all n(n-1)/2 pairs in O(n).  Index differences, the product
+    with alpha and sin are all monotone in floating point, so the rule gives
+    the same bits as a sweep over every pair.
+
+    Raises
+    ------
+    ValueError
+        If the span times alpha exceeds pi, where the rule no longer holds.
+    """
+    idx = np.sort(np.asarray(indices, dtype=float))
+    if idx.size < 2:
+        return math.inf
+    lags = np.array([np.min(np.diff(idx)), idx[-1] - idx[0]])
+    if lags[1] * alpha > math.pi:
+        raise ValueError("min_lag_distance: index span times alpha exceeds pi")
+    return float(np.min(lag_distance(rho, alpha, lags)))
 
 
 @dataclass(frozen=True)
@@ -138,9 +182,8 @@ class BallFamily:
         """Distance between centers i and j via the stable angle kernel."""
         if self.alpha is None or self.indices is None:
             return distance(self.centers[i], self.centers[j])
-        theta = 2.0 * abs(float(self.indices[i]) - float(self.indices[j])) * self.alpha
-        rho = self.center_radius
-        return float(dist_polar_angle(rho, rho, theta))
+        lag = float(self.indices[i]) - float(self.indices[j])
+        return float(lag_distance(self.center_radius, self.alpha, lag))
 
 
 def generate_centers(spec: PackingSpec, cap: int = 100_000) -> BallFamily:
@@ -207,58 +250,28 @@ class PackingReport:
         return self.separation_ok and self.enclosure_ok
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("HYPACK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _pairwise_min_block(fam: BallFamily, i0: int, i1: int, block: int = 256) -> float:
-    """Min distance over all pairs {i, j} with i0 <= i < i1, j > i.
+def _pairwise_min_block(radii: np.ndarray, dirs: np.ndarray, block: int = 256) -> float:
+    """Min distance over all pairs of points given by polar radii and unit directions.
 
     Rows are processed in blocks against all later columns so the O(n^2)
     sweep runs at numpy throughput; each block splits into a small masked
     triangular corner plus a maskless rectangle.
     """
-    n = len(fam)
+    n = len(radii)
     best = math.inf
-    use_angles = fam.alpha is not None and fam.indices is not None
-    if use_angles:
-        rho = fam.center_radius
-        idx = fam.indices
-    else:
-        radii = np.array([c.r for c in fam.centers])
-        dirs = np.array([c.direction for c in fam.centers])
 
     def eval_min(rows, cols, mask):
-        if use_angles:
-            # equal radii: distance is monotone in q = sin^2(theta/2), so
-            # reduce q first and run the kernel once on the block minimum
-            half = np.abs(idx[cols][None, :] - idx[rows][:, None]) * fam.alpha
-            q = np.sin(half) ** 2
-            if mask is not None:
-                q = np.where(mask, q, np.inf)
-            if not q.size:
-                return math.inf
-            qmin = float(np.min(q))
-            if not math.isfinite(qmin):
-                return math.inf
-            return float(dist_given_q(rho, rho, qmin))
-        diff = dirs[cols][None, :, :] - dirs[rows][:, None, :]
-        q = np.clip(0.25 * np.sum(diff * diff, axis=-1), 0.0, 1.0)
+        q = _unit_gap_q(dirs[rows][:, None, :], dirs[cols][None, :, :])
         d = dist_given_q(radii[rows][:, None], radii[cols][None, :], q)
         if mask is not None:
             d = np.where(mask, d, math.inf)
-        return float(np.min(d)) if d.size else math.inf
+        return float(np.min(d))
 
-    for b0 in range(i0, i1, block):
-        b1 = min(b0 + block, i1)
+    for b0 in range(0, n - 1, block):
+        b1 = min(b0 + block, n - 1)
         rows = np.arange(b0, b1)
-        corner_cols = np.arange(b0 + 1, min(b1 + 1, n))
-        if corner_cols.size:
-            best = min(best, eval_min(rows, corner_cols, corner_cols[None, :] > rows[:, None]))
+        corner_cols = np.arange(b0 + 1, b1 + 1)
+        best = min(best, eval_min(rows, corner_cols, corner_cols[None, :] > rows[:, None]))
         rect_cols = np.arange(b1 + 1, n)
         if rect_cols.size:
             best = min(best, eval_min(rows, rect_cols, None))
@@ -266,44 +279,38 @@ def _pairwise_min_block(fam: BallFamily, i0: int, i1: int, block: int = 256) -> 
 
 
 def verify_packing(fam: BallFamily, tol: float = DEFAULT_TOL, enum_cap: int = 20_000) -> PackingReport:
-    """Brute-force O(n^2) verification of separation and enclosure.
+    """Certify separation and enclosure of every center pair.
 
-    Uses the angle-based kernel when the family carries its generating
-    angles, the polar-direction kernel otherwise.  HYPACK_THREADS > 1
-    splits the row blocks across a thread pool; the min-reduction makes the
-    result schedule-independent.
+    A family that carries its generating angles is certified exactly by
+    :func:`min_lag_distance`: the smallest and the largest index lag bound
+    every pair, so the check costs O(n).  A hand-built family without
+    ``alpha``/``indices`` falls back to the O(n^2) sweep over stored
+    directions.  Either way the report covers all n(n-1)/2 pairs.
+    Enclosure is one vectorized kernel call from the enclosing center.
     """
     n = len(fam)
     if n > enum_cap:
         raise ValueError(f"verify_packing: {n} centers exceeds enumeration cap {enum_cap}")
 
-    pairs = n * (n - 1) // 2
+    radii = np.array([c.r for c in fam.centers])
+    dirs = np.array([c.direction for c in fam.centers])
     min_pairwise = math.inf
-    if n >= 2:
-        workers = _worker_count()
-        if workers > 1 and n > 512:
-            from concurrent.futures import ThreadPoolExecutor
-
-            bounds = np.linspace(0, n - 1, workers + 1).astype(int)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = pool.map(
-                    lambda se: _pairwise_min_block(fam, se[0], se[1]),
-                    zip(bounds[:-1], bounds[1:]),
-                )
-            min_pairwise = min(results)
-        else:
-            min_pairwise = _pairwise_min_block(fam, 0, n - 1)
+    if fam.alpha is not None and fam.indices is not None:
+        min_pairwise = min_lag_distance(fam.center_radius, fam.alpha, fam.indices)
+    elif n >= 2:
+        min_pairwise = _pairwise_min_block(radii, dirs)
 
     max_offset = 0.0
     allowed = math.inf
     if fam.enclosing is not None:
         enc_center, enc_radius = fam.enclosing
         allowed = enc_radius - fam.radius
-        max_offset = max(distance(enc_center, c) for c in fam.centers)
+        offsets = dist_given_q(enc_center.r, radii, _unit_gap_q(enc_center.direction, dirs))
+        max_offset = float(np.max(offsets))
 
     return PackingReport(
         n_centers=n,
-        pairs_checked=pairs,
+        pairs_checked=n * (n - 1) // 2,
         min_pairwise=min_pairwise,
         required_separation=fam.min_separation,
         max_center_offset=max_offset,

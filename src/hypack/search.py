@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from hypack.geometry import HPoint, dist_polar_angle, distance
+from hypack.geometry import HPoint, distance
 from hypack.maps import LipschitzMapHandle
 from hypack.nets import NetTemplate, build_reference_net, transport_net
-from hypack.packing import PackingSpec, generate_centers, packing_angle
+from hypack.packing import PackingSpec, generate_centers, min_lag_distance, packing_angle
 
 __all__ = [
     "BunchedConfiguration",
@@ -137,21 +137,17 @@ class SearchParams:
             raise ValueError("SearchParams: R schedule must be increasing")
 
     @staticmethod
-    def for_set_distance(r, epsilon, k, m=2, cap=100_000, seed=0, R_schedule=None, R_max=None):
-        C = choose_C_setdist(r, epsilon)
-        sched = tuple(R_schedule) if R_schedule is not None else default_schedule(C, cap)
-        if R_max is not None:
-            sched = tuple(R for R in sched if R <= R_max) or (min(sched[0], R_max),)
-        return SearchParams(r=r, epsilon=epsilon, k=k, C=C, R_schedule=sched, m=m, cap=cap, seed=seed)
-
-    @staticmethod
-    def for_hausdorff(r, epsilon, k, m=2, cap=100_000, seed=0, R_schedule=None, R_max=None):
-        C = choose_C_hausdorff(r, epsilon)
+    def derive(
+        r, epsilon, k, hausdorff=False, m=2, cap=100_000, seed=0, R_schedule=None, R_max=None
+    ):
+        """Parameters with C chosen for the set-distance or the Hausdorff conclusion."""
+        C = (choose_C_hausdorff if hausdorff else choose_C_setdist)(r, epsilon)
         sched = tuple(R_schedule) if R_schedule is not None else default_schedule(C, cap)
         if R_max is not None:
             sched = tuple(R for R in sched if R <= R_max) or (min(sched[0], R_max),)
         return SearchParams(
-            r=r, epsilon=epsilon, k=k, C=C, R_schedule=sched, m=m, cap=cap, seed=seed, hausdorff=True
+            r=r, epsilon=epsilon, k=k, C=C, R_schedule=sched, m=m, cap=cap, seed=seed,
+            hausdorff=hausdorff,
         )
 
 
@@ -320,12 +316,7 @@ class BunchedConfiguration:
                 for i, a in enumerate(self.centers)
                 for b in self.centers[i + 1 :]
             )
-        best = math.inf
-        for i in range(len(self.indices)):
-            for j in range(i + 1, len(self.indices)):
-                theta = 2.0 * abs(self.indices[i] - self.indices[j]) * self.alpha
-                best = min(best, float(dist_polar_angle(self.center_radius, self.center_radius, theta)))
-        return best
+        return min_lag_distance(self.center_radius, self.alpha, self.indices)
 
 
 def _best_window(members: list[int], imgs: np.ndarray, k: int) -> tuple[list[int], float]:
@@ -344,7 +335,6 @@ def _best_window(members: list[int], imgs: np.ndarray, k: int) -> tuple[list[int
 def find_bunched_configuration(
     F: LipschitzMapHandle,
     params: SearchParams,
-    hausdorff: bool | None = None,
     net: NetTemplate | None = None,
     max_image_diameter: float | None = None,
 ) -> BunchedConfiguration:
@@ -361,10 +351,9 @@ def find_bunched_configuration(
         If no R in the schedule produces a fiber of size k (with the image
         diameter constraint, when one is given).
     """
-    hausdorff = params.hausdorff if hausdorff is None else hausdorff
     eff_F = F
     rho = 0.0
-    if hausdorff:
+    if params.hausdorff:
         if net is None:
             net = build_reference_net(params.r, params.epsilon / (2.0 * F.L), F.m)
         if abs(net.rho - params.r) > 1e-12:
@@ -382,7 +371,7 @@ def find_bunched_configuration(
             raise AssertionError("separated family invariants failed")
         # volume bound; the augmented pipeline uses the affine growth
         # sqrt(l) L (R + 2 rho) of the concatenated image
-        bound_L = math.sqrt(net.l) * F.L if hausdorff else F.L
+        bound_L = math.sqrt(net.l) * F.L if params.hausdorff else F.L
         bound = counting_upper_bound(R + 2.0 * rho, params.C, bound_L, eff_F.n)
         if len(sf.selected) > bound:
             raise AssertionError(
@@ -410,9 +399,7 @@ def find_bunched_configuration(
             continue
 
         idx = tuple(float(fam.indices[i]) for i in chosen)
-        pair_min = min(
-            fam.pair_distance(i, j) for a, i in enumerate(chosen) for j in chosen[a + 1 :]
-        )
+        pair_min = min_lag_distance(fam.center_radius, fam.alpha, idx)
         if pair_min < 2.0 * params.C - 1e-9:
             raise AssertionError("bunched configuration violates the 2C separation")
         if diam >= 2.0 / params.C + 1e-9:
@@ -429,7 +416,7 @@ def find_bunched_configuration(
             alpha=fam.alpha,
             indices=idx,
             center_radius=fam.center_radius,
-            hausdorff_pipeline=hausdorff,
+            hausdorff_pipeline=params.hausdorff,
             selected_count=int(len(sf.selected)),
             family_count=len(fam),
             history=tuple(diagnostics),
@@ -586,7 +573,7 @@ def corollary_sequences(
     prev_sep = -math.inf
     for level in range(levels):
         eps_l = base_params.epsilon / (2.0**level)
-        params = SearchParams.for_set_distance(
+        params = SearchParams.derive(
             r=base_params.r,
             epsilon=eps_l,
             k=k,

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -18,3 +21,23 @@ def random_point(rng, m=2, max_radius=10.0):
 def random_unit(rng, m):
     d = rng.standard_normal(m)
     return d / np.linalg.norm(d)
+
+
+class TimeLimitExceeded(Exception):
+    """Raised by :func:`time_limit`; not an OSError, so the CLI cannot swallow it."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeLimitExceeded in the enclosed block once `seconds` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,10 +1,16 @@
-"""Arbitrary-precision oracles (mpmath) the tests check library values against.
+"""Oracles the tests check library values against.
 
-Everything here recomputes results from first principles, independently of
-the library's evaluation strategy.
+Arbitrary-precision (mpmath) values, plus a brute-force O(n^2) sweep for
+packing separation.  Everything here recomputes results from first
+principles, independently of the library's evaluation strategy.
 """
 
+import math
+
 import mpmath as mp
+import numpy as np
+
+from hypack.geometry import dist_given_q
 
 mp.mp.dps = 40
 
@@ -55,3 +61,21 @@ def rel_err(value, oracle):
     if oracle == 0:
         return abs(mp.mpf(value))
     return abs((mp.mpf(value) - oracle) / oracle)
+
+
+def brute_min_lag_distance(rho, alpha, indices, block=256):
+    """Min center distance over every pair of a 2-plane family, by brute force.
+
+    Sweeps all n(n-1)/2 index lags in row blocks, reduces q = sin^2(lag*alpha)
+    (the distance is monotone in q at equal radii) and runs the kernel once
+    on the smallest q.
+    """
+    idx = np.asarray(indices, dtype=float)
+    n = idx.size
+    qmin = math.inf
+    for b0 in range(0, n - 1, block):
+        rows = np.arange(b0, min(b0 + block, n - 1))
+        cols = np.arange(b0 + 1, n)
+        q = np.sin(np.abs(idx[cols][None, :] - idx[rows][:, None]) * alpha) ** 2
+        qmin = min(qmin, float(np.min(np.where(cols[None, :] > rows[:, None], q, np.inf))))
+    return float(dist_given_q(rho, rho, qmin)) if n >= 2 else math.inf

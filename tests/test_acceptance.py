@@ -95,15 +95,18 @@ def test_criterion_2_separation():
         R = 2.0 * C + rng.uniform(0.5, 10.0)
         fam = generate_centers(PackingSpec.at_origin(C, R, 2), cap=10_000)
         rep = verify_packing(fam)
+        brute = oracle.brute_min_lag_distance(fam.center_radius, fam.alpha, fam.indices)
         total_pairs += rep.pairs_checked
-        worst_slack = min(worst_slack, rep.min_pairwise - (2.0 * C - 1e-9))
+        worst_slack = min(worst_slack, brute - (2.0 * C - 1e-9))
         assert rep.ok
+        assert rep.min_pairwise == brute
     elapsed = time.perf_counter() - t0
     ok = worst_slack >= 0.0 and elapsed < 30.0
     report(
         2,
         ok,
-        f"20 families, {total_pairs} pairs, min slack over 2C-1e-9: {worst_slack:.2e}; "
+        f"20 families, {total_pairs} pairs swept by brute force, min slack over 2C-1e-9: "
+        f"{worst_slack:.2e}, equal to verify_packing; "
         f"{elapsed:.1f}s < 30s",
     )
 
@@ -268,7 +271,7 @@ def test_criterion_5_theorem_end_to_end(tmp_path):
 @pytest.fixture(scope="module")
 def corollary_runs():
     F = poincare_inclusion(2)
-    base = SearchParams.for_set_distance(1.0, 0.5, 2, m=2, seed=SEED)
+    base = SearchParams.derive(1.0, 0.5, 2, m=2, seed=SEED)
     return F, corollary_sequences(F, k=2, levels=3, base_params=base)
 
 
@@ -276,7 +279,7 @@ def test_criterion_6_counting_bound(corollary_runs):
     F, cfgs = corollary_runs
     records = []
     for r, eps, k in ((1.0, 0.5, 3), (1.0, 0.25, 2)):
-        params = SearchParams.for_set_distance(r, eps, k, m=2, seed=SEED)
+        params = SearchParams.derive(r, eps, k, m=2, seed=SEED)
         cfg = find_bunched_configuration(F, params)
         records.extend(cfg.history)
     for cfg in cfgs:

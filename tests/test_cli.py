@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from conftest import time_limit
 from hypack.cli import main
 
 
@@ -34,6 +37,12 @@ class TestPack:
         rc = main(["pack", "--C", "1", "--R", "3", "--format", "csv"])
         assert rc == 2
 
+    def test_huge_family_terminates(self, tmp_path):
+        # about 1.4e25 directions: the count passes 2**53 by far
+        with time_limit(20.0):
+            rc, _ = run(tmp_path, "pack.json", ["pack", "--C", "1", "--R", "60", "--cap", "100"])
+        assert rc in (0, 2)
+
 
 class TestGrowth:
     def test_csv_table(self, tmp_path):
@@ -53,6 +62,18 @@ class TestGrowth:
         )
         assert rc == 0
         assert out.read_text() == "R,alpha,family_size,lower_bound,ratio\n"
+
+    def test_huge_counts_terminate(self, tmp_path):
+        with time_limit(20.0):
+            rc, _ = run(tmp_path, "growth.csv", ["growth", "--C", "1", "--R-from", "50", "--R-to", "60"])
+        assert rc in (0, 2)
+
+    @pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
+    def test_bad_step_exit_2(self, tmp_path, capsys, step):
+        with time_limit(10.0):
+            rc = main(["growth", "--C", "1", "--R-from", "3", "--R-to", "5", f"--R-step={step}"])
+        assert rc == 2
+        assert "--R-step" in capsys.readouterr().err
 
     def test_json_format(self, tmp_path):
         rc, out = run(
@@ -153,6 +174,20 @@ class TestConfigFile:
         rc, out = run(tmp_path, "pack.json", ["pack", "--config", str(cfg)])
         assert rc == 0
         assert json.loads(out.read_text())["family"]["n_centers"] == 9
+
+    def test_config_file_sets_hausdorff(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"hausdorff": True}))
+        rc, out = run(
+            tmp_path,
+            "search.json",
+            [
+                "search", "--config", str(cfg), "--map", "busemann", "--m", "2",
+                "--r", "1", "--eps", "0.5", "--k", "2", "--R-max", "16.5",
+            ],
+        )
+        assert rc in (0, 3)
+        assert json.loads(out.read_text())["params"]["hausdorff"] is True
 
     def test_flags_win_over_config(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -69,10 +69,15 @@ class TestDistance:
         assert distance(a, b) == pytest.approx(5.311779854154866, abs=1e-12)
 
     def test_symmetry(self, rng):
+        # radii up to 350 reach the log-domain branch (r1 + r2 >= 300), which
+        # must be bit-symmetric too
         for _ in range(300):
-            x = random_point(rng, 3)
-            y = random_point(rng, 3)
-            assert distance(x, y) == distance(y, x)  # identical code path
+            x = random_point(rng, 3, 350.0)
+            y = random_point(rng, 3, 350.0)
+            assert distance(x, y) == distance(y, x)
+        r1, r2 = rng.uniform(0.0, 350.0, size=(2, 20_000))
+        q = rng.uniform(0.0, 1.0, size=20_000)
+        assert np.array_equal(dist_given_q(r1, r2, q), dist_given_q(r2, r1, q))
 
     def test_triangle_inequality_bulk(self, rng):
         violation = 0.0
@@ -368,8 +373,6 @@ class TestTangentPairKernel:
         # the law-of-cosines kernel on tangent data at p equals the ambient
         # distance between the exponentials; this is what makes local
         # geometry computable at basepoints where coordinates collapse
-        from hypack.geometry import dist_tangent_pair
-
         p = random_point(rng, 2, 5.0)
         for _ in range(100):
             a = rng.uniform(0.0, 2.0) * random_unit(rng, 2)
@@ -382,7 +385,7 @@ class TestTangentPairKernel:
                 q = 0.25 * float(np.sum((a / na - b / nb) ** 2))
             else:
                 q = 0.0
-            local = float(dist_tangent_pair(na, nb, q))
+            local = float(dist_given_q(na, nb, q))
             assert local == pytest.approx(distance(pa, pb), abs=1e-9)
 
 

@@ -1,9 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from hypack.geometry import HPoint, NumericRangeError, distance
+from conftest import time_limit
+from hypack.geometry import HPoint, NumericRangeError, dist_polar_angle, distance
 from hypack.packing import (
     BallFamily,
     PackingSpec,
@@ -12,10 +14,18 @@ from hypack.packing import (
     generate_centers,
     growth_table,
     growth_table_csv,
+    lag_distance,
+    min_lag_distance,
     packing_angle,
     verify_packing,
 )
-from oracle_utils import mp_count_lower_bound, mp_direction_count, mp_packing_angle, rel_err
+from oracle_utils import (
+    brute_min_lag_distance,
+    mp_count_lower_bound,
+    mp_direction_count,
+    mp_packing_angle,
+    rel_err,
+)
 
 
 class TestPackingAngle:
@@ -63,6 +73,23 @@ class TestDirectionCount:
     def test_oracle_sweep(self):
         for R in range(3, 13):
             assert direction_count(packing_angle(1.0, R)) == mp_direction_count(1, R)
+
+    def test_largest_k_in_floating_point(self):
+        # (k+1)*alpha <= pi < (k+2)*alpha, evaluated in doubles, pins k down
+        # uniquely; counts pass 2**53 from about R = 38 on
+        for R in range(3, 46):
+            alpha = packing_angle(1.0, R)
+            k = direction_count(alpha)
+            assert (k + 1) * alpha <= math.pi < (k + 2) * alpha
+
+    @pytest.mark.parametrize("R", [60.0, 100.0, 300.0])
+    def test_huge_counts_return_quickly(self, R):
+        alpha = packing_angle(1.0, R)
+        t0 = time.perf_counter()
+        with time_limit(5.0):
+            k = direction_count(alpha)
+        assert time.perf_counter() - t0 < 1.0
+        assert (k + 1) * alpha <= math.pi < (k + 2) * alpha
 
 
 class TestGenerateCenters:
@@ -159,6 +186,25 @@ class TestVerifyPacking:
         rep_dir = verify_packing(stripped)
         assert rep_dir.min_pairwise == pytest.approx(rep_angle.min_pairwise, abs=1e-10)
 
+    def test_lag_distance_matches_angle_kernel(self):
+        # 0.5 * (2 * lag * alpha) rounds to lag * alpha, so both forms agree bitwise
+        fam = generate_centers(PackingSpec.at_origin(1.0, 7.0, 2), cap=1_000)
+        lags = fam.indices[1:] - fam.indices[0]
+        rho, alpha = fam.center_radius, fam.alpha
+        assert np.array_equal(lag_distance(rho, alpha, lags), dist_polar_angle(rho, rho, 2.0 * lags * alpha))
+        assert np.array_equal(lag_distance(rho, alpha, -lags), lag_distance(rho, alpha, lags))
+
+    def test_min_lag_distance_domain(self):
+        assert min_lag_distance(2.0, 0.1, [3.0]) == math.inf
+        assert min_lag_distance(2.0, 0.1, [4.0, 1.0, 4.0]) == 0.0
+        # 9 * 0.33 is close to pi, so the span, not the smallest gap, is closest
+        span_min = float(lag_distance(2.0, 0.33, 9.0))
+        assert span_min < float(lag_distance(2.0, 0.33, 1.0))
+        assert min_lag_distance(2.0, 0.33, [9.0, 0.0, 1.0]) == span_min
+        assert brute_min_lag_distance(2.0, 0.33, [9.0, 0.0, 1.0]) == span_min
+        with pytest.raises(ValueError):
+            min_lag_distance(2.0, 1.0, [0.0, 4.0])
+
     def test_enum_cap(self):
         fam = generate_centers(PackingSpec.at_origin(0.5, 11.0, 2), cap=10_000)
         with pytest.raises(ValueError):
@@ -173,13 +219,25 @@ class TestVerifyPacking:
             assert rep.ok
             assert rep.min_pairwise >= 2.0 * C - 1e-9
 
-    def test_thread_count_does_not_change_result(self, monkeypatch):
-        fam = generate_centers(PackingSpec.at_origin(1.0, 6.0, 2), cap=2_000)
-        base = verify_packing(fam)
-        monkeypatch.setenv("HYPACK_THREADS", "4")
-        threaded = verify_packing(fam)
-        assert threaded.min_pairwise == base.min_pairwise
-        assert threaded.ok == base.ok
+    @staticmethod
+    def _oracle_families():
+        """Seeded families: uncapped and subsampled, m = 2 and 3, plus edge cases."""
+        rng = np.random.default_rng(4242)
+        specs = [(1.0, 2.0 + 1e-6, 2, 100), (1.0, 3.0, 3, 100), (1.0, 40.0, 2, 500), (1.0, 60.0, 3, 300)]
+        for i in range(18):
+            C = float(rng.uniform(0.5, 3.0))
+            specs.append((C, 2.0 * C + float(rng.uniform(0.2, 6.0)), 2 + i % 2, (5_000, 700)[i // 2 % 2]))
+        return [generate_centers(PackingSpec.at_origin(C, R, m), cap=cap) for C, R, m, cap in specs]
+
+    def test_lag_extremes_match_brute_force(self):
+        fams = self._oracle_families()
+        subsampled = [len(f) < f.family_size_uncapped for f in fams]
+        assert any(subsampled) and not all(subsampled)
+        for fam in fams:
+            oracle = brute_min_lag_distance(fam.center_radius, fam.alpha, fam.indices)
+            rep = verify_packing(fam)
+            assert rep.min_pairwise == oracle
+            assert rep.pairs_checked == len(fam) * (len(fam) - 1) // 2
 
 
 class TestCountLowerBound:

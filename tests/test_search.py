@@ -143,7 +143,7 @@ class TestSearchParams:
 
     def test_schedule_must_exceed_2C(self):
         with pytest.raises(ValueError):
-            SearchParams.for_set_distance(1.0, 0.5, 2, R_schedule=(15.0,))
+            SearchParams.derive(1.0, 0.5, 2, R_schedule=(15.0,))
 
     def test_default_schedule_ladder(self):
         sched = default_schedule(8.0, 100_000)
@@ -154,7 +154,7 @@ class TestSearchParams:
 
 class TestFindBunched:
     def test_constant_map_first_rung(self):
-        params = SearchParams.for_set_distance(1.0, 0.5, 3, m=2, cap=1_000)
+        params = SearchParams.derive(1.0, 0.5, 3, m=2, cap=1_000)
         cfg = find_bunched_configuration(constant_map(), params)
         assert cfg.R_used == params.R_schedule[0]
         assert cfg.pairwise_image_max == 0.0
@@ -162,7 +162,7 @@ class TestFindBunched:
 
     def test_poincare_k3(self):
         F = poincare_inclusion(2)
-        params = SearchParams.for_set_distance(1.0, 0.5, 3, m=2)
+        params = SearchParams.derive(1.0, 0.5, 3, m=2)
         cfg = find_bunched_configuration(F, params)
         assert cfg.k == 3
         assert cfg.pairwise_manifold_min >= 16.0 - 1e-9
@@ -175,7 +175,7 @@ class TestFindBunched:
 
     def test_busemann_small_schedule_exhausts(self):
         B = busemann_map([ideal_point([1.0, 0.0]), ideal_point([0.0, 1.0])])
-        params = SearchParams.for_set_distance(1.0, 0.5, 2, m=2, R_schedule=(16.5,))
+        params = SearchParams.derive(1.0, 0.5, 2, m=2, R_schedule=(16.5,))
         with pytest.raises(ScheduleExhausted) as exc:
             find_bunched_configuration(B, params)
         diag = exc.value.diagnostics
@@ -184,7 +184,7 @@ class TestFindBunched:
 
     def test_counting_bound_respected(self):
         F = poincare_inclusion(2)
-        params = SearchParams.for_set_distance(1.0, 0.5, 3, m=2)
+        params = SearchParams.derive(1.0, 0.5, 3, m=2)
         cfg = find_bunched_configuration(F, params)
         bound = counting_upper_bound(cfg.R_used, cfg.C, F.L, F.n)
         assert cfg.selected_count <= bound
@@ -193,7 +193,7 @@ class TestFindBunched:
 @pytest.fixture(scope="module")
 def poincare_cfg():
     F = poincare_inclusion(2)
-    params = SearchParams.for_set_distance(1.0, 0.5, 3, m=2)
+    params = SearchParams.derive(1.0, 0.5, 3, m=2)
     cfg = find_bunched_configuration(F, params)
     return F, cfg
 
@@ -201,7 +201,7 @@ def poincare_cfg():
 class TestCertify:
     def test_constant_map_trivial(self):
         F = constant_map()
-        params = SearchParams.for_set_distance(1.0, 0.5, 2, m=2, cap=500)
+        params = SearchParams.derive(1.0, 0.5, 2, m=2, cap=500)
         cfg = find_bunched_configuration(F, params)
         cert = certify_configuration(F, cfg, samples=64, seed=9)
         assert cert.pass_i and cert.pass_ii
@@ -242,7 +242,7 @@ class TestCertify:
     def test_hausdorff_pipeline_certifies_iii(self):
         F = poincare_inclusion(2)
         net = build_reference_net(1.0, 0.5, 2)
-        params = SearchParams.for_hausdorff(1.0, 0.5, 2, m=2)
+        params = SearchParams.derive(1.0, 0.5, 2, hausdorff=True, m=2)
         cfg = find_bunched_configuration(F, params, net=net)
         cert = certify_configuration(F, cfg, net=net, samples=64, seed=12)
         assert cert.pass_i and cert.pass_ii and cert.pass_iii
@@ -287,7 +287,7 @@ class TestHausdorffEstimate:
 class TestCorollarySequences:
     def test_poincare_three_levels(self):
         F = poincare_inclusion(2)
-        base = SearchParams.for_set_distance(1.0, 0.5, 2, m=2)
+        base = SearchParams.derive(1.0, 0.5, 2, m=2)
         cfgs = corollary_sequences(F, k=2, levels=3, base_params=base)
         seps = [c.pairwise_manifold_min for c in cfgs]
         diams = [c.pairwise_image_max for c in cfgs]
@@ -298,12 +298,12 @@ class TestCorollarySequences:
 
     def test_single_level(self):
         F = poincare_inclusion(2)
-        base = SearchParams.for_set_distance(1.0, 0.5, 2, m=2)
+        base = SearchParams.derive(1.0, 0.5, 2, m=2)
         cfgs = corollary_sequences(F, k=2, levels=1, base_params=base)
         assert len(cfgs) == 1
 
     def test_constant_map_zero_diameters(self):
-        base = SearchParams.for_set_distance(1.0, 0.5, 2, m=2, cap=500)
+        base = SearchParams.derive(1.0, 0.5, 2, m=2, cap=500)
         cfgs = corollary_sequences(constant_map(), k=2, levels=3, base_params=base)
         assert all(c.pairwise_image_max == 0.0 for c in cfgs)
         seps = [c.pairwise_manifold_min for c in cfgs]
