@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from hypack.geometry import HPoint
+from hypack.geometry import HPoint, PolarBatch
 from hypack.maps import (
     busemann_map,
     compose_euclidean,
@@ -24,20 +24,22 @@ from hypack.maps import (
 
 F = poincare_inclusion(2)
 print("== Poincare inclusion (L = 1/2) ==")
-print(f"F(o) = {F(HPoint.origin(2))}")
-print(f"F(polar(2, e1)) = {F(HPoint.from_polar(2.0, [1, 0]))}  (tanh(1) = {math.tanh(1):.6f})")
+img_o, img_p = F.batch(PolarBatch.of([HPoint.origin(2), HPoint.from_polar(2.0, [1, 0])]))
+print(f"F(o) = {img_o}")
+print(f"F(polar(2, e1)) = {img_p}  (tanh(1) = {math.tanh(1):.6f})")
 est = estimate_lipschitz(F, pairs=10_000, seed=1, region_radius=10.0)
 print(f"max sampled ratio over 10^4 pairs in B(o, 10): {est:.4f} <= 0.5")
 
 print("\n== Busemann coordinates (1-Lipschitz each) ==")
 B = busemann_map([ideal_point([1.0, 0.0]), ideal_point([0.0, 1.0])])
-for t in (1.0, 5.0, 200.0):
-    val = B(HPoint.from_polar(t, [1.0, 0.0]))
+ray = [HPoint.from_polar(t, [1.0, 0.0]) for t in (1.0, 5.0, 200.0)]
+for p, val in zip(ray, B.batch(PolarBatch.of(ray))):
+    t = p.r
     print(f"  along the first ray at t={t:>5}: b = {np.round(val, 6)} (first coordinate = -t)")
 est = estimate_lipschitz(B, pairs=10_000, seed=2, region_radius=10.0)
 print(f"max sampled ratio: {est:.4f} <= sqrt(2) = {math.sqrt(2):.4f}")
 
-G = compose_euclidean(F, lambda v: v[:1], 1.0, label="first-coordinate")
+G = compose_euclidean(F, lambda v: v[:, :1], 1.0, label="first-coordinate")
 print(f"\ncomposed with a projection: n = {G.n}, declared L = {G.L}")
 
 print("\n== flat-graph surface: proper but not strongly proper ==")

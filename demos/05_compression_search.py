@@ -11,7 +11,7 @@ then re-verifies the advertised conclusions with independent oracles.
 
 import numpy as np
 
-from hypack.geometry import HPoint, distance
+from hypack.geometry import HPoint, PolarBatch, distance
 from hypack.maps import poincare_inclusion
 from hypack.nets import build_reference_net
 from hypack.search import (
@@ -66,7 +66,8 @@ for level, c in enumerate(corollary_sequences(F, k=2, levels=3, base_params=base
 
 print("\n== search-free witness on one ray ==")
 a, b = HPoint.from_polar(10.0, [1, 0]), HPoint.from_polar(20.0, [1, 0])
-gap = float(np.linalg.norm(F(a) - F(b)))
+img_a, img_b = F.batch(PolarBatch.of([a, b]))
+gap = float(np.linalg.norm(img_a - img_b))
 print(
     f"points at t=10 and t=20 on a ray: manifold distance {distance(a, b)}, "
     f"image distance {gap:.3e} (tanh(10) - tanh(5))"

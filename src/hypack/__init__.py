@@ -6,6 +6,7 @@ from hypack.geometry import (
     HPoint,
     HTangent,
     NumericRangeError,
+    PolarBatch,
     distance,
     exp_map,
     log_map,

@@ -13,10 +13,11 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
-from hypack.geometry import NumericRangeError
+from hypack.geometry import NumericRangeError, PolarBatch
 from hypack.maps import busemann_map, ideal_point, poincare_inclusion
 from hypack.nets import build_reference_net
 from hypack.packing import PackingSpec, generate_centers, growth_table, growth_table_csv, verify_packing
@@ -33,6 +34,9 @@ EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INVALID = 2
 EXIT_EXHAUSTED = 3
+
+#: Most rows of one growth table; the R list is built before the first row.
+GROWTH_ROWS_MAX = 100_000
 
 
 def _atomic_write(path: str | None, text: str):
@@ -55,8 +59,8 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _polar_rows(points) -> list[list[float]]:
-    return [[p.r, *map(float, p.direction)] for p in points]
+def _polar_rows(points: PolarBatch) -> list[list[float]]:
+    return np.column_stack((points.r, points.dirs)).tolist()
 
 
 def _load_config_defaults(parser_args):
@@ -107,6 +111,9 @@ def cmd_growth(args) -> int:
         raise ValueError("growth: --R-from and --R-to must be finite")
     if not (math.isfinite(args.R_step) and args.R_step > 0.0):
         raise ValueError(f"growth: --R-step must be finite and > 0 (got {args.R_step})")
+    span = (args.R_to - args.R_from) / args.R_step  # the table has floor(span) + 1 rows
+    if span >= GROWTH_ROWS_MAX:
+        raise ValueError(f"growth: about {span:.3g} rows exceed the limit of {GROWTH_ROWS_MAX}")
     R_values = []
     R = args.R_from
     while R <= args.R_to + 1e-12:
@@ -122,16 +129,7 @@ def cmd_growth(args) -> int:
             "schema": SCHEMA_VERSION,
             "command": "growth",
             "C": args.C,
-            "rows": [
-                {
-                    "R": row.R,
-                    "alpha": row.alpha,
-                    "family_size": row.family_size,
-                    "lower_bound": row.lower_bound,
-                    "ratio": row.ratio,
-                }
-                for row in rows
-            ],
+            "rows": [asdict(row) for row in rows],
         }
         _atomic_write(args.out, _dump_json(payload))
     return EXIT_PASS
@@ -174,7 +172,7 @@ def cmd_search(args) -> int:
         "map": F.label,
         "R_used": cfg.R_used,
         "centers_polar": _polar_rows(cfg.centers),
-        "fiber_anchor_polar": _polar_rows([cfg.fiber_anchor])[0],
+        "fiber_anchor_polar": _polar_rows(PolarBatch.of([cfg.fiber_anchor]))[0],
         "pairwise_manifold_min": cfg.pairwise_manifold_min,
         "pairwise_image_max": cfg.pairwise_image_max,
         "hausdorff_max": cert.hausdorff_max,

@@ -4,8 +4,9 @@ Points live on the upper sheet of ``<x,x>_M = -1`` in Minkowski space
 R^{m,1}, with base point ``o = (1, 0, ..., 0)``.  Every point carries a
 polar representation (hyperbolic radius from o, unit direction in the
 tangent space at o); ambient coordinates are kept only while they are
-representable.  All distances funnel through one log-domain law-of-cosines
-kernel that stays accurate for radii up to 1e4.
+representable.  Hot paths hold many points as one PolarBatch of rows, made by
+the one exp kernel, exp_rows.  All distances funnel through one log-domain
+law-of-cosines kernel that stays accurate for radii up to 1e4.
 
 Resolution caveat: double-precision o-based coordinates (ambient or polar)
 locate a point at radius r only to within ~eps*sinh(r) length units, so
@@ -27,11 +28,13 @@ __all__ = [
     "HPoint",
     "HTangent",
     "NumericRangeError",
+    "PolarBatch",
     "Transvection",
     "dist_given_q",
     "dist_polar_angle",
     "distance",
     "exp_map",
+    "exp_rows",
     "law_of_sines_residual",
     "log_map",
     "minkowski_inner",
@@ -190,6 +193,16 @@ def dist_polar_angle(r1, r2, theta):
     return dist_given_q(r1, r2, q)
 
 
+def _libm(fn):
+    ufunc = np.frompyfunc(fn, 1, 1)
+    return lambda x: np.asarray(ufunc(x), dtype=float)
+
+
+# Elementwise libm functions for the row kernels: numpy's own cosh, sinh, tanh
+# and arcsinh differ from libm in the last bit on a few percent of elements.
+_cosh, _sinh, _tanh, _asinh = map(_libm, (math.cosh, math.sinh, math.tanh, math.asinh))
+
+
 def _unit_gap_q(u1, u2):
     """sin^2(theta/2) between unit vectors via 0.25*|u1-u2|^2 (stable for
     small angles; exact identity since |u1-u2|^2 = 2 - 2 cos(theta))."""
@@ -263,29 +276,7 @@ class HPoint:
         tol = 1e-8 * max(1.0, c[0] * c[0])
         if abs(sq + 1.0) > tol:
             raise ValueError(f"from_coords: Minkowski self-product {sq} != -1")
-        return HPoint._from_coords_trusted(c)
-
-    @staticmethod
-    def _from_coords_trusted(coords) -> "HPoint":
-        """Rebuild from internally-computed coordinates.
-
-        Cancellation in exp/isometry formulas leaves off-sheet drift that
-        scales with the *construction* magnitudes, not the result; trusted
-        callers snap the timelike component instead of re-validating.
-        """
-        c = np.asarray(coords, dtype=float).copy()
-        rest = c[1:]
-        nr = float(np.linalg.norm(rest))
-        c[0] = math.sqrt(1.0 + nr * nr)
-        r = math.asinh(nr)
-        if nr == 0.0:
-            d = np.zeros(c.shape[0] - 1)
-            d[0] = 1.0
-        else:
-            d = rest / nr
-        d.setflags(write=False)
-        c.setflags(write=False)
-        return HPoint(r, d, c)
+        return PolarBatch(*_snap_rows(c[None, :]))[0]
 
     @property
     def dim(self) -> int:
@@ -315,6 +306,43 @@ class HPoint:
                 f"ambient coordinates unavailable at radius {self.r:.3g}"
             )
         return self._coords
+
+
+@dataclass(frozen=True, eq=False)
+class PolarBatch:
+    """N points of H^m as rows: read-only radii ``r`` (N,), unit directions
+    ``dirs`` (N, m) and, when every row has them, ambient ``coords`` (N, m+1).
+
+    An integer index gives that row as an HPoint, any other index a sub-batch.
+    """
+
+    r: np.ndarray
+    dirs: np.ndarray
+    coords: np.ndarray | None = None
+
+    def __post_init__(self):
+        for a in (self.r, self.dirs, self.coords):
+            if a is not None:
+                a.setflags(write=False)
+
+    @staticmethod
+    def of(points) -> "PolarBatch":
+        """Stack HPoints into rows."""
+        coords = [p._coords for p in points]
+        return PolarBatch(
+            np.array([p.r for p in points], dtype=float),
+            np.array([p.direction for p in points]),
+            None if any(c is None for c in coords) else np.array(coords),
+        )
+
+    def __len__(self) -> int:
+        return len(self.r)
+
+    def __getitem__(self, i):
+        coords = None if self.coords is None else self.coords[i]
+        if isinstance(i, (int, np.integer)):
+            return HPoint(float(self.r[i]), self.dirs[i], coords)
+        return PolarBatch(self.r[i], self.dirs[i], coords)
 
 
 @dataclass(frozen=True)
@@ -410,19 +438,50 @@ def distance(x: HPoint, y: HPoint) -> float:
     return float(dist_given_q(x.r, y.r, q))
 
 
-def exp_map(v: HTangent) -> HPoint:
-    """Riemannian exponential: follow the geodesic with velocity v for time 1."""
-    t = v.norm
-    base = v.base
-    if t == 0.0:
-        return base
-    if base.r + t > _COORDS_INTERNAL_MAX:
+def _snap_rows(c: np.ndarray):
+    """(r, dirs, coords) of rows of computed hyperboloid coordinates.
+
+    Cancellation in exp/isometry formulas leaves off-sheet drift that scales
+    with the construction magnitudes, not the result, so the timelike
+    component is snapped instead of re-validated.
+    """
+    c = c.copy()
+    rest = c[:, 1:]
+    # sqrt(vecdot) rounds like the 1-D np.linalg.norm; norm(axis=1) does not
+    nr = np.sqrt(np.vecdot(rest, rest))
+    c[:, 0] = np.sqrt(1.0 + nr * nr)
+    at_o = nr == 0.0
+    dirs = rest / np.where(at_o, 1.0, nr)[:, None]
+    dirs[at_o] = np.eye(1, rest.shape[1])
+    return _asinh(nr), dirs, c
+
+
+def exp_rows(base: HPoint, vecs, t) -> PolarBatch:
+    """Riemannian exponential at `base` of the tangent rows `vecs` (N, m+1) of lengths `t` (N,).
+
+    Each row is the compensated combination cosh(t) x + sinh(t) v/t snapped
+    back onto the sheet (base itself where t = 0); this is the one exp
+    implementation, and N rows give the bits of N one-row calls.
+    """
+    t = np.asarray(t, dtype=float)
+    vecs = np.asarray(vecs, dtype=float).reshape(t.shape[0], base.dim + 1)
+    if np.any(base.r + t > _COORDS_INTERNAL_MAX):
         raise NumericRangeError(
-            f"exp_map: target radius ~{base.r + t:.3g} exceeds the representable range"
+            f"exp_map: target radius ~{base.r + t.max():.3g} exceeds the representable range"
         )
     x = base.coords_extended
-    c = _comb2(math.cosh(t), x, math.sinh(t), v.vec / t)
-    return HPoint._from_coords_trusted(c)
+    stay = t == 0.0
+    tt = np.where(stay, 1.0, t)
+    r, dirs, coords = _snap_rows(_comb2(_cosh(tt)[:, None], x, _sinh(tt)[:, None], vecs / tt[:, None]))
+    r[stay], dirs[stay], coords[stay] = base.r, base.direction, x
+    return PolarBatch(r, dirs, coords)
+
+
+def exp_map(v: HTangent) -> HPoint:
+    """Riemannian exponential: follow the geodesic with velocity v for time 1."""
+    if v.norm == 0.0:
+        return v.base
+    return exp_rows(v.base, v.vec, [v.norm])[0]
 
 
 def log_map(x: HPoint, y: HPoint) -> HTangent:
@@ -549,12 +608,7 @@ class Transvection:
     matrix: np.ndarray
 
     def __call__(self, x: HPoint) -> HPoint:
-        c = self.matrix @ x.coords_extended
-        return HPoint._from_coords_trusted(c)
-
-    def apply_tangent(self, v: HTangent) -> HTangent:
-        base = self(v.base)
-        return HTangent(base, self.matrix @ v.vec)
+        return PolarBatch(*_snap_rows((self.matrix @ x.coords_extended)[None, :]))[0]
 
     def inverse(self) -> "Transvection":
         eta = np.ones(self.matrix.shape[0])

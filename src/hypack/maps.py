@@ -2,21 +2,22 @@
 
 Testbed maps for the compression search: the Poincare-ball chart (Lipschitz
 constant 1/2), Busemann coordinate maps (1-Lipschitz per coordinate), and
-Euclidean post-compositions.  Also the flat-graph surface demo showing a
-proper embedding that is not strongly proper.
+Euclidean post-compositions, each one vectorized function of a PolarBatch.
+Also the flat-graph surface demo showing a proper embedding that is not
+strongly proper.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from hypack.geometry import HPoint, distance, sample_ball
+from hypack.geometry import HPoint, PolarBatch, _tanh, _unit_gap_q, dist_given_q, exp_rows, sample_ball
 
 __all__ = [
     "FlatGraphReport",
@@ -36,25 +37,25 @@ __all__ = [
 class LipschitzMapHandle:
     """A map H^m -> R^n with a declared Lipschitz constant.
 
-    ``fn`` must be pure and reentrant; handles are immutable and safe to
-    share.  The declared L is an upper bound that sampled difference
-    quotients are tested against.
+    ``fn(points) -> (N, n)`` maps the rows of a PolarBatch, reading
+    ``points.r`` and ``points.dirs`` (the net-augmented map also reads the
+    ambient ``points.coords`` it transports from).  ``fn`` must be pure and
+    reentrant; handles are immutable and safe to share.  The declared L is
+    an upper bound that sampled difference quotients are tested against.
     """
 
-    fn: Callable[[HPoint], np.ndarray]
+    fn: Callable[[PolarBatch], np.ndarray]
     L: float
     n: int
     m: int
     label: str
 
-    def __call__(self, p: HPoint) -> np.ndarray:
-        out = np.asarray(self.fn(p), dtype=float)
-        if out.shape != (self.n,):
-            raise ValueError(f"{self.label}: expected output of length {self.n}")
+    def batch(self, points: PolarBatch) -> np.ndarray:
+        """Images of all rows of `points`, shape (N, n)."""
+        out = np.asarray(self.fn(points), dtype=float)
+        if out.shape != (len(points), self.n):
+            raise ValueError(f"{self.label}: expected output of shape ({len(points)}, {self.n})")
         return out
-
-    def batch(self, points) -> np.ndarray:
-        return np.array([self(p) for p in points])
 
 
 def poincare_inclusion(m: int) -> LipschitzMapHandle:
@@ -67,12 +68,12 @@ def poincare_inclusion(m: int) -> LipschitzMapHandle:
     if m < 2:
         raise ValueError("poincare_inclusion: m must be >= 2")
 
-    def fn(p: HPoint) -> np.ndarray:
+    def fn(pts: PolarBatch) -> np.ndarray:
         # tanh saturates to 1.0 in doubles near r ~ 38; round inward so the
         # image stays in the open ball (the shift is far below the
         # positional resolution eps*sinh(r) at such radii)
-        t = min(math.tanh(0.5 * p.r), 1.0 - 1e-15)
-        return t * p.direction
+        t = np.minimum(_tanh(0.5 * pts.r), 1.0 - 1e-15)
+        return t[:, None] * pts.dirs
 
     return LipschitzMapHandle(fn=fn, L=0.5, n=m, m=m, label="poincare")
 
@@ -115,10 +116,11 @@ def busemann_map(ideal_points) -> LipschitzMapHandle:
     E = np.array(etas)
     n = E.shape[0]
 
-    def fn(p: HPoint) -> np.ndarray:
-        # log(cosh r - sinh r * c) = logaddexp(r + log((1-c)/2), -r + log((1+c)/2))
-        c = np.clip(E @ p.direction, -1.0, 1.0)
-        r = p.r
+    def fn(pts: PolarBatch) -> np.ndarray:
+        # log(cosh r - sinh r * c) = logaddexp(r + log((1-c)/2), -r + log((1+c)/2));
+        # E @ d per row, stacked, rounds like the one-point matrix-vector product
+        c = np.clip((E @ pts.dirs[:, :, None])[:, :, 0], -1.0, 1.0)
+        r = pts.r[:, None]
         with np.errstate(divide="ignore"):
             a = r + np.log(0.5 * (1.0 - c))
             b = -r + np.log(0.5 * (1.0 + c))
@@ -130,8 +132,8 @@ def busemann_map(ideal_points) -> LipschitzMapHandle:
 def radial_distance_map(m: int) -> LipschitzMapHandle:
     """x -> d(o, x), the canonical 1-Lipschitz scalar map."""
 
-    def fn(p: HPoint) -> np.ndarray:
-        return np.array([p.r])
+    def fn(pts: PolarBatch) -> np.ndarray:
+        return pts.r[:, None]
 
     return LipschitzMapHandle(fn=fn, L=1.0, n=1, m=m, label="radial")
 
@@ -143,12 +145,12 @@ def compose_euclidean(
     n_out: int | None = None,
     label: str | None = None,
 ) -> LipschitzMapHandle:
-    """Post-compose F with an L_g-Lipschitz Euclidean map g."""
+    """Post-compose F with an L_g-Lipschitz Euclidean map g acting on (N, F.n) rows."""
     if n_out is None:
-        n_out = np.atleast_1d(np.asarray(g(np.zeros(F.n)), dtype=float)).shape[0]
+        n_out = np.asarray(g(np.zeros((1, F.n))), dtype=float).shape[1]
 
-    def fn(p: HPoint) -> np.ndarray:
-        return np.atleast_1d(np.asarray(g(F(p)), dtype=float))
+    def fn(pts: PolarBatch) -> np.ndarray:
+        return g(F.batch(pts))
 
     return LipschitzMapHandle(
         fn=fn, L=F.L * L_g, n=n_out, m=F.m, label=label or f"composed({F.label})"
@@ -170,22 +172,13 @@ def estimate_lipschitz(
         raise ValueError("estimate_lipschitz: pairs must be >= 1")
     rng = np.random.default_rng(seed)
     X = sample_ball(F.m, region_radius, 2 * pairs, rng)
-    best = 0.0
-    for i in range(pairs):
-        a = _point_from_tangent(X[2 * i])
-        b = _point_from_tangent(X[2 * i + 1])
-        d = distance(a, b)
-        if d < 1e-12:
-            continue
-        best = max(best, float(np.linalg.norm(F(a) - F(b))) / d)
-    return best
-
-
-def _point_from_tangent(x: np.ndarray) -> HPoint:
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        return HPoint.origin(x.shape[0])
-    return HPoint.from_polar(r, x / r)
+    pts = exp_rows(HPoint.origin(F.m), np.pad(X, ((0, 0), (1, 0))), np.sqrt(np.vecdot(X, X)))
+    a, b = pts[0::2], pts[1::2]
+    d = dist_given_q(a.r, b.r, _unit_gap_q(a.dirs, b.dirs))
+    imgs = F.batch(pts)
+    gap = imgs[0::2] - imgs[1::2]
+    far = d >= 1e-12
+    return float(np.max(np.sqrt(np.vecdot(gap, gap))[far] / d[far], initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +203,7 @@ class FlatGraphReport:
     rows: list[FlatGraphRow]
 
     def to_json_rows(self) -> list[dict]:
-        return [
-            {
-                "k": row.k,
-                "extrinsic": row.extrinsic,
-                "intrinsic_lo": row.intrinsic_lo,
-                "intrinsic_hi": row.intrinsic_hi,
-            }
-            for row in self.rows
-        ]
+        return [asdict(row) for row in self.rows]
 
 
 def _bump_height(x: np.ndarray, k: int) -> np.ndarray:
@@ -229,19 +214,6 @@ def _bump_height(x: np.ndarray, k: int) -> np.ndarray:
     ti = t[inside]
     out[inside] = k * np.exp(1.0 - 1.0 / (1.0 - ti * ti))
     return out
-
-
-def _surface_path_length(xs, ys, k: int, subdiv: int = 32) -> float:
-    """Length of the lifted polyline (x(t), y(t), f(x(t))) on the surface."""
-    total = 0.0
-    for (x0, y0), (x1, y1) in zip(zip(xs, ys), zip(xs[1:], ys[1:])):
-        t = np.linspace(0.0, 1.0, subdiv + 1)
-        px = x0 + (x1 - x0) * t
-        py = y0 + (y1 - y0) * t
-        pz = _bump_height(px, k)
-        seg = np.sqrt(np.diff(px) ** 2 + np.diff(py) ** 2 + np.diff(pz) ** 2)
-        total += float(seg.sum())
-    return total
 
 
 def _mesh_shortest_path(k: int, nx: int, ny: int = 7) -> float:

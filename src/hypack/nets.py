@@ -2,10 +2,11 @@
 
 A net is built once in tangent coordinates at the reference basepoint and
 moved elsewhere by the frame-transport isometry, so its size l depends only
-on (rho, delta, m).  Coverage is sound by construction: greedy insertion
-runs until the tangent covering radius is below delta' = delta*rho/sinh(rho),
-and the exponential map stretches tangent lengths by at most sinh(rho)/rho
-on the ball.
+on (rho, delta, m); a transported net is a PolarBatch of l rows, made by one
+call of the row exp kernel.  Coverage is sound by construction: greedy
+insertion runs until the tangent covering radius is below
+delta' = delta*rho/sinh(rho), and the exponential map stretches tangent
+lengths by at most sinh(rho)/rho on the ball.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ import numpy as np
 
 from hypack.geometry import (
     HPoint,
-    HTangent,
-    distance,
-    exp_map,
+    PolarBatch,
+    _unit_gap_q,
+    dist_given_q,
+    exp_rows,
     sample_ball,
     transport_frame,
 )
@@ -132,8 +134,8 @@ def build_reference_net(rho: float, delta: float, m: int) -> NetTemplate:
     return NetTemplate(rho=rho, delta=delta, tangent_points=np.asarray(chosen))
 
 
-def transport_net(tmpl: NetTemplate, p: HPoint) -> list[HPoint]:
-    """Net points sigma_1(p), ..., sigma_l(p) around basepoint p.
+def transport_net(tmpl: NetTemplate, p: HPoint) -> PolarBatch:
+    """Net points sigma_1(p), ..., sigma_l(p) around basepoint p, as l rows.
 
     Realized as exp_p applied to the frame transport of the template's
     tangent coordinates, i.e. the transvection image of the reference net.
@@ -143,7 +145,7 @@ def transport_net(tmpl: NetTemplate, p: HPoint) -> list[HPoint]:
     frame = transport_frame(p)  # (m, m+1)
     vecs = tmpl.tangent_points @ frame
     norms = np.linalg.norm(tmpl.tangent_points, axis=1)  # frame is isometric
-    return [exp_map(HTangent(p, v, float(t))) for v, t in zip(vecs, norms)]
+    return exp_rows(p, vecs, norms)
 
 
 @dataclass(frozen=True)
@@ -189,7 +191,7 @@ def verify_cover(
     norms = np.linalg.norm(tmpl.tangent_points, axis=1)
     max_radial = float(norms.max())
     if p.r <= 12.0:
-        ambient = max(distance(p, s) for s in sigma)
+        ambient = float(np.max(dist_given_q(p.r, sigma.r, _unit_gap_q(p.direction, sigma.dirs))))
         if abs(ambient - max_radial) > 1e-9:
             raise AssertionError(
                 f"transported net radial mismatch: {ambient} vs {max_radial}"

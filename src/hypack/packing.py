@@ -19,11 +19,11 @@ from hypack.geometry import (
     HPoint,
     HTangent,
     NumericRangeError,
+    PolarBatch,
     _log_sinh,
     _unit_gap_q,
     dist_given_q,
-    distance,
-    exp_map,
+    exp_rows,
     minkowski_inner,
 )
 
@@ -147,12 +147,11 @@ class PackingSpec:
 
     @staticmethod
     def at_origin(C: float, R: float, m: int) -> "PackingSpec":
+        if m < 2:
+            raise ValueError(f"PackingSpec: m must be >= 2 (got {m})")
         center = HPoint.origin(m)
-        e1 = np.zeros(m + 1)
-        e1[1] = 1.0
-        e2 = np.zeros(m + 1)
-        e2[2] = 1.0
-        return PackingSpec(C, R, center, (HTangent(center, e1), HTangent(center, e2)))
+        e = np.eye(m + 1)
+        return PackingSpec(C, R, center, (HTangent(center, e[1]), HTangent(center, e[2])))
 
 
 @dataclass
@@ -166,7 +165,7 @@ class BallFamily:
     falls below the eps-level quantization of the direction vectors).
     """
 
-    centers: list[HPoint]
+    centers: PolarBatch
     radius: float
     min_separation: float
     enclosing: tuple[HPoint, float] | None = None
@@ -177,13 +176,6 @@ class BallFamily:
 
     def __len__(self) -> int:
         return len(self.centers)
-
-    def pair_distance(self, i: int, j: int) -> float:
-        """Distance between centers i and j via the stable angle kernel."""
-        if self.alpha is None or self.indices is None:
-            return distance(self.centers[i], self.centers[j])
-        lag = float(self.indices[i]) - float(self.indices[j])
-        return float(lag_distance(self.center_radius, self.alpha, lag))
 
 
 def generate_centers(spec: PackingSpec, cap: int = 100_000) -> BallFamily:
@@ -209,15 +201,10 @@ def generate_centers(spec: PackingSpec, cap: int = 100_000) -> BallFamily:
 
     theta = 2.0 * idx * alpha
     u, w = spec.plane
-    cos_t = np.cos(theta)
-    sin_t = np.sin(theta)
-    centers = []
-    for ct, st in zip(cos_t, sin_t):
-        vec = rho * (ct * u.vec + st * w.vec)
-        centers.append(exp_map(HTangent(spec.center, vec, rho)))
+    vecs = rho * (np.cos(theta)[:, None] * u.vec + np.sin(theta)[:, None] * w.vec)
 
     fam = BallFamily(
-        centers=centers,
+        centers=exp_rows(spec.center, vecs, np.full(idx.shape, rho)),
         radius=spec.C,
         min_separation=2.0 * spec.C,
         enclosing=(spec.center, spec.R),
@@ -253,28 +240,17 @@ class PackingReport:
 def _pairwise_min_block(radii: np.ndarray, dirs: np.ndarray, block: int = 256) -> float:
     """Min distance over all pairs of points given by polar radii and unit directions.
 
-    Rows are processed in blocks against all later columns so the O(n^2)
-    sweep runs at numpy throughput; each block splits into a small masked
-    triangular corner plus a maskless rectangle.
+    Each block of rows is measured against every later column at numpy
+    throughput; the O(n^2) sweep for families without generating angles.
     """
     n = len(radii)
     best = math.inf
-
-    def eval_min(rows, cols, mask):
+    for b0 in range(0, n - 1, block):
+        rows = np.arange(b0, min(b0 + block, n - 1))
+        cols = np.arange(b0 + 1, n)
         q = _unit_gap_q(dirs[rows][:, None, :], dirs[cols][None, :, :])
         d = dist_given_q(radii[rows][:, None], radii[cols][None, :], q)
-        if mask is not None:
-            d = np.where(mask, d, math.inf)
-        return float(np.min(d))
-
-    for b0 in range(0, n - 1, block):
-        b1 = min(b0 + block, n - 1)
-        rows = np.arange(b0, b1)
-        corner_cols = np.arange(b0 + 1, b1 + 1)
-        best = min(best, eval_min(rows, corner_cols, corner_cols[None, :] > rows[:, None]))
-        rect_cols = np.arange(b1 + 1, n)
-        if rect_cols.size:
-            best = min(best, eval_min(rows, rect_cols, None))
+        best = min(best, float(np.min(np.where(cols[None, :] > rows[:, None], d, math.inf))))
     return best
 
 
@@ -285,18 +261,17 @@ def verify_packing(fam: BallFamily, tol: float = DEFAULT_TOL, enum_cap: int = 20
     :func:`min_lag_distance`: the smallest and the largest index lag bound
     every pair, so the check costs O(n).  A hand-built family without
     ``alpha``/``indices`` falls back to the O(n^2) sweep over stored
-    directions.  Either way the report covers all n(n-1)/2 pairs.
-    Enclosure is one vectorized kernel call from the enclosing center.
+    directions, which refuses more than `enum_cap` centers.  Either way
+    the report covers all n(n-1)/2 pairs.  Enclosure is one vectorized
+    kernel call from the enclosing center.
     """
     n = len(fam)
-    if n > enum_cap:
-        raise ValueError(f"verify_packing: {n} centers exceeds enumeration cap {enum_cap}")
-
-    radii = np.array([c.r for c in fam.centers])
-    dirs = np.array([c.direction for c in fam.centers])
+    radii, dirs = fam.centers.r, fam.centers.dirs
     min_pairwise = math.inf
     if fam.alpha is not None and fam.indices is not None:
         min_pairwise = min_lag_distance(fam.center_radius, fam.alpha, fam.indices)
+    elif n > enum_cap:
+        raise ValueError(f"verify_packing: {n} centers exceeds enumeration cap {enum_cap}")
     elif n >= 2:
         min_pairwise = _pairwise_min_block(radii, dirs)
 

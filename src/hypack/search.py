@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from hypack.geometry import HPoint, distance
+from hypack.geometry import HPoint, PolarBatch, exp_rows, sample_ball, transport_frame
 from hypack.maps import LipschitzMapHandle
 from hypack.nets import NetTemplate, build_reference_net, transport_net
-from hypack.packing import PackingSpec, generate_centers, min_lag_distance, packing_angle
+from hypack.packing import PackingSpec, _pairwise_min_block, generate_centers, min_lag_distance, packing_angle
 
 __all__ = [
     "BunchedConfiguration",
@@ -271,8 +271,9 @@ def augment_map(F: LipschitzMapHandle, net: NetTemplate) -> LipschitzMapHandle:
     form sqrt(l) L (R + 2 rho) directly.
     """
 
-    def fn(p: HPoint) -> np.ndarray:
-        return np.concatenate([F(s) for s in transport_net(net, p)])
+    def fn(pts: PolarBatch) -> np.ndarray:
+        # one basepoint at a time keeps the transported rows at l
+        return np.array([F.fn(transport_net(net, p)).ravel() for p in pts])
 
     return LipschitzMapHandle(
         fn=fn,
@@ -287,7 +288,7 @@ def augment_map(F: LipschitzMapHandle, net: NetTemplate) -> LipschitzMapHandle:
 class BunchedConfiguration:
     """k ball centers plus the certificate data for the bunching conclusions."""
 
-    centers: list[HPoint]
+    centers: PolarBatch
     r: float
     epsilon: float
     C: float
@@ -311,11 +312,7 @@ class BunchedConfiguration:
     def manifold_min_recomputed(self) -> float:
         """Pairwise center separation via the stable angle kernel."""
         if self.alpha is None or self.indices is None:
-            return min(
-                distance(a, b)
-                for i, a in enumerate(self.centers)
-                for b in self.centers[i + 1 :]
-            )
+            return _pairwise_min_block(self.centers.r, self.centers.dirs)
         return min_lag_distance(self.center_radius, self.alpha, self.indices)
 
 
@@ -405,7 +402,7 @@ def find_bunched_configuration(
         if diam >= 2.0 / params.C + 1e-9:
             raise AssertionError("bunched configuration violates the 2/C image bound")
         return BunchedConfiguration(
-            centers=[fam.centers[i] for i in chosen],
+            centers=fam.centers[chosen],
             r=params.r,
             epsilon=params.epsilon,
             C=params.C,
@@ -485,6 +482,8 @@ def certify_configuration(
     net slack, and is only evaluated for configurations from the augmented
     pipeline (the set-distance C need not satisfy the Hausdorff budget).
     """
+    if samples < 0:
+        raise ValueError(f"certify_configuration: samples must be >= 0 (got {samples})")
     eps = cfg.epsilon
     r = cfg.r
     k = cfg.k
@@ -501,15 +500,14 @@ def certify_configuration(
     if abs(net.rho - r) > 1e-12:
         raise ValueError("certify_configuration: net rho must equal the ball radius")
     rng = np.random.default_rng(seed)
+    center_images = F.batch(cfg.centers)
     clouds = []
     net_images = []
-    for p in cfg.centers:
-        pts = transport_net(net, p)
-        imgs_net = F.batch(pts)
+    for p, img in zip(cfg.centers, center_images):
+        imgs_net = F.batch(transport_net(net, p))
         net_images.append(imgs_net)
-        extra = _sample_ball_points(p, r, samples, rng)
-        imgs = np.vstack([imgs_net, F.batch(extra), F(p)[None, :]]) if extra else np.vstack([imgs_net, F(p)[None, :]])
-        clouds.append(imgs)
+        extra = F.batch(_sample_ball_points(p, r, samples, rng))
+        clouds.append(np.vstack([imgs_net, extra, img[None, :]]))
 
     set_dist = 0.0
     for i in range(k):
@@ -542,14 +540,12 @@ def certify_configuration(
     )
 
 
-def _sample_ball_points(p: HPoint, r: float, samples: int, rng) -> list[HPoint]:
-    if samples <= 0:
-        return []
-    from hypack.geometry import HTangent, exp_map, sample_ball, transport_frame
-
-    frame = transport_frame(p)
+def _sample_ball_points(p: HPoint, r: float, samples: int, rng) -> PolarBatch:
+    """`samples` volume-uniform points of B(p, r), as rows."""
     X = sample_ball(p.dim, r, samples, rng)
-    return [exp_map(HTangent(p, x @ frame, float(np.linalg.norm(x)))) for x in X]
+    # a stacked row-times-frame product rounds like x @ frame for one row x
+    vecs = (X[:, None, :] @ transport_frame(p))[:, 0, :]
+    return exp_rows(p, vecs, np.sqrt(np.vecdot(X, X)))
 
 
 def corollary_sequences(

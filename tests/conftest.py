@@ -1,4 +1,5 @@
 import contextlib
+import math
 import signal
 
 import numpy as np
@@ -21,6 +22,11 @@ def random_point(rng, m=2, max_radius=10.0):
 def random_unit(rng, m):
     d = rng.standard_normal(m)
     return d / np.linalg.norm(d)
+
+
+def poincare_at(p):
+    """The Poincare chart at one point, in scalar arithmetic."""
+    return min(math.tanh(0.5 * p.r), 1.0 - 1e-15) * p.direction
 
 
 class TimeLimitExceeded(Exception):

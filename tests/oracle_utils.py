@@ -35,6 +35,33 @@ def mp_dist_given_q(r1, r2, q):
     return 2 * mp.asinh(mp.sqrt(u / 2))
 
 
+def mp_exp(r0, u0, w):
+    """exp at the point with polar data (r0, u0) of the tangent vector whose
+    coordinates in the transported o-frame are w, at 40 digits.
+
+    Computed as the transvection to that point (the Lorentz matrix with
+    columns x, V_1..V_m, V_i = e_i + x_i/(1+x_0) (x + o)) applied to
+    exp_o(w) = (cosh|w|, sinh|w| w/|w|).  Returns (radius, direction); at o
+    the direction is u0's.
+    """
+    m = len(u0)
+    u = [mp.mpf(float(a)) for a in u0]
+    un = mp.sqrt(sum(a * a for a in u))
+    r0 = mp.mpf(float(r0))
+    x = [mp.cosh(r0)] + [mp.sinh(r0) * a / un for a in u]
+    w = [mp.mpf(float(a)) for a in w]
+    t = mp.sqrt(sum(a * a for a in w))
+    y = [mp.cosh(t)] + ([mp.sinh(t) * a / t for a in w] if t > 0 else [mp.mpf(0)] * m)
+    o = [mp.mpf(1)] + [mp.mpf(0)] * m
+    out = [x[k] * y[0] for k in range(m + 1)]
+    for i in range(m):
+        scale = x[i + 1] / (1 + x[0])
+        for k in range(m + 1):
+            out[k] += ((1 if k == i + 1 else 0) + scale * (x[k] + o[k])) * y[i + 1]
+    nr = mp.sqrt(sum(a * a for a in out[1:]))
+    return mp.asinh(nr), ([a / nr for a in out[1:]] if nr > 0 else [a / un for a in u])
+
+
 def mp_packing_angle(C, R):
     return mp.asin(mp.sinh(mp.mpf(C)) / mp.sinh(mp.mpf(R) - mp.mpf(C)))
 

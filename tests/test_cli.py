@@ -37,6 +37,22 @@ class TestPack:
         rc = main(["pack", "--C", "1", "--R", "3", "--format", "csv"])
         assert rc == 2
 
+    @pytest.mark.parametrize("m", ["1", "0"])
+    def test_dimension_below_2_exit_2(self, capsys, m):
+        with time_limit(10.0):
+            rc = main(["pack", "--C", "1", "--R", "3", "--m", m])
+        assert rc == 2
+        assert "m must be >= 2" in capsys.readouterr().err
+
+    def test_default_cap_beyond_enumeration_cap(self, tmp_path):
+        # 48,539 centers: more than the O(n^2) sweep's cap, certified by the two lags
+        with time_limit(60.0):
+            rc, out = run(tmp_path, "pack.json", ["pack", "--C", "1", "--R", "11.5"])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert payload["family"]["n_centers"] == len(payload["family"]["centers_polar"]) == 48_539
+        assert payload["report"]["pass"] is True
+
     def test_huge_family_terminates(self, tmp_path):
         # about 1.4e25 directions: the count passes 2**53 by far
         with time_limit(20.0):
@@ -74,6 +90,20 @@ class TestGrowth:
             rc = main(["growth", "--C", "1", "--R-from", "3", "--R-to", "5", f"--R-step={step}"])
         assert rc == 2
         assert "--R-step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ["--R-from", "3", "--R-to", "1e9"],
+            ["--R-from", "3", "--R-to", "40", "--R-step", "1e-9"],
+            ["--R-from=-1e308", "--R-to", "1e308"],
+        ],
+    )
+    def test_row_budget_exit_2(self, capsys, bounds):
+        with time_limit(10.0):
+            rc = main(["growth", "--C", "1", *bounds])
+        assert rc == 2
+        assert "rows exceed" in capsys.readouterr().err
 
     def test_json_format(self, tmp_path):
         rc, out = run(
@@ -128,6 +158,12 @@ class TestSearch:
         payload = json.loads(out.read_text())
         assert payload["error"] == "schedule-exhausted"
         assert payload["diagnostics"]
+
+    def test_negative_samples_exit_2(self, capsys):
+        with time_limit(60.0):
+            rc = main(["search", "--map", "poincare", "--m", "2", "--k", "2", "--samples", "-3"])
+        assert rc == 2
+        assert "samples must be >= 0" in capsys.readouterr().err
 
     def test_unknown_map_exit_2(self, tmp_path):
         rc = main(["search", "--map", "poincare", "--eps", "2.0"])

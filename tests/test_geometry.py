@@ -11,10 +11,13 @@ from hypack.geometry import (
     HPoint,
     HTangent,
     NumericRangeError,
+    PolarBatch,
+    _comb2,
     dist_given_q,
     distance,
     dist_polar_angle,
     exp_map,
+    exp_rows,
     law_of_sines_residual,
     log_map,
     minkowski_inner,
@@ -214,6 +217,92 @@ class TestExpLog:
         v = parallel_transport(HTangent.at(HPoint.origin(2), [0.0, 0.0, 1.0]), p)
         with pytest.raises(NumericRangeError):
             exp_map(v.scaled(50.0))
+
+
+def scalar_exp(base, v, t):
+    """One exp in scalar arithmetic: libm cosh/sinh/asinh and the 1-D norm."""
+    if t == 0.0:
+        return base.r, base.direction, base.coords_extended
+    c = _comb2(math.cosh(t), base.coords_extended, math.sinh(t), v / t)
+    rest = c[1:]
+    nr = float(np.linalg.norm(rest))
+    d = rest / nr if nr > 0.0 else np.eye(1, rest.shape[0])[0]
+    return math.asinh(nr), d, np.concatenate(([math.sqrt(1.0 + nr * nr)], rest))
+
+
+def exp_case(rng, m, r0, n=64):
+    """A base point at radius r0 and n tangent rows (three of length 0) in the o-frame."""
+    base = HPoint.from_polar(r0, random_unit(rng, m)) if r0 > 0 else HPoint.origin(m)
+    W = rng.standard_normal((n, m)) * rng.uniform(0.0, 2.0, size=(n, 1))
+    W[[0, n // 2, n - 1]] = 0.0
+    vecs = W @ transport_frame(base)
+    return base, W, vecs, np.sqrt(np.einsum("ij,ij->i", W, W))
+
+
+EXP_RADII = [0.0, 0.5, 3.0, 10.0, 17.0, 25.0]
+
+
+class TestExpRows:
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("r0", EXP_RADII)
+    def test_rows_equal_scalar_and_one_row_calls(self, rng, m, r0):
+        base, _, vecs, t = exp_case(rng, m, r0)
+        rows = exp_rows(base, vecs, t)
+        assert len(rows) == len(t)
+        for i in range(len(t)):
+            r, d, c = scalar_exp(base, vecs[i], float(t[i]))
+            one = exp_rows(base, vecs[i : i + 1], t[i : i + 1])
+            p = exp_map(HTangent(base, vecs[i], float(t[i])))
+            for got in (rows[i], one[0], p):
+                assert got.r == r
+                assert np.array_equal(got.direction, d)
+                assert np.array_equal(got.coords_extended, c)
+        for i in (0, len(t) // 2, len(t) - 1):
+            assert rows[i].r == base.r and np.array_equal(rows[i].direction, base.direction)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("r0", EXP_RADII)
+    def test_against_mpmath(self, rng, m, r0):
+        base, W, vecs, t = exp_case(rng, m, r0, n=24)
+        rows = exp_rows(base, vecs, t)
+        for i in range(len(t)):
+            radius, direction = oracle.mp_exp(base.r, base.direction, W[i])
+            assert float(oracle.rel_err(rows.r[i], radius)) <= 1e-10
+            gap = max(abs(float(a) - b) for a, b in zip(direction, rows.dirs[i]))
+            assert gap <= 1e-10
+
+    def test_empty_and_range_guard(self):
+        o = HPoint.origin(2)
+        assert len(exp_rows(o, np.zeros((0, 3)), np.zeros(0))) == 0
+        with pytest.raises(NumericRangeError):
+            exp_rows(o, [[0.0, 1.0, 0.0], [0.0, 400.0, 0.0]], [1.0, 400.0])
+
+
+class TestPolarBatch:
+    def test_rows_and_sub_batches(self, rng):
+        pts = [random_point(rng, 3, 20.0) for _ in range(5)]
+        batch = PolarBatch.of(pts)
+        assert len(batch) == 5 and batch.coords.shape == (5, 4)
+        for p, q in zip(pts, batch):
+            assert q.r == p.r and type(q.r) is float
+            assert np.array_equal(q.direction, p.direction)
+            assert np.array_equal(q.coords_extended, p.coords_extended)
+        sub = batch[[4, 1]]
+        assert isinstance(sub, PolarBatch) and np.array_equal(sub.r, [pts[4].r, pts[1].r])
+        assert len(batch[1:3]) == 2
+
+    def test_read_only(self, rng):
+        batch = PolarBatch.of([random_point(rng) for _ in range(3)])
+        for a in (batch.r, batch.dirs, batch.coords, batch[1:].dirs, batch[[0]].r):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_coords_only_where_representable(self):
+        far = HPoint.from_polar(400.0, [1.0, 0.0])
+        batch = PolarBatch.of([HPoint.origin(2), far])
+        assert batch.coords is None and batch.r[1] == 400.0
+        with pytest.raises(NumericRangeError):
+            batch[0].coords_extended
 
 
 class TestHPoint:

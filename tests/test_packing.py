@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import time_limit
-from hypack.geometry import HPoint, NumericRangeError, dist_polar_angle, distance
+from hypack.geometry import HPoint, NumericRangeError, PolarBatch, dist_polar_angle, distance
 from hypack.packing import (
     BallFamily,
     PackingSpec,
@@ -108,7 +108,7 @@ class TestGenerateCenters:
         R = 2.0 + 1e-6
         fam = generate_centers(PackingSpec.at_origin(1.0, R, 2))
         assert len(fam) == 2
-        d01 = fam.pair_distance(0, 1)
+        d01 = float(lag_distance(fam.center_radius, fam.alpha, fam.indices[1] - fam.indices[0]))
         assert d01 == pytest.approx(2.0 * (R - 1.0), abs=1e-5)
         assert 2.0 - 1e-12 <= d01 <= 2.0 * (R - 1.0) + 1e-12
 
@@ -140,7 +140,7 @@ class TestGenerateCenters:
             for j in range(i + 1, len(fam)):
                 theta = 2.0 * abs(fam.indices[j] - fam.indices[i]) * fam.alpha
                 theta = min(theta, 2.0 * math.pi - theta)
-                d = fam.pair_distance(i, j)
+                d = float(lag_distance(rho, fam.alpha, fam.indices[j] - fam.indices[i]))
                 assert math.sinh(0.5 * d) == pytest.approx(
                     math.sinh(rho) * math.sin(0.5 * theta), rel=1e-8
                 )
@@ -166,12 +166,12 @@ class TestGenerateCenters:
 class TestVerifyPacking:
     def test_duplicated_centers_fail(self):
         o = HPoint.origin(2)
-        fam = BallFamily(centers=[o, o], radius=1.0, min_separation=2.0)
+        fam = BallFamily(centers=PolarBatch.of([o, o]), radius=1.0, min_separation=2.0)
         rep = verify_packing(fam)
         assert not rep.ok and rep.min_pairwise == 0.0
 
     def test_single_ball_vacuous(self):
-        fam = BallFamily(centers=[HPoint.origin(2)], radius=1.0, min_separation=2.0)
+        fam = BallFamily(centers=PolarBatch.of([HPoint.origin(2)]), radius=1.0, min_separation=2.0)
         assert verify_packing(fam).ok
 
     def test_fallback_matches_angle_path(self):
@@ -206,9 +206,13 @@ class TestVerifyPacking:
             min_lag_distance(2.0, 1.0, [0.0, 4.0])
 
     def test_enum_cap(self):
+        # the two-lag certificate is O(n), so only the O(n^2) fallback is capped
         fam = generate_centers(PackingSpec.at_origin(0.5, 11.0, 2), cap=10_000)
+        rep = verify_packing(fam, enum_cap=100)
+        assert rep.ok and rep.n_centers == len(fam) > 100
+        stripped = BallFamily(centers=fam.centers, radius=fam.radius, min_separation=fam.min_separation)
         with pytest.raises(ValueError):
-            verify_packing(fam, enum_cap=100)
+            verify_packing(stripped, enum_cap=100)
 
     def test_random_families_hold_2C(self, rng):
         for _ in range(5):

@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from hypack.geometry import HPoint, distance
+from conftest import poincare_at
+from hypack.geometry import HPoint, HTangent, PolarBatch, distance, exp_map, sample_ball, transport_frame
 from hypack.maps import LipschitzMapHandle, busemann_map, ideal_point, poincare_inclusion
-from hypack.nets import build_reference_net
+from hypack.nets import build_reference_net, transport_net
+from hypack.packing import PackingSpec, generate_centers
 from hypack.search import (
     ScheduleExhausted,
     SearchParams,
+    _sample_ball_points,
+    augment_map,
     ball_volume_constant,
     certify_configuration,
     choose_C_hausdorff,
@@ -24,7 +28,7 @@ from hypack.search import (
 
 
 def constant_map(m=2, n=2):
-    return LipschitzMapHandle(fn=lambda p: np.zeros(n), L=1e-9, n=n, m=m, label="const")
+    return LipschitzMapHandle(fn=lambda pts: np.zeros((len(pts), n)), L=1e-9, n=n, m=m, label="const")
 
 
 class TestParameterChoosers:
@@ -217,15 +221,13 @@ class TestCertify:
     def test_corrupted_configuration_fails(self, poincare_cfg):
         from dataclasses import replace
 
-        from hypack.geometry import HTangent, exp_map
-
         F, cfg = poincare_cfg
         # basepoint corruption breaks the 2C proof invariant (the center
         # radius R - C always exceeds 2r + 1/eps, so conclusion (i) itself
         # survives this particular corruption)
         bad = replace(
             cfg,
-            centers=[HPoint.origin(2)] + cfg.centers[1:],
+            centers=PolarBatch.of([HPoint.origin(2), *cfg.centers[1:]]),
             alpha=None,
             indices=None,
         )
@@ -235,7 +237,7 @@ class TestCertify:
         # a near-duplicate center breaks conclusion (i) outright
         v = HTangent.at(cfg.centers[1], [0.0, 1.0, 0.0], project=True)
         nearby = exp_map(v.scaled(0.5 / v.norm))
-        worse = replace(cfg, centers=[nearby, cfg.centers[1]], alpha=None, indices=None)
+        worse = replace(cfg, centers=PolarBatch.of([nearby, cfg.centers[1]]), alpha=None, indices=None)
         cert = certify_configuration(F, worse, samples=32, seed=11)
         assert not cert.pass_i
 
@@ -252,6 +254,32 @@ class TestCertify:
         F, cfg = poincare_cfg
         cert = certify_configuration(F, cfg, samples=32, seed=13)
         assert cert.pass_iii is None and cert.hausdorff_max is None
+
+
+class TestRowPaths:
+    """Batched evaluation against the per-point scalar path, bit for bit."""
+
+    def test_augmented_map_matches_per_point_concatenation(self):
+        F = poincare_inclusion(2)
+        net = build_reference_net(1.0, 0.5, 2)
+        centers = generate_centers(PackingSpec.at_origin(4.0, 14.0, 2), cap=60).centers
+        expected = np.array(
+            [np.concatenate([poincare_at(s) for s in transport_net(net, p)]) for p in centers]
+        )
+        assert np.array_equal(augment_map(F, net).batch(centers), expected)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_ball_samples_match_per_row_exp(self, m):
+        # a direction off the axes: there a plain (N, m) @ frame rounds differently at m = 3
+        p = HPoint.from_polar(18.0, np.linspace(0.3, -0.8, m))
+        got = _sample_ball_points(p, 1.0, 300, np.random.default_rng(3))
+        frame = transport_frame(p)
+        X = sample_ball(m, 1.0, 300, np.random.default_rng(3))
+        for q, x in zip(got, X):
+            ref = exp_map(HTangent(p, x @ frame, float(np.linalg.norm(x))))
+            assert q.r == ref.r
+            assert np.array_equal(q.direction, ref.direction)
+            assert np.array_equal(q.coords_extended, ref.coords_extended)
 
 
 class TestHausdorffEstimate:
@@ -316,6 +344,7 @@ class TestCorollarySequences:
         a = HPoint.from_polar(10.0, [1.0, 0.0])
         b = HPoint.from_polar(20.0, [1.0, 0.0])
         assert distance(a, b) == pytest.approx(10.0, abs=1e-12)
-        img_gap = float(np.linalg.norm(F(a) - F(b)))
+        img_a, img_b = F.batch(PolarBatch.of([a, b]))
+        img_gap = float(np.linalg.norm(img_a - img_b))
         assert img_gap < 2e-4
         assert img_gap == pytest.approx(math.tanh(10.0) - math.tanh(5.0), rel=1e-9)
