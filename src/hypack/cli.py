@@ -69,9 +69,13 @@ def _load_config_defaults(parser_args):
         return parser_args
     with open(parser_args.config) as fh:
         file_values = json.load(fh)
+    if not isinstance(file_values, dict):
+        raise ValueError("--config: the file must hold one JSON object")
     for key, value in file_values.items():
         attr = key.replace("-", "_")
-        if getattr(parser_args, attr, None) is None and hasattr(parser_args, attr):
+        if attr in ("command", "config") or not hasattr(parser_args, attr):
+            raise ValueError(f"--config: unknown key {key!r} for {parser_args.command}")
+        if getattr(parser_args, attr) is None:
             setattr(parser_args, attr, value)
     return parser_args
 

@@ -7,6 +7,15 @@ call of the row exp kernel.  Coverage is sound by construction: greedy
 insertion runs until the tangent covering radius is below
 delta' = delta*rho/sinh(rho), and the exponential map stretches tangent
 lengths by at most sinh(rho)/rho on the ball.
+
+The greedy is Gonzalez's farthest-point clustering over a lattice of
+candidates, made local: a new net point x, picked at squared distance dmax
+from the net so far, can only lower the squared distance of candidates
+closer than sqrt(dmax) to it, so each pick updates the lattice box around x
+that holds them, and per-line maxima give the next farthest candidate
+without a full scan.  The net is bit-identical to full passes over the grid
+(the test suite keeps that greedy as an oracle).  The lattice size is
+bounded by GRID_POINTS_MAX before the grid is allocated.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from hypack.geometry import (
 )
 
 __all__ = [
+    "GRID_POINTS_MAX",
     "CoverReport",
     "NetTemplate",
     "build_reference_net",
@@ -40,6 +50,16 @@ __all__ = [
 #: Fraction of the tangent spacing budget handed to the candidate grid; the
 #: greedy stop threshold keeps the remainder.
 _GRID_FRACTION = 0.15
+
+#: Most lattice points a candidate grid may span; search --m 3 at the
+#: default (r, eps) spans about 0.9 million.
+GRID_POINTS_MAX = 4_000_000
+
+#: Widening of the greedy's update window, in units of rho.  For every m the
+#: grid limit admits (m <= 13), the squared distances carry rounding errors
+#: below 1e-14 rho^2 and the window bounds a few ulps of rho, so a candidate
+#: whose value can still drop lies within sqrt(dmax) + 1e-7 rho of the pick.
+_REACH_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -79,19 +99,54 @@ class NetTemplate:
         return self.tangent_points.shape[1]
 
 
-def _candidate_grid(rho: float, h: float, m: int) -> np.ndarray:
-    """Cell-center grid covering the rho-ball, centers projected into it."""
+def _candidate_grid(rho: float, h: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell-center lattice covering the rho-ball, centers projected into it.
+
+    Returns the points as an array of shape (2n+1,)*m + (m,) in lattice
+    order, and the mask of the cells kept (centers within half a cell
+    diagonal of the ball).  The lattice size is checked against
+    GRID_POINTS_MAX before anything is allocated.
+    """
     half_diag = 0.5 * h * math.sqrt(m)
-    n_side = int(math.ceil((rho + half_diag) / h))
+    cells = (rho + half_diag) / h if h > 0.0 else math.inf
+    if not cells < GRID_POINTS_MAX or (2 * math.ceil(cells) + 1) ** m > GRID_POINTS_MAX:
+        raise ValueError(
+            f"build_reference_net: the candidate grid would span about"
+            f" 10^{m * math.log10(2.0 * cells + 1.0):.1f} lattice points, more than the"
+            f" limit of {GRID_POINTS_MAX:,}; raise delta or lower rho or m"
+        )
+    n_side = math.ceil(cells)
     axis = h * np.arange(-n_side, n_side + 1)
-    grids = np.meshgrid(*([axis] * m), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
+    grid = np.empty((2 * n_side + 1,) * m + (m,))
+    for k in range(m):
+        grid[..., k] = axis.reshape((-1,) + (1,) * (m - 1 - k))
+    pts = grid.reshape(-1, m)
     norms = np.linalg.norm(pts, axis=1)
     keep = norms <= rho + half_diag
-    pts, norms = pts[keep], norms[keep]
-    outside = norms > rho
+    outside = keep & (norms > rho)
     pts[outside] *= (rho / norms[outside])[:, None]
-    return pts
+    return grid, keep.reshape(grid.shape[:-1])
+
+
+def _window(x: np.ndarray, dmax: float, rho: float, h: float, n_side: int) -> tuple:
+    """Slices of the lattice cells whose candidates c can get a squared
+    distance cnorm2 - 2 c.x + x.x to x below dmax.
+
+    Those lie within sqrt(dmax) of x, up to rounding (_REACH_SLACK).  A
+    cell's candidate is its center g*h or, for a projected boundary cell,
+    the center pulled toward 0 by a factor between 1/stretch and 1; so a
+    candidate in (a, b) along an axis has its center in (a, b) widened by
+    `stretch` on the side away from 0.
+    """
+    reach = math.sqrt(dmax) + _REACH_SLACK * rho
+    stretch = 1.0 + 0.5 * h * math.sqrt(len(x)) / rho
+    box = []
+    for xk in x:
+        a, b = xk - reach, xk + reach
+        a = a * stretch if a < 0.0 else a
+        b = b * stretch if b > 0.0 else b
+        box.append(slice(max(math.floor(a / h) + 1 + n_side, 0), max(math.ceil(b / h) + n_side, 0)))
+    return tuple(box)
 
 
 def build_reference_net(rho: float, delta: float, m: int) -> NetTemplate:
@@ -100,6 +155,14 @@ def build_reference_net(rho: float, delta: float, m: int) -> NetTemplate:
     Tangent spacing compensates the worst-case exp stretch sinh(rho)/rho;
     the candidate grid's half-diagonal eats _GRID_FRACTION of that budget
     so coverage of the full continuous ball is certified, not sampled.
+
+    The greedy starts at the center cell and keeps d2, each candidate's
+    squared distance to the net so far, on the whole lattice (-inf off the
+    ball).  A pick x at d2 = dmax can only lower the d2 of candidates closer
+    than sqrt(dmax) to x, so only the lattice box around x that holds them
+    is updated, and each lattice line keeps its maximum so the next pick
+    (the first maximum in lattice order) is read off the line maxima.  The
+    net equals the one from full passes over the grid bit for bit.
     """
     if rho <= 0.0 or delta <= 0.0 or m < 1:
         raise ValueError("build_reference_net: need rho > 0, delta > 0, m >= 1")
@@ -110,27 +173,30 @@ def build_reference_net(rho: float, delta: float, m: int) -> NetTemplate:
     h = 2.0 * _GRID_FRACTION * spacing / math.sqrt(m)
     stop = (1.0 - _GRID_FRACTION) * spacing
 
-    cand = _candidate_grid(rho, h, m)
-    start = int(np.argmin(np.linalg.norm(cand, axis=1)))
-    chosen = [cand[start].copy()]
-    cnorm2 = np.sum(cand * cand, axis=1)
-    x = cand[start]
-    d2 = cnorm2 - 2.0 * (cand @ x) + x @ x
+    grid, keep = _candidate_grid(rho, h, m)
+    side = keep.shape[0]
+    pts = grid.reshape(-1, m)
+    x = pts[len(pts) // 2]  # the center cell, at the origin
+    chosen = [x.copy()]
+    cnorm2 = np.sum(pts * pts, axis=1).reshape(keep.shape)
+    d2 = (cnorm2.ravel() - 2.0 * (pts @ x) + x @ x).reshape(keep.shape)
+    d2[~keep] = -np.inf
+    lines = d2.reshape(-1, side)
+    line_max = lines.max(axis=1)
     stop2 = stop * stop
     while True:
-        far = int(np.argmax(d2))
-        if d2[far] <= stop2:
+        line = int(np.argmax(line_max))
+        far = int(np.argmax(lines[line]))
+        dmax = lines[line, far]
+        if dmax <= stop2:
             break
-        x = cand[far]
+        x = pts[line * side + far]
         chosen.append(x.copy())
-        np.minimum(d2, cnorm2 - 2.0 * (cand @ x) + x @ x, out=d2)
-        # candidates already covered can neither win argmax nor matter
-        if d2.size > 4096:
-            alive = d2 > stop2
-            if np.count_nonzero(alive) < 0.7 * d2.size:
-                cand, cnorm2, d2 = cand[alive], cnorm2[alive], d2[alive]
-                if d2.size == 0:
-                    break
+        box = _window(x, dmax, rho, h, side // 2)
+        near = grid[box]
+        dots = (near.reshape(-1, m) @ x).reshape(near.shape[:-1])
+        np.minimum(d2[box], cnorm2[box] - 2.0 * dots + x @ x, out=d2[box])
+        line_max.reshape(keep.shape[:-1])[box[:-1]] = d2[box[:-1]].max(axis=-1)
     return NetTemplate(rho=rho, delta=delta, tangent_points=np.asarray(chosen))
 
 

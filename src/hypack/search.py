@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from hypack.geometry import HPoint, PolarBatch, exp_rows, sample_ball, transport_frame
@@ -193,13 +194,15 @@ def greedy_separated_subfamily(centers, images, sep: float) -> SeparatedFamily:
     if sep <= 0.0:
         raise ValueError("greedy_separated_subfamily: sep must be > 0")
     kept: list[int] = []
-    kept_imgs = np.empty((0, images.shape[1]))
+    kept_imgs = np.empty_like(images)  # rows [0, len(kept)) hold the kept images
     for i, img in enumerate(images):
-        if kept and np.min(np.linalg.norm(kept_imgs - img, axis=1)) < sep:
+        if kept and np.min(np.linalg.norm(kept_imgs[: len(kept)] - img, axis=1)) < sep:
             continue
+        kept_imgs[len(kept)] = img
         kept.append(i)
-        kept_imgs = np.vstack([kept_imgs, img])
-    return SeparatedFamily(selected=np.array(kept, dtype=int), images=kept_imgs, separation=sep)
+    return SeparatedFamily(
+        selected=np.array(kept, dtype=int), images=kept_imgs[: len(kept)], separation=sep
+    )
 
 
 def ball_volume_constant(n: int) -> float:
@@ -434,8 +437,43 @@ def hausdorff_distance_estimate(A, B) -> float:
         A = A[:, None]
     if B.ndim == 1:
         B = B[:, None]
-    d = cdist(A, B)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    return max(
+        _nearest_extreme(A, B, cKDTree(B), farthest=True),
+        _nearest_extreme(B, A, cKDTree(A), farthest=True),
+    )
+
+
+#: Relative gap within which a tree distance may misorder two cdist values;
+#: both are sums of squares rounded in different orders.
+_TREE_SLACK = 1e-9
+
+
+def _nearest_extreme(A: np.ndarray, B: np.ndarray, tree: cKDTree, farthest: bool) -> float:
+    """min (or max, if `farthest`) over the rows a of A of min_b |a - b|, for
+    `tree` built on B.
+
+    Equals cdist(A, B).min(axis=1).min() (or .max()) bit for bit: the tree's
+    nearest distances pick every row within _TREE_SLACK of the extreme, and
+    only those rows are measured against all of B with cdist.
+    """
+    near = tree.query(A)[0]
+    if farthest:
+        rows = near >= near.max() * (1.0 - _TREE_SLACK)
+    else:
+        rows = near <= near.min() * (1.0 + _TREE_SLACK)
+    exact = cdist(A[rows], B).min(axis=1)
+    return float(exact.max() if farthest else exact.min())
+
+
+def _set_distance_max(clouds: list[np.ndarray]) -> float:
+    """max over pairs i < j of min_{a in clouds[i], b in clouds[j]} |a - b|,
+    equal to the full-cdist minima bit for bit; one tree per cloud."""
+    trees = [cKDTree(c) for c in clouds]
+    worst = 0.0
+    for i in range(len(clouds)):
+        for j in range(i + 1, len(clouds)):
+            worst = max(worst, _nearest_extreme(clouds[i], clouds[j], trees[j], farthest=False))
+    return worst
 
 
 @dataclass(frozen=True)
@@ -477,7 +515,8 @@ def certify_configuration(
     (i) is exact: pairwise center distances are recomputed with the stable
     kernel and must exceed 2r + 1/epsilon.  (ii) samples the image sets
     (centers, transported net points, and seeded random ball points); any
-    cross pair bounds the set distance from above.  (iii) bounds the
+    cross pair bounds the set distance from above, and the closest pair is
+    found through one k-d tree per set (`_set_distance_max`).  (iii) bounds the
     directed Hausdorff distances by the net-image estimate plus the L*delta
     net slack, and is only evaluated for configurations from the augmented
     pipeline (the set-distance C need not satisfy the Hausdorff budget).
@@ -509,10 +548,7 @@ def certify_configuration(
         extra = F.batch(_sample_ball_points(p, r, samples, rng))
         clouds.append(np.vstack([imgs_net, extra, img[None, :]]))
 
-    set_dist = 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            set_dist = max(set_dist, float(cdist(clouds[i], clouds[j]).min()))
+    set_dist = _set_distance_max(clouds)
     pass_ii = set_dist <= eps + 1e-9
 
     hausdorff_max: float | None = None

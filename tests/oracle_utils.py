@@ -1,7 +1,8 @@
 """Oracles the tests check library values against.
 
-Arbitrary-precision (mpmath) values, plus a brute-force O(n^2) sweep for
-packing separation.  Everything here recomputes results from first
+Arbitrary-precision (mpmath) values, plus brute-force full scans: the
+O(n^2) sweep for packing separation, the full-pass greedy net and the
+full-cdist set distances.  Everything here recomputes results from first
 principles, independently of the library's evaluation strategy.
 """
 
@@ -9,8 +10,10 @@ import math
 
 import mpmath as mp
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from hypack.geometry import dist_given_q
+from hypack.nets import _GRID_FRACTION
 
 mp.mp.dps = 40
 
@@ -106,3 +109,63 @@ def brute_min_lag_distance(rho, alpha, indices, block=256):
         q = np.sin(np.abs(idx[cols][None, :] - idx[rows][:, None]) * alpha) ** 2
         qmin = min(qmin, float(np.min(np.where(cols[None, :] > rows[:, None], q, np.inf))))
     return float(dist_given_q(rho, rho, qmin)) if n >= 2 else math.inf
+
+
+def brute_greedy_net(rho, delta, m):
+    """Tangent points of the farthest-point net, by full passes over the grid.
+
+    The candidates are the cell centers of the lattice within half a cell
+    diagonal of the rho-ball, those outside it projected onto it.  Every
+    pick updates the squared distance of every live candidate; the
+    candidates already within the stop radius are dropped now and then.
+    """
+    if delta >= rho:
+        return np.zeros((1, m))
+    spacing = delta * rho / math.sinh(rho)
+    h = 2.0 * _GRID_FRACTION * spacing / math.sqrt(m)
+    stop = (1.0 - _GRID_FRACTION) * spacing
+    half_diag = 0.5 * h * math.sqrt(m)
+    n_side = int(math.ceil((rho + half_diag) / h))
+    axis = h * np.arange(-n_side, n_side + 1)
+    grids = np.meshgrid(*([axis] * m), indexing="ij")
+    cand = np.stack([g.ravel() for g in grids], axis=1)
+    norms = np.linalg.norm(cand, axis=1)
+    keep = norms <= rho + half_diag
+    cand, norms = cand[keep], norms[keep]
+    outside = norms > rho
+    cand[outside] *= (rho / norms[outside])[:, None]
+    start = int(np.argmin(np.linalg.norm(cand, axis=1)))
+    chosen = [cand[start].copy()]
+    cnorm2 = np.sum(cand * cand, axis=1)
+    x = cand[start]
+    d2 = cnorm2 - 2.0 * (cand @ x) + x @ x
+    stop2 = stop * stop
+    while True:
+        far = int(np.argmax(d2))
+        if d2[far] <= stop2:
+            break
+        x = cand[far]
+        chosen.append(x.copy())
+        np.minimum(d2, cnorm2 - 2.0 * (cand @ x) + x @ x, out=d2)
+        if d2.size > 4096:
+            alive = d2 > stop2
+            if np.count_nonzero(alive) < 0.7 * d2.size:
+                cand, cnorm2, d2 = cand[alive], cnorm2[alive], d2[alive]
+                if d2.size == 0:
+                    break
+    return np.asarray(chosen)
+
+
+def brute_set_distance_max(clouds):
+    """max over cloud pairs of the smallest cross distance, by full cdist."""
+    worst = 0.0
+    for i in range(len(clouds)):
+        for j in range(i + 1, len(clouds)):
+            worst = max(worst, float(cdist(clouds[i], clouds[j]).min()))
+    return worst
+
+
+def brute_hausdorff(A, B):
+    """Hausdorff distance of two point sets, by full cdist."""
+    d = cdist(A, B)
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))

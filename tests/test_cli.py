@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -165,6 +166,20 @@ class TestSearch:
         assert rc == 2
         assert "samples must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m", ["5", "6"])
+    def test_net_grid_over_limit_exit_2(self, capsys, m):
+        # the grids would span 9e7 and 6e9 lattice points (GBs); refused before allocating
+        tracemalloc.start()
+        try:
+            with time_limit(10.0):
+                rc = main(["search", "--m", m])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert "lattice points, more than the limit" in capsys.readouterr().err
+        assert peak < 50e6
+
     def test_unknown_map_exit_2(self, tmp_path):
         rc = main(["search", "--map", "poincare", "--eps", "2.0"])
         assert rc == 2
@@ -231,3 +246,20 @@ class TestConfigFile:
         rc, out = run(tmp_path, "pack.json", ["pack", "--config", str(cfg), "--R", "4.0"])
         assert rc == 0
         assert json.loads(out.read_text())["spec"]["R"] == 4.0
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"R": 3.0, "eps": 0.5}', "unknown key 'eps' for pack"),
+            ('{"R-typo": 3.0}', "unknown key 'R-typo' for pack"),
+            ('{"command": "search"}', "unknown key 'command' for pack"),
+            ("[1, 2]", "one JSON object"),
+        ],
+    )
+    def test_bad_config_exit_2(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        with time_limit(10.0):
+            rc = main(["pack", "--config", str(cfg)])
+        assert rc == 2
+        assert message in capsys.readouterr().err

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
 
-from conftest import random_point
+from conftest import random_point, time_limit
 from hypack.geometry import HPoint, distance
+from hypack.maps import busemann_map, ideal_point
 from hypack.nets import (
+    GRID_POINTS_MAX,
     NetTemplate,
+    _candidate_grid,
+    _window,
     build_reference_net,
     net_from_json,
     net_to_json,
     transport_net,
     verify_cover,
 )
+from oracle_utils import brute_greedy_net
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +50,63 @@ class TestBuildReferenceNet:
         # the template never sees a basepoint; transported copies share l
         p = HPoint.from_polar(7.0, [0.6, 0.8])
         assert len(transport_net(net_2d, p)) == net_2d.l
+
+
+class TestLocalGreedy:
+    @pytest.mark.parametrize(
+        "rho, delta, m",
+        [
+            (1.0, 0.25, 2),
+            (1.0, 0.1, 2),
+            (0.5, 0.05, 2),
+            (2.0, 0.3, 2),
+            (3.0, 0.5, 2),
+            (1.0, 0.3, 3),
+            (1.0, 0.2, 3),
+            (1.0, 0.05, 1),
+            (1.0, 0.6, 4),
+            (1.0, 1.0, 2),
+            (1.0, 1.5, 3),
+        ],
+    )
+    def test_equals_full_pass_greedy(self, rho, delta, m):
+        tmpl = build_reference_net(rho, delta, m)
+        assert np.array_equal(tmpl.tangent_points, brute_greedy_net(rho, delta, m))
+
+    def test_search_m3_net_equals_full_pass_greedy(self):
+        # the net of `search --map busemann --m 3` at r = 1, eps = 0.5
+        F = busemann_map([ideal_point(d) for d in np.eye(3)])
+        delta = 0.5 / (2.0 * F.L)
+        tmpl = build_reference_net(1.0, delta, 3)
+        assert tmpl.l == 2565
+        assert np.array_equal(tmpl.tangent_points, brute_greedy_net(1.0, delta, 3))
+
+    @pytest.mark.parametrize(
+        "rho, h, m, picks", [(1.0, 0.07, 2, 60), (2.0, 0.3, 2, 60), (1.0, 0.11, 3, 12)]
+    )
+    def test_window_holds_every_candidate_that_can_drop(self, rho, h, m, picks):
+        # dmax one ulp above a candidate's computed value is the tightest case:
+        # that candidate's value can still drop, so its cell must be in the window
+        grid, keep = _candidate_grid(rho, h, m)
+        pts = grid.reshape(-1, m)
+        cnorm2 = np.sum(pts * pts, axis=1)
+        cells = np.argwhere(keep)
+        rng = np.random.default_rng(m)
+        for xi in rng.choice(np.flatnonzero(keep), picks, replace=False):
+            x = pts[xi]
+            value = (cnorm2 - 2.0 * (pts @ x) + x @ x)[keep.ravel()]
+            for cell, v in zip(cells, value):
+                if v <= 0.0:  # x itself; picks have dmax above the stop radius
+                    continue
+                box = _window(x, np.nextafter(v, np.inf), rho, h, keep.shape[0] // 2)
+                assert all(s.start <= g < s.stop for s, g in zip(box, cell)), (x, cell)
+
+    @pytest.mark.parametrize(
+        "rho, delta, m", [(1.0, 0.5, 5), (1.0, 0.5, 6), (1.0, 0.5, 400), (1.0, 1e-7, 2), (1.0, 1e-300, 2)]
+    )
+    def test_grid_over_limit_refused(self, rho, delta, m):
+        with time_limit(10.0), pytest.raises(ValueError, match=f"limit of {GRID_POINTS_MAX:,}"):
+            build_reference_net(rho, delta, m)
 
 
 class TestTransportNet:

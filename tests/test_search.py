@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import poincare_at
+from oracle_utils import brute_hausdorff, brute_set_distance_max
 from hypack.geometry import HPoint, HTangent, PolarBatch, distance, exp_map, sample_ball, transport_frame
 from hypack.maps import LipschitzMapHandle, busemann_map, ideal_point, poincare_inclusion
 from hypack.nets import build_reference_net, transport_net
@@ -12,6 +13,7 @@ from hypack.search import (
     ScheduleExhausted,
     SearchParams,
     _sample_ball_points,
+    _set_distance_max,
     augment_map,
     ball_volume_constant,
     certify_configuration,
@@ -348,3 +350,40 @@ class TestCorollarySequences:
         img_gap = float(np.linalg.norm(img_a - img_b))
         assert img_gap < 2e-4
         assert img_gap == pytest.approx(math.tanh(10.0) - math.tanh(5.0), rel=1e-9)
+
+
+class TestTreeDistances:
+    """Tree-backed set and Hausdorff distances equal full-cdist scans exactly."""
+
+    @staticmethod
+    def clouds(kind, k, n, rng):
+        if kind == "lattice":  # integer points: duplicates and exact ties everywhere
+            return [rng.integers(0, 4, (int(rng.integers(1, 60)), n)).astype(float) for _ in range(k)]
+        clouds = [rng.standard_normal((1, n))]  # a single-point cloud
+        for _ in range(k - 1):
+            clouds.append(rng.standard_normal((int(rng.integers(2, 300)), n)) + rng.uniform(-1, 1, n))
+        if kind == "duplicates":  # shared points and repeated rows
+            clouds[1] = np.vstack([clouds[1], clouds[0], clouds[1][:3]])
+            clouds[-1] = np.vstack([clouds[-1][:5], clouds[-1]])
+        return clouds
+
+    @pytest.mark.parametrize("kind", ["random", "duplicates", "lattice"])
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_equal_to_full_cdist(self, kind, k):
+        rng = np.random.default_rng(1000 * k + len(kind))
+        for n in (3, 40):
+            clouds = self.clouds(kind, k, n, rng)
+            assert _set_distance_max(clouds) == brute_set_distance_max(clouds)
+            for A, B in zip(clouds, clouds[1:]):
+                assert hausdorff_distance_estimate(A, B) == brute_hausdorff(A, B)
+
+    def test_rows_tied_in_exact_arithmetic(self):
+        # a and a[P] are equally far from {b, b[P]}; the tree and cdist sum the
+        # squares in different orders, so they can rank the two rows oppositely
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            P = rng.permutation(40)
+            a, b = rng.standard_normal(40), rng.standard_normal(40) + 0.5
+            A, B = np.array([a, a[P]]), np.array([b, b[P]])
+            assert _set_distance_max([A, B]) == brute_set_distance_max([A, B])
+            assert hausdorff_distance_estimate(A, B) == brute_hausdorff(A, B)
