@@ -6,7 +6,7 @@ any basepoint by the frame-transport isometry: the net size l depends only
 on (rho, delta, m), never on the basepoint.
 """
 
-from hypack.geometry import HPoint, distance
+from hypack.geometry import HPoint, PolarBatch, distance
 from hypack.nets import build_reference_net, net_to_json, transport_net, verify_cover
 
 rho, delta, m = 1.0, 0.25, 2
@@ -25,12 +25,12 @@ print("(the radius-50 run exercises the far-radius representation; the Monte-Car
 print(" distances run in the tangent frame, where constant curvature makes them exact)")
 
 p = HPoint.from_polar(3.0, [0.6, 0.8])
-sigma = transport_net(tmpl, p)
+q = HPoint.from_polar(7.0, [0.0, 1.0])
+both = transport_net(tmpl, PolarBatch.of([p, q]))  # l rows around p, then l around q
+sigma, sig_q = both[: tmpl.l], both[tmpl.l :]
 radial = [distance(p, s) for s in sigma[:4]]
 print(f"\ntransported net points stay in B(p, rho): first radial distances {[round(d, 4) for d in radial]}")
 
-q = HPoint.from_polar(7.0, [0.0, 1.0])
-sig_q = transport_net(tmpl, q)
 pairs = [(0, 1), (2, 17), (5, tmpl.l - 1)]
 print("congruence of transported nets (pairwise distances agree across basepoints):")
 for i, j in pairs:

@@ -25,6 +25,7 @@ from hypack.search import (
     ScheduleExhausted,
     SearchParams,
     certify_configuration,
+    check_samples,
     find_bunched_configuration,
 )
 
@@ -149,6 +150,7 @@ def _map_handle(args):
 
 
 def cmd_search(args) -> int:
+    check_samples(args.samples)
     F = _map_handle(args)
     params = SearchParams.derive(
         r=args.r, epsilon=args.eps, k=args.k, hausdorff=args.hausdorff, m=args.m,
@@ -207,6 +209,8 @@ def _params_dict(params: SearchParams) -> dict:
 def cmd_demo_flat(args) -> int:
     from hypack.maps import flat_graph_example
 
+    if args.K < 1:
+        raise ValueError(f"demo-flat: --K must be >= 1 (got {args.K})")
     report = flat_graph_example(K=args.K)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -228,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None, help="output path (stdout if omitted)")
         p.add_argument("--format", choices=("json", "csv"), default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tolerance", type=float, default=None)
         p.add_argument("--config", type=str, default=None, help="JSON config file; flags win")
 
     p_pack = sub.add_parser("pack", help="generate and verify one packing")
@@ -237,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pack.add_argument("--R", type=float, default=None)
     p_pack.add_argument("--m", type=int, default=None)
     p_pack.add_argument("--cap", type=int, default=None)
+    p_pack.add_argument("--tolerance", type=float, default=None)
 
     p_growth = sub.add_parser("growth", help="family growth table over an R range")
     common(p_growth)

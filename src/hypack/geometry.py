@@ -5,8 +5,9 @@ R^{m,1}, with base point ``o = (1, 0, ..., 0)``.  Every point carries a
 polar representation (hyperbolic radius from o, unit direction in the
 tangent space at o); ambient coordinates are kept only while they are
 representable.  Hot paths hold many points as one PolarBatch of rows, made by
-the one exp kernel, exp_rows.  All distances funnel through one log-domain
-law-of-cosines kernel that stays accurate for radii up to 1e4.
+the one exp kernel, exp_rows, at one basepoint or at each of many.  All
+distances funnel through one log-domain law-of-cosines kernel that stays
+accurate for radii up to 1e4.
 
 Resolution caveat: double-precision o-based coordinates (ambient or polar)
 locate a point at radius r only to within ~eps*sinh(r) length units, so
@@ -456,24 +457,37 @@ def _snap_rows(c: np.ndarray):
     return _asinh(nr), dirs, c
 
 
-def exp_rows(base: HPoint, vecs, t) -> PolarBatch:
-    """Riemannian exponential at `base` of the tangent rows `vecs` (N, m+1) of lengths `t` (N,).
+def exp_rows(base, vecs, t) -> PolarBatch:
+    """Riemannian exponential of tangent rows at one basepoint or at each of many.
 
-    Each row is the compensated combination cosh(t) x + sinh(t) v/t snapped
-    back onto the sheet (base itself where t = 0); this is the one exp
-    implementation, and N rows give the bits of N one-row calls.
+    `base` is an HPoint or a PolarBatch of B basepoints; `vecs` holds l ambient
+    tangent rows at each basepoint, shape (l, m+1) or (B, l, m+1), and `t` their
+    lengths, shape (l,) shared by every basepoint or (B, l).  Each row is the
+    compensated combination cosh(t) x + sinh(t) v/t at its basepoint x, snapped
+    back onto the sheet (x itself where t = 0).  Returns the B*l rows
+    basepoint-major.
+
+    This is the one exp implementation.  libm cosh/sinh run once per entry of
+    `t`, and every row has the bits of a one-row call at its basepoint.
     """
+    bases = PolarBatch.of([base]) if isinstance(base, HPoint) else base
     t = np.asarray(t, dtype=float)
-    vecs = np.asarray(vecs, dtype=float).reshape(t.shape[0], base.dim + 1)
-    if np.any(base.r + t > _COORDS_INTERNAL_MAX):
+    m1 = bases.dirs.shape[1] + 1
+    vecs = np.asarray(vecs, dtype=float).reshape(len(bases), t.shape[-1], m1)
+    reach = bases.r[:, None] + t
+    if np.any(reach > _COORDS_INTERNAL_MAX):
         raise NumericRangeError(
-            f"exp_map: target radius ~{base.r + t.max():.3g} exceeds the representable range"
+            f"exp_map: target radius ~{reach.max():.3g} exceeds the representable range"
         )
-    x = base.coords_extended
-    stay = t == 0.0
-    tt = np.where(stay, 1.0, t)
-    r, dirs, coords = _snap_rows(_comb2(_cosh(tt)[:, None], x, _sinh(tt)[:, None], vecs / tt[:, None]))
-    r[stay], dirs[stay], coords[stay] = base.r, base.direction, x
+    x = _coords_of(bases)[:, None, :]
+    zero = t == 0.0
+    tt = np.where(zero, 1.0, t)[..., None]
+    r, dirs, coords = _snap_rows(_comb2(_cosh(tt), x, _sinh(tt), vecs / tt).reshape(-1, m1))
+    stay = np.broadcast_to(zero, reach.shape)
+    if stay.any():
+        at = np.nonzero(stay)[0]  # the basepoint of each t = 0 row, in row order
+        flat = stay.ravel()
+        r[flat], dirs[flat], coords[flat] = bases.r[at], bases.dirs[at], bases.coords[at]
     return PolarBatch(r, dirs, coords)
 
 
@@ -520,21 +534,32 @@ def parallel_transport(v: HTangent, to: HPoint) -> HTangent:
     return HTangent(to, w, v.norm)  # transport is an isometry
 
 
-def transport_frame(p: HPoint) -> np.ndarray:
+def _coords_of(points: PolarBatch) -> np.ndarray:
+    """Ambient coordinates of every row; a range error when some row has none."""
+    if points.coords is None:
+        raise NumericRangeError(
+            f"ambient coordinates unavailable at radius {points.r.max():.3g}"
+        )
+    return points.coords
+
+
+def transport_frame(p) -> np.ndarray:
     """Transport of the standard o-frame (0, e_1..e_m) to p, as rows.
 
-    Returns array of shape (m, m+1); row i is the transported basis vector
-    V_i used to realize linear isometries T_o -> T_p.
+    For an HPoint returns shape (m, m+1); row i is the transported basis
+    vector V_i used to realize linear isometries T_o -> T_p.  For a
+    PolarBatch of N points returns the N frames, shape (N, m, m+1), each with
+    the bits of its one-point frame.
     """
-    m = p.dim
-    x = p.coords_extended
+    x = p.coords_extended if isinstance(p, HPoint) else _coords_of(p)
+    m = x.shape[-1] - 1
     o = np.zeros(m + 1)
     o[0] = 1.0
     axis = x + o
-    scale = x[1:] / (1.0 + x[0])
-    frame = np.zeros((m, m + 1))
-    frame[:, 1:] = np.eye(m)
-    frame += scale[:, None] * axis[None, :]
+    scale = x[..., 1:] / (1.0 + x[..., :1])
+    frame = np.zeros(x.shape[:-1] + (m, m + 1))
+    frame[..., 1:] = np.eye(m)
+    frame += scale[..., :, None] * axis[..., None, :]
     return frame
 
 
@@ -558,10 +583,17 @@ def tangent_angle(u: HTangent, w: HTangent) -> float:
 def triangle_angles(a: HPoint, b: HPoint, c: HPoint) -> tuple[float, float, float]:
     """Interior angles at a, b, c of the geodesic triangle abc.
 
+    The tangent directions come from o-based ambient coordinates, whose
+    error grows like eps*e^{2r} with the vertex radius r; from r ~ 10 on the
+    measured angles can describe no hyperbolic triangle at all.
+
     Raises
     ------
     ValueError
         If two vertices coincide within 1e-12 (the angle is undefined).
+    NumericRangeError
+        If the measured angles are impossible for a hyperbolic triangle: an
+        angle outside (0, pi) or an angle sum of pi or more.
     """
     d_ab, d_ac, d_bc = distance(a, b), distance(a, c), distance(b, c)
     for d, name in ((d_ab, "a,b"), (d_ac, "a,c"), (d_bc, "b,c")):
@@ -569,10 +601,18 @@ def triangle_angles(a: HPoint, b: HPoint, c: HPoint) -> tuple[float, float, floa
             raise ValueError(f"triangle_angles: vertices {name} coincide")
 
     # the kernel is exactly symmetric, so each side length serves both ends
-    ang_a = tangent_angle(_log_map_known(a, b, d_ab), _log_map_known(a, c, d_ac))
-    ang_b = tangent_angle(_log_map_known(b, a, d_ab), _log_map_known(b, c, d_bc))
-    ang_c = tangent_angle(_log_map_known(c, a, d_ac), _log_map_known(c, b, d_bc))
-    return ang_a, ang_b, ang_c
+    angles = (
+        tangent_angle(_log_map_known(a, b, d_ab), _log_map_known(a, c, d_ac)),
+        tangent_angle(_log_map_known(b, a, d_ab), _log_map_known(b, c, d_bc)),
+        tangent_angle(_log_map_known(c, a, d_ac), _log_map_known(c, b, d_bc)),
+    )
+    if not (min(angles) > 0.0 and max(angles) < math.pi and sum(angles) < math.pi):
+        raise NumericRangeError(
+            f"triangle_angles: measured angles {angles} (sum {sum(angles)!r}) fit no hyperbolic"
+            f" triangle; vertex radii up to {max(a.r, b.r, c.r):.3g} exceed the resolution of"
+            " the ambient coordinates"
+        )
+    return angles
 
 
 def law_of_sines_residual(sides, angles) -> float:

@@ -20,6 +20,7 @@ from scipy.sparse.csgraph import dijkstra
 from hypack.geometry import HPoint, PolarBatch, _tanh, _unit_gap_q, dist_given_q, exp_rows, sample_ball
 
 __all__ = [
+    "FLAT_GRAPH_K_MAX",
     "FlatGraphReport",
     "FlatGraphRow",
     "LipschitzMapHandle",
@@ -257,6 +258,10 @@ def _segment_weight(x0: float, x1: float, dy: float, k: int, subdiv: int = 8) ->
     return float(np.sum(np.sqrt(dxs**2 + dys**2 + np.diff(pz) ** 2)))
 
 
+#: Most bumps flat_graph_example measures; each takes about a second.
+FLAT_GRAPH_K_MAX = 32
+
+
 def flat_graph_example(K: int = 8, base_nx: int = 301, stabilize_tol: float = 0.1) -> FlatGraphReport:
     """Intrinsic vs extrinsic distances on the graph of g(x, y) = f(x).
 
@@ -269,6 +274,8 @@ def flat_graph_example(K: int = 8, base_nx: int = 301, stabilize_tol: float = 0.
     off the mesh, and a Dijkstra upper bound over the grid graph refined
     until it stabilizes within `stabilize_tol` relative change.
     """
+    if not 0 <= K <= FLAT_GRAPH_K_MAX:
+        raise ValueError(f"flat_graph_example: K must lie in [0, {FLAT_GRAPH_K_MAX}] (got {K})")
     rows = []
     for k in range(1, K + 1):
         extrinsic = 2.0 / (k + 1.0)

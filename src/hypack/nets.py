@@ -2,11 +2,12 @@
 
 A net is built once in tangent coordinates at the reference basepoint and
 moved elsewhere by the frame-transport isometry, so its size l depends only
-on (rho, delta, m); a transported net is a PolarBatch of l rows, made by one
-call of the row exp kernel.  Coverage is sound by construction: greedy
-insertion runs until the tangent covering radius is below
-delta' = delta*rho/sinh(rho), and the exponential map stretches tangent
-lengths by at most sinh(rho)/rho on the ball.
+on (rho, delta, m).  Transport is batched: the nets around N basepoints are
+one PolarBatch of N*l rows, basepoint-major, made by one call of the row exp
+kernel.  Coverage is sound by construction: greedy insertion runs until the
+tangent covering radius is below delta' = delta*rho/sinh(rho), and the
+exponential map stretches tangent lengths by at most sinh(rho)/rho on the
+ball.
 
 The greedy is Gonzalez's farthest-point clustering over a lattice of
 candidates, made local: a new net point x, picked at squared distance dmax
@@ -200,18 +201,23 @@ def build_reference_net(rho: float, delta: float, m: int) -> NetTemplate:
     return NetTemplate(rho=rho, delta=delta, tangent_points=np.asarray(chosen))
 
 
-def transport_net(tmpl: NetTemplate, p: HPoint) -> PolarBatch:
-    """Net points sigma_1(p), ..., sigma_l(p) around basepoint p, as l rows.
+def transport_net(tmpl: NetTemplate, points: PolarBatch) -> PolarBatch:
+    """Net points sigma_1(p), ..., sigma_l(p) around every row p of `points`.
 
-    Realized as exp_p applied to the frame transport of the template's
-    tangent coordinates, i.e. the transvection image of the reference net.
+    Returns the N*l rows basepoint-major: rows [i*l, (i+1)*l) are the net
+    around points[i].  Realized as exp_p of the frame transport of the
+    template's tangent coordinates, i.e. the transvection image of the
+    reference net, with whole-array operations: the N frames at once, the
+    template times each frame, and one exp_rows call that takes libm
+    cosh/sinh of the l template norms once for all basepoints.  Every row has
+    the bits of transporting the net to its basepoint alone.
     """
-    if p.dim != tmpl.m:
+    if points.dirs.shape[1] != tmpl.m:
         raise ValueError("transport_net: dimension mismatch")
-    frame = transport_frame(p)  # (m, m+1)
-    vecs = tmpl.tangent_points @ frame
-    norms = np.linalg.norm(tmpl.tangent_points, axis=1)  # frame is isometric
-    return exp_rows(p, vecs, norms)
+    # (l, m) @ (N, m, m+1): one (l, m) @ (m, m+1) product per basepoint
+    vecs = tmpl.tangent_points @ transport_frame(points)
+    norms = np.linalg.norm(tmpl.tangent_points, axis=1)  # frames are isometric
+    return exp_rows(points, vecs, norms)
 
 
 @dataclass(frozen=True)
@@ -250,7 +256,7 @@ def verify_cover(
     """
     if samples < 1:
         raise ValueError("verify_cover: samples must be >= 1")
-    sigma = transport_net(tmpl, p)
+    sigma = transport_net(tmpl, PolarBatch.of([p]))
     # Lemma "i)" check: net points stay inside B(p, rho).  Radial distances
     # equal the template norms by the radial isometry of exp; at moderate
     # radius the ambient distance oracle must agree.

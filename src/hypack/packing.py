@@ -265,6 +265,8 @@ def verify_packing(fam: BallFamily, tol: float = DEFAULT_TOL, enum_cap: int = 20
     the report covers all n(n-1)/2 pairs.  Enclosure is one vectorized
     kernel call from the enclosing center.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"verify_packing: tolerance must be finite and >= 0 (got {tol})")
     n = len(fam)
     radii, dirs = fam.centers.r, fam.centers.dirs
     min_pairwise = math.inf

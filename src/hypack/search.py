@@ -27,6 +27,7 @@ from hypack.packing import PackingSpec, _pairwise_min_block, generate_centers, m
 __all__ = [
     "BunchedConfiguration",
     "Certificate",
+    "SAMPLES_MAX",
     "ScheduleExhausted",
     "SearchParams",
     "SeparatedFamily",
@@ -38,6 +39,7 @@ __all__ = [
     "corollary_sequences",
     "counting_upper_bound",
     "certify_configuration",
+    "check_samples",
     "default_schedule",
     "find_bunched_configuration",
     "greedy_separated_subfamily",
@@ -73,8 +75,8 @@ def choose_C_hausdorff(r: float, epsilon: float) -> float:
 
 
 def _check_r_eps(r: float, epsilon: float):
-    if r <= 0.0:
-        raise ValueError("ball radius r must be > 0")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"ball radius r must be finite and > 0 (got {r})")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
 
@@ -142,6 +144,8 @@ class SearchParams:
         r, epsilon, k, hausdorff=False, m=2, cap=100_000, seed=0, R_schedule=None, R_max=None
     ):
         """Parameters with C chosen for the set-distance or the Hausdorff conclusion."""
+        if R_max is not None and math.isnan(R_max):
+            raise ValueError("SearchParams: R_max must not be NaN")
         C = (choose_C_hausdorff if hausdorff else choose_C_setdist)(r, epsilon)
         sched = tuple(R_schedule) if R_schedule is not None else default_schedule(C, cap)
         if R_max is not None:
@@ -265,6 +269,12 @@ def theta_assignment(n_centers: int, fam: SeparatedFamily, images) -> ThetaFiber
     return ThetaFibers(assignment=assignment, leftovers=leftovers, fibers=fibers)
 
 
+#: Rows one transport_net call of the augmented map may make: its blocks hold
+#: max(1, _AUGMENT_BLOCK_ROWS // l) basepoints, which bounds the memory of the
+#: transported rows and their images.
+_AUGMENT_BLOCK_ROWS = 32_768
+
+
 def augment_map(F: LipschitzMapHandle, net: NetTemplate) -> LipschitzMapHandle:
     """Concatenate F over the transported net: p -> (F(sigma_1 p), ..., F(sigma_l p)).
 
@@ -272,16 +282,25 @@ def augment_map(F: LipschitzMapHandle, net: NetTemplate) -> LipschitzMapHandle:
     equidistant-curve stretch plus frame rotation), so sqrt(l) L e^rho is a
     sound declared constant; the counting bound uses the tighter affine
     form sqrt(l) L (R + 2 rho) directly.
+
+    The map transports the net to a block of basepoints with one
+    transport_net call, maps the block's rows with one F.fn call and
+    reshapes them to (block, l*n); each row has the bits of the one-point
+    evaluation.
     """
+    block = max(1, _AUGMENT_BLOCK_ROWS // net.l)
+    width = F.n * net.l
 
     def fn(pts: PolarBatch) -> np.ndarray:
-        # one basepoint at a time keeps the transported rows at l
-        return np.array([F.fn(transport_net(net, p)).ravel() for p in pts])
+        out = np.empty((len(pts), width))
+        for lo in range(0, len(pts), block):
+            out[lo : lo + block] = F.fn(transport_net(net, pts[lo : lo + block])).reshape(-1, width)
+        return out
 
     return LipschitzMapHandle(
         fn=fn,
         L=math.sqrt(net.l) * F.L * math.exp(net.rho),
-        n=F.n * net.l,
+        n=width,
         m=F.m,
         label=f"augmented({F.label}, l={net.l})",
     )
@@ -476,6 +495,17 @@ def _set_distance_max(clouds: list[np.ndarray]) -> float:
     return worst
 
 
+#: Most random points certify_configuration draws per ball; each one is made
+#: by exp, mapped and held in a k-d tree.
+SAMPLES_MAX = 100_000
+
+
+def check_samples(samples: int) -> None:
+    """Refuse a per-ball sample count outside [0, SAMPLES_MAX]."""
+    if not 0 <= samples <= SAMPLES_MAX:
+        raise ValueError(f"samples must be >= 0 and <= {SAMPLES_MAX:,} (got {samples})")
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Measured margins for the three bunching conclusions."""
@@ -521,8 +551,7 @@ def certify_configuration(
     net slack, and is only evaluated for configurations from the augmented
     pipeline (the set-distance C need not satisfy the Hausdorff budget).
     """
-    if samples < 0:
-        raise ValueError(f"certify_configuration: samples must be >= 0 (got {samples})")
+    check_samples(samples)
     eps = cfg.epsilon
     r = cfg.r
     k = cfg.k
@@ -540,11 +569,9 @@ def certify_configuration(
         raise ValueError("certify_configuration: net rho must equal the ball radius")
     rng = np.random.default_rng(seed)
     center_images = F.batch(cfg.centers)
+    net_images = np.split(F.batch(transport_net(net, cfg.centers)), k)  # l rows per ball
     clouds = []
-    net_images = []
-    for p, img in zip(cfg.centers, center_images):
-        imgs_net = F.batch(transport_net(net, p))
-        net_images.append(imgs_net)
+    for p, img, imgs_net in zip(cfg.centers, center_images, net_images):
         extra = F.batch(_sample_ball_points(p, r, samples, rng))
         clouds.append(np.vstack([imgs_net, extra, img[None, :]]))
 

@@ -1,9 +1,10 @@
 """Oracles the tests check library values against.
 
 Arbitrary-precision (mpmath) values, plus brute-force full scans: the
-O(n^2) sweep for packing separation, the full-pass greedy net and the
-full-cdist set distances.  Everything here recomputes results from first
-principles, independently of the library's evaluation strategy.
+O(n^2) sweep for packing separation, the full-pass greedy net, the
+full-cdist set distances and the net transported to one basepoint at a
+time.  Everything here recomputes results from first principles,
+independently of the library's evaluation strategy.
 """
 
 import math
@@ -12,7 +13,7 @@ import mpmath as mp
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from hypack.geometry import dist_given_q
+from hypack.geometry import dist_given_q, exp_rows, transport_frame
 from hypack.nets import _GRID_FRACTION
 
 mp.mp.dps = 40
@@ -169,3 +170,15 @@ def brute_hausdorff(A, B):
     """Hausdorff distance of two point sets, by full cdist."""
     d = cdist(A, B)
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def per_point_transport(tmpl, p):
+    """The net around the one basepoint p, as l rows: the template times p's
+    frame, then exp at p alone."""
+    vecs = tmpl.tangent_points @ transport_frame(p)
+    return exp_rows(p, vecs, np.linalg.norm(tmpl.tangent_points, axis=1))
+
+
+def per_point_augmented(F, tmpl, points):
+    """The net-augmented map one basepoint at a time: F over each net, flattened."""
+    return np.array([F.fn(per_point_transport(tmpl, p)).ravel() for p in points])

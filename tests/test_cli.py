@@ -5,12 +5,28 @@ import pytest
 
 from conftest import time_limit
 from hypack.cli import main
+from hypack.maps import FLAT_GRAPH_K_MAX
+from hypack.search import SAMPLES_MAX
 
 
 def run(tmp_path, name, argv):
     out = tmp_path / name
     rc = main(argv + ["--out", str(out)])
     return rc, out
+
+
+def refused_quickly(argv, seconds=10.0, peak_bytes=50e6):
+    """Exit code of main(argv), asserting it ends within `seconds` and a
+    traced allocation peak below `peak_bytes`."""
+    tracemalloc.start()
+    try:
+        with time_limit(seconds):
+            rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < peak_bytes
+    return rc
 
 
 class TestPack:
@@ -44,6 +60,13 @@ class TestPack:
             rc = main(["pack", "--C", "1", "--R", "3", "--m", m])
         assert rc == 2
         assert "m must be >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tolerance_exit_2(self, capsys, tol):
+        with time_limit(10.0):
+            rc = main(["pack", "--C", "1", "--R", "3", "--tolerance", tol])
+        assert rc == 2
+        assert "tolerance must be finite and >= 0" in capsys.readouterr().err
 
     def test_default_cap_beyond_enumeration_cap(self, tmp_path):
         # 48,539 centers: more than the O(n^2) sweep's cap, certified by the two lags
@@ -169,16 +192,24 @@ class TestSearch:
     @pytest.mark.parametrize("m", ["5", "6"])
     def test_net_grid_over_limit_exit_2(self, capsys, m):
         # the grids would span 9e7 and 6e9 lattice points (GBs); refused before allocating
-        tracemalloc.start()
-        try:
-            with time_limit(10.0):
-                rc = main(["search", "--m", m])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rc == 2
+        assert refused_quickly(["search", "--m", m]) == 2
         assert "lattice points, more than the limit" in capsys.readouterr().err
-        assert peak < 50e6
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--R-max", "nan", "R_max must not be NaN"), ("--r", "nan", "r must be finite and > 0")],
+    )
+    def test_nan_value_exit_2(self, capsys, flag, value, message):
+        with time_limit(10.0):
+            rc = main(["search", flag, value])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    def test_samples_over_limit_exit_2(self, capsys):
+        # 1e8 samples per ball would allocate GBs; refused before the search runs
+        rc = refused_quickly(["search", "--samples", "100000000"])
+        assert rc == 2
+        assert f"<= {SAMPLES_MAX:,}" in capsys.readouterr().err
 
     def test_unknown_map_exit_2(self, tmp_path):
         rc = main(["search", "--map", "poincare", "--eps", "2.0"])
@@ -196,10 +227,33 @@ class TestDemoFlat:
         ratios = [row["intrinsic_lo"] / row["extrinsic"] for row in payload["rows"]]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
-    def test_zero_rows(self, tmp_path):
-        rc, out = run(tmp_path, "demo0.json", ["demo-flat", "--K", "0"])
-        assert rc == 0
-        assert json.loads(out.read_text())["rows"] == []
+    def test_K_below_1_exit_2(self, tmp_path, capsys):
+        for K in ("0", "-3"):
+            with time_limit(10.0):
+                rc, out = run(tmp_path, "demo0.json", ["demo-flat", "--K", K])
+            assert rc == 2 and not out.exists()
+            assert "--K must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("K", [FLAT_GRAPH_K_MAX + 1, 100_000])
+    def test_K_over_limit_exit_2(self, capsys, K):
+        assert refused_quickly(["demo-flat", "--K", str(K)]) == 2
+        assert f"K must lie in [0, {FLAT_GRAPH_K_MAX}]" in capsys.readouterr().err
+
+
+class TestTolerance:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search"],
+            ["growth", "--R-from", "3", "--R-to", "4"],
+            ["demo-flat"],
+        ],
+    )
+    def test_only_pack_takes_tolerance(self, argv, capsys):
+        with time_limit(10.0), pytest.raises(SystemExit) as exc:
+            main(argv + ["--tolerance", "1e-9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
 
 
 class TestDeterminism:

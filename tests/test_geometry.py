@@ -276,6 +276,30 @@ class TestExpRows:
         assert len(exp_rows(o, np.zeros((0, 3)), np.zeros(0))) == 0
         with pytest.raises(NumericRangeError):
             exp_rows(o, [[0.0, 1.0, 0.0], [0.0, 400.0, 0.0]], [1.0, 400.0])
+        far = PolarBatch.of([o, HPoint.from_polar(349.5, [0.6, 0.8])])
+        with pytest.raises(NumericRangeError):
+            exp_rows(far, np.zeros((2, 1, 3)), [1.0])
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_many_bases_equal_one_base_calls(self, rng, m):
+        bases = PolarBatch.of(
+            [HPoint.from_polar(r0, random_unit(rng, m)) if r0 > 0 else HPoint.origin(m) for r0 in EXP_RADII]
+        )
+        frames = transport_frame(bases)
+        W = rng.standard_normal((16, m)) * rng.uniform(0.0, 2.0, size=(16, 1))
+        W[[0, 7]] = 0.0
+        vecs, t = W @ frames, np.sqrt(np.einsum("ij,ij->i", W, W))
+        shared = exp_rows(bases, vecs, t)
+        each = exp_rows(bases, vecs, np.tile(t, (len(bases), 1)))
+        for i in range(len(bases)):
+            assert np.array_equal(frames[i], transport_frame(bases[i]))
+            one = exp_rows(bases[i], vecs[i], t)
+            for rows in (shared, each):
+                block = rows[16 * i : 16 * (i + 1)]
+                assert np.array_equal(block.r, one.r)
+                assert np.array_equal(block.dirs, one.dirs)
+                assert np.array_equal(block.coords, one.coords)
+            assert one.r[7] == bases.r[i] and np.array_equal(one.coords[0], bases.coords[i])
 
 
 class TestPolarBatch:
@@ -455,6 +479,22 @@ class TestTriangles:
         # the midpoint subtends a right angle
         angs = triangle_angles(q, o, pi_)
         assert angs[0] == pytest.approx(math.pi / 2.0, abs=1e-9)
+
+
+class TestTriangleRange:
+    def test_far_vertices_raise_or_fit_a_triangle(self):
+        # vertex radii in [20, 40]: the ambient coordinates cannot resolve the angles
+        rng = np.random.default_rng(20261018)
+        raised = 0
+        for _ in range(300):
+            pts = [HPoint.from_polar(rng.uniform(20.0, 40.0), random_unit(rng, 2)) for _ in range(3)]
+            try:
+                angs = triangle_angles(*pts)
+            except NumericRangeError:
+                raised += 1
+                continue
+            assert all(0.0 < a < math.pi for a in angs) and sum(angs) < math.pi
+        assert raised > 0
 
 
 class TestTangentPairKernel:

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import random_point, time_limit
-from hypack.geometry import HPoint, distance
-from hypack.maps import busemann_map, ideal_point
+import hypack.search
+from conftest import random_point, random_unit, time_limit
+from hypack.geometry import HPoint, NumericRangeError, PolarBatch, distance
+from hypack.maps import busemann_map, ideal_point, poincare_inclusion
 from hypack.nets import (
     GRID_POINTS_MAX,
     NetTemplate,
@@ -15,7 +21,8 @@ from hypack.nets import (
     transport_net,
     verify_cover,
 )
-from oracle_utils import brute_greedy_net
+from hypack.search import _AUGMENT_BLOCK_ROWS, augment_map
+from oracle_utils import brute_greedy_net, per_point_augmented, per_point_transport
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +56,7 @@ class TestBuildReferenceNet:
     def test_l_depends_only_on_parameters(self, net_2d):
         # the template never sees a basepoint; transported copies share l
         p = HPoint.from_polar(7.0, [0.6, 0.8])
-        assert len(transport_net(net_2d, p)) == net_2d.l
+        assert len(transport_net(net_2d, PolarBatch.of([p]))) == net_2d.l
 
 
 class TestLocalGreedy:
@@ -112,7 +119,7 @@ class TestLocalGreedy:
 class TestTransportNet:
     def test_identity_at_origin(self, net_2d):
         o = HPoint.origin(2)
-        pts = transport_net(net_2d, o)
+        pts = transport_net(net_2d, PolarBatch.of([o]))
         for tp, p in zip(net_2d.tangent_points, pts):
             r = float(np.linalg.norm(tp))
             assert p.r == pytest.approx(r, abs=1e-12)
@@ -121,7 +128,7 @@ class TestTransportNet:
 
     def test_radial_distances_match_template(self, net_2d, rng):
         p = random_point(rng, 2, 8.0)
-        pts = transport_net(net_2d, p)
+        pts = transport_net(net_2d, PolarBatch.of([p]))
         norms = np.linalg.norm(net_2d.tangent_points, axis=1)
         for q, t in zip(pts, norms):
             assert distance(p, q) == pytest.approx(float(t), abs=1e-9)
@@ -130,8 +137,8 @@ class TestTransportNet:
         # transported nets are isometric copies: pairwise distance multisets agree
         a = random_point(rng, 2, 6.0)
         b = random_point(rng, 2, 6.0)
-        pts_a = transport_net(net_2d, a)
-        pts_b = transport_net(net_2d, b)
+        both = transport_net(net_2d, PolarBatch.of([a, b]))
+        pts_a, pts_b = both[: net_2d.l], both[net_2d.l :]
         sample = rng.choice(net_2d.l, size=min(25, net_2d.l), replace=False)
         for i in sample[:12]:
             for j in sample[12:]:
@@ -141,7 +148,112 @@ class TestTransportNet:
 
     def test_dimension_mismatch(self, net_2d):
         with pytest.raises(ValueError):
-            transport_net(net_2d, HPoint.origin(3))
+            transport_net(net_2d, PolarBatch.of([HPoint.origin(3)]))
+
+
+def _basepoints(rng, m, n, max_radius=30.0):
+    """The origin, a point at max_radius and n - 2 random points, as rows."""
+    pts = [HPoint.origin(m), HPoint.from_polar(max_radius, random_unit(rng, m))]
+    pts += [random_point(rng, m, max_radius) for _ in range(n - 2)]
+    return PolarBatch.of(pts[:n])
+
+
+def _assert_same_rows(got, ref):
+    assert np.array_equal(got.r, ref.r)
+    assert np.array_equal(got.dirs, ref.dirs)
+    assert np.array_equal(got.coords, ref.coords)
+
+
+def _check_transport_matches_oracle(m, n=40, seed=0):
+    """Batched transport and augmented maps equal the per-basepoint oracle bit for bit."""
+    rng = np.random.default_rng(seed)
+    tmpl = build_reference_net(1.0, 0.3, m)
+    assert not tmpl.tangent_points[0].any()  # the t = 0 rows are exercised
+    pts = _basepoints(rng, m, n)
+    got = transport_net(tmpl, pts)
+    assert len(got) == n * tmpl.l
+    for i in range(n):
+        _assert_same_rows(got[i * tmpl.l : (i + 1) * tmpl.l], per_point_transport(tmpl, pts[i]))
+    e = np.eye(m)
+    for F in (poincare_inclusion(m), busemann_map([ideal_point(d) for d in np.vstack([e, -e])])):
+        assert np.array_equal(augment_map(F, tmpl).batch(pts), per_point_augmented(F, tmpl, pts))
+
+
+def _count_transport_calls(monkeypatch):
+    """Route the augmented map's transport_net calls through a counter; returns
+    the list of batch sizes it sees."""
+    calls = []
+
+    def counting(net, points):
+        calls.append(len(points))
+        return transport_net(net, points)
+
+    monkeypatch.setattr(hypack.search, "transport_net", counting)
+    return calls
+
+
+class TestBatchedTransport:
+    """transport_net over N basepoints against the per-basepoint oracle."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_per_point_oracle(self, m):
+        _check_transport_matches_oracle(m)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_matches_oracle_at_blas_threads(self, threads):
+        here = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=path)
+        code = "import test_nets\nfor m in (2, 3): test_nets._check_transport_matches_oracle(m, seed=1)"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_single_basepoint(self, m, rng):
+        tmpl = build_reference_net(1.0, 0.3, m)
+        for p in (HPoint.origin(m), random_point(rng, m, 30.0)):
+            _assert_same_rows(transport_net(tmpl, PolarBatch.of([p])), per_point_transport(tmpl, p))
+
+    def test_empty_batch(self):
+        tmpl = build_reference_net(1.0, 0.5, 2)
+        got = transport_net(tmpl, _basepoints(np.random.default_rng(0), 2, 3)[:0])
+        assert len(got) == 0 and got.dirs.shape == (0, 2)
+
+    def test_range_error_past_radius_350(self):
+        tmpl = build_reference_net(1.0, 0.5, 2)
+        ok = HPoint.from_polar(300.0, [1.0, 0.0])
+        for far in (HPoint.from_polar(349.5, [0.6, 0.8]), HPoint.from_polar(400.0, [0.0, 1.0])):
+            with pytest.raises(NumericRangeError):
+                transport_net(tmpl, PolarBatch.of([ok, far]))
+            with pytest.raises(NumericRangeError):
+                augment_map(poincare_inclusion(2), tmpl).batch(PolarBatch.of([far]))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_augmented_blocks_match_oracle(self, offset):
+        tmpl = build_reference_net(1.0, 0.5, 2)
+        block = _AUGMENT_BLOCK_ROWS // tmpl.l
+        pts = _basepoints(np.random.default_rng(2), 2, block + offset)
+        F = poincare_inclusion(2)
+        assert np.array_equal(augment_map(F, tmpl).batch(pts), per_point_augmented(F, tmpl, pts))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_one_transport_call_per_block(self, monkeypatch, n):
+        tmpl = build_reference_net(1.0, 0.5, 2)
+        block = _AUGMENT_BLOCK_ROWS // tmpl.l
+        N = (n - 1) * block + 1
+        calls = _count_transport_calls(monkeypatch)
+        augment_map(poincare_inclusion(2), tmpl).batch(_basepoints(np.random.default_rng(3), 2, N))
+        assert len(calls) == n == -(-N // block) and sum(calls) == N
+        assert max(calls) <= block
+
+    def test_block_holds_one_basepoint_when_the_net_exceeds_the_budget(self, monkeypatch):
+        tmpl = build_reference_net(1.0, 0.5, 2)
+        monkeypatch.setattr(hypack.search, "_AUGMENT_BLOCK_ROWS", tmpl.l - 1)
+        calls = _count_transport_calls(monkeypatch)
+        pts = _basepoints(np.random.default_rng(4), 2, 4)
+        F = poincare_inclusion(2)
+        assert np.array_equal(augment_map(F, tmpl).batch(pts), per_point_augmented(F, tmpl, pts))
+        assert calls == [1, 1, 1, 1]
 
 
 class TestVerifyCover:

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import poincare_at
 from oracle_utils import brute_hausdorff, brute_set_distance_max
+import hypack.search
 from hypack.geometry import HPoint, HTangent, PolarBatch, distance, exp_map, sample_ball, transport_frame
 from hypack.maps import LipschitzMapHandle, busemann_map, ideal_point, poincare_inclusion
 from hypack.nets import build_reference_net, transport_net
@@ -252,6 +253,18 @@ class TestCertify:
         assert cert.pass_i and cert.pass_ii and cert.pass_iii
         assert cert.hausdorff_max <= 0.5
 
+    def test_all_nets_in_one_transport_call(self, poincare_cfg, monkeypatch):
+        F, cfg = poincare_cfg
+        calls = []
+
+        def counting(tmpl, points):
+            calls.append(len(points))
+            return transport_net(tmpl, points)
+
+        monkeypatch.setattr(hypack.search, "transport_net", counting)
+        assert certify_configuration(F, cfg, samples=16, seed=3).ok
+        assert calls == [cfg.k]
+
     def test_setdist_pipeline_skips_iii(self, poincare_cfg):
         F, cfg = poincare_cfg
         cert = certify_configuration(F, cfg, samples=32, seed=13)
@@ -266,7 +279,8 @@ class TestRowPaths:
         net = build_reference_net(1.0, 0.5, 2)
         centers = generate_centers(PackingSpec.at_origin(4.0, 14.0, 2), cap=60).centers
         expected = np.array(
-            [np.concatenate([poincare_at(s) for s in transport_net(net, p)]) for p in centers]
+            [np.concatenate([poincare_at(s) for s in transport_net(net, centers[i : i + 1])])
+             for i in range(len(centers))]
         )
         assert np.array_equal(augment_map(F, net).batch(centers), expected)
 
