@@ -231,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", type=str, default=None, help="output path (stdout if omitted)")
         p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--config", type=str, default=None, help="JSON config file; flags win")
 
     p_pack = sub.add_parser("pack", help="generate and verify one packing")
@@ -260,6 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--R-max", dest="R_max", type=float, default=None)
     p_search.add_argument("--hausdorff", action="store_true", default=None)
     p_search.add_argument("--samples", type=int, default=None)
+    p_search.add_argument("--seed", type=int, default=None, help="certificate sampling seed")
 
     p_demo = sub.add_parser("demo-flat", help="flat-graph counterexample report")
     common(p_demo)

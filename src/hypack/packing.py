@@ -47,6 +47,14 @@ __all__ = [
 #: generation still works (indices are subsampled) but exact counting stops.
 _EXACT_COUNT_MAX = float(2**53)
 
+#: Largest rounding of an index-lag angle lag * alpha, relative to alpha, that
+#: generate_centers accepts.  The rounding is at most half an ulp of pi and
+#: moves the wrap-around gap pi - k * alpha, which is about alpha, by that
+#: much; a lag distance then moves by up to twice the ratio.  Past about
+#: R - 2C = 22 (at C = 1) the double predicates no longer describe the family
+#: of exact angles 2 * j * alpha.
+_LAG_ROUNDING_MAX = 1e-6
+
 
 def packing_angle(C: float, R: float) -> float:
     """Half the angular spacing between adjacent center directions.
@@ -185,10 +193,23 @@ def generate_centers(spec: PackingSpec, cap: int = 100_000) -> BallFamily:
     v_j = cos(2 j alpha) u + sin(2 j alpha) w, j = 0..k.  When k+1 exceeds
     `cap`, indices are subsampled evenly (which trivially preserves the 2C
     separation).
+
+    Raises
+    ------
+    NumericRangeError
+        If half an ulp of pi exceeds _LAG_ROUNDING_MAX * alpha: the rounded
+        products j * alpha that count and certify the family could then
+        pass a pair that is closer than 2C at the exact angles.
     """
     if cap < 2:
         raise ValueError("generate_centers: cap must be >= 2")
     alpha = packing_angle(spec.C, spec.R)
+    if 0.5 * math.ulp(math.pi) > _LAG_ROUNDING_MAX * alpha:
+        raise NumericRangeError(
+            f"generate_centers: packing angle {alpha:.3g} is too small for double precision "
+            f"(R - 2C = {spec.R - 2.0 * spec.C:.6g}); index-lag angles round by more than "
+            f"{_LAG_ROUNDING_MAX:g} of it"
+        )
     k = direction_count(alpha)
     count = k + 1
     rho = spec.R - spec.C

@@ -156,13 +156,73 @@ class SearchParams:
         )
 
 
+#: Relative gap within which a tree distance may misorder two cdist values;
+#: both are sums of squares rounded in different orders.
+_TREE_SLACK = 1e-9
+
+#: Leading image columns the pigeonhole scans index in k-d trees.  Dropping
+#: coordinates never lengthens a difference, so a pair closer than s in full
+#: is closer than s(1 + _TREE_SLACK) in these columns.
+_PREFILTER_COLUMNS = 3
+
+#: Elements (rows times width) of one temporary difference array in the exact
+#: rechecks of the pigeonhole scans; bounds their memory at any candidate count.
+_RECHECK_ELEMENTS = 1 << 16
+
+
+def _recheck_chunks(rows: np.ndarray, width: int):
+    """`rows` in consecutive pieces of at most _RECHECK_ELEMENTS // width rows."""
+    step = max(1, _RECHECK_ELEMENTS // width)
+    for lo in range(0, len(rows), step):
+        yield slice(lo, lo + step)
+
+
+def _pair_cdist(A: np.ndarray, a: np.ndarray, B: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """cdist(A[a[t]], B[b[t]]) for each t, with the bits of scipy's euclidean
+    cdist: the squared column differences summed in column order, then sqrt
+    (np.add.accumulate is sequential by definition, unlike add.reduce)."""
+    out = np.empty(len(a))
+    for part in _recheck_chunks(a, A.shape[1]):
+        d = A[a[part]] - B[b[part]]
+        d *= d
+        out[part] = np.add.accumulate(d, axis=1)[:, -1]
+    return np.sqrt(out)
+
+
+def _nearest_below(A: np.ndarray, rows: np.ndarray, B: np.ndarray, limit: float) -> np.ndarray:
+    """Position in B of the row nearest to each A[rows[t]] under cdist, the
+    lowest position on ties; -1 where no row of B is closer than `limit`.
+
+    Equals np.argmin(cdist(A[rows], B), axis=1) wherever that minimum is
+    below `limit`: every such pair lies within limit(1 + _TREE_SLACK) in the
+    leading columns, so one k-d tree pass over those columns lists it, and
+    the candidates are measured with cdist's bits.
+    """
+    w = min(_PREFILTER_COLUMNS, A.shape[1])
+    pairs = cKDTree(A[rows, :w]).sparse_distance_matrix(
+        cKDTree(B[:, :w]), limit * (1.0 + _TREE_SLACK), output_type="ndarray"
+    )
+    t, j = pairs["i"], pairs["j"]
+    d = _pair_cdist(A, rows[t], B, j)
+    below = d < limit
+    t, j, d = t[below], j[below], d[below]
+    best = np.full(len(rows), np.inf)
+    np.minimum.at(best, t, d)
+    tied = d == best[t]
+    nearest = np.full(len(rows), len(B))
+    np.minimum.at(nearest, t[tied], j[tied])
+    nearest[nearest == len(B)] = -1
+    return nearest
+
+
 @dataclass(frozen=True)
 class SeparatedFamily:
     """Maximal subfamily whose images are pairwise >= separation apart.
 
     ``selected`` holds positions into the scanned center list.  Property a)
     (pairwise separation) and b) (maximality) hold by construction of the
-    greedy scan and can be re-verified exhaustively.
+    greedy scan and can be re-verified with the decisions of the exhaustive
+    scans.
     """
 
     selected: np.ndarray
@@ -170,18 +230,28 @@ class SeparatedFamily:
     separation: float
 
     def verify(self, all_images: np.ndarray, tol: float = 1e-12) -> bool:
+        """Both properties, decided as by the full scans: no two selected
+        images closer than separation - tol under cdist, and
+        cdist(rest, selected).min(axis=1).max() < separation + tol.
+
+        One k-d tree on the selected images serves both.  Its pairs within
+        (separation - tol)(1 + _TREE_SLACK) include every pair that cdist
+        puts below separation - tol, and they are rechecked with cdist's
+        bits; the maximality half is :func:`_nearest_extreme`, which equals
+        the full-cdist maximum bit for bit.
+        """
         sel = self.images
-        if len(sel) > 1:
-            gaps = cdist(sel, sel)
-            np.fill_diagonal(gaps, np.inf)
-            if gaps.min() < self.separation - tol:
+        tree = cKDTree(sel)
+        gap = self.separation - tol
+        if len(sel) > 1 and gap > 0.0:
+            pairs = tree.query_pairs(gap * (1.0 + _TREE_SLACK), output_type="ndarray")
+            if np.any(_pair_cdist(sel, pairs[:, 0], sel, pairs[:, 1]) < gap):
                 return False
         mask = np.ones(len(all_images), dtype=bool)
         mask[self.selected] = False
         rest = all_images[mask]
         if rest.size:
-            near = cdist(rest, sel).min(axis=1)
-            if near.max() >= self.separation + tol:
+            if _nearest_extreme(rest, sel, tree, farthest=True) >= self.separation + tol:
                 return False
         return True
 
@@ -191,22 +261,49 @@ def greedy_separated_subfamily(centers, images, sep: float) -> SeparatedFamily:
 
     The output satisfies separation by the acceptance test and maximality
     because every rejected image was within `sep` of some kept one.
+
+    Image i is kept iff no kept image j < i has
+    np.linalg.norm(images[j] - images[i]) < sep.  Rather than measure each
+    image against every kept one, each kept image rejects the later images
+    close to it, so only close pairs are ever measured:
+
+    - A pair that close in full is within sep(1 + _TREE_SLACK) in the
+      leading _PREFILTER_COLUMNS columns (dropping columns can only shorten
+      a difference; the slack covers the different rounding of the sums), so
+      one k-d tree over those columns lists its candidates.
+    - Each candidate is rechecked with the scan's own predicate.
+      np.linalg.norm(..., axis=1) reduces every row by itself, so a row has
+      the same bits in any number of rows.
+    - Images with no other image within reach in the tree are kept without a
+      query: nothing is close to them.
+
+    Python runs one boolean step per image with a neighbour in reach and one
+    tree query per kept image.
     """
     images = np.asarray(images, dtype=float)
     if len(centers) != len(images) or len(images) == 0:
         raise ValueError("greedy_separated_subfamily: need equally many centers and images")
+    if images.ndim != 2 or not np.all(np.isfinite(images)):
+        raise ValueError("greedy_separated_subfamily: images must be a finite 2-d array")
     if sep <= 0.0:
         raise ValueError("greedy_separated_subfamily: sep must be > 0")
-    kept: list[int] = []
-    kept_imgs = np.empty_like(images)  # rows [0, len(kept)) hold the kept images
-    for i, img in enumerate(images):
-        if kept and np.min(np.linalg.norm(kept_imgs[: len(kept)] - img, axis=1)) < sep:
-            continue
-        kept_imgs[len(kept)] = img
-        kept.append(i)
-    return SeparatedFamily(
-        selected=np.array(kept, dtype=int), images=kept_imgs[: len(kept)], separation=sep
-    )
+    lead = images[:, : min(_PREFILTER_COLUMNS, images.shape[1])]
+    tree = cKDTree(lead)
+    reach = sep * (1.0 + _TREE_SLACK)
+    rejected = np.zeros(len(images), dtype=bool)
+    if len(images) > 1:
+        # nearest other image in the tree; inf where none is within reach
+        second = tree.query(lead, k=2, distance_upper_bound=reach)[0][:, 1]
+        for i in np.flatnonzero(np.isfinite(second)).tolist():
+            if rejected[i]:
+                continue
+            later = np.asarray(tree.query_ball_point(lead[i], reach), dtype=np.intp)
+            later = later[later > i]
+            for part in _recheck_chunks(later, images.shape[1]):
+                rows = later[part]
+                rejected[rows[np.linalg.norm(images[i] - images[rows], axis=1) < sep]] = True
+    selected = np.flatnonzero(~rejected)
+    return SeparatedFamily(selected=selected, images=images[selected], separation=sep)
 
 
 def ball_volume_constant(n: int) -> float:
@@ -250,6 +347,10 @@ def theta_assignment(n_centers: int, fam: SeparatedFamily, images) -> ThetaFiber
 
     Ties break toward the lowest selected index.  Maximality guarantees the
     assignment distance is < separation for every leftover.
+
+    The nearest image is the argmin of the cdist row, found among the
+    selected images a k-d tree lists within the maximality limit
+    (:func:`_nearest_below`), so only close pairs are measured.
     """
     images = np.asarray(images, dtype=float)
     mask = np.ones(n_centers, dtype=bool)
@@ -258,14 +359,12 @@ def theta_assignment(n_centers: int, fam: SeparatedFamily, images) -> ThetaFiber
     fibers: dict[int, list[int]] = {}
     if leftovers.size == 0:
         return ThetaFibers(assignment=np.empty(0, dtype=int), leftovers=leftovers, fibers=fibers)
-    d = cdist(images[leftovers], fam.images)
-    nearest = np.argmin(d, axis=1)  # first minimum = lowest selected index
-    take = d[np.arange(leftovers.size), nearest]
-    if np.any(take >= fam.separation + 1e-12):
+    nearest = _nearest_below(images, leftovers, fam.images, fam.separation + 1e-12)
+    if np.any(nearest < 0):
         raise AssertionError("theta_assignment: maximality violated")
     assignment = fam.selected[nearest]
-    for pos, anchor in zip(leftovers, assignment):
-        fibers.setdefault(int(anchor), []).append(int(pos))
+    for pos, anchor in zip(leftovers.tolist(), assignment.tolist()):
+        fibers.setdefault(anchor, []).append(pos)
     return ThetaFibers(assignment=assignment, leftovers=leftovers, fibers=fibers)
 
 
@@ -460,11 +559,6 @@ def hausdorff_distance_estimate(A, B) -> float:
         _nearest_extreme(A, B, cKDTree(B), farthest=True),
         _nearest_extreme(B, A, cKDTree(A), farthest=True),
     )
-
-
-#: Relative gap within which a tree distance may misorder two cdist values;
-#: both are sums of squares rounded in different orders.
-_TREE_SLACK = 1e-9
 
 
 def _nearest_extreme(A: np.ndarray, B: np.ndarray, tree: cKDTree, farthest: bool) -> float:

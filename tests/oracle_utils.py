@@ -2,8 +2,9 @@
 
 Arbitrary-precision (mpmath) values, plus brute-force full scans: the
 O(n^2) sweep for packing separation, the full-pass greedy net, the
-full-cdist set distances and the net transported to one basepoint at a
-time.  Everything here recomputes results from first principles,
+full-cdist set distances, the one-image-at-a-time separated subfamily with
+its full-cdist assignment and checks, and the net transported to one
+basepoint at a time.  Everything here recomputes results from first principles,
 independently of the library's evaluation strategy.
 """
 
@@ -182,3 +183,50 @@ def per_point_transport(tmpl, p):
 def per_point_augmented(F, tmpl, points):
     """The net-augmented map one basepoint at a time: F over each net, flattened."""
     return np.array([F.fn(per_point_transport(tmpl, p)).ravel() for p in points])
+
+
+def loop_separated_subfamily(images, sep):
+    """(selected, kept images) of the greedy scan, one image at a time: image
+    i is kept iff its norm distance to every image kept before it is >= sep."""
+    images = np.asarray(images, dtype=float)
+    kept = []
+    kept_imgs = np.empty_like(images)
+    for i, img in enumerate(images):
+        if kept and np.min(np.linalg.norm(kept_imgs[: len(kept)] - img, axis=1)) < sep:
+            continue
+        kept_imgs[len(kept)] = img
+        kept.append(i)
+    return np.array(kept, dtype=int), kept_imgs[: len(kept)]
+
+
+def full_cdist_theta(n_centers, selected, sel_images, images, sep):
+    """(assignment, leftovers, fibers) from the full cdist of leftovers to the
+    selected images: first minimum per row, so ties go to the lowest position.
+    Raises AssertionError where a leftover is not within sep + 1e-12."""
+    mask = np.ones(n_centers, dtype=bool)
+    mask[selected] = False
+    leftovers = np.nonzero(mask)[0]
+    if leftovers.size == 0:
+        return np.empty(0, dtype=int), leftovers, {}
+    d = cdist(np.asarray(images, dtype=float)[leftovers], sel_images)
+    nearest = np.argmin(d, axis=1)
+    if np.any(d[np.arange(leftovers.size), nearest] >= sep + 1e-12):
+        raise AssertionError("maximality violated")
+    assignment = selected[nearest]
+    fibers = {}
+    for pos, anchor in zip(leftovers, assignment):
+        fibers.setdefault(int(anchor), []).append(int(pos))
+    return assignment, leftovers, fibers
+
+
+def full_cdist_verify(selected, sel_images, sep, all_images, tol=1e-12):
+    """Separation and maximality of a separated family, from full cdists."""
+    if len(sel_images) > 1:
+        gaps = cdist(sel_images, sel_images)
+        np.fill_diagonal(gaps, np.inf)
+        if gaps.min() < sep - tol:
+            return False
+    mask = np.ones(len(all_images), dtype=bool)
+    mask[selected] = False
+    rest = all_images[mask]
+    return not (rest.size and cdist(rest, sel_images).min(axis=1).max() >= sep + tol)

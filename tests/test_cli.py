@@ -77,11 +77,13 @@ class TestPack:
         assert payload["family"]["n_centers"] == len(payload["family"]["centers_polar"]) == 48_539
         assert payload["report"]["pass"] is True
 
-    def test_huge_family_terminates(self, tmp_path):
-        # about 1.4e25 directions: the count passes 2**53 by far
+    def test_huge_family_terminates(self, tmp_path, capsys):
+        # about 1.4e25 directions: the count passes 2**53 by far, and the
+        # packing angle is far below the rounding of the lag angles
         with time_limit(20.0):
-            rc, _ = run(tmp_path, "pack.json", ["pack", "--C", "1", "--R", "60", "--cap", "100"])
-        assert rc in (0, 2)
+            rc, out = run(tmp_path, "pack.json", ["pack", "--C", "1", "--R", "60", "--cap", "100"])
+        assert rc == 2 and not out.exists()
+        assert "too small for double precision" in capsys.readouterr().err
 
 
 class TestGrowth:
@@ -254,6 +256,41 @@ class TestTolerance:
             main(argv + ["--tolerance", "1e-9"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+
+
+class TestSeed:
+    """Only the search draws random samples, so only it takes a seed."""
+
+    OTHERS = (
+        ["pack", "--C", "1", "--R", "3"],
+        ["growth", "--R-from", "3", "--R-to", "4"],
+        ["demo-flat", "--K", "1"],
+    )
+
+    @pytest.mark.parametrize("argv", OTHERS)
+    def test_seed_flag_refused(self, argv, capsys):
+        with time_limit(10.0), pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", OTHERS)
+    def test_seed_config_key_refused(self, tmp_path, argv, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": 3}))
+        with time_limit(10.0):
+            rc, out = run(tmp_path, "out.json", argv + ["--config", str(cfg)])
+        assert rc == 2 and not out.exists()
+        assert f"unknown key 'seed' for {argv[0]}" in capsys.readouterr().err
+
+    def test_search_reads_seed_from_config(self, tmp_path):
+        argv = ["search", "--r", "1", "--eps", "0.5", "--k", "3", "--samples", "16"]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": 7}))
+        _, a = run(tmp_path, "a.json", argv + ["--config", str(cfg)])
+        _, b = run(tmp_path, "b.json", argv + ["--seed", "7"])
+        assert json.loads(a.read_text())["params"]["seed"] == 7
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestDeterminism:

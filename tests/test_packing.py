@@ -1,6 +1,7 @@
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -23,6 +24,7 @@ from oracle_utils import (
     brute_min_lag_distance,
     mp_count_lower_bound,
     mp_direction_count,
+    mp_dist_given_q,
     mp_packing_angle,
     rel_err,
 )
@@ -225,9 +227,10 @@ class TestVerifyPacking:
 
     @staticmethod
     def _oracle_families():
-        """Seeded families: uncapped and subsampled, m = 2 and 3, plus edge cases."""
+        """Seeded families: uncapped and subsampled, m = 2 and 3, plus edge cases
+        (R = 24 is near the largest R that generate_centers accepts at C = 1)."""
         rng = np.random.default_rng(4242)
-        specs = [(1.0, 2.0 + 1e-6, 2, 100), (1.0, 3.0, 3, 100), (1.0, 40.0, 2, 500), (1.0, 60.0, 3, 300)]
+        specs = [(1.0, 2.0 + 1e-6, 2, 100), (1.0, 3.0, 3, 100), (1.0, 24.0, 2, 500), (1.0, 24.0, 3, 300)]
         for i in range(18):
             C = float(rng.uniform(0.5, 3.0))
             specs.append((C, 2.0 * C + float(rng.uniform(0.2, 6.0)), 2 + i % 2, (5_000, 700)[i // 2 % 2]))
@@ -242,6 +245,41 @@ class TestVerifyPacking:
             rep = verify_packing(fam)
             assert rep.min_pairwise == oracle
             assert rep.pairs_checked == len(fam) * (len(fam) - 1) // 2
+
+
+class TestLagResolution:
+    """generate_centers refuses packing angles that the rounding of lag * alpha swamps."""
+
+    @staticmethod
+    def wrap_pair(C, R):
+        """(k, lag_distance, exact distance) of the pair (0, k), at the double
+        alpha times exact k in the mpmath oracle."""
+        alpha = packing_angle(C, R)
+        k = direction_count(alpha)
+        rho = R - C
+        exact = mp_dist_given_q(rho, rho, mp.sin(k * mp.mpf(alpha)) ** 2)
+        return k, float(lag_distance(rho, alpha, k)), exact
+
+    def test_R38_refused_where_doubles_pass_a_close_pair(self):
+        k, doubles, exact = self.wrap_pair(1.0, 38.0)
+        assert doubles >= 2.0 and exact < 2.0  # 3.83 in doubles, 1.92 exactly
+        assert k != mp_direction_count(1, 38)
+        with pytest.raises(NumericRangeError, match="too small for double precision"):
+            generate_centers(PackingSpec.at_origin(1.0, 38.0, 2), cap=100)
+
+    @pytest.mark.parametrize("C, R", [(1.0, 12.0), (1.0, 20.0), (1.0, 24.0), (8.0, 32.0), (1.0, 11.7)])
+    def test_accepted_families_match_the_oracle(self, C, R):
+        # R = 32 at C = 8 is the last rung of the default search ladder
+        fam = generate_centers(PackingSpec.at_origin(C, R, 2), cap=100)
+        k, doubles, exact = self.wrap_pair(C, R)
+        assert k == mp_direction_count(C, R) == fam.indices[-1]
+        assert exact >= 2.0 * C
+        assert abs(doubles - exact) <= 2e-6
+
+    @pytest.mark.parametrize("R", [26.0, 30.0])
+    def test_refused_beyond_the_bound(self, R):
+        with pytest.raises(NumericRangeError):
+            generate_centers(PackingSpec.at_origin(1.0, R, 2), cap=100)
 
 
 class TestCountLowerBound:

@@ -1,10 +1,20 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
-from conftest import poincare_at
-from oracle_utils import brute_hausdorff, brute_set_distance_max
+from conftest import poincare_at, time_limit
+from oracle_utils import (
+    brute_hausdorff,
+    brute_set_distance_max,
+    full_cdist_theta,
+    full_cdist_verify,
+    loop_separated_subfamily,
+)
 import hypack.search
 from hypack.geometry import HPoint, HTangent, PolarBatch, distance, exp_map, sample_ball, transport_frame
 from hypack.maps import LipschitzMapHandle, busemann_map, ideal_point, poincare_inclusion
@@ -13,6 +23,8 @@ from hypack.packing import PackingSpec, generate_centers
 from hypack.search import (
     ScheduleExhausted,
     SearchParams,
+    SeparatedFamily,
+    _pair_cdist,
     _sample_ball_points,
     _set_distance_max,
     augment_map,
@@ -87,10 +99,18 @@ class TestGreedySeparated:
 
     def test_verify_catches_violations(self):
         imgs = np.array([[0.0], [0.5], [2.0]])
-        from hypack.search import SeparatedFamily
-
         bad = SeparatedFamily(selected=np.array([0, 1]), images=imgs[:2], separation=1.0)
         assert not bad.verify(imgs)
+        # and a leftover that no selected image covers
+        sparse = SeparatedFamily(selected=np.array([0]), images=imgs[:1], separation=1.0)
+        assert not sparse.verify(imgs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_images_refused(self, bad):
+        imgs = np.zeros((4, 3))
+        imgs[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            greedy_separated_subfamily([None] * 4, imgs, 1.0)
 
 
 class TestCountingBound:
@@ -401,3 +421,138 @@ class TestTreeDistances:
             A, B = np.array([a, a[P]]), np.array([b, b[P]])
             assert _set_distance_max([A, B]) == brute_set_distance_max([A, B])
             assert hausdorff_distance_estimate(A, B) == brute_hausdorff(A, B)
+
+
+@st.composite
+def pigeonhole_cases(draw):
+    """(images, sep, recheck chunk): small image sets with duplicates, exact
+    distances and equidistant ties, shifted far from the origin or not."""
+    width = draw(st.sampled_from([1, 2, 3, 8, 40]))
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["lattice", "random", "clustered", "spread"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "lattice":  # few distinct distances: exact ties everywhere
+        X = 0.5 * rng.integers(0, 3, (n, width)).astype(float)
+    elif kind == "random":
+        X = rng.standard_normal((n, width))
+    elif kind == "clustered":
+        centers = 3.0 * rng.standard_normal((max(1, n // 5), width))
+        X = centers[rng.integers(0, len(centers), n)] + 0.2 * rng.standard_normal((n, width))
+    else:  # all far apart (no leftover), or one repeated row (one leftover)
+        X = np.zeros((n, width))
+        X[:, 0] = 10.0 * np.arange(n)
+        if n > 1 and draw(st.booleans()):
+            X[-1] = X[int(rng.integers(0, n - 1))]
+    if kind != "spread" and n > 1 and draw(st.booleans()):  # duplicated rows
+        X[rng.integers(0, n, n // 3 + 1)] = X[rng.integers(0, n, n // 3 + 1)]
+    if draw(st.booleans()):
+        X = X + 1e6
+    how = draw(st.sampled_from(["norm pair", "cdist pair", "scale"]))
+    sep = draw(st.floats(0.05, 3.0)) if kind != "spread" else 1.0
+    if how != "scale" and kind != "spread" and n > 1:
+        i, j = rng.choice(n, 2, replace=False)
+        exact = (
+            float(np.linalg.norm(X[i] - X[j]))
+            if how == "norm pair"
+            else float(cdist(X[i : i + 1], X[j : j + 1])[0, 0])
+        )
+        if exact > 0.0:  # a pair at exactly the separation
+            sep = exact
+    chunk = draw(st.sampled_from([1, 7, 1 << 16, 1 << 40]))
+    return X, sep, chunk
+
+
+class TestPigeonholeScans:
+    """The neighbour-local scans against the one-image loop and full cdists."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=pigeonhole_cases())
+    def test_equal_to_full_scans(self, case):
+        X, sep, chunk = case
+        sel, kept = loop_separated_subfamily(X, sep)
+        with mock.patch.object(hypack.search, "_RECHECK_ELEMENTS", chunk):
+            sf = greedy_separated_subfamily([None] * len(X), X, sep)
+            assert sf.selected.dtype == sel.dtype
+            assert np.array_equal(sf.selected, sel)
+            assert np.array_equal(sf.images, kept)
+            assert sf.verify(X) is full_cdist_verify(sel, kept, sep, X) is True
+            fib = theta_assignment(len(X), sf, X)
+        assignment, leftovers, fibers = full_cdist_theta(len(X), sel, kept, X, sep)
+        assert np.array_equal(fib.assignment, assignment)
+        assert np.array_equal(fib.leftovers, leftovers)
+        assert fib.fibers == fibers and list(fib.fibers) == list(fibers)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=pigeonhole_cases(), pick=st.integers(0, 2**32 - 1), tol=st.sampled_from([1e-12, 0.0, 0.3]))
+    def test_hand_built_families(self, case, pick, tol):
+        # arbitrary subsets: verify and the assignment must fail where the full scans fail
+        X, sep, chunk = case
+        rng = np.random.default_rng(pick)
+        sel = np.flatnonzero(rng.random(len(X)) < 0.5)
+        if sel.size == 0:
+            sel = np.array([int(rng.integers(0, len(X)))])
+        fam = SeparatedFamily(selected=sel, images=X[sel], separation=sep)
+        with mock.patch.object(hypack.search, "_RECHECK_ELEMENTS", chunk):
+            assert fam.verify(X, tol) is full_cdist_verify(sel, X[sel], sep, X, tol)
+            try:
+                expected = full_cdist_theta(len(X), sel, X[sel], X, sep)
+            except AssertionError:
+                with pytest.raises(AssertionError, match="maximality"):
+                    theta_assignment(len(X), fam, X)
+                return
+            fib = theta_assignment(len(X), fam, X)
+        assert np.array_equal(fib.assignment, expected[0])
+        assert fib.fibers == expected[2] and list(fib.fibers) == list(expected[2])
+
+    def test_equidistant_leftover_goes_to_the_lowest_anchor(self):
+        # the middle rows are exactly 1 from both neighbours in every width
+        for width in (1, 2, 3, 8, 40):
+            X = np.zeros((5, width))
+            X[:, 0] = [0.0, 2.0, 1.0, 4.0, 3.0]
+            sf = greedy_separated_subfamily([None] * 5, X, 1.5)
+            assert sf.selected.tolist() == [0, 1, 3]
+            assert theta_assignment(5, sf, X).fibers == {0: [2], 1: [4]}
+
+    @pytest.mark.parametrize("width", [1, 3, 40])
+    def test_images_exactly_sep_apart_are_separated(self, width):
+        X = np.zeros((3, width))
+        X[:, 0] = [0.0, 1.0, 0.5]
+        X += 1e6
+        sf = greedy_separated_subfamily([None] * 3, X, 1.0)
+        assert sf.selected.tolist() == [0, 1]
+        for tol in (0.0, 1e-12):
+            assert sf.verify(X, tol) is full_cdist_verify(sf.selected, sf.images, 1.0, X, tol) is True
+        assert not sf.verify(X, -1e-9)  # a separation just above the gap
+
+    @pytest.mark.parametrize("width", [2, 3, 6, 40, 7695])
+    def test_pair_distances_have_cdist_bits(self, width):
+        rng = np.random.default_rng(width)
+        A = rng.standard_normal((9, width)) * 10.0 ** rng.integers(-3, 4, (9, 1))
+        B = A[::-1] + 1e-3 * rng.standard_normal((9, width))
+        a = np.repeat(np.arange(9), 9)
+        b = np.tile(np.arange(9), 9)
+        for chunk in (1, 1 << 16):
+            with mock.patch.object(hypack.search, "_RECHECK_ELEMENTS", chunk):
+                assert np.array_equal(_pair_cdist(A, a, B, b), cdist(A, B).ravel())
+
+    def test_wide_clustered_family_is_fast(self):
+        # 6,000 images of width 512 in 2,000 tight clusters far apart; the
+        # one-image loop takes over ten seconds here
+        rng = np.random.default_rng(7)
+        clusters, members, width = 2000, 3, 512
+        jitter = rng.standard_normal((clusters * members, width))
+        jitter *= (0.2 * rng.random(len(jitter)) / np.linalg.norm(jitter, axis=1))[:, None]
+        X = np.repeat(10.0 * rng.standard_normal((clusters, width)), members, axis=0) + jitter
+        order = rng.permutation(len(X))
+        X, label = X[order], np.repeat(np.arange(clusters), members)[order]
+        with time_limit(10.0):
+            sf = greedy_separated_subfamily([None] * len(X), X, 1.0)
+            ok = sf.verify(X)
+            fib = theta_assignment(len(X), sf, X)
+        # each cluster keeps its first row and gathers the others in its fiber
+        first = {}
+        for pos, c in enumerate(label.tolist()):
+            first.setdefault(c, pos)
+        assert ok and sf.selected.tolist() == sorted(first.values())
+        assert all(label[a] == label[m] for a, ms in fib.fibers.items() for m in ms)
+        assert sum(map(len, fib.fibers.values())) == len(X) - clusters
