@@ -235,12 +235,16 @@ class CoverReport:
         return self.covered_fraction == 1.0 and self.max_radial <= self.rho + 1e-9
 
 
+#: Samples verify_cover measures against the net per step; bounds the
+#: memory of its sample-by-net matrices.
+_COVER_CHUNK = 4096
+
+
 def verify_cover(
     tmpl: NetTemplate,
     p: HPoint,
     samples: int = 100_000,
     seed: int = 0,
-    chunk: int = 4096,
 ) -> CoverReport:
     """Monte-Carlo check that B(p, rho) is covered by delta-balls at the net.
 
@@ -280,8 +284,8 @@ def verify_cover(
     X = sample_ball(tmpl.m, tmpl.rho, samples, rng)
     covered = 0
     worst_u = 0.0
-    for lo in range(0, samples, chunk):
-        xs = X[lo : lo + chunk]
+    for lo in range(0, samples, _COVER_CHUNK):
+        xs = X[lo : lo + _COVER_CHUNK]
         xr = np.linalg.norm(xs, axis=1)
         dots = xs @ tmpl.tangent_points.T  # |x| |n_j| cos(angle)
         u = np.cosh(xr)[:, None] * cosh_n[None, :] - 1.0

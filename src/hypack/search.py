@@ -33,7 +33,6 @@ __all__ = [
     "SeparatedFamily",
     "ThetaFibers",
     "augment_map",
-    "ball_volume_constant",
     "choose_C_hausdorff",
     "choose_C_setdist",
     "corollary_sequences",
@@ -81,8 +80,12 @@ def _check_r_eps(r: float, epsilon: float):
         raise ValueError("epsilon must lie in (0, 1)")
 
 
-def default_schedule(C: float, cap: int, max_rungs: int = 24) -> tuple[float, ...]:
-    """Geometric ladder R_i = 2C + 2 * 2^i.
+#: Most rungs default_schedule makes.
+_MAX_RUNGS = 24
+
+
+def default_schedule(C: float, cap: int) -> tuple[float, ...]:
+    """Geometric ladder R_i = 2C + 2 * 2^i, at most _MAX_RUNGS rungs.
 
     The excess over 2C doubles per rung; the ladder stops once the uncapped
     family size would exceed 10x the cap (one final rung past that bound is
@@ -90,7 +93,7 @@ def default_schedule(C: float, cap: int, max_rungs: int = 24) -> tuple[float, ..
     """
     rungs = []
     excess = 2.0
-    for _ in range(max_rungs):
+    for _ in range(_MAX_RUNGS):
         R = 2.0 * C + excess
         rungs.append(R)
         try:
@@ -105,12 +108,11 @@ def default_schedule(C: float, cap: int, max_rungs: int = 24) -> tuple[float, ..
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Search parameters; C is derived from (r, epsilon) by the chooser."""
+    """Search parameters; C is derived from (r, epsilon, hausdorff) by the chooser."""
 
     r: float
     epsilon: float
     k: int
-    C: float
     R_schedule: tuple[float, ...]
     m: int = 2
     cap: int = 100_000
@@ -123,21 +125,17 @@ class SearchParams:
             raise ValueError("SearchParams: k must be >= 2")
         if self.m < 2:
             raise ValueError("SearchParams: m must be >= 2")
-        if self.hausdorff:
-            if self.C < choose_C_hausdorff(self.r, self.epsilon) - 1e-12:
-                raise ValueError("SearchParams: C below the Hausdorff threshold")
-        else:
-            expected = choose_C_setdist(self.r, self.epsilon)
-            if abs(self.C - expected) > 1e-12 * max(1.0, expected):
-                raise ValueError(
-                    f"SearchParams: set-distance C must equal 2(2 r eps + 1)/eps = {expected}"
-                )
         if not self.R_schedule:
             raise ValueError("SearchParams: empty R schedule")
         if any(R <= 2.0 * self.C for R in self.R_schedule):
             raise ValueError("SearchParams: every R must exceed 2C")
         if any(b <= a for a, b in zip(self.R_schedule, self.R_schedule[1:])):
             raise ValueError("SearchParams: R schedule must be increasing")
+
+    @property
+    def C(self) -> float:
+        """The chooser's separation scale for the set-distance or the Hausdorff conclusion."""
+        return (choose_C_hausdorff if self.hausdorff else choose_C_setdist)(self.r, self.epsilon)
 
     @staticmethod
     def derive(
@@ -151,7 +149,7 @@ class SearchParams:
         if R_max is not None:
             sched = tuple(R for R in sched if R <= R_max) or (min(sched[0], R_max),)
         return SearchParams(
-            r=r, epsilon=epsilon, k=k, C=C, R_schedule=sched, m=m, cap=cap, seed=seed,
+            r=r, epsilon=epsilon, k=k, R_schedule=sched, m=m, cap=cap, seed=seed,
             hausdorff=hausdorff,
         )
 
@@ -189,14 +187,13 @@ def _pair_cdist(A: np.ndarray, a: np.ndarray, B: np.ndarray, b: np.ndarray) -> n
     return np.sqrt(out)
 
 
-def _nearest_below(A: np.ndarray, rows: np.ndarray, B: np.ndarray, limit: float) -> np.ndarray:
-    """Position in B of the row nearest to each A[rows[t]] under cdist, the
-    lowest position on ties; -1 where no row of B is closer than `limit`.
+def _close_pairs(A: np.ndarray, rows: np.ndarray, B: np.ndarray, limit: float):
+    """(t, j, d) for every pair of A[rows[t]] and B[j] that cdist puts below
+    `limit`, with d the cdist value.
 
-    Equals np.argmin(cdist(A[rows], B), axis=1) wherever that minimum is
-    below `limit`: every such pair lies within limit(1 + _TREE_SLACK) in the
-    leading columns, so one k-d tree pass over those columns lists it, and
-    the candidates are measured with cdist's bits.
+    Exact: every such pair lies within limit(1 + _TREE_SLACK) in the leading
+    columns, so one k-d tree pass over those columns lists it, and the
+    candidates are measured with cdist's bits.
     """
     w = min(_PREFILTER_COLUMNS, A.shape[1])
     pairs = cKDTree(A[rows, :w]).sparse_distance_matrix(
@@ -205,7 +202,17 @@ def _nearest_below(A: np.ndarray, rows: np.ndarray, B: np.ndarray, limit: float)
     t, j = pairs["i"], pairs["j"]
     d = _pair_cdist(A, rows[t], B, j)
     below = d < limit
-    t, j, d = t[below], j[below], d[below]
+    return t[below], j[below], d[below]
+
+
+def _nearest_below(A: np.ndarray, rows: np.ndarray, B: np.ndarray, limit: float) -> np.ndarray:
+    """Position in B of the row nearest to each A[rows[t]] under cdist, the
+    lowest position on ties; -1 where no row of B is closer than `limit`.
+
+    Equals np.argmin(cdist(A[rows], B), axis=1) wherever that minimum is
+    below `limit`, since :func:`_close_pairs` lists every such pair.
+    """
+    t, j, d = _close_pairs(A, rows, B, limit)
     best = np.full(len(rows), np.inf)
     np.minimum.at(best, t, d)
     tied = d == best[t]
@@ -220,40 +227,15 @@ class SeparatedFamily:
     """Maximal subfamily whose images are pairwise >= separation apart.
 
     ``selected`` holds positions into the scanned center list.  Property a)
-    (pairwise separation) and b) (maximality) hold by construction of the
-    greedy scan and can be re-verified with the decisions of the exhaustive
-    scans.
+    (pairwise separation) and b) (maximality: every other image lies within
+    the separation of a selected one) hold by construction of the greedy
+    scan.  :func:`theta_assignment`, which needs b) anyway, checks both for
+    any family it is given, with the decisions of the full cdist scans.
     """
 
     selected: np.ndarray
     images: np.ndarray
     separation: float
-
-    def verify(self, all_images: np.ndarray, tol: float = 1e-12) -> bool:
-        """Both properties, decided as by the full scans: no two selected
-        images closer than separation - tol under cdist, and
-        cdist(rest, selected).min(axis=1).max() < separation + tol.
-
-        One k-d tree on the selected images serves both.  Its pairs within
-        (separation - tol)(1 + _TREE_SLACK) include every pair that cdist
-        puts below separation - tol, and they are rechecked with cdist's
-        bits; the maximality half is :func:`_nearest_extreme`, which equals
-        the full-cdist maximum bit for bit.
-        """
-        sel = self.images
-        tree = cKDTree(sel)
-        gap = self.separation - tol
-        if len(sel) > 1 and gap > 0.0:
-            pairs = tree.query_pairs(gap * (1.0 + _TREE_SLACK), output_type="ndarray")
-            if np.any(_pair_cdist(sel, pairs[:, 0], sel, pairs[:, 1]) < gap):
-                return False
-        mask = np.ones(len(all_images), dtype=bool)
-        mask[self.selected] = False
-        rest = all_images[mask]
-        if rest.size:
-            if _nearest_extreme(rest, sel, tree, farthest=True) >= self.separation + tol:
-                return False
-        return True
 
 
 def greedy_separated_subfamily(centers, images, sep: float) -> SeparatedFamily:
@@ -306,11 +288,6 @@ def greedy_separated_subfamily(centers, images, sep: float) -> SeparatedFamily:
     return SeparatedFamily(selected=selected, images=images[selected], separation=sep)
 
 
-def ball_volume_constant(n: int) -> float:
-    """Volume of the unit ball in R^n (cancels in the counting bound)."""
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-
-
 def counting_upper_bound(R: float, C: float, L: float, n: int) -> float:
     """Volume bound on a 1/C-separated image family: (3 C L R + 1)^n.
 
@@ -345,21 +322,34 @@ class ThetaFibers:
 def theta_assignment(n_centers: int, fam: SeparatedFamily, images) -> ThetaFibers:
     """Map every non-selected center to the nearest selected image.
 
-    Ties break toward the lowest selected index.  Maximality guarantees the
-    assignment distance is < separation for every leftover.
+    Ties break toward the lowest selected index.  This is also the one check
+    of the family, decided as by the full cdist scans; AssertionError names
+    the property that fails:
 
-    The nearest image is the argmin of the cdist row, found among the
-    selected images a k-d tree lists within the maximality limit
-    (:func:`_nearest_below`), so only close pairs are measured.
+    - separation: no two selected images closer than separation - 1e-12
+      under cdist.  Every such pair lies within that limit times
+      (1 + _TREE_SLACK) in the leading columns (dropping columns never
+      lengthens a difference; the slack covers the different rounding of
+      the sums), so :func:`_close_pairs` lists it and cdist's bits decide
+      it.  The check therefore fails exactly when an off-diagonal entry of
+      cdist(selected, selected) is below the limit.
+    - maximality: every leftover has a selected image closer than
+      separation + 1e-12.  Its nearest one is the argmin of its cdist row,
+      found among the candidates of the same prefilter
+      (:func:`_nearest_below`), so only close pairs are measured.
     """
     images = np.asarray(images, dtype=float)
+    sel = fam.images
+    t, j, _ = _close_pairs(sel, np.arange(len(sel)), sel, fam.separation - 1e-12)
+    if np.any(t != j):
+        raise AssertionError("theta_assignment: separation violated")
     mask = np.ones(n_centers, dtype=bool)
     mask[fam.selected] = False
     leftovers = np.nonzero(mask)[0]
     fibers: dict[int, list[int]] = {}
     if leftovers.size == 0:
         return ThetaFibers(assignment=np.empty(0, dtype=int), leftovers=leftovers, fibers=fibers)
-    nearest = _nearest_below(images, leftovers, fam.images, fam.separation + 1e-12)
+    nearest = _nearest_below(images, leftovers, sel, fam.separation + 1e-12)
     if np.any(nearest < 0):
         raise AssertionError("theta_assignment: maximality violated")
     assignment = fam.selected[nearest]
@@ -417,7 +407,6 @@ class BunchedConfiguration:
     pairwise_manifold_min: float
     pairwise_image_max: float
     fiber_anchor: HPoint
-    hausdorff_max: float | None = None
     alpha: float | None = None
     indices: tuple[float, ...] | None = None
     center_radius: float | None = None
@@ -485,8 +474,6 @@ def find_bunched_configuration(
         fam = generate_centers(PackingSpec.at_origin(params.C, R, params.m), params.cap)
         images = eff_F.batch(fam.centers)
         sf = greedy_separated_subfamily(fam.centers, images, sep)
-        if not sf.verify(images):
-            raise AssertionError("separated family invariants failed")
         # volume bound; the augmented pipeline uses the affine growth
         # sqrt(l) L (R + 2 rho) of the concatenated image
         bound_L = math.sqrt(net.l) * F.L if params.hausdorff else F.L

@@ -28,7 +28,6 @@ from hypack.search import (
     _sample_ball_points,
     _set_distance_max,
     augment_map,
-    ball_volume_constant,
     certify_configuration,
     choose_C_hausdorff,
     choose_C_setdist,
@@ -84,7 +83,7 @@ class TestGreedySeparated:
         imgs = np.zeros((5, 2))
         sf = greedy_separated_subfamily([None] * 5, imgs, 1.0)
         assert list(sf.selected) == [0]
-        assert sf.verify(imgs)
+        assert theta_assignment(5, sf, imgs).fibers == {0: [1, 2, 3, 4]}
 
     def test_all_far_apart_select_all(self):
         imgs = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
@@ -95,15 +94,24 @@ class TestGreedySeparated:
         imgs = np.array([[0.0], [0.4], [0.9], [1.3]])
         sf = greedy_separated_subfamily([None] * 4, imgs, 1.0)
         assert list(sf.selected) == [0, 3]
-        assert sf.verify(imgs)
+        assert theta_assignment(4, sf, imgs).fibers == {0: [1], 3: [2]}
 
     def test_verify_catches_violations(self):
         imgs = np.array([[0.0], [0.5], [2.0]])
         bad = SeparatedFamily(selected=np.array([0, 1]), images=imgs[:2], separation=1.0)
-        assert not bad.verify(imgs)
+        with pytest.raises(AssertionError, match="separation"):
+            theta_assignment(3, bad, imgs)
         # and a leftover that no selected image covers
         sparse = SeparatedFamily(selected=np.array([0]), images=imgs[:1], separation=1.0)
-        assert not sparse.verify(imgs)
+        with pytest.raises(AssertionError, match="maximality"):
+            theta_assignment(3, sparse, imgs)
+
+    def test_close_pair_without_leftovers_is_refused(self):
+        # every image is selected, so only the separation check can see the pair
+        imgs = np.array([[0.0], [0.5]])
+        fam = SeparatedFamily(selected=np.array([0, 1]), images=imgs, separation=1.0)
+        with pytest.raises(AssertionError, match="separation"):
+            theta_assignment(2, fam, imgs)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_images_refused(self, bad):
@@ -122,10 +130,6 @@ class TestCountingBound:
 
     def test_log_domain_guard(self):
         assert counting_upper_bound(1e6, 1e6, 1.0, 1000) == math.inf
-
-    def test_ball_volume_constant(self):
-        assert ball_volume_constant(2) == pytest.approx(math.pi, rel=1e-12)
-        assert ball_volume_constant(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
 
 
 class TestThetaAssignment:
@@ -160,14 +164,6 @@ class TestThetaAssignment:
 
 
 class TestSearchParams:
-    def test_setdist_C_enforced(self):
-        with pytest.raises(ValueError):
-            SearchParams(r=1.0, epsilon=0.5, k=2, C=7.0, R_schedule=(20.0,))
-
-    def test_hausdorff_C_threshold(self):
-        with pytest.raises(ValueError):
-            SearchParams(r=1.0, epsilon=0.5, k=2, C=7.0, R_schedule=(20.0,), hausdorff=True)
-
     def test_schedule_must_exceed_2C(self):
         with pytest.raises(ValueError):
             SearchParams.derive(1.0, 0.5, 2, R_schedule=(15.0,))
@@ -475,7 +471,7 @@ class TestPigeonholeScans:
             assert sf.selected.dtype == sel.dtype
             assert np.array_equal(sf.selected, sel)
             assert np.array_equal(sf.images, kept)
-            assert sf.verify(X) is full_cdist_verify(sel, kept, sep, X) is True
+            assert full_cdist_verify(sel, kept, sep, X)
             fib = theta_assignment(len(X), sf, X)
         assignment, leftovers, fibers = full_cdist_theta(len(X), sel, kept, X, sep)
         assert np.array_equal(fib.assignment, assignment)
@@ -483,9 +479,9 @@ class TestPigeonholeScans:
         assert fib.fibers == fibers and list(fib.fibers) == list(fibers)
 
     @settings(max_examples=200, deadline=None)
-    @given(case=pigeonhole_cases(), pick=st.integers(0, 2**32 - 1), tol=st.sampled_from([1e-12, 0.0, 0.3]))
-    def test_hand_built_families(self, case, pick, tol):
-        # arbitrary subsets: verify and the assignment must fail where the full scans fail
+    @given(case=pigeonhole_cases(), pick=st.integers(0, 2**32 - 1))
+    def test_hand_built_families(self, case, pick):
+        # arbitrary subsets: the assignment must fail exactly where the full scans fail
         X, sep, chunk = case
         rng = np.random.default_rng(pick)
         sel = np.flatnonzero(rng.random(len(X)) < 0.5)
@@ -493,13 +489,11 @@ class TestPigeonholeScans:
             sel = np.array([int(rng.integers(0, len(X)))])
         fam = SeparatedFamily(selected=sel, images=X[sel], separation=sep)
         with mock.patch.object(hypack.search, "_RECHECK_ELEMENTS", chunk):
-            assert fam.verify(X, tol) is full_cdist_verify(sel, X[sel], sep, X, tol)
-            try:
-                expected = full_cdist_theta(len(X), sel, X[sel], X, sep)
-            except AssertionError:
-                with pytest.raises(AssertionError, match="maximality"):
+            if not full_cdist_verify(sel, X[sel], sep, X, 1e-12):
+                with pytest.raises(AssertionError, match="separation|maximality"):
                     theta_assignment(len(X), fam, X)
                 return
+            expected = full_cdist_theta(len(X), sel, X[sel], X, sep)
             fib = theta_assignment(len(X), fam, X)
         assert np.array_equal(fib.assignment, expected[0])
         assert fib.fibers == expected[2] and list(fib.fibers) == list(expected[2])
@@ -520,9 +514,13 @@ class TestPigeonholeScans:
         X += 1e6
         sf = greedy_separated_subfamily([None] * 3, X, 1.0)
         assert sf.selected.tolist() == [0, 1]
-        for tol in (0.0, 1e-12):
-            assert sf.verify(X, tol) is full_cdist_verify(sf.selected, sf.images, 1.0, X, tol) is True
-        assert not sf.verify(X, -1e-9)  # a separation just above the gap
+        assert full_cdist_verify(sf.selected, sf.images, 1.0, X, 1e-12)
+        assert theta_assignment(3, sf, X).fibers == {0: [2]}
+        # a separation just above the gap
+        wider = SeparatedFamily(selected=sf.selected, images=sf.images, separation=1.0 + 2e-9)
+        assert not full_cdist_verify(wider.selected, wider.images, wider.separation, X, 1e-12)
+        with pytest.raises(AssertionError, match="separation"):
+            theta_assignment(3, wider, X)
 
     @pytest.mark.parametrize("width", [2, 3, 6, 40, 7695])
     def test_pair_distances_have_cdist_bits(self, width):
@@ -547,12 +545,11 @@ class TestPigeonholeScans:
         X, label = X[order], np.repeat(np.arange(clusters), members)[order]
         with time_limit(10.0):
             sf = greedy_separated_subfamily([None] * len(X), X, 1.0)
-            ok = sf.verify(X)
             fib = theta_assignment(len(X), sf, X)
         # each cluster keeps its first row and gathers the others in its fiber
         first = {}
         for pos, c in enumerate(label.tolist()):
             first.setdefault(c, pos)
-        assert ok and sf.selected.tolist() == sorted(first.values())
+        assert sf.selected.tolist() == sorted(first.values())
         assert all(label[a] == label[m] for a, ms in fib.fibers.items() for m in ms)
         assert sum(map(len, fib.fibers.values())) == len(X) - clusters
