@@ -7,7 +7,9 @@ tangent space at o); ambient coordinates are kept only while they are
 representable.  Hot paths hold many points as one PolarBatch of rows, made by
 the one exp kernel, exp_rows, at one basepoint or at each of many.  All
 distances funnel through one log-domain law-of-cosines kernel that stays
-accurate for radii up to 1e4.
+accurate for radii up to 1e4, reached by three entry points: `distance` for
+HPoints and PolarBatch rows, packing.lag_distance for index lags at the
+packing angle, and `polar_distance` for (r1, r2, cos theta).
 
 Resolution caveat: double-precision o-based coordinates (ambient or polar)
 locate a point at radius r only to within ~eps*sinh(r) length units, so
@@ -32,7 +34,6 @@ __all__ = [
     "PolarBatch",
     "Transvection",
     "dist_given_q",
-    "dist_polar_angle",
     "distance",
     "exp_map",
     "exp_rows",
@@ -179,19 +180,6 @@ def polar_distance(r1: float, r2: float, cos_theta: float) -> float:
     # 1 - c is exact for c in [0.5, 1] (Sterbenz), so q keeps full precision.
     q = 0.5 * (1.0 - c)
     return float(dist_given_q(r1, r2, q))
-
-
-def dist_polar_angle(r1, r2, theta):
-    """Like :func:`polar_distance` but takes the angle itself.
-
-    Feeding the angle avoids the quantization of cos(theta) near 1, which
-    is what limits separation certificates for nearly-parallel directions.
-    Accepts arrays.  Angles outside [0, pi] are folded by the symmetry of
-    sin^2(theta/2).
-    """
-    theta = np.asarray(theta, dtype=float)
-    q = np.sin(0.5 * theta) ** 2
-    return dist_given_q(r1, r2, q)
 
 
 def _libm(fn):
@@ -427,16 +415,22 @@ def _comb2(s1, x, s2, y):
 # ---------------------------------------------------------------------------
 
 
-def distance(x: HPoint, y: HPoint) -> float:
+def distance(x, y):
     """Geodesic distance, via the polar law-of-cosines kernel.
 
-    Symmetric, zero iff the stored representations coincide, and stable at
-    any radius the polar representation can express.
+    Each side is an HPoint or a PolarBatch.  Two HPoints give a float; a
+    point against rows, or two batches of equal length, give one distance
+    per row.  Symmetric, zero iff the stored representations coincide, and
+    stable at any radius the polar representation can express.  This is the
+    one entry point for measuring points; index lags go through
+    packing.lag_distance and (r1, r2, cos theta) through polar_distance.
     """
-    if x.dim != y.dim:
+    ux = x.direction if isinstance(x, HPoint) else x.dirs
+    uy = y.direction if isinstance(y, HPoint) else y.dirs
+    if ux.shape[-1] != uy.shape[-1]:
         raise ValueError("distance: dimension mismatch")
-    q = _unit_gap_q(x.direction, y.direction)
-    return float(dist_given_q(x.r, y.r, q))
+    d = dist_given_q(x.r, y.r, _unit_gap_q(ux, uy))
+    return float(d) if isinstance(x, HPoint) and isinstance(y, HPoint) else d
 
 
 def _snap_rows(c: np.ndarray):

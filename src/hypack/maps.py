@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from hypack.geometry import HPoint, PolarBatch, _tanh, _unit_gap_q, dist_given_q, exp_rows, sample_ball
+from hypack.geometry import HPoint, PolarBatch, _tanh, distance, exp_rows, sample_ball
 
 __all__ = [
     "FLAT_GRAPH_K_MAX",
@@ -174,8 +174,7 @@ def estimate_lipschitz(
     rng = np.random.default_rng(seed)
     X = sample_ball(F.m, region_radius, 2 * pairs, rng)
     pts = exp_rows(HPoint.origin(F.m), np.pad(X, ((0, 0), (1, 0))), np.sqrt(np.vecdot(X, X)))
-    a, b = pts[0::2], pts[1::2]
-    d = dist_given_q(a.r, b.r, _unit_gap_q(a.dirs, b.dirs))
+    d = distance(pts[0::2], pts[1::2])
     imgs = F.batch(pts)
     gap = imgs[0::2] - imgs[1::2]
     far = d >= 1e-12
@@ -227,38 +226,25 @@ def _mesh_shortest_path(k: int, nx: int, ny: int = 7) -> float:
     half = 1.0 / (k + 1.0)
     xs = np.linspace(k - half, k + half, nx)
     ys = np.linspace(-half / 2.0, half / 2.0, ny)
-    zs = _bump_height(xs, k)
-
-    def node(i, j):
-        return i * ny + j
-
-    rows, cols, vals = [], [], []
-    steps = [(1, 0), (0, 1), (1, 1), (1, -1)]
-    for i in range(nx):
-        for j in range(ny):
-            for di, dj in steps:
-                i2, j2 = i + di, j + dj
-                if 0 <= i2 < nx and 0 <= j2 < ny:
-                    w = _segment_weight(xs[i], xs[i2], ys[j2] - ys[j], k)
-                    rows.append(node(i, j))
-                    cols.append(node(i2, j2))
-                    vals.append(w)
+    # edges in (i, j, step) order; each weight sums 8 lifted sub-segments
+    steps = np.array([(1, 0), (0, 1), (1, 1), (1, -1)])
+    i, j, s = np.indices((nx, ny, len(steps))).reshape(3, -1)
+    i2, j2 = i + steps[s, 0], j + steps[s, 1]
+    keep = (i2 < nx) & (0 <= j2) & (j2 < ny)
+    i, j, i2, j2 = i[keep], j[keep], i2[keep], j2[keep]
+    px = np.linspace(xs[i], xs[i2], 9, axis=-1)
+    dy = (ys[j2] - ys[j])[:, None] / 8
+    w = np.sqrt(np.diff(px) ** 2 + dy**2 + np.diff(_bump_height(px, k)) ** 2)
+    while w.shape[1] > 1:  # pairwise, the order np.sum takes on 8 contiguous values
+        w = w[:, 0::2] + w[:, 1::2]
     n_nodes = nx * ny
-    graph = coo_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes))
+    graph = coo_matrix((w[:, 0], (i * ny + j, i2 * ny + j2)), shape=(n_nodes, n_nodes))
     mid = ny // 2
-    dist_row = dijkstra(graph, directed=False, indices=node(0, mid))
-    return float(dist_row[node(nx - 1, mid)])
+    dist_row = dijkstra(graph, directed=False, indices=mid)
+    return float(dist_row[(nx - 1) * ny + mid])
 
 
-def _segment_weight(x0: float, x1: float, dy: float, k: int, subdiv: int = 8) -> float:
-    px = np.linspace(x0, x1, subdiv + 1)
-    pz = _bump_height(px, k)
-    dxs = np.diff(px)
-    dys = dy / subdiv
-    return float(np.sum(np.sqrt(dxs**2 + dys**2 + np.diff(pz) ** 2)))
-
-
-#: Most bumps flat_graph_example measures; each takes about a second.
+#: Most bumps flat_graph_example measures; a bound on outside input.
 FLAT_GRAPH_K_MAX = 32
 
 

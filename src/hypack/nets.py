@@ -30,8 +30,7 @@ import numpy as np
 from hypack.geometry import (
     HPoint,
     PolarBatch,
-    _unit_gap_q,
-    dist_given_q,
+    distance,
     exp_rows,
     sample_ball,
     transport_frame,
@@ -267,7 +266,7 @@ def verify_cover(
     norms = np.linalg.norm(tmpl.tangent_points, axis=1)
     max_radial = float(norms.max())
     if p.r <= 12.0:
-        ambient = float(np.max(dist_given_q(p.r, sigma.r, _unit_gap_q(p.direction, sigma.dirs))))
+        ambient = float(np.max(distance(p, sigma)))
         if abs(ambient - max_radial) > 1e-9:
             raise AssertionError(
                 f"transported net radial mismatch: {ambient} vs {max_radial}"

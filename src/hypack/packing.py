@@ -21,13 +21,15 @@ from hypack.geometry import (
     NumericRangeError,
     PolarBatch,
     _log_sinh,
-    _unit_gap_q,
     dist_given_q,
+    distance,
     exp_rows,
     minkowski_inner,
 )
 
 __all__ = [
+    "CAP_MAX",
+    "SWEEP_CENTERS_MAX",
     "BallFamily",
     "GrowthRow",
     "PackingReport",
@@ -46,6 +48,14 @@ __all__ = [
 #: Family sizes beyond this are not exactly representable as floats; center
 #: generation still works (indices are subsampled) but exact counting stops.
 _EXACT_COUNT_MAX = float(2**53)
+
+#: Most centers generate_centers emits; a larger cap is refused before any
+#: index array is allocated.
+CAP_MAX = 1_000_000
+
+#: Most centers verify_packing measures pair by pair, for families that do
+#: not carry their generating angles.
+SWEEP_CENTERS_MAX = 20_000
 
 #: Largest rounding of an index-lag angle lag * alpha, relative to alpha, that
 #: generate_centers accepts.  The rounding is at most half an ulp of pi and
@@ -196,13 +206,15 @@ def generate_centers(spec: PackingSpec, cap: int = 100_000) -> BallFamily:
 
     Raises
     ------
+    ValueError
+        If `cap` lies outside [2, CAP_MAX].
     NumericRangeError
         If half an ulp of pi exceeds _LAG_ROUNDING_MAX * alpha: the rounded
         products j * alpha that count and certify the family could then
         pass a pair that is closer than 2C at the exact angles.
     """
-    if cap < 2:
-        raise ValueError("generate_centers: cap must be >= 2")
+    if not 2 <= cap <= CAP_MAX:
+        raise ValueError(f"generate_centers: cap must lie in [2, {CAP_MAX:,}] (got {cap})")
     alpha = packing_angle(spec.C, spec.R)
     if 0.5 * math.ulp(math.pi) > _LAG_ROUNDING_MAX * alpha:
         raise NumericRangeError(
@@ -258,53 +270,41 @@ class PackingReport:
         return self.separation_ok and self.enclosure_ok
 
 
-def _pairwise_min_block(radii: np.ndarray, dirs: np.ndarray, block: int = 256) -> float:
-    """Min distance over all pairs of points given by polar radii and unit directions.
-
-    Each block of rows is measured against every later column at numpy
-    throughput; the O(n^2) sweep for families without generating angles.
-    """
-    n = len(radii)
-    best = math.inf
-    for b0 in range(0, n - 1, block):
-        rows = np.arange(b0, min(b0 + block, n - 1))
-        cols = np.arange(b0 + 1, n)
-        q = _unit_gap_q(dirs[rows][:, None, :], dirs[cols][None, :, :])
-        d = dist_given_q(radii[rows][:, None], radii[cols][None, :], q)
-        best = min(best, float(np.min(np.where(cols[None, :] > rows[:, None], d, math.inf))))
-    return best
+def _pairwise_min(points: PolarBatch) -> float:
+    """Min distance over all pairs of rows: the O(n^2) sweep for families
+    without generating angles, one row against every later row at a time."""
+    rows = (distance(points[i], points[i + 1 :]) for i in range(len(points) - 1))
+    return min((float(np.min(d)) for d in rows), default=math.inf)
 
 
-def verify_packing(fam: BallFamily, tol: float = DEFAULT_TOL, enum_cap: int = 20_000) -> PackingReport:
+def verify_packing(fam: BallFamily, tol: float = DEFAULT_TOL) -> PackingReport:
     """Certify separation and enclosure of every center pair.
 
     A family that carries its generating angles is certified exactly by
     :func:`min_lag_distance`: the smallest and the largest index lag bound
     every pair, so the check costs O(n).  A hand-built family without
     ``alpha``/``indices`` falls back to the O(n^2) sweep over stored
-    directions, which refuses more than `enum_cap` centers.  Either way
-    the report covers all n(n-1)/2 pairs.  Enclosure is one vectorized
+    directions, which refuses more than SWEEP_CENTERS_MAX centers.  Either
+    way the report covers all n(n-1)/2 pairs.  Enclosure is one vectorized
     kernel call from the enclosing center.
     """
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"verify_packing: tolerance must be finite and >= 0 (got {tol})")
     n = len(fam)
-    radii, dirs = fam.centers.r, fam.centers.dirs
     min_pairwise = math.inf
     if fam.alpha is not None and fam.indices is not None:
         min_pairwise = min_lag_distance(fam.center_radius, fam.alpha, fam.indices)
-    elif n > enum_cap:
-        raise ValueError(f"verify_packing: {n} centers exceeds enumeration cap {enum_cap}")
-    elif n >= 2:
-        min_pairwise = _pairwise_min_block(radii, dirs)
+    elif n > SWEEP_CENTERS_MAX:
+        raise ValueError(f"verify_packing: {n} centers exceeds the sweep limit {SWEEP_CENTERS_MAX}")
+    else:
+        min_pairwise = _pairwise_min(fam.centers)
 
     max_offset = 0.0
     allowed = math.inf
     if fam.enclosing is not None:
         enc_center, enc_radius = fam.enclosing
         allowed = enc_radius - fam.radius
-        offsets = dist_given_q(enc_center.r, radii, _unit_gap_q(enc_center.direction, dirs))
-        max_offset = float(np.max(offsets))
+        max_offset = float(np.max(distance(enc_center, fam.centers)))
 
     return PackingReport(
         n_centers=n,

@@ -22,7 +22,14 @@ from scipy.spatial.distance import cdist
 from hypack.geometry import HPoint, PolarBatch, exp_rows, sample_ball, transport_frame
 from hypack.maps import LipschitzMapHandle
 from hypack.nets import NetTemplate, build_reference_net, transport_net
-from hypack.packing import PackingSpec, _pairwise_min_block, generate_centers, min_lag_distance, packing_angle
+from hypack.packing import (
+    CAP_MAX,
+    PackingSpec,
+    _pairwise_min,
+    generate_centers,
+    min_lag_distance,
+    packing_angle,
+)
 
 __all__ = [
     "BunchedConfiguration",
@@ -125,6 +132,8 @@ class SearchParams:
             raise ValueError("SearchParams: k must be >= 2")
         if self.m < 2:
             raise ValueError("SearchParams: m must be >= 2")
+        if not 2 <= self.cap <= CAP_MAX:
+            raise ValueError(f"SearchParams: cap must lie in [2, {CAP_MAX:,}] (got {self.cap})")
         if not self.R_schedule:
             raise ValueError("SearchParams: empty R schedule")
         if any(R <= 2.0 * self.C for R in self.R_schedule):
@@ -422,7 +431,7 @@ class BunchedConfiguration:
     def manifold_min_recomputed(self) -> float:
         """Pairwise center separation via the stable angle kernel."""
         if self.alpha is None or self.indices is None:
-            return _pairwise_min_block(self.centers.r, self.centers.dirs)
+            return _pairwise_min(self.centers)
         return min_lag_distance(self.center_radius, self.alpha, self.indices)
 
 

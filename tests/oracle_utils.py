@@ -3,18 +3,22 @@
 Arbitrary-precision (mpmath) values, plus brute-force full scans: the
 O(n^2) sweep for packing separation, the full-pass greedy net, the
 full-cdist set distances, the one-image-at-a-time separated subfamily with
-its full-cdist assignment and checks, and the net transported to one
-basepoint at a time.  Everything here recomputes results from first principles,
-independently of the library's evaluation strategy.
+its full-cdist assignment and checks, the net transported to one
+basepoint at a time, and the flat-graph mesh built one edge at a time.
+Everything here recomputes results from first principles, independently of
+the library's evaluation strategy.
 """
 
 import math
 
 import mpmath as mp
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import dijkstra
 from scipy.spatial.distance import cdist
 
 from hypack.geometry import dist_given_q, exp_rows, transport_frame
+from hypack.maps import _bump_height
 from hypack.nets import _GRID_FRACTION
 
 mp.mp.dps = 40
@@ -230,3 +234,26 @@ def full_cdist_verify(selected, sel_images, sep, all_images, tol=1e-12):
     mask[selected] = False
     rest = all_images[mask]
     return not (rest.size and cdist(rest, sel_images).min(axis=1).max() >= sep + tol)
+
+
+def loop_mesh_shortest_path(k, nx, ny=7):
+    """The flat-graph mesh distance with its edges built one at a time: each
+    weight is np.sum over the 8 lifted sub-segments of one edge."""
+    half = 1.0 / (k + 1.0)
+    xs = np.linspace(k - half, k + half, nx)
+    ys = np.linspace(-half / 2.0, half / 2.0, ny)
+    rows, cols, vals = [], [], []
+    for i in range(nx):
+        for j in range(ny):
+            for di, dj in ((1, 0), (0, 1), (1, 1), (1, -1)):
+                i2, j2 = i + di, j + dj
+                if 0 <= i2 < nx and 0 <= j2 < ny:
+                    px = np.linspace(xs[i], xs[i2], 9)
+                    pz = _bump_height(px, k)
+                    dys = (ys[j2] - ys[j]) / 8
+                    vals.append(float(np.sum(np.sqrt(np.diff(px) ** 2 + dys**2 + np.diff(pz) ** 2))))
+                    rows.append(i * ny + j)
+                    cols.append(i2 * ny + j2)
+    graph = coo_matrix((vals, (rows, cols)), shape=(nx * ny, nx * ny))
+    mid = ny // 2
+    return float(dijkstra(graph, directed=False, indices=mid)[(nx - 1) * ny + mid])

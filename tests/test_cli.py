@@ -6,6 +6,7 @@ import pytest
 from conftest import time_limit
 from hypack.cli import main
 from hypack.maps import FLAT_GRAPH_K_MAX
+from hypack.packing import CAP_MAX
 from hypack.search import SAMPLES_MAX
 
 
@@ -49,6 +50,12 @@ class TestPack:
         payload = json.loads(out.read_text())
         assert payload["family"]["n_centers"] == 1000
         assert payload["report"]["pass"] is True
+
+    def test_cap_over_limit_exit_2(self, capsys):
+        # all 1.76e9 centers at R = 22 would be generated (about 14 GB of index and
+        # tangent arrays); refused before any is allocated
+        assert refused_quickly(["pack", "--C", "1", "--R", "22", "--cap", "2000000000"]) == 2
+        assert f"cap must lie in [2, {CAP_MAX:,}]" in capsys.readouterr().err
 
     def test_csv_format_rejected(self, tmp_path):
         rc = main(["pack", "--C", "1", "--R", "3", "--format", "csv"])
@@ -212,6 +219,12 @@ class TestSearch:
         rc = refused_quickly(["search", "--samples", "100000000"])
         assert rc == 2
         assert f"<= {SAMPLES_MAX:,}" in capsys.readouterr().err
+
+    def test_cap_over_limit_exit_2(self, capsys):
+        # the ladder would reach a rung of 27.8 million centers at R = 32; refused
+        # before the reference net is built
+        assert refused_quickly(["search", "--cap", "100000000"]) == 2
+        assert f"cap must lie in [2, {CAP_MAX:,}]" in capsys.readouterr().err
 
     def test_unknown_map_exit_2(self, tmp_path):
         rc = main(["search", "--map", "poincare", "--eps", "2.0"])

@@ -15,7 +15,6 @@ from hypack.geometry import (
     _comb2,
     dist_given_q,
     distance,
-    dist_polar_angle,
     exp_map,
     exp_rows,
     law_of_sines_residual,
@@ -82,6 +81,27 @@ class TestDistance:
         q = rng.uniform(0.0, 1.0, size=20_000)
         assert np.array_equal(dist_given_q(r1, r2, q), dist_given_q(r2, r1, q))
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_rows_equal_scalar_pairs(self, rng, m):
+        # radii up to 350 put pairs on both sides of the log-domain switch at r1 + r2 = 300
+        xs, ys = (PolarBatch.of([random_point(rng, m, 350.0) for _ in range(300)]) for _ in range(2))
+        assert np.any(xs.r + ys.r >= 300.0) and np.any(xs.r + ys.r < 300.0)
+        rows = distance(xs, ys)
+        assert rows.shape == (300,)
+        assert np.array_equal(rows, [distance(x, y) for x, y in zip(xs, ys)])
+        for p in (xs[0], xs[int(np.argmax(xs.r))]):
+            assert np.array_equal(distance(p, ys), [distance(p, y) for y in ys])
+            assert np.array_equal(distance(ys, p), distance(p, ys))
+        for d, x, y in zip(rows[:60], xs, ys):
+            q = sum((oracle.mp.mpf(a) - oracle.mp.mpf(b)) ** 2 for a, b in zip(x.direction, y.direction)) / 4
+            assert float(oracle.rel_err(d, oracle.mp_dist_given_q(x.r, y.r, q))) < 1e-10
+
+    def test_dimension_mismatch(self, rng):
+        p2, p3 = random_point(rng, 2), random_point(rng, 3)
+        for x, y in ((p2, p3), (p2, PolarBatch.of([p3])), (PolarBatch.of([p3, p3]), PolarBatch.of([p2, p2]))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                distance(x, y)
+
     def test_triangle_inequality_bulk(self, rng):
         violation = 0.0
         for _ in range(10_000):
@@ -126,11 +146,6 @@ class TestPolarDistance:
         d = [polar_distance(2.0, 3.0, math.cos(t)) for t in thetas]
         assert np.all(np.diff(d) > 0.0)
 
-    def test_angle_form_folds(self):
-        # sin^2(theta/2) is symmetric about pi, so angles fold correctly
-        assert dist_polar_angle(2.0, 2.0, 1.5) == pytest.approx(
-            float(dist_polar_angle(2.0, 2.0, 2.0 * math.pi - 1.5)), rel=1e-14
-        )
 
 
 class TestExpLog:

@@ -5,6 +5,7 @@ from conftest import poincare_at, random_point
 from hypack.geometry import HPoint, PolarBatch, distance
 from hypack.maps import (
     LipschitzMapHandle,
+    _mesh_shortest_path,
     busemann_map,
     compose_euclidean,
     estimate_lipschitz,
@@ -13,6 +14,7 @@ from hypack.maps import (
     poincare_inclusion,
     radial_distance_map,
 )
+from oracle_utils import loop_mesh_shortest_path
 
 TANH1 = 0.7615941559557649  # tanh(1), oracle rounded to double
 
@@ -204,6 +206,10 @@ class TestFlatGraphExample:
 
     def test_empty_report(self):
         assert flat_graph_example(K=0).rows == []
+
+    @pytest.mark.parametrize("k, nx", [(1, 31), (3, 61), (8, 121), (32, 61)])
+    def test_mesh_equals_edge_by_edge_build(self, k, nx):
+        assert _mesh_shortest_path(k, nx) == loop_mesh_shortest_path(k, nx)
 
     def test_json_rows_schema(self, report):
         rows = report.to_json_rows()

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import time_limit
-from hypack.geometry import HPoint, NumericRangeError, PolarBatch, dist_polar_angle, distance
+from hypack.geometry import HPoint, NumericRangeError, PolarBatch, dist_given_q, distance
 from hypack.packing import (
+    CAP_MAX,
+    SWEEP_CENTERS_MAX,
     BallFamily,
     PackingSpec,
     count_lower_bound,
@@ -122,6 +124,12 @@ class TestGenerateCenters:
         # even spacing up to rounding
         assert lags.max() - lags.min() <= 1.0
 
+    @pytest.mark.parametrize("cap", [1, CAP_MAX + 1, 2_000_000_000])
+    def test_cap_outside_limits_refused(self, cap):
+        # R = 22 has 1.76e9 centers, so an unchecked cap of 2e9 would allocate ~14 GB
+        with time_limit(10.0), pytest.raises(ValueError, match="cap must lie in"):
+            generate_centers(PackingSpec.at_origin(1.0, 22.0, 2), cap=cap)
+
     def test_angle_separation_claim(self):
         fam = generate_centers(PackingSpec.at_origin(1.0, 4.0, 2))
         alpha = fam.alpha
@@ -193,7 +201,8 @@ class TestVerifyPacking:
         fam = generate_centers(PackingSpec.at_origin(1.0, 7.0, 2), cap=1_000)
         lags = fam.indices[1:] - fam.indices[0]
         rho, alpha = fam.center_radius, fam.alpha
-        assert np.array_equal(lag_distance(rho, alpha, lags), dist_polar_angle(rho, rho, 2.0 * lags * alpha))
+        by_angle = dist_given_q(rho, rho, np.sin(0.5 * (2 * lags * alpha)) ** 2)
+        assert np.array_equal(lag_distance(rho, alpha, lags), by_angle)
         assert np.array_equal(lag_distance(rho, alpha, -lags), lag_distance(rho, alpha, lags))
 
     def test_min_lag_distance_domain(self):
@@ -207,14 +216,15 @@ class TestVerifyPacking:
         with pytest.raises(ValueError):
             min_lag_distance(2.0, 1.0, [0.0, 4.0])
 
-    def test_enum_cap(self):
-        # the two-lag certificate is O(n), so only the O(n^2) fallback is capped
-        fam = generate_centers(PackingSpec.at_origin(0.5, 11.0, 2), cap=10_000)
-        rep = verify_packing(fam, enum_cap=100)
-        assert rep.ok and rep.n_centers == len(fam) > 100
+    def test_sweep_limit(self):
+        # the two-lag certificate is O(n), so only the O(n^2) fallback is limited;
+        # the refusal comes before the sweep would measure 2e8 pairs
+        fam = generate_centers(PackingSpec.at_origin(1.0, 11.5, 2), cap=SWEEP_CENTERS_MAX + 1)
+        rep = verify_packing(fam)
+        assert rep.ok and rep.n_centers == len(fam) == SWEEP_CENTERS_MAX + 1
         stripped = BallFamily(centers=fam.centers, radius=fam.radius, min_separation=fam.min_separation)
-        with pytest.raises(ValueError):
-            verify_packing(stripped, enum_cap=100)
+        with time_limit(10.0), pytest.raises(ValueError, match="sweep limit"):
+            verify_packing(stripped)
 
     def test_random_families_hold_2C(self, rng):
         for _ in range(5):
