@@ -19,11 +19,11 @@ import numpy as np
 
 from hypack.geometry import NumericRangeError, PolarBatch
 from hypack.maps import busemann_map, ideal_point, poincare_inclusion
-from hypack.nets import build_reference_net
 from hypack.packing import PackingSpec, generate_centers, growth_table, growth_table_csv, verify_packing
 from hypack.search import (
     ScheduleExhausted,
     SearchParams,
+    certificate_net,
     certify_configuration,
     check_samples,
     find_bunched_configuration,
@@ -64,21 +64,31 @@ def _polar_rows(points: PolarBatch) -> list[list[float]]:
     return np.column_stack((points.r, points.dirs)).tolist()
 
 
-def _load_config_defaults(parser_args):
-    """Flags win over config-file values; the file only fills unset flags."""
-    if parser_args.config is None:
-        return parser_args
-    with open(parser_args.config) as fh:
+def _config_tokens(args) -> list[str]:
+    """The --config file's JSON object as option tokens, parsed like flags.
+
+    Each key names a flag of the command (`R_from` or `R-from`); a value is
+    given as the flag's text, a boolean only switches a flag on or off.
+    """
+    with open(args.config) as fh:
         file_values = json.load(fh)
     if not isinstance(file_values, dict):
         raise ValueError("--config: the file must hold one JSON object")
+    tokens = []
     for key, value in file_values.items():
         attr = key.replace("-", "_")
-        if attr in ("command", "config") or not hasattr(parser_args, attr):
-            raise ValueError(f"--config: unknown key {key!r} for {parser_args.command}")
-        if getattr(parser_args, attr) is None:
-            setattr(parser_args, attr, value)
-    return parser_args
+        if attr in ("command", "config") or not hasattr(args, attr):
+            raise ValueError(f"--config: unknown key {key!r} for {args.command}")
+        flag = "--" + attr.replace("_", "-")
+        switch = isinstance(getattr(args, attr), bool)  # a store_true flag
+        if switch != isinstance(value, bool) or isinstance(value, (type(None), list, dict)):
+            wanted = "true or false" if switch else "a number or a string"
+            raise ValueError(f"--config: {key!r} takes {wanted} (got {value!r})")
+        if not switch:
+            tokens.append(f"{flag}={value}")
+        elif value:
+            tokens.append(flag)
+    return tokens
 
 
 def cmd_pack(args) -> int:
@@ -152,11 +162,11 @@ def _map_handle(args):
 def cmd_search(args) -> int:
     check_samples(args.samples)
     F = _map_handle(args)
-    params = SearchParams.derive(
+    params = SearchParams(
         r=args.r, epsilon=args.eps, k=args.k, hausdorff=args.hausdorff, m=args.m,
         cap=args.cap, seed=args.seed, R_max=args.R_max,
     )
-    net = build_reference_net(args.r, args.eps / (2.0 * F.L), args.m)
+    net = certificate_net(F, args.r, args.eps)
     try:
         cfg = find_bunched_configuration(F, params, net=net if args.hausdorff else None)
     except ScheduleExhausted as exc:
@@ -229,66 +239,53 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--out", type=str, default=None, help="output path (stdout if omitted)")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument("--config", type=str, default=None, help="JSON config file; flags win")
+        p.add_argument("--out", help="output path (stdout if omitted)")
+        p.add_argument("--config", help="JSON config file; flags win")
 
     p_pack = sub.add_parser("pack", help="generate and verify one packing")
     common(p_pack)
-    p_pack.add_argument("--C", type=float, default=None)
-    p_pack.add_argument("--R", type=float, default=None)
-    p_pack.add_argument("--m", type=int, default=None)
-    p_pack.add_argument("--cap", type=int, default=None)
-    p_pack.add_argument("--tolerance", type=float, default=None)
+    p_pack.add_argument("--C", type=float, default=1.0)
+    p_pack.add_argument("--R", type=float, default=3.0)
+    p_pack.add_argument("--m", type=int, default=2)
+    p_pack.add_argument("--cap", type=int, default=100_000)
+    p_pack.add_argument("--tolerance", type=float, default=1e-9)
 
     p_growth = sub.add_parser("growth", help="family growth table over an R range")
     common(p_growth)
-    p_growth.add_argument("--C", type=float, default=None)
-    p_growth.add_argument("--R-from", dest="R_from", type=float, default=None)
-    p_growth.add_argument("--R-to", dest="R_to", type=float, default=None)
-    p_growth.add_argument("--R-step", dest="R_step", type=float, default=None)
+    p_growth.add_argument("--format", choices=("json", "csv"), default="csv")
+    p_growth.add_argument("--C", type=float, default=1.0)
+    p_growth.add_argument("--R-from", type=float)
+    p_growth.add_argument("--R-to", type=float)
+    p_growth.add_argument("--R-step", type=float, default=1.0)
 
     p_search = sub.add_parser("search", help="find and certify a bunched configuration")
     common(p_search)
-    p_search.add_argument("--map", type=str, default=None, choices=("poincare", "busemann"))
-    p_search.add_argument("--m", type=int, default=None)
-    p_search.add_argument("--r", type=float, default=None)
-    p_search.add_argument("--eps", type=float, default=None)
-    p_search.add_argument("--k", type=int, default=None)
-    p_search.add_argument("--cap", type=int, default=None)
-    p_search.add_argument("--R-max", dest="R_max", type=float, default=None)
-    p_search.add_argument("--hausdorff", action="store_true", default=None)
-    p_search.add_argument("--samples", type=int, default=None)
-    p_search.add_argument("--seed", type=int, default=None, help="certificate sampling seed")
+    p_search.add_argument("--map", default="poincare", choices=("poincare", "busemann"))
+    p_search.add_argument("--m", type=int, default=2)
+    p_search.add_argument("--r", type=float, default=1.0)
+    p_search.add_argument("--eps", type=float, default=0.5)
+    p_search.add_argument("--k", type=int, default=3)
+    p_search.add_argument("--cap", type=int, default=100_000)
+    p_search.add_argument("--R-max", type=float)
+    p_search.add_argument("--hausdorff", action="store_true")
+    p_search.add_argument("--samples", type=int, default=512)
+    p_search.add_argument("--seed", type=int, default=0, help="certificate sampling seed")
 
     p_demo = sub.add_parser("demo-flat", help="flat-graph counterexample report")
     common(p_demo)
-    p_demo.add_argument("--K", type=int, default=None)
+    p_demo.add_argument("--K", type=int, default=8)
 
     return parser
 
 
-_DEFAULTS = {
-    "pack": {"C": 1.0, "R": 3.0, "m": 2, "cap": 100_000, "tolerance": 1e-9, "format": "json"},
-    "growth": {"C": 1.0, "R_step": 1.0, "format": "csv"},
-    "search": {
-        "map": "poincare", "m": 2, "r": 1.0, "eps": 0.5, "k": 3, "hausdorff": False,
-        "cap": 100_000, "samples": 512, "seed": 0, "format": "json",
-    },
-    "demo-flat": {"K": 8, "format": "json"},
-}
-
-
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _load_config_defaults(args)
-        for key, value in _DEFAULTS.get(args.command, {}).items():
-            if getattr(args, key, None) is None:
-                setattr(args, key, value)
-        if args.command != "growth" and args.format == "csv":
-            raise ValueError(f"{args.command}: only JSON output is defined")
+        if args.config is not None:
+            # config values come first, so explicit flags (parsed later) win
+            args = parser.parse_args([args.command, *_config_tokens(args), *argv[1:]])
         if args.command == "pack":
             return cmd_pack(args)
         if args.command == "growth":

@@ -143,19 +143,15 @@ def compose_euclidean(
     F: LipschitzMapHandle,
     g: Callable[[np.ndarray], np.ndarray],
     L_g: float,
-    n_out: int | None = None,
     label: str | None = None,
 ) -> LipschitzMapHandle:
     """Post-compose F with an L_g-Lipschitz Euclidean map g acting on (N, F.n) rows."""
-    if n_out is None:
-        n_out = np.asarray(g(np.zeros((1, F.n))), dtype=float).shape[1]
+    n = np.asarray(g(np.zeros((1, F.n))), dtype=float).shape[1]  # g's output width
 
     def fn(pts: PolarBatch) -> np.ndarray:
         return g(F.batch(pts))
 
-    return LipschitzMapHandle(
-        fn=fn, L=F.L * L_g, n=n_out, m=F.m, label=label or f"composed({F.label})"
-    )
+    return LipschitzMapHandle(fn=fn, L=F.L * L_g, n=n, m=F.m, label=label or f"composed({F.label})")
 
 
 def estimate_lipschitz(
@@ -247,8 +243,13 @@ def _mesh_shortest_path(k: int, nx: int, ny: int = 7) -> float:
 #: Most bumps flat_graph_example measures; a bound on outside input.
 FLAT_GRAPH_K_MAX = 32
 
+#: Mesh columns of the coarsest grid (odd, so x = k is a node) and the relative
+#: change of the Dijkstra bound below which refining stops.
+_BASE_NX = 301
+_STABILIZE_TOL = 0.1
 
-def flat_graph_example(K: int = 8, base_nx: int = 301, stabilize_tol: float = 0.1) -> FlatGraphReport:
+
+def flat_graph_example(K: int = 8) -> FlatGraphReport:
     """Intrinsic vs extrinsic distances on the graph of g(x, y) = f(x).
 
     f is a smooth bump of height k over the k-th component of the support
@@ -258,7 +259,7 @@ def flat_graph_example(K: int = 8, base_nx: int = 301, stabilize_tol: float = 0.
 
     Rows carry the exact extrinsic gap, the ridge-climb lower bound read
     off the mesh, and a Dijkstra upper bound over the grid graph refined
-    until it stabilizes within `stabilize_tol` relative change.
+    until it stabilizes within _STABILIZE_TOL relative change.
     """
     if not 0 <= K <= FLAT_GRAPH_K_MAX:
         raise ValueError(f"flat_graph_example: K must lie in [0, {FLAT_GRAPH_K_MAX}] (got {K})")
@@ -267,12 +268,12 @@ def flat_graph_example(K: int = 8, base_nx: int = 301, stabilize_tol: float = 0.
         extrinsic = 2.0 / (k + 1.0)
         # mesh grids are centered so x = k is a node; the ridge height read
         # off the mesh is then exactly f(k) = k
-        nx = base_nx if base_nx % 2 == 1 else base_nx + 1
+        nx = _BASE_NX
         ridge = float(_bump_height(np.array([float(k)]), k)[0])
         lo = 2.0 * ridge
         hi_prev = _mesh_shortest_path(k, nx)
         hi = _mesh_shortest_path(k, 2 * nx - 1)
-        while abs(hi_prev - hi) > stabilize_tol * hi:
+        while abs(hi_prev - hi) > _STABILIZE_TOL * hi:
             nx = 2 * nx - 1
             hi_prev, hi = hi, _mesh_shortest_path(k, 2 * nx - 1)
         rows.append(FlatGraphRow(k=k, extrinsic=extrinsic, intrinsic_lo=lo, intrinsic_hi=hi))

@@ -13,7 +13,7 @@ pairwise manifold distance >= 2C and image distance < 2/C.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -44,6 +44,7 @@ __all__ = [
     "choose_C_setdist",
     "corollary_sequences",
     "counting_upper_bound",
+    "certificate_net",
     "certify_configuration",
     "check_samples",
     "default_schedule",
@@ -115,16 +116,21 @@ def default_schedule(C: float, cap: int) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Search parameters; C is derived from (r, epsilon, hausdorff) by the chooser."""
+    """Search parameters; C is derived from (r, epsilon, hausdorff) by the chooser.
+
+    Without an R_schedule the default ladder for C and cap is used; R_max
+    drops the rungs above it (keeping min(first rung, R_max) if none is left).
+    """
 
     r: float
     epsilon: float
     k: int
-    R_schedule: tuple[float, ...]
+    hausdorff: bool = False
     m: int = 2
     cap: int = 100_000
     seed: int = 0
-    hausdorff: bool = False
+    R_schedule: tuple[float, ...] | None = None
+    R_max: float | None = None
 
     def __post_init__(self):
         _check_r_eps(self.r, self.epsilon)
@@ -134,33 +140,31 @@ class SearchParams:
             raise ValueError("SearchParams: m must be >= 2")
         if not 2 <= self.cap <= CAP_MAX:
             raise ValueError(f"SearchParams: cap must lie in [2, {CAP_MAX:,}] (got {self.cap})")
-        if not self.R_schedule:
+        if self.R_max is not None and math.isnan(self.R_max):
+            raise ValueError("SearchParams: R_max must not be NaN")
+        sched = (
+            default_schedule(self.C, self.cap) if self.R_schedule is None else tuple(self.R_schedule)
+        )
+        if not sched:
             raise ValueError("SearchParams: empty R schedule")
-        if any(R <= 2.0 * self.C for R in self.R_schedule):
+        if self.R_max is not None:
+            sched = tuple(R for R in sched if R <= self.R_max) or (min(sched[0], self.R_max),)
+        if any(R <= 2.0 * self.C for R in sched):
             raise ValueError("SearchParams: every R must exceed 2C")
-        if any(b <= a for a, b in zip(self.R_schedule, self.R_schedule[1:])):
+        if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ValueError("SearchParams: R schedule must be increasing")
+        object.__setattr__(self, "R_schedule", sched)
 
     @property
     def C(self) -> float:
         """The chooser's separation scale for the set-distance or the Hausdorff conclusion."""
         return (choose_C_hausdorff if self.hausdorff else choose_C_setdist)(self.r, self.epsilon)
 
-    @staticmethod
-    def derive(
-        r, epsilon, k, hausdorff=False, m=2, cap=100_000, seed=0, R_schedule=None, R_max=None
-    ):
-        """Parameters with C chosen for the set-distance or the Hausdorff conclusion."""
-        if R_max is not None and math.isnan(R_max):
-            raise ValueError("SearchParams: R_max must not be NaN")
-        C = (choose_C_hausdorff if hausdorff else choose_C_setdist)(r, epsilon)
-        sched = tuple(R_schedule) if R_schedule is not None else default_schedule(C, cap)
-        if R_max is not None:
-            sched = tuple(R for R in sched if R <= R_max) or (min(sched[0], R_max),)
-        return SearchParams(
-            r=r, epsilon=epsilon, k=k, R_schedule=sched, m=m, cap=cap, seed=seed,
-            hausdorff=hausdorff,
-        )
+
+def certificate_net(F: LipschitzMapHandle, r: float, epsilon: float) -> NetTemplate:
+    """The reference net of the certificate: radius r, spacing delta = epsilon/(2L),
+    so the net slack L*delta of conclusion (iii) is epsilon/2."""
+    return build_reference_net(r, epsilon / (2.0 * F.L), F.m)
 
 
 #: Relative gap within which a tree distance may misorder two cdist values;
@@ -471,7 +475,7 @@ def find_bunched_configuration(
     rho = 0.0
     if params.hausdorff:
         if net is None:
-            net = build_reference_net(params.r, params.epsilon / (2.0 * F.L), F.m)
+            net = certificate_net(F, params.r, params.epsilon)
         if abs(net.rho - params.r) > 1e-12:
             raise ValueError("find_bunched_configuration: net rho must equal r")
         eff_F = augment_map(F, net)
@@ -654,7 +658,7 @@ def certify_configuration(
 
     # point clouds per ball: net points plus volume-corrected random samples
     if net is None:
-        net = build_reference_net(r, eps / (2.0 * F.L), F.m)
+        net = certificate_net(F, r, eps)
     if abs(net.rho - r) > 1e-12:
         raise ValueError("certify_configuration: net rho must equal the ball radius")
     rng = np.random.default_rng(seed)
@@ -722,14 +726,7 @@ def corollary_sequences(
     prev_sep = -math.inf
     for level in range(levels):
         eps_l = base_params.epsilon / (2.0**level)
-        params = SearchParams.derive(
-            r=base_params.r,
-            epsilon=eps_l,
-            k=k,
-            m=base_params.m,
-            cap=base_params.cap,
-            seed=base_params.seed,
-        )
+        params = replace(base_params, epsilon=eps_l, k=k, R_schedule=None)
         constraint = None if math.isinf(prev_diam) else prev_diam * (1.0 - 1e-9)
         cfg = find_bunched_configuration(F, params, max_image_diameter=constraint)
         sep = cfg.pairwise_manifold_min

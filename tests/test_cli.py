@@ -57,9 +57,11 @@ class TestPack:
         assert refused_quickly(["pack", "--C", "1", "--R", "22", "--cap", "2000000000"]) == 2
         assert f"cap must lie in [2, {CAP_MAX:,}]" in capsys.readouterr().err
 
-    def test_csv_format_rejected(self, tmp_path):
-        rc = main(["pack", "--C", "1", "--R", "3", "--format", "csv"])
-        assert rc == 2
+    def test_csv_format_rejected(self, capsys):
+        with time_limit(10.0), pytest.raises(SystemExit) as exc:
+            main(["pack", "--C", "1", "--R", "3", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
 
     @pytest.mark.parametrize("m", ["1", "0"])
     def test_dimension_below_2_exit_2(self, capsys, m):
@@ -271,6 +273,19 @@ class TestTolerance:
         assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
 
 
+class TestFormat:
+    """Only growth has two output formats, so only it takes --format."""
+
+    @pytest.mark.parametrize(
+        "argv", [["pack", "--C", "1", "--R", "3"], ["search"], ["demo-flat", "--K", "1"]]
+    )
+    def test_only_growth_takes_format(self, argv, capsys):
+        with time_limit(10.0), pytest.raises(SystemExit) as exc:
+            main(argv + ["--format", "json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
 class TestSeed:
     """Only the search draws random samples, so only it takes a seed."""
 
@@ -350,6 +365,53 @@ class TestConfigFile:
         rc, out = run(tmp_path, "pack.json", ["pack", "--config", str(cfg), "--R", "4.0"])
         assert rc == 0
         assert json.loads(out.read_text())["spec"]["R"] == 4.0
+
+    @pytest.mark.parametrize(
+        "argv, values, message",
+        [
+            (["search"], {"k": 3.7}, "argument --k: invalid int value: '3.7'"),
+            (["search"], {"m": 2.5}, "argument --m: invalid int value: '2.5'"),
+            (["search"], {"samples": 1000.0}, "argument --samples: invalid int value"),
+            (["demo-flat"], {"K": 2.0}, "argument --K: invalid int value: '2.0'"),
+            (["search"], {"hausdorff": "yes"}, "'hausdorff' takes true or false"),
+            (["search"], {"hausdorff": 1}, "'hausdorff' takes true or false"),
+            (["pack"], {"C": None}, "'C' takes a number or a string"),
+            (["search"], {"k": True}, "'k' takes a number or a string"),
+            (["search"], {"k": [3]}, "'k' takes a number or a string"),
+            (["search"], {"eps": {"value": 0.5}}, "'eps' takes a number or a string"),
+            (["pack"], {"format": "json"}, "unknown key 'format' for pack"),
+        ],
+    )
+    def test_bad_value_exit_2(self, tmp_path, capsys, argv, values, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        with time_limit(10.0):
+            try:
+                rc, out = run(tmp_path, "out.json", argv + ["--config", str(cfg)])
+            except SystemExit as exc:  # argparse refuses a value it cannot convert
+                rc, out = exc.code, tmp_path / "out.json"
+        assert rc == 2 and not out.exists()
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, values, flags",
+        [
+            (["search", "--samples", "16"], {"k": "3"}, ["--k", "3"]),
+            (["search", "--samples", "16"], {"eps": "0.5"}, ["--eps", "0.5"]),
+            # an integer for a float option is written as the float, like the flag
+            (["search", "--samples", "16"], {"r": 1}, ["--r", "1"]),
+            (["search", "--samples", "16"], {"hausdorff": False}, []),
+            (["growth", "--R-from", "3", "--R-to", "5"], {"R_step": "0.5"}, ["--R-step", "0.5"]),
+            (["growth", "--R-from", "3"], {"R-to": 5}, ["--R-to", "5"]),
+        ],
+    )
+    def test_values_parse_like_flags(self, tmp_path, argv, values, flags):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        rc_a, a = run(tmp_path, "a.out", argv + ["--config", str(cfg)])
+        rc_b, b = run(tmp_path, "b.out", argv + flags)
+        assert rc_a == rc_b == 0
+        assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize(
         "text, message",

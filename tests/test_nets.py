@@ -83,10 +83,9 @@ class TestLocalGreedy:
     def test_search_m3_net_equals_full_pass_greedy(self):
         # the net of `search --map busemann --m 3` at r = 1, eps = 0.5
         F = busemann_map([ideal_point(d) for d in np.eye(3)])
-        delta = 0.5 / (2.0 * F.L)
-        tmpl = build_reference_net(1.0, delta, 3)
+        tmpl = hypack.search.certificate_net(F, 1.0, 0.5)
         assert tmpl.l == 2565
-        assert np.array_equal(tmpl.tangent_points, brute_greedy_net(1.0, delta, 3))
+        assert np.array_equal(tmpl.tangent_points, brute_greedy_net(1.0, tmpl.delta, 3))
 
     @pytest.mark.parametrize(
         "rho, h, m, picks", [(1.0, 0.07, 2, 60), (2.0, 0.3, 2, 60), (1.0, 0.11, 3, 12)]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -163,10 +164,37 @@ class TestThetaAssignment:
         assert fibers.fibers == {0: [2]}
 
 
+class TestCertificateNet:
+    def test_net_slack_is_half_epsilon(self):
+        F = busemann_map([ideal_point(d) for d in np.eye(2)])
+        net = hypack.search.certificate_net(F, 1.0, 0.25)
+        assert net.rho == 1.0 and net.m == 2
+        assert F.L * net.delta == pytest.approx(0.125, rel=1e-15)
+
+
 class TestSearchParams:
     def test_schedule_must_exceed_2C(self):
         with pytest.raises(ValueError):
-            SearchParams.derive(1.0, 0.5, 2, R_schedule=(15.0,))
+            SearchParams(1.0, 0.5, 2, R_schedule=(15.0,))
+
+    def test_R_max_drops_higher_rungs(self):
+        full = SearchParams(1.0, 0.5, 2).R_schedule
+        assert full == default_schedule(choose_C_setdist(1.0, 0.5), 100_000)
+        assert SearchParams(1.0, 0.5, 2, R_max=full[1]).R_schedule == full[:2]
+        # no rung left: one rung at R_max itself
+        assert SearchParams(1.0, 0.5, 2, R_max=16.5).R_schedule == (16.5,)
+
+    def test_replace_keeps_the_schedule(self):
+        params = SearchParams(1.0, 0.5, 2, hausdorff=True, R_max=30.0)
+        assert replace(params, seed=4).R_schedule == params.R_schedule
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"R_schedule": ()}, "empty R schedule"), ({"R_max": math.nan}, "R_max must not be NaN")],
+    )
+    def test_bad_schedule_raises(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SearchParams(1.0, 0.5, 2, **kwargs)
 
     def test_default_schedule_ladder(self):
         sched = default_schedule(8.0, 100_000)
@@ -177,7 +205,7 @@ class TestSearchParams:
 
 class TestFindBunched:
     def test_constant_map_first_rung(self):
-        params = SearchParams.derive(1.0, 0.5, 3, m=2, cap=1_000)
+        params = SearchParams(1.0, 0.5, 3, m=2, cap=1_000)
         cfg = find_bunched_configuration(constant_map(), params)
         assert cfg.R_used == params.R_schedule[0]
         assert cfg.pairwise_image_max == 0.0
@@ -185,7 +213,7 @@ class TestFindBunched:
 
     def test_poincare_k3(self):
         F = poincare_inclusion(2)
-        params = SearchParams.derive(1.0, 0.5, 3, m=2)
+        params = SearchParams(1.0, 0.5, 3, m=2)
         cfg = find_bunched_configuration(F, params)
         assert cfg.k == 3
         assert cfg.pairwise_manifold_min >= 16.0 - 1e-9
@@ -198,7 +226,7 @@ class TestFindBunched:
 
     def test_busemann_small_schedule_exhausts(self):
         B = busemann_map([ideal_point([1.0, 0.0]), ideal_point([0.0, 1.0])])
-        params = SearchParams.derive(1.0, 0.5, 2, m=2, R_schedule=(16.5,))
+        params = SearchParams(1.0, 0.5, 2, m=2, R_schedule=(16.5,))
         with pytest.raises(ScheduleExhausted) as exc:
             find_bunched_configuration(B, params)
         diag = exc.value.diagnostics
@@ -207,7 +235,7 @@ class TestFindBunched:
 
     def test_counting_bound_respected(self):
         F = poincare_inclusion(2)
-        params = SearchParams.derive(1.0, 0.5, 3, m=2)
+        params = SearchParams(1.0, 0.5, 3, m=2)
         cfg = find_bunched_configuration(F, params)
         bound = counting_upper_bound(cfg.R_used, cfg.C, F.L, F.n)
         assert cfg.selected_count <= bound
@@ -216,7 +244,7 @@ class TestFindBunched:
 @pytest.fixture(scope="module")
 def poincare_cfg():
     F = poincare_inclusion(2)
-    params = SearchParams.derive(1.0, 0.5, 3, m=2)
+    params = SearchParams(1.0, 0.5, 3, m=2)
     cfg = find_bunched_configuration(F, params)
     return F, cfg
 
@@ -224,7 +252,7 @@ def poincare_cfg():
 class TestCertify:
     def test_constant_map_trivial(self):
         F = constant_map()
-        params = SearchParams.derive(1.0, 0.5, 2, m=2, cap=500)
+        params = SearchParams(1.0, 0.5, 2, m=2, cap=500)
         cfg = find_bunched_configuration(F, params)
         cert = certify_configuration(F, cfg, samples=64, seed=9)
         assert cert.pass_i and cert.pass_ii
@@ -263,7 +291,7 @@ class TestCertify:
     def test_hausdorff_pipeline_certifies_iii(self):
         F = poincare_inclusion(2)
         net = build_reference_net(1.0, 0.5, 2)
-        params = SearchParams.derive(1.0, 0.5, 2, hausdorff=True, m=2)
+        params = SearchParams(1.0, 0.5, 2, hausdorff=True, m=2)
         cfg = find_bunched_configuration(F, params, net=net)
         cert = certify_configuration(F, cfg, net=net, samples=64, seed=12)
         assert cert.pass_i and cert.pass_ii and cert.pass_iii
@@ -347,7 +375,7 @@ class TestHausdorffEstimate:
 class TestCorollarySequences:
     def test_poincare_three_levels(self):
         F = poincare_inclusion(2)
-        base = SearchParams.derive(1.0, 0.5, 2, m=2)
+        base = SearchParams(1.0, 0.5, 2, m=2)
         cfgs = corollary_sequences(F, k=2, levels=3, base_params=base)
         seps = [c.pairwise_manifold_min for c in cfgs]
         diams = [c.pairwise_image_max for c in cfgs]
@@ -358,12 +386,19 @@ class TestCorollarySequences:
 
     def test_single_level(self):
         F = poincare_inclusion(2)
-        base = SearchParams.derive(1.0, 0.5, 2, m=2)
+        base = SearchParams(1.0, 0.5, 2, m=2)
         cfgs = corollary_sequences(F, k=2, levels=1, base_params=base)
         assert len(cfgs) == 1
 
+    def test_hausdorff_base_carries_to_every_level(self):
+        F = poincare_inclusion(2)
+        base = SearchParams(1.0, 0.5, 2, hausdorff=True, m=2)
+        (cfg,) = corollary_sequences(F, k=2, levels=1, base_params=base)
+        assert cfg.hausdorff_pipeline
+        assert cfg.C == choose_C_hausdorff(1.0, 0.5)
+
     def test_constant_map_zero_diameters(self):
-        base = SearchParams.derive(1.0, 0.5, 2, m=2, cap=500)
+        base = SearchParams(1.0, 0.5, 2, m=2, cap=500)
         cfgs = corollary_sequences(constant_map(), k=2, levels=3, base_params=base)
         assert all(c.pairwise_image_max == 0.0 for c in cfgs)
         seps = [c.pairwise_manifold_min for c in cfgs]
