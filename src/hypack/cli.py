@@ -1,8 +1,10 @@
 """Batch front door: packings, growth tables, net checks, compression searches.
 
 One command per process; artifacts are JSON (schema field included) or CSV,
-written atomically.  Exit codes: 0 pass, 1 verification failure, 2 invalid
-configuration, 3 schedule exhausted.
+written atomically.  JSON artifacts are written by one bulk writer whose bytes
+equal json.dumps(payload, sort_keys=True, indent=2) plus a newline; a 2-D
+float array is formatted straight from the array.  Exit codes: 0 pass,
+1 verification failure, 2 invalid configuration, 3 schedule exhausted.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import os
 import sys
 import tempfile
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -57,11 +60,82 @@ def _atomic_write(path: str | None, text: str):
 
 
 def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The text of json.dumps(payload, sort_keys=True, indent=2) plus a newline,
+    with a 2-D float array written as its nested row lists in one bulk step."""
+    out = []
+    _write_json(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
-def _polar_rows(points: PolarBatch) -> list[list[float]]:
-    return np.column_stack((points.r, points.dirs)).tolist()
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _write_json(o, newline: str, out: list):
+    """Append the indent=2, sorted-key JSON text of `o`; `newline` is the line
+    break plus the indentation of the line `o` starts on."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_json_float(o))
+    elif isinstance(o, np.ndarray):
+        if o.ndim == 2 and o.dtype.kind == "f" and o.size:
+            _write_float_rows(o, newline, out)
+        else:
+            _write_json(o.tolist(), newline, out)
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[")
+        for i, item in enumerate(o):
+            out.append(inner if i == 0 else "," + inner)
+            _write_json(item, inner, out)
+        out.append(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{")
+        for i, (key, value) in enumerate(sorted(o.items())):
+            out.append(inner if i == 0 else "," + inner)
+            out.append(encode_basestring_ascii(key) + ": ")
+            _write_json(value, inner, out)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _write_float_rows(rows: np.ndarray, newline: str, out: list):
+    """The text of rows.tolist() for a non-empty 2-D float array: every value
+    through one map over the flat list, placed by a per-row template."""
+    flat = rows.ravel().tolist()
+    text = map(float.__repr__ if np.isfinite(rows).all() else _json_float, flat)
+    row_break, value_break = newline + "  ", newline + "    "
+    row = "[" + value_break + ("," + value_break).join(["%s"] * rows.shape[1]) + row_break + "]"
+    out.append("[" + row_break + ("," + row_break).join([row] * rows.shape[0]) % tuple(text) + newline + "]")
+
+
+def _polar_rows(points: PolarBatch) -> np.ndarray:
+    """The (N, m+1) array of rows (r, direction...)."""
+    return np.column_stack((points.r, points.dirs))
 
 
 def _config_tokens(args) -> list[str]:
@@ -188,7 +262,7 @@ def cmd_search(args) -> int:
         "map": F.label,
         "R_used": cfg.R_used,
         "centers_polar": _polar_rows(cfg.centers),
-        "fiber_anchor_polar": _polar_rows(PolarBatch.of([cfg.fiber_anchor]))[0],
+        "fiber_anchor_polar": _polar_rows(PolarBatch.of([cfg.fiber_anchor]))[0].tolist(),
         "pairwise_manifold_min": cfg.pairwise_manifold_min,
         "pairwise_image_max": cfg.pairwise_image_max,
         "hausdorff_max": cert.hausdorff_max,

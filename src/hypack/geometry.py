@@ -183,8 +183,11 @@ def polar_distance(r1: float, r2: float, cos_theta: float) -> float:
 
 
 def _libm(fn):
-    ufunc = np.frompyfunc(fn, 1, 1)
-    return lambda x: np.asarray(ufunc(x), dtype=float)
+    def apply(x):
+        x = np.asarray(x, dtype=float)
+        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+    return apply
 
 
 # Elementwise libm functions for the row kernels: numpy's own cosh, sinh, tanh

@@ -110,10 +110,11 @@ def _candidate_grid(rho: float, h: float, m: int) -> tuple[np.ndarray, np.ndarra
     half_diag = 0.5 * h * math.sqrt(m)
     cells = (rho + half_diag) / h if h > 0.0 else math.inf
     if not cells < GRID_POINTS_MAX or (2 * math.ceil(cells) + 1) ** m > GRID_POINTS_MAX:
+        exponent = m * math.log10(2.0 * cells + 1.0)
+        size = f"about 10^{exponent:.1f}" if math.isfinite(exponent) else "over 10^308"
         raise ValueError(
-            f"build_reference_net: the candidate grid would span about"
-            f" 10^{m * math.log10(2.0 * cells + 1.0):.1f} lattice points, more than the"
-            f" limit of {GRID_POINTS_MAX:,}; raise delta or lower rho or m"
+            f"build_reference_net: the candidate grid would span {size} lattice points,"
+            f" more than the limit of {GRID_POINTS_MAX:,}; raise delta or lower rho or m"
         )
     n_side = math.ceil(cells)
     axis = h * np.arange(-n_side, n_side + 1)
@@ -169,7 +170,10 @@ def build_reference_net(rho: float, delta: float, m: int) -> NetTemplate:
     if delta >= rho:
         return NetTemplate(rho=rho, delta=delta, tangent_points=np.zeros((1, m)))
 
-    spacing = delta * rho / math.sinh(rho)
+    try:
+        spacing = delta * rho / math.sinh(rho)
+    except OverflowError:  # rho past about 710: no grid fits, _candidate_grid refuses h = 0
+        spacing = 0.0
     h = 2.0 * _GRID_FRACTION * spacing / math.sqrt(m)
     stop = (1.0 - _GRID_FRACTION) * spacing
 

@@ -1,10 +1,12 @@
 import json
+import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from conftest import time_limit
-from hypack.cli import main
+from hypack.cli import _dump_json, main
 from hypack.maps import FLAT_GRAPH_K_MAX
 from hypack.packing import CAP_MAX
 from hypack.search import SAMPLES_MAX
@@ -228,6 +230,19 @@ class TestSearch:
         assert refused_quickly(["search", "--cap", "100000000"]) == 2
         assert f"cap must lie in [2, {CAP_MAX:,}]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "r, message",
+        [
+            # sinh(r) overflows past r = 710; the net's grid limit refuses it
+            ("1000", "lattice points, more than the limit"),
+            # the first default rung 2C + 2 rounds to 2C
+            ("1e300", "need R > 2C"),
+        ],
+    )
+    def test_huge_r_exit_2(self, capsys, r, message):
+        assert refused_quickly(["search", "--r", r]) == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_map_exit_2(self, tmp_path):
         rc = main(["search", "--map", "poincare", "--eps", "2.0"])
         assert rc == 2
@@ -429,3 +444,69 @@ class TestConfigFile:
             rc = main(["pack", "--config", str(cfg)])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+
+def _as_lists(o):
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    if isinstance(o, dict):
+        return {key: _as_lists(value) for key, value in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_as_lists(item) for item in o]
+    return o
+
+
+class TestArtifactWriter:
+    """Artifacts have the bytes of json.dumps(sort_keys=True, indent=2)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pack", "--C", "1", "--R", "6"],
+            ["growth", "--C", "1", "--R-from", "3", "--R-to", "12", "--format", "json"],
+            ["search", "--m", "2", "--k", "3"],
+            ["search", "--m", "2", "--k", "2", "--hausdorff"],
+            ["search", "--map", "busemann", "--k", "2", "--R-max", "16.5"],
+            ["demo-flat", "--K", "8"],
+        ],
+        ids=["pack", "growth", "search", "hausdorff", "exhausted", "demo-flat"],
+    )
+    def test_artifact_round_trip(self, tmp_path, argv):
+        with time_limit(60.0):
+            rc, out = run(tmp_path, "artifact.json", argv)
+        assert rc == (3 if "--R-max" in argv else 0)
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"floats": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-05, 3.0, -2.0, 0.1]},
+            {"scalars": [True, False, None, 0, -7, 2**70, np.float64(0.1)], "b": True, "n": None},
+            {"text": ["\u00e9\u2202\u20ac\U0001f600", "a\x00b\x1f\n\t\"\\/", ""], "\u00e9 key\n": 1},
+            {"empty": [], "nothing": {}, "rows": np.zeros((0, 3)), "deep": [[[]], {"a": {}}]},
+            {"one": np.array([[1.5]]), "wide": np.array([[1.0, -0.0, math.nan, math.inf, -math.inf]])},
+            {"tall": np.random.default_rng(5).standard_normal((7, 3)) * 1e17, "cols": np.zeros((3, 0))},
+            {"tuple": (1, (2.5, ()), [np.array([[0.5, 2.0]])]), "ints": np.arange(6).reshape(2, 3)},
+            {"vector": np.array([1.0, 2.0]), "single": np.float32([[0.1]])},
+            [np.ones((2, 2)), {"z": 1, "a": [{"y": (), "b": 1e-300}]}],
+            [],
+            {},
+            "top",
+            -0.0,
+        ],
+    )
+    def test_writer_matches_json_dumps(self, payload):
+        assert _dump_json(payload) == json.dumps(_as_lists(payload), sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("payload", [{"a": object()}, [np.int64(3)], [np.bool_(True)]])
+    def test_writer_refuses_what_json_refuses(self, payload):
+        with pytest.raises(TypeError):
+            json.dumps(payload, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            _dump_json(payload)
+
+    def test_writer_takes_string_keys_only(self):
+        # json.dumps would write the key as "1"; no artifact has a non-string key
+        with pytest.raises(TypeError):
+            _dump_json({1: "int key"})

@@ -12,7 +12,11 @@ from hypack.geometry import (
     HTangent,
     NumericRangeError,
     PolarBatch,
+    _asinh,
     _comb2,
+    _cosh,
+    _sinh,
+    _tanh,
     dist_given_q,
     distance,
     exp_map,
@@ -574,6 +578,26 @@ class TestDistGivenQKernel:
             for d, a, b, c in zip(batch, r1, r2, q)
         )
         assert worst <= 1e-10
+
+
+class TestLibmHelpers:
+    # the row kernels call libm one element at a time; numpy's own ufuncs
+    # differ from it in the last bit on a few percent of elements
+    HELPERS = [(_cosh, math.cosh), (_sinh, math.sinh), (_tanh, math.tanh), (_asinh, math.asinh)]
+
+    @pytest.mark.parametrize("shape", [(), (257,), (6, 5, 1), (0,), (3, 0, 1)])
+    def test_equal_math_elementwise(self, rng, shape):
+        x = rng.uniform(-30.0, 30.0, shape)
+        for helper, fn in self.HELPERS:
+            got = helper(x)
+            assert got.shape == x.shape and got.dtype == np.float64
+            want = np.array([fn(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+            assert np.array_equal(got, want)
+
+    def test_overflow_propagates(self):
+        for helper in (_cosh, _sinh):
+            with pytest.raises(OverflowError):
+                helper(np.array([1.0, 800.0]))
 
 
 class TestTransvections:

@@ -108,7 +108,11 @@ class TestLocalGreedy:
                 assert all(s.start <= g < s.stop for s, g in zip(box, cell)), (x, cell)
 
     @pytest.mark.parametrize(
-        "rho, delta, m", [(1.0, 0.5, 5), (1.0, 0.5, 6), (1.0, 0.5, 400), (1.0, 1e-7, 2), (1.0, 1e-300, 2)]
+        "rho, delta, m",
+        [
+            (1.0, 0.5, 5), (1.0, 0.5, 6), (1.0, 0.5, 400), (1.0, 1e-7, 2), (1.0, 1e-300, 2),
+            (1000.0, 0.25, 2), (1e300, 0.25, 2),  # sinh(rho) overflows
+        ],
     )
     def test_grid_over_limit_refused(self, rho, delta, m):
         with time_limit(10.0), pytest.raises(ValueError, match=f"limit of {GRID_POINTS_MAX:,}"):
