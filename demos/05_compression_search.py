@@ -15,7 +15,6 @@ from hypack.geometry import HPoint, PolarBatch, distance
 from hypack.maps import poincare_inclusion
 from hypack.search import (
     SearchParams,
-    certificate_net,
     certify_configuration,
     corollary_sequences,
     find_bunched_configuration,
@@ -25,7 +24,7 @@ F = poincare_inclusion(2)
 r, eps, k = 1.0, 0.5, 3
 
 print(f"== set-distance search: r={r}, eps={eps}, k={k} ==")
-params = SearchParams(r, eps, k, m=2, seed=3)
+params = SearchParams(r, eps, k, m=2)
 print(f"C = 2(2 r eps + 1)/eps = {params.C}; R ladder = {params.R_schedule}")
 cfg = find_bunched_configuration(F, params)
 for rec in cfg.history:
@@ -46,21 +45,21 @@ print(
 )
 
 print(f"\n== Hausdorff variant (augmented map over a transported net) ==")
-params_h = SearchParams(r, eps, 2, hausdorff=True, m=2, seed=3)
-net = certificate_net(F, r, eps)
+params_h = SearchParams(r, eps, 2, hausdorff=True, m=2)
+cfg_h = find_bunched_configuration(F, params_h)
+net = cfg_h.net
 print(f"net: l = {net.l} points at delta = eps/(2L) = {net.delta}; F^ maps into R^{F.n * net.l}")
-cfg_h = find_bunched_configuration(F, params_h, net=net)
-cert_h = certify_configuration(F, cfg_h, net=net, samples=256, seed=3)
+cert_h = certify_configuration(F, cfg_h, samples=256, seed=3)
 print(
     f"success at R = {cfg_h.R_used}; (iii) net Hausdorff estimate + L*delta slack = "
     f"{cert_h.hausdorff_max:.6f} <= eps -> {cert_h.pass_iii}"
 )
 
 print("\n== compression sequences (epsilon halved per level) ==")
-base = SearchParams(r, eps, 2, m=2, seed=3)
+base = SearchParams(r, eps, 2, m=2)
 for level, c in enumerate(corollary_sequences(F, k=2, levels=3, base_params=base)):
     print(
-        f"  level {level}: eps = {c.epsilon:<6} separation {c.pairwise_manifold_min:>8.4f} "
+        f"  level {level}: eps = {c.params.epsilon:<6} separation {c.pairwise_manifold_min:>8.4f} "
         f"(increasing), image diameter {c.pairwise_image_max:.3e} (decreasing)"
     )
 

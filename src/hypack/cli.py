@@ -26,7 +26,6 @@ from hypack.packing import PackingSpec, generate_centers, growth_table, growth_t
 from hypack.search import (
     ScheduleExhausted,
     SearchParams,
-    certificate_net,
     certify_configuration,
     check_samples,
     find_bunched_configuration,
@@ -238,11 +237,10 @@ def cmd_search(args) -> int:
     F = _map_handle(args)
     params = SearchParams(
         r=args.r, epsilon=args.eps, k=args.k, hausdorff=args.hausdorff, m=args.m,
-        cap=args.cap, seed=args.seed, R_max=args.R_max,
+        cap=args.cap, R_max=args.R_max,
     )
-    net = certificate_net(F, args.r, args.eps)
     try:
-        cfg = find_bunched_configuration(F, params, net=net if args.hausdorff else None)
+        cfg = find_bunched_configuration(F, params)
     except ScheduleExhausted as exc:
         payload = {
             "schema": SCHEMA_VERSION,
@@ -250,15 +248,15 @@ def cmd_search(args) -> int:
             "error": "schedule-exhausted",
             "message": str(exc),
             "diagnostics": exc.diagnostics,
-            "params": _params_dict(params),
+            "params": _params_dict(params, args.seed),
         }
         _atomic_write(args.out, _dump_json(payload))
         return EXIT_EXHAUSTED
-    cert = certify_configuration(F, cfg, net=net, samples=args.samples, seed=args.seed)
+    cert = certify_configuration(F, cfg, samples=args.samples, seed=args.seed)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "search",
-        "params": _params_dict(params),
+        "params": _params_dict(params, args.seed),
         "map": F.label,
         "R_used": cfg.R_used,
         "centers_polar": _polar_rows(cfg.centers),
@@ -276,7 +274,7 @@ def cmd_search(args) -> int:
     return EXIT_PASS if cert.ok else EXIT_VERIFY_FAIL
 
 
-def _params_dict(params: SearchParams) -> dict:
+def _params_dict(params: SearchParams, seed: int) -> dict:
     return {
         "r": params.r,
         "epsilon": params.epsilon,
@@ -284,7 +282,7 @@ def _params_dict(params: SearchParams) -> dict:
         "C": params.C,
         "m": params.m,
         "cap": params.cap,
-        "seed": params.seed,
+        "seed": seed,
         "hausdorff": params.hausdorff,
         "R_schedule": list(params.R_schedule),
     }

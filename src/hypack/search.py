@@ -13,7 +13,7 @@ pairwise manifold distance >= 2C and image distance < 2/C.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -25,7 +25,6 @@ from hypack.nets import NetTemplate, build_reference_net, transport_net
 from hypack.packing import (
     CAP_MAX,
     PackingSpec,
-    _pairwise_min,
     generate_centers,
     min_lag_distance,
     packing_angle,
@@ -118,8 +117,8 @@ def default_schedule(C: float, cap: int) -> tuple[float, ...]:
 class SearchParams:
     """Search parameters; C is derived from (r, epsilon, hausdorff) by the chooser.
 
-    Without an R_schedule the default ladder for C and cap is used; R_max
-    drops the rungs above it (keeping min(first rung, R_max) if none is left).
+    R_schedule is derived too: the default ladder for C and cap, less the
+    rungs above R_max (keeping min(first rung, R_max) if none is left).
     """
 
     r: float
@@ -128,9 +127,8 @@ class SearchParams:
     hausdorff: bool = False
     m: int = 2
     cap: int = 100_000
-    seed: int = 0
-    R_schedule: tuple[float, ...] | None = None
     R_max: float | None = None
+    R_schedule: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
         _check_r_eps(self.r, self.epsilon)
@@ -142,11 +140,12 @@ class SearchParams:
             raise ValueError(f"SearchParams: cap must lie in [2, {CAP_MAX:,}] (got {self.cap})")
         if self.R_max is not None and math.isnan(self.R_max):
             raise ValueError("SearchParams: R_max must not be NaN")
-        sched = (
-            default_schedule(self.C, self.cap) if self.R_schedule is None else tuple(self.R_schedule)
-        )
-        if not sched:
-            raise ValueError("SearchParams: empty R schedule")
+        if 2.0 * self.C + 2.0 <= 2.0 * self.C:
+            raise ValueError(
+                f"SearchParams: r is too large (r={self.r}, epsilon={self.epsilon}): "
+                f"the first rung R = 2C + 2 rounds to 2C"
+            )
+        sched = default_schedule(self.C, self.cap)
         if self.R_max is not None:
             sched = tuple(R for R in sched if R <= self.R_max) or (min(sched[0], self.R_max),)
         if any(R <= 2.0 * self.C for R in sched):
@@ -239,7 +238,7 @@ def _nearest_below(A: np.ndarray, rows: np.ndarray, B: np.ndarray, limit: float)
 class SeparatedFamily:
     """Maximal subfamily whose images are pairwise >= separation apart.
 
-    ``selected`` holds positions into the scanned center list.  Property a)
+    ``selected`` holds positions into the scanned image rows.  Property a)
     (pairwise separation) and b) (maximality: every other image lies within
     the separation of a selected one) hold by construction of the greedy
     scan.  :func:`theta_assignment`, which needs b) anyway, checks both for
@@ -247,11 +246,10 @@ class SeparatedFamily:
     """
 
     selected: np.ndarray
-    images: np.ndarray
     separation: float
 
 
-def greedy_separated_subfamily(centers, images, sep: float) -> SeparatedFamily:
+def greedy_separated_subfamily(images, sep: float) -> SeparatedFamily:
     """Scan in index order; keep a center iff its image clears all kept images.
 
     The output satisfies separation by the acceptance test and maximality
@@ -276,10 +274,8 @@ def greedy_separated_subfamily(centers, images, sep: float) -> SeparatedFamily:
     tree query per kept image.
     """
     images = np.asarray(images, dtype=float)
-    if len(centers) != len(images) or len(images) == 0:
-        raise ValueError("greedy_separated_subfamily: need equally many centers and images")
-    if images.ndim != 2 or not np.all(np.isfinite(images)):
-        raise ValueError("greedy_separated_subfamily: images must be a finite 2-d array")
+    if images.ndim != 2 or len(images) == 0 or not np.all(np.isfinite(images)):
+        raise ValueError("greedy_separated_subfamily: images must be a non-empty finite 2-d array")
     if sep <= 0.0:
         raise ValueError("greedy_separated_subfamily: sep must be > 0")
     lead = images[:, : min(_PREFILTER_COLUMNS, images.shape[1])]
@@ -298,7 +294,7 @@ def greedy_separated_subfamily(centers, images, sep: float) -> SeparatedFamily:
                 rows = later[part]
                 rejected[rows[np.linalg.norm(images[i] - images[rows], axis=1) < sep]] = True
     selected = np.flatnonzero(~rejected)
-    return SeparatedFamily(selected=selected, images=images[selected], separation=sep)
+    return SeparatedFamily(selected=selected, separation=sep)
 
 
 def counting_upper_bound(R: float, C: float, L: float, n: int) -> float:
@@ -332,8 +328,8 @@ class ThetaFibers:
         return anchor, self.fibers[anchor]
 
 
-def theta_assignment(n_centers: int, fam: SeparatedFamily, images) -> ThetaFibers:
-    """Map every non-selected center to the nearest selected image.
+def theta_assignment(fam: SeparatedFamily, images) -> ThetaFibers:
+    """Map every non-selected image row to the nearest selected image.
 
     Ties break toward the lowest selected index.  This is also the one check
     of the family, decided as by the full cdist scans; AssertionError names
@@ -352,11 +348,11 @@ def theta_assignment(n_centers: int, fam: SeparatedFamily, images) -> ThetaFiber
       (:func:`_nearest_below`), so only close pairs are measured.
     """
     images = np.asarray(images, dtype=float)
-    sel = fam.images
+    sel = images[fam.selected]
     t, j, _ = _close_pairs(sel, np.arange(len(sel)), sel, fam.separation - 1e-12)
     if np.any(t != j):
         raise AssertionError("theta_assignment: separation violated")
-    mask = np.ones(n_centers, dtype=bool)
+    mask = np.ones(len(images), dtype=bool)
     mask[fam.selected] = False
     leftovers = np.nonzero(mask)[0]
     fibers: dict[int, list[int]] = {}
@@ -410,33 +406,30 @@ def augment_map(F: LipschitzMapHandle, net: NetTemplate) -> LipschitzMapHandle:
 
 @dataclass(frozen=True)
 class BunchedConfiguration:
-    """k ball centers plus the certificate data for the bunching conclusions."""
+    """k ball centers plus the certificate data for the bunching conclusions.
 
+    The centers sit at `indices` (times the packing angle `alpha`) on the
+    circle of radius `center_radius`; `net` is the certificate net of the
+    search's r and epsilon.
+    """
+
+    params: SearchParams
+    net: NetTemplate
     centers: PolarBatch
-    r: float
-    epsilon: float
-    C: float
     R_used: float
     pairwise_manifold_min: float
     pairwise_image_max: float
     fiber_anchor: HPoint
-    alpha: float | None = None
-    indices: tuple[float, ...] | None = None
-    center_radius: float | None = None
-    hausdorff_pipeline: bool = False
-    selected_count: int = 0
-    family_count: int = 0
-    history: tuple = ()  # per-R records: family/selected/largest_fiber/bound
+    alpha: float
+    indices: tuple[float, ...]
+    center_radius: float
+    selected_count: int
+    family_count: int
+    history: tuple  # per-R records: family/selected/largest_fiber/bound
 
     @property
     def k(self) -> int:
         return len(self.centers)
-
-    def manifold_min_recomputed(self) -> float:
-        """Pairwise center separation via the stable angle kernel."""
-        if self.alpha is None or self.indices is None:
-            return _pairwise_min(self.centers)
-        return min_lag_distance(self.center_radius, self.alpha, self.indices)
 
 
 def _best_window(members: list[int], imgs: np.ndarray, k: int) -> tuple[list[int], float]:
@@ -455,15 +448,17 @@ def _best_window(members: list[int], imgs: np.ndarray, k: int) -> tuple[list[int
 def find_bunched_configuration(
     F: LipschitzMapHandle,
     params: SearchParams,
-    net: NetTemplate | None = None,
     max_image_diameter: float | None = None,
 ) -> BunchedConfiguration:
     """Walk the R schedule until some Theta fiber holds k members.
 
-    Returns the k members (the consecutive-in-index window of the largest
-    fiber with the smallest image spread) together with the fiber's anchor.
-    The returned configuration re-verifies the two proof inequalities:
-    pairwise manifold distance >= 2C and pairwise image distance < 2/C.
+    Builds the certificate net (:func:`certificate_net`) once, first; the
+    Hausdorff search evaluates the map augmented over it.  Returns the k
+    members (the consecutive-in-index window of the largest fiber with the
+    smallest image spread) together with the fiber's anchor, and carries the
+    net for :func:`certify_configuration`.  The returned configuration
+    re-verifies the two proof inequalities: pairwise manifold distance >= 2C
+    and pairwise image distance < 2/C.
 
     Raises
     ------
@@ -471,22 +466,16 @@ def find_bunched_configuration(
         If no R in the schedule produces a fiber of size k (with the image
         diameter constraint, when one is given).
     """
-    eff_F = F
-    rho = 0.0
-    if params.hausdorff:
-        if net is None:
-            net = certificate_net(F, params.r, params.epsilon)
-        if abs(net.rho - params.r) > 1e-12:
-            raise ValueError("find_bunched_configuration: net rho must equal r")
-        eff_F = augment_map(F, net)
-        rho = net.rho
+    net = certificate_net(F, params.r, params.epsilon)
+    eff_F = augment_map(F, net) if params.hausdorff else F
+    rho = net.rho if params.hausdorff else 0.0
 
     sep = 1.0 / params.C
     diagnostics: list[dict] = []
     for R in params.R_schedule:
         fam = generate_centers(PackingSpec.at_origin(params.C, R, params.m), params.cap)
         images = eff_F.batch(fam.centers)
-        sf = greedy_separated_subfamily(fam.centers, images, sep)
+        sf = greedy_separated_subfamily(images, sep)
         # volume bound; the augmented pipeline uses the affine growth
         # sqrt(l) L (R + 2 rho) of the concatenated image
         bound_L = math.sqrt(net.l) * F.L if params.hausdorff else F.L
@@ -495,7 +484,7 @@ def find_bunched_configuration(
             raise AssertionError(
                 f"volume bound violated: {len(sf.selected)} selected > {bound}"
             )
-        fibers = theta_assignment(len(fam), sf, images)
+        fibers = theta_assignment(sf, images)
         anchor, members = fibers.largest
         entry = {
             "R": R,
@@ -523,10 +512,9 @@ def find_bunched_configuration(
         if diam >= 2.0 / params.C + 1e-9:
             raise AssertionError("bunched configuration violates the 2/C image bound")
         return BunchedConfiguration(
+            params=params,
+            net=net,
             centers=fam.centers[chosen],
-            r=params.r,
-            epsilon=params.epsilon,
-            C=params.C,
             R_used=R,
             pairwise_manifold_min=pair_min,
             pairwise_image_max=diam,
@@ -534,7 +522,6 @@ def find_bunched_configuration(
             alpha=fam.alpha,
             indices=idx,
             center_radius=fam.center_radius,
-            hausdorff_pipeline=params.hausdorff,
             selected_count=int(len(sf.selected)),
             family_count=len(fam),
             history=tuple(diagnostics),
@@ -630,37 +617,35 @@ class Certificate:
 def certify_configuration(
     F: LipschitzMapHandle,
     cfg: BunchedConfiguration,
-    net: NetTemplate | None = None,
     samples: int = 512,
     seed: int = 0,
 ) -> Certificate:
     """Independent verification of conclusions (i)-(iii) for a configuration.
 
-    (i) is exact: pairwise center distances are recomputed with the stable
-    kernel and must exceed 2r + 1/epsilon.  (ii) samples the image sets
-    (centers, transported net points, and seeded random ball points); any
-    cross pair bounds the set distance from above, and the closest pair is
-    found through one k-d tree per set (`_set_distance_max`).  (iii) bounds the
-    directed Hausdorff distances by the net-image estimate plus the L*delta
-    net slack, and is only evaluated for configurations from the augmented
-    pipeline (the set-distance C need not satisfy the Hausdorff budget).
+    The net is the one the configuration carries: the certificate net its
+    search built.  (i) is exact: pairwise center distances are recomputed
+    from the center indices with the stable kernel and must exceed
+    2r + 1/epsilon.  (ii) samples the image sets (centers, transported net
+    points, and seeded random ball points); any cross pair bounds the set
+    distance from above, and the closest pair is found through one k-d tree
+    per set (`_set_distance_max`).  (iii) bounds the directed Hausdorff
+    distances by the net-image estimate plus the L*delta net slack, and is
+    only evaluated for configurations from the augmented pipeline (the
+    set-distance C need not satisfy the Hausdorff budget).
     """
     check_samples(samples)
-    eps = cfg.epsilon
-    r = cfg.r
+    eps = cfg.params.epsilon
+    r = cfg.params.r
     k = cfg.k
+    net = cfg.net
 
     # (i): d(B_i, B_j) = d(p_i, p_j) - 2r >= 1/eps
-    pair_min = cfg.manifold_min_recomputed()
+    pair_min = min_lag_distance(cfg.center_radius, cfg.alpha, cfg.indices)
     sep = pair_min - 2.0 * r
     pass_i = sep >= 1.0 / eps - 1e-9
-    sep_2C_ok = pair_min >= 2.0 * cfg.C - 1e-9
+    sep_2C_ok = pair_min >= 2.0 * cfg.params.C - 1e-9
 
     # point clouds per ball: net points plus volume-corrected random samples
-    if net is None:
-        net = certificate_net(F, r, eps)
-    if abs(net.rho - r) > 1e-12:
-        raise ValueError("certify_configuration: net rho must equal the ball radius")
     rng = np.random.default_rng(seed)
     center_images = F.batch(cfg.centers)
     net_images = np.split(F.batch(transport_net(net, cfg.centers)), k)  # l rows per ball
@@ -674,7 +659,7 @@ def certify_configuration(
 
     hausdorff_max: float | None = None
     pass_iii: bool | None = None
-    if cfg.hausdorff_pipeline:
+    if cfg.params.hausdorff:
         slack = F.L * net.delta
         worst = 0.0
         for i in range(k):
@@ -726,7 +711,7 @@ def corollary_sequences(
     prev_sep = -math.inf
     for level in range(levels):
         eps_l = base_params.epsilon / (2.0**level)
-        params = replace(base_params, epsilon=eps_l, k=k, R_schedule=None)
+        params = replace(base_params, epsilon=eps_l, k=k)
         constraint = None if math.isinf(prev_diam) else prev_diam * (1.0 - 1e-9)
         cfg = find_bunched_configuration(F, params, max_image_diameter=constraint)
         sep = cfg.pairwise_manifold_min

@@ -272,7 +272,7 @@ def test_criterion_5_theorem_end_to_end(tmp_path):
 @pytest.fixture(scope="module")
 def corollary_runs():
     F = poincare_inclusion(2)
-    base = SearchParams(1.0, 0.5, 2, m=2, seed=SEED)
+    base = SearchParams(1.0, 0.5, 2, m=2)
     return F, corollary_sequences(F, k=2, levels=3, base_params=base)
 
 
@@ -280,7 +280,7 @@ def test_criterion_6_counting_bound(corollary_runs):
     F, cfgs = corollary_runs
     records = []
     for r, eps, k in ((1.0, 0.5, 3), (1.0, 0.25, 2)):
-        params = SearchParams(r, eps, k, m=2, seed=SEED)
+        params = SearchParams(r, eps, k, m=2)
         cfg = find_bunched_configuration(F, params)
         records.extend(cfg.history)
     for cfg in cfgs:

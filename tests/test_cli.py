@@ -7,7 +7,9 @@ import pytest
 
 from conftest import time_limit
 from hypack.cli import _dump_json, main
+import hypack.search
 from hypack.maps import FLAT_GRAPH_K_MAX
+from hypack.nets import build_reference_net
 from hypack.packing import CAP_MAX
 from hypack.search import SAMPLES_MAX
 
@@ -235,13 +237,35 @@ class TestSearch:
         [
             # sinh(r) overflows past r = 710; the net's grid limit refuses it
             ("1000", "lattice points, more than the limit"),
-            # the first default rung 2C + 2 rounds to 2C
-            ("1e300", "need R > 2C"),
+            # the first default rung 2C + 2 rounds to 2C, also for the smaller Hausdorff C
+            ("1e300", "r is too large (r=1e+300, epsilon=0.5)"),
+            ("1e16 --hausdorff", "r is too large (r=1e+16, epsilon=0.5)"),
         ],
     )
     def test_huge_r_exit_2(self, capsys, r, message):
-        assert refused_quickly(["search", "--r", r]) == 2
+        # a value of r may carry a trailing flag
+        assert refused_quickly(["search", "--r", *r.split()]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--k", "2"], 0),
+            (["--k", "2", "--hausdorff"], 0),
+            (["--map", "busemann", "--k", "2", "--R-max", "16.5"], 3),
+        ],
+    )
+    def test_one_net_per_search(self, tmp_path, monkeypatch, argv, code):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return build_reference_net(*args)
+
+        monkeypatch.setattr(hypack.search, "build_reference_net", counting)
+        rc, _ = run(tmp_path, "search.json", ["search", "--m", "2", "--samples", "16", *argv])
+        assert rc == code
+        assert len(calls) == 1
 
     def test_unknown_map_exit_2(self, tmp_path):
         rc = main(["search", "--map", "poincare", "--eps", "2.0"])

@@ -82,44 +82,44 @@ class TestParameterChoosers:
 class TestGreedySeparated:
     def test_identical_images_select_one(self):
         imgs = np.zeros((5, 2))
-        sf = greedy_separated_subfamily([None] * 5, imgs, 1.0)
+        sf = greedy_separated_subfamily(imgs, 1.0)
         assert list(sf.selected) == [0]
-        assert theta_assignment(5, sf, imgs).fibers == {0: [1, 2, 3, 4]}
+        assert theta_assignment(sf, imgs).fibers == {0: [1, 2, 3, 4]}
 
     def test_all_far_apart_select_all(self):
         imgs = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
-        sf = greedy_separated_subfamily([None] * 3, imgs, 1.0)
+        sf = greedy_separated_subfamily(imgs, 1.0)
         assert list(sf.selected) == [0, 1, 2]
 
     def test_line_hand_case(self):
         imgs = np.array([[0.0], [0.4], [0.9], [1.3]])
-        sf = greedy_separated_subfamily([None] * 4, imgs, 1.0)
+        sf = greedy_separated_subfamily(imgs, 1.0)
         assert list(sf.selected) == [0, 3]
-        assert theta_assignment(4, sf, imgs).fibers == {0: [1], 3: [2]}
+        assert theta_assignment(sf, imgs).fibers == {0: [1], 3: [2]}
 
     def test_verify_catches_violations(self):
         imgs = np.array([[0.0], [0.5], [2.0]])
-        bad = SeparatedFamily(selected=np.array([0, 1]), images=imgs[:2], separation=1.0)
+        bad = SeparatedFamily(selected=np.array([0, 1]), separation=1.0)
         with pytest.raises(AssertionError, match="separation"):
-            theta_assignment(3, bad, imgs)
+            theta_assignment(bad, imgs)
         # and a leftover that no selected image covers
-        sparse = SeparatedFamily(selected=np.array([0]), images=imgs[:1], separation=1.0)
+        sparse = SeparatedFamily(selected=np.array([0]), separation=1.0)
         with pytest.raises(AssertionError, match="maximality"):
-            theta_assignment(3, sparse, imgs)
+            theta_assignment(sparse, imgs)
 
     def test_close_pair_without_leftovers_is_refused(self):
         # every image is selected, so only the separation check can see the pair
         imgs = np.array([[0.0], [0.5]])
-        fam = SeparatedFamily(selected=np.array([0, 1]), images=imgs, separation=1.0)
+        fam = SeparatedFamily(selected=np.array([0, 1]), separation=1.0)
         with pytest.raises(AssertionError, match="separation"):
-            theta_assignment(2, fam, imgs)
+            theta_assignment(fam, imgs)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_images_refused(self, bad):
         imgs = np.zeros((4, 3))
         imgs[2, 1] = bad
         with pytest.raises(ValueError, match="finite"):
-            greedy_separated_subfamily([None] * 4, imgs, 1.0)
+            greedy_separated_subfamily(imgs, 1.0)
 
 
 class TestCountingBound:
@@ -136,31 +136,31 @@ class TestCountingBound:
 class TestThetaAssignment:
     def test_nothing_left_over(self):
         imgs = np.array([[0.0], [5.0]])
-        sf = greedy_separated_subfamily([None] * 2, imgs, 1.0)
-        fibers = theta_assignment(2, sf, imgs)
+        sf = greedy_separated_subfamily(imgs, 1.0)
+        fibers = theta_assignment(sf, imgs)
         assert fibers.fibers == {}
 
     def test_single_selected_one_fiber(self):
         imgs = np.zeros((6, 2))
-        sf = greedy_separated_subfamily([None] * 6, imgs, 1.0)
-        fibers = theta_assignment(6, sf, imgs)
+        sf = greedy_separated_subfamily(imgs, 1.0)
+        fibers = theta_assignment(sf, imgs)
         assert list(fibers.fibers) == [0]
         assert fibers.fibers[0] == [1, 2, 3, 4, 5]
 
     def test_fibers_partition_leftovers(self):
         rng = np.random.default_rng(3)
         imgs = rng.random((40, 2))
-        sf = greedy_separated_subfamily([None] * 40, imgs, 0.3)
-        fibers = theta_assignment(40, sf, imgs)
+        sf = greedy_separated_subfamily(imgs, 0.3)
+        fibers = theta_assignment(sf, imgs)
         members = sorted(i for fiber in fibers.fibers.values() for i in fiber)
         expected = sorted(set(range(40)) - set(sf.selected.tolist()))
         assert members == expected
 
     def test_tie_breaks_to_lowest_index(self):
         imgs = np.array([[0.0], [2.0], [1.0]])  # leftover 2 equidistant to 0 and 1
-        sf = greedy_separated_subfamily([None] * 3, imgs, 1.5)
+        sf = greedy_separated_subfamily(imgs, 1.5)
         assert list(sf.selected) == [0, 1]
-        fibers = theta_assignment(3, sf, imgs)
+        fibers = theta_assignment(sf, imgs)
         assert fibers.fibers == {0: [2]}
 
 
@@ -174,8 +174,10 @@ class TestCertificateNet:
 
 class TestSearchParams:
     def test_schedule_must_exceed_2C(self):
-        with pytest.raises(ValueError):
-            SearchParams(1.0, 0.5, 2, R_schedule=(15.0,))
+        # 2C = 16 for r = 1, eps = 0.5; R_max below it leaves the rung R_max
+        assert SearchParams(1.0, 0.5, 2, R_max=16.5).R_schedule == (16.5,)
+        with pytest.raises(ValueError, match="exceed 2C"):
+            SearchParams(1.0, 0.5, 2, R_max=15.0)
 
     def test_R_max_drops_higher_rungs(self):
         full = SearchParams(1.0, 0.5, 2).R_schedule
@@ -186,15 +188,34 @@ class TestSearchParams:
 
     def test_replace_keeps_the_schedule(self):
         params = SearchParams(1.0, 0.5, 2, hausdorff=True, R_max=30.0)
-        assert replace(params, seed=4).R_schedule == params.R_schedule
+        assert replace(params, k=4).R_schedule == params.R_schedule
+
+    def test_replace_rederives_the_schedule(self):
+        params = SearchParams(1.0, 0.5, 2, R_max=60.0)
+        new = replace(params, epsilon=0.25)
+        full = default_schedule(choose_C_setdist(1.0, 0.25), params.cap)
+        assert new.C == choose_C_setdist(1.0, 0.25) != params.C
+        assert new.R_schedule == tuple(R for R in full if R <= 60.0)
+        assert new.R_schedule != params.R_schedule
+
+    def test_schedule_is_not_an_input(self):
+        with pytest.raises(TypeError):
+            SearchParams(1.0, 0.5, 2, R_schedule=(20.0,))
+        with pytest.raises(ValueError, match="init=False"):
+            replace(SearchParams(1.0, 0.5, 2), R_schedule=(20.0,))
 
     @pytest.mark.parametrize(
         "kwargs, message",
-        [({"R_schedule": ()}, "empty R schedule"), ({"R_max": math.nan}, "R_max must not be NaN")],
+        [
+            # the first rung 2C + 2 rounds to 2C
+            ({"r": 1e300}, "r is too large"),
+            ({"R_max": math.nan}, "R_max must not be NaN"),
+            ({"r": 1e16, "hausdorff": True}, "r is too large"),
+        ],
     )
     def test_bad_schedule_raises(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
-            SearchParams(1.0, 0.5, 2, **kwargs)
+            SearchParams(**{"r": 1.0, "epsilon": 0.5, "k": 2, **kwargs})
 
     def test_default_schedule_ladder(self):
         sched = default_schedule(8.0, 100_000)
@@ -226,7 +247,7 @@ class TestFindBunched:
 
     def test_busemann_small_schedule_exhausts(self):
         B = busemann_map([ideal_point([1.0, 0.0]), ideal_point([0.0, 1.0])])
-        params = SearchParams(1.0, 0.5, 2, m=2, R_schedule=(16.5,))
+        params = SearchParams(1.0, 0.5, 2, m=2, R_max=16.5)
         with pytest.raises(ScheduleExhausted) as exc:
             find_bunched_configuration(B, params)
         diag = exc.value.diagnostics
@@ -237,7 +258,7 @@ class TestFindBunched:
         F = poincare_inclusion(2)
         params = SearchParams(1.0, 0.5, 3, m=2)
         cfg = find_bunched_configuration(F, params)
-        bound = counting_upper_bound(cfg.R_used, cfg.C, F.L, F.n)
+        bound = counting_upper_bound(cfg.R_used, cfg.params.C, F.L, F.n)
         assert cfg.selected_count <= bound
 
 
@@ -263,37 +284,35 @@ class TestCertify:
         cert = certify_configuration(F, cfg, samples=128, seed=10)
         assert cert.pass_i and cert.pass_ii
         assert cert.separation_min >= cert.separation_required
-        assert cert.set_distance_max <= cfg.epsilon
+        assert cert.set_distance_max <= cfg.params.epsilon
 
     def test_corrupted_configuration_fails(self, poincare_cfg):
         from dataclasses import replace
 
         F, cfg = poincare_cfg
-        # basepoint corruption breaks the 2C proof invariant (the center
-        # radius R - C always exceeds 2r + 1/eps, so conclusion (i) itself
-        # survives this particular corruption)
-        bad = replace(
-            cfg,
-            centers=PolarBatch.of([HPoint.origin(2), *cfg.centers[1:]]),
-            alpha=None,
-            indices=None,
-        )
+        i0, i1, i2 = cfg.indices
+        # half a packing angle between two centers breaks the 2C proof
+        # invariant, but at the center radius R - C the pair is still more
+        # than 2r + 1/eps apart, so conclusion (i) itself survives
+        bad = replace(cfg, indices=(i0, i0 + 0.5, i2))
         cert = certify_configuration(F, bad, samples=32, seed=11)
+        assert cert.pass_i
         assert not cert.separation_2C_ok
         assert not cert.ok
         # a near-duplicate center breaks conclusion (i) outright
-        v = HTangent.at(cfg.centers[1], [0.0, 1.0, 0.0], project=True)
-        nearby = exp_map(v.scaled(0.5 / v.norm))
-        worse = replace(cfg, centers=PolarBatch.of([nearby, cfg.centers[1]]), alpha=None, indices=None)
+        worse = replace(cfg, indices=(i0, i1, i1 + 1e-4))
         cert = certify_configuration(F, worse, samples=32, seed=11)
         assert not cert.pass_i
 
     def test_hausdorff_pipeline_certifies_iii(self):
         F = poincare_inclusion(2)
-        net = build_reference_net(1.0, 0.5, 2)
         params = SearchParams(1.0, 0.5, 2, hausdorff=True, m=2)
-        cfg = find_bunched_configuration(F, params, net=net)
-        cert = certify_configuration(F, cfg, net=net, samples=64, seed=12)
+        cfg = find_bunched_configuration(F, params)
+        # the net the configuration carries is the certificate net for r, eps
+        ref = build_reference_net(1.0, 0.5, 2)
+        assert (cfg.net.rho, cfg.net.delta) == (ref.rho, ref.delta)
+        assert np.array_equal(cfg.net.tangent_points, ref.tangent_points)
+        cert = certify_configuration(F, cfg, samples=64, seed=12)
         assert cert.pass_i and cert.pass_ii and cert.pass_iii
         assert cert.hausdorff_max <= 0.5
 
@@ -394,8 +413,8 @@ class TestCorollarySequences:
         F = poincare_inclusion(2)
         base = SearchParams(1.0, 0.5, 2, hausdorff=True, m=2)
         (cfg,) = corollary_sequences(F, k=2, levels=1, base_params=base)
-        assert cfg.hausdorff_pipeline
-        assert cfg.C == choose_C_hausdorff(1.0, 0.5)
+        assert cfg.params.hausdorff
+        assert cfg.params.C == choose_C_hausdorff(1.0, 0.5)
 
     def test_constant_map_zero_diameters(self):
         base = SearchParams(1.0, 0.5, 2, m=2, cap=500)
@@ -502,12 +521,12 @@ class TestPigeonholeScans:
         X, sep, chunk = case
         sel, kept = loop_separated_subfamily(X, sep)
         with mock.patch.object(hypack.search, "_RECHECK_ELEMENTS", chunk):
-            sf = greedy_separated_subfamily([None] * len(X), X, sep)
+            sf = greedy_separated_subfamily(X, sep)
             assert sf.selected.dtype == sel.dtype
             assert np.array_equal(sf.selected, sel)
-            assert np.array_equal(sf.images, kept)
+            assert np.array_equal(X[sf.selected], kept)
             assert full_cdist_verify(sel, kept, sep, X)
-            fib = theta_assignment(len(X), sf, X)
+            fib = theta_assignment(sf, X)
         assignment, leftovers, fibers = full_cdist_theta(len(X), sel, kept, X, sep)
         assert np.array_equal(fib.assignment, assignment)
         assert np.array_equal(fib.leftovers, leftovers)
@@ -522,14 +541,14 @@ class TestPigeonholeScans:
         sel = np.flatnonzero(rng.random(len(X)) < 0.5)
         if sel.size == 0:
             sel = np.array([int(rng.integers(0, len(X)))])
-        fam = SeparatedFamily(selected=sel, images=X[sel], separation=sep)
+        fam = SeparatedFamily(selected=sel, separation=sep)
         with mock.patch.object(hypack.search, "_RECHECK_ELEMENTS", chunk):
             if not full_cdist_verify(sel, X[sel], sep, X, 1e-12):
                 with pytest.raises(AssertionError, match="separation|maximality"):
-                    theta_assignment(len(X), fam, X)
+                    theta_assignment(fam, X)
                 return
             expected = full_cdist_theta(len(X), sel, X[sel], X, sep)
-            fib = theta_assignment(len(X), fam, X)
+            fib = theta_assignment(fam, X)
         assert np.array_equal(fib.assignment, expected[0])
         assert fib.fibers == expected[2] and list(fib.fibers) == list(expected[2])
 
@@ -538,24 +557,24 @@ class TestPigeonholeScans:
         for width in (1, 2, 3, 8, 40):
             X = np.zeros((5, width))
             X[:, 0] = [0.0, 2.0, 1.0, 4.0, 3.0]
-            sf = greedy_separated_subfamily([None] * 5, X, 1.5)
+            sf = greedy_separated_subfamily(X, 1.5)
             assert sf.selected.tolist() == [0, 1, 3]
-            assert theta_assignment(5, sf, X).fibers == {0: [2], 1: [4]}
+            assert theta_assignment(sf, X).fibers == {0: [2], 1: [4]}
 
     @pytest.mark.parametrize("width", [1, 3, 40])
     def test_images_exactly_sep_apart_are_separated(self, width):
         X = np.zeros((3, width))
         X[:, 0] = [0.0, 1.0, 0.5]
         X += 1e6
-        sf = greedy_separated_subfamily([None] * 3, X, 1.0)
+        sf = greedy_separated_subfamily(X, 1.0)
         assert sf.selected.tolist() == [0, 1]
-        assert full_cdist_verify(sf.selected, sf.images, 1.0, X, 1e-12)
-        assert theta_assignment(3, sf, X).fibers == {0: [2]}
+        assert full_cdist_verify(sf.selected, X[sf.selected], 1.0, X, 1e-12)
+        assert theta_assignment(sf, X).fibers == {0: [2]}
         # a separation just above the gap
-        wider = SeparatedFamily(selected=sf.selected, images=sf.images, separation=1.0 + 2e-9)
-        assert not full_cdist_verify(wider.selected, wider.images, wider.separation, X, 1e-12)
+        wider = SeparatedFamily(selected=sf.selected, separation=1.0 + 2e-9)
+        assert not full_cdist_verify(wider.selected, X[wider.selected], wider.separation, X, 1e-12)
         with pytest.raises(AssertionError, match="separation"):
-            theta_assignment(3, wider, X)
+            theta_assignment(wider, X)
 
     @pytest.mark.parametrize("width", [2, 3, 6, 40, 7695])
     def test_pair_distances_have_cdist_bits(self, width):
@@ -579,8 +598,8 @@ class TestPigeonholeScans:
         order = rng.permutation(len(X))
         X, label = X[order], np.repeat(np.arange(clusters), members)[order]
         with time_limit(10.0):
-            sf = greedy_separated_subfamily([None] * len(X), X, 1.0)
-            fib = theta_assignment(len(X), sf, X)
+            sf = greedy_separated_subfamily(X, 1.0)
+            fib = theta_assignment(sf, X)
         # each cluster keeps its first row and gathers the others in its fiber
         first = {}
         for pos, c in enumerate(label.tolist()):
