@@ -1,14 +1,13 @@
 """Exponentially growing ball packings inside B(p, R).
 
-Builds the explicit 2-plane family of radius-C balls, verifies the 2C
-separation by brute force, and tabulates how the family size outruns any
+Builds the explicit 2-plane family of radius-C balls at o, certifies the 2C
+separation of every pair from the two extreme index lags, and tabulates how the family size outruns any
 polynomial: successive ratios approach e.
 """
 
 import math
 
 from hypack.packing import (
-    PackingSpec,
     count_lower_bound,
     generate_centers,
     growth_table,
@@ -20,11 +19,11 @@ C, R = 1.0, 3.0
 alpha = packing_angle(C, R)
 print(f"packing angle for C={C}, R={R}: alpha = {alpha:.6f} (sin alpha = sinh C / sinh(R-C))")
 
-fam = generate_centers(PackingSpec.at_origin(C, R, 2))
+fam = generate_centers(C, R, 2)
 print(f"family size k+1 = {len(fam)} at center radius R-C = {R - C}")
 rep = verify_packing(fam)
 print(
-    f"brute-force check over {rep.pairs_checked} pairs: min pairwise = "
+    f"index-lag certificate over {rep.pairs_checked} pairs: min pairwise = "
     f"{rep.min_pairwise:.12f} >= 2C = {2 * C}; enclosure max offset "
     f"{rep.max_center_offset} <= R - C; pass = {rep.ok}"
 )
@@ -42,7 +41,7 @@ rows = growth_table(C, range(15, 22))
 print("\nsuccessive family-size ratios at R >= 15 (they approach e):")
 print("  " + ", ".join(f"{row.ratio:.6f}" for row in rows[1:]) + f"   (e = {math.e:.6f})")
 
-capped = generate_centers(PackingSpec.at_origin(0.5, 11.0, 2), cap=1_000)
+capped = generate_centers(0.5, 11.0, 2, cap=1_000)
 print(
     f"\ncap demo: C=0.5, R=11 has {capped.family_size_uncapped:.0f} directions; "
     f"subsampled evenly to {len(capped)} (separation survives trivially: "

@@ -15,6 +15,7 @@ from hypack.geometry import HPoint, PolarBatch, distance
 from hypack.maps import poincare_inclusion
 from hypack.search import (
     SearchParams,
+    certificate_net,
     certify_configuration,
     corollary_sequences,
     find_bunched_configuration,
@@ -24,7 +25,7 @@ F = poincare_inclusion(2)
 r, eps, k = 1.0, 0.5, 3
 
 print(f"== set-distance search: r={r}, eps={eps}, k={k} ==")
-params = SearchParams(r, eps, k, m=2)
+params = SearchParams(r, eps, k)
 print(f"C = 2(2 r eps + 1)/eps = {params.C}; R ladder = {params.R_schedule}")
 cfg = find_bunched_configuration(F, params)
 for rec in cfg.history:
@@ -45,9 +46,9 @@ print(
 )
 
 print(f"\n== Hausdorff variant (augmented map over a transported net) ==")
-params_h = SearchParams(r, eps, 2, hausdorff=True, m=2)
+params_h = SearchParams(r, eps, 2, hausdorff=True)
 cfg_h = find_bunched_configuration(F, params_h)
-net = cfg_h.net
+net = certificate_net(F, r, eps)
 print(f"net: l = {net.l} points at delta = eps/(2L) = {net.delta}; F^ maps into R^{F.n * net.l}")
 cert_h = certify_configuration(F, cfg_h, samples=256, seed=3)
 print(
@@ -56,7 +57,7 @@ print(
 )
 
 print("\n== compression sequences (epsilon halved per level) ==")
-base = SearchParams(r, eps, 2, m=2)
+base = SearchParams(r, eps, 2)
 for level, c in enumerate(corollary_sequences(F, k=2, levels=3, base_params=base)):
     print(
         f"  level {level}: eps = {c.params.epsilon:<6} separation {c.pairwise_manifold_min:>8.4f} "

@@ -1,9 +1,9 @@
 """Batch front door: packings, growth tables, net checks, compression searches.
 
 One command per process; artifacts are JSON (schema field included) or CSV,
-written atomically.  JSON artifacts are written by one bulk writer whose bytes
-equal json.dumps(payload, sort_keys=True, indent=2) plus a newline; a 2-D
-float array is formatted straight from the array.  Exit codes: 0 pass,
+written atomically.  JSON artifacts are json.dumps(payload, sort_keys=True,
+indent=2) plus a newline, with each 2-D float array formatted straight from
+the array.  Exit codes: 0 pass,
 1 verification failure, 2 invalid configuration, 3 schedule exhausted.
 """
 
@@ -13,16 +13,16 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import asdict
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from hypack.geometry import NumericRangeError, PolarBatch
+from hypack.geometry import NumericRangeError, PolarBatch, check_dimension
 from hypack.maps import busemann_map, ideal_point, poincare_inclusion
-from hypack.packing import PackingSpec, generate_centers, growth_table, growth_table_csv, verify_packing
+from hypack.packing import generate_centers, growth_table, growth_table_csv, verify_packing
 from hypack.search import (
     ScheduleExhausted,
     SearchParams,
@@ -58,13 +58,33 @@ def _atomic_write(path: str | None, text: str):
         raise
 
 
-def _dump_json(payload: dict) -> str:
-    """The text of json.dumps(payload, sort_keys=True, indent=2) plus a newline,
-    with a 2-D float array written as its nested row lists in one bulk step."""
-    out = []
-    _write_json(payload, "\n", out)
-    out.append("\n")
-    return "".join(out)
+def _dump_json(payload) -> str:
+    """The text of json.dumps(payload, sort_keys=True, indent=2) plus a newline.
+
+    A non-empty 2-D float array is written in one bulk step: json.dumps puts
+    a unique placeholder string in its place, which is then replaced by the
+    array's rows at the indentation of its line.  Any other array is written
+    as its .tolist(); other types json.dumps refuses raise TypeError.
+    """
+    tag = os.urandom(16).hex()
+    arrays = []
+
+    def default(o):
+        if not isinstance(o, np.ndarray):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        if o.ndim == 2 and o.dtype.kind == "f" and o.size:
+            arrays.append(o)
+            return f"{tag}:{len(arrays) - 1}"
+        return o.tolist()
+
+    text = json.dumps(payload, sort_keys=True, indent=2, default=default)
+
+    def rows(match):
+        line = text[text.rfind("\n", 0, match.start()) + 1 : match.start()]
+        newline = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        return _write_float_rows(arrays[int(match.group(1))], newline)
+
+    return re.sub(f'"{tag}:(\\d+)"', rows, text) + "\n"
 
 
 def _json_float(x: float) -> str:
@@ -77,59 +97,15 @@ def _json_float(x: float) -> str:
     return float.__repr__(x)
 
 
-def _write_json(o, newline: str, out: list):
-    """Append the indent=2, sorted-key JSON text of `o`; `newline` is the line
-    break plus the indentation of the line `o` starts on."""
-    if isinstance(o, str):
-        out.append(encode_basestring_ascii(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
-        out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(_json_float(o))
-    elif isinstance(o, np.ndarray):
-        if o.ndim == 2 and o.dtype.kind == "f" and o.size:
-            _write_float_rows(o, newline, out)
-        else:
-            _write_json(o.tolist(), newline, out)
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        out.append("[")
-        for i, item in enumerate(o):
-            out.append(inner if i == 0 else "," + inner)
-            _write_json(item, inner, out)
-        out.append(newline + "]")
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        out.append("{")
-        for i, (key, value) in enumerate(sorted(o.items())):
-            out.append(inner if i == 0 else "," + inner)
-            out.append(encode_basestring_ascii(key) + ": ")
-            _write_json(value, inner, out)
-        out.append(newline + "}")
-    else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
-def _write_float_rows(rows: np.ndarray, newline: str, out: list):
-    """The text of rows.tolist() for a non-empty 2-D float array: every value
-    through one map over the flat list, placed by a per-row template."""
+def _write_float_rows(rows: np.ndarray, newline: str) -> str:
+    """The text of rows.tolist() for a non-empty 2-D float array, for a line
+    that starts with `newline`: every value through one map over the flat
+    list, placed by a per-row template."""
     flat = rows.ravel().tolist()
     text = map(float.__repr__ if np.isfinite(rows).all() else _json_float, flat)
     row_break, value_break = newline + "  ", newline + "    "
     row = "[" + value_break + ("," + value_break).join(["%s"] * rows.shape[1]) + row_break + "]"
-    out.append("[" + row_break + ("," + row_break).join([row] * rows.shape[0]) % tuple(text) + newline + "]")
+    return "[" + row_break + ("," + row_break).join([row] * rows.shape[0]) % tuple(text) + newline + "]"
 
 
 def _polar_rows(points: PolarBatch) -> np.ndarray:
@@ -165,9 +141,8 @@ def _config_tokens(args) -> list[str]:
 
 
 def cmd_pack(args) -> int:
-    spec = PackingSpec.at_origin(args.C, args.R, args.m)
-    fam = generate_centers(spec, cap=args.cap)
-    report = verify_packing(fam, tol=args.tolerance)
+    fam = generate_centers(args.C, args.R, args.m, cap=args.cap)
+    report = verify_packing(fam)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "pack",
@@ -224,6 +199,7 @@ def cmd_growth(args) -> int:
 
 
 def _map_handle(args):
+    check_dimension(args.m)
     if args.map == "poincare":
         return poincare_inclusion(args.m)
     if args.map == "busemann":
@@ -236,8 +212,8 @@ def cmd_search(args) -> int:
     check_samples(args.samples)
     F = _map_handle(args)
     params = SearchParams(
-        r=args.r, epsilon=args.eps, k=args.k, hausdorff=args.hausdorff, m=args.m,
-        cap=args.cap, R_max=args.R_max,
+        r=args.r, epsilon=args.eps, k=args.k, hausdorff=args.hausdorff, cap=args.cap,
+        R_max=args.R_max,
     )
     try:
         cfg = find_bunched_configuration(F, params)
@@ -248,7 +224,7 @@ def cmd_search(args) -> int:
             "error": "schedule-exhausted",
             "message": str(exc),
             "diagnostics": exc.diagnostics,
-            "params": _params_dict(params, args.seed),
+            "params": _params_dict(params, F.m, args.seed),
         }
         _atomic_write(args.out, _dump_json(payload))
         return EXIT_EXHAUSTED
@@ -256,7 +232,7 @@ def cmd_search(args) -> int:
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "search",
-        "params": _params_dict(params, args.seed),
+        "params": _params_dict(params, F.m, args.seed),
         "map": F.label,
         "R_used": cfg.R_used,
         "centers_polar": _polar_rows(cfg.centers),
@@ -274,13 +250,13 @@ def cmd_search(args) -> int:
     return EXIT_PASS if cert.ok else EXIT_VERIFY_FAIL
 
 
-def _params_dict(params: SearchParams, seed: int) -> dict:
+def _params_dict(params: SearchParams, m: int, seed: int) -> dict:
     return {
         "r": params.r,
         "epsilon": params.epsilon,
         "k": params.k,
         "C": params.C,
-        "m": params.m,
+        "m": m,
         "cap": params.cap,
         "seed": seed,
         "hausdorff": params.hausdorff,
@@ -320,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pack.add_argument("--R", type=float, default=3.0)
     p_pack.add_argument("--m", type=int, default=2)
     p_pack.add_argument("--cap", type=int, default=100_000)
-    p_pack.add_argument("--tolerance", type=float, default=1e-9)
 
     p_growth = sub.add_parser("growth", help="family growth table over an R range")
     common(p_growth)

@@ -30,9 +30,11 @@ __all__ = [
     "DEFAULT_TOL",
     "HPoint",
     "HTangent",
+    "M_MAX",
     "NumericRangeError",
     "PolarBatch",
     "Transvection",
+    "check_dimension",
     "dist_given_q",
     "distance",
     "exp_map",
@@ -59,6 +61,18 @@ _COORDS_INTERNAL_MAX = 350.0
 
 #: Default absolute tolerance on distances.
 DEFAULT_TOL = 1e-9
+
+#: Largest dimension m taken from outside: the largest whose certificate net
+#: grid fits nets.GRID_POINTS_MAX.  It also bounds every array that grows
+#: with m before the first is allocated.
+M_MAX = 13
+
+
+def check_dimension(m: int) -> None:
+    """Refuse a dimension m outside [2, M_MAX]."""
+    if not 2 <= m <= M_MAX:
+        raise ValueError(f"m must be >= 2 and <= {M_MAX} (got {m})")
+
 
 _LOG2 = math.log(2.0)
 

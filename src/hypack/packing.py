@@ -1,10 +1,10 @@
-"""Explicit geodesic-ball packings inside B(p, R) with certified 2C separation.
+"""Explicit geodesic-ball packings inside B(o, R) with certified 2C separation.
 
-The family places k+1 centers on a 2-plane through the packing center, at
-distance R-C along directions spaced by twice the packing angle alpha, with
-sin(alpha) = sinh(C)/sinh(R-C).  Adjacent centers are then exactly 2C apart
-and the family size grows like sinh(R-C), which is the exponential lower
-bound on the packing number.
+H^m is homogeneous, so one family serves every basepoint: k+1 centers on a
+2-plane through o, at distance R-C along directions spaced by twice the
+packing angle alpha, with sin(alpha) = sinh(C)/sinh(R-C).  Adjacent
+centers are then exactly 2C apart and the family size grows like
+sinh(R-C), which is the exponential lower bound on the packing number.
 """
 
 from __future__ import annotations
@@ -17,23 +17,20 @@ import numpy as np
 from hypack.geometry import (
     DEFAULT_TOL,
     HPoint,
-    HTangent,
     NumericRangeError,
     PolarBatch,
     _log_sinh,
+    check_dimension,
     dist_given_q,
     distance,
     exp_rows,
-    minkowski_inner,
 )
 
 __all__ = [
     "CAP_MAX",
-    "SWEEP_CENTERS_MAX",
     "BallFamily",
     "GrowthRow",
     "PackingReport",
-    "PackingSpec",
     "count_lower_bound",
     "direction_count",
     "generate_centers",
@@ -52,10 +49,6 @@ _EXACT_COUNT_MAX = float(2**53)
 #: Most centers generate_centers emits; a larger cap is refused before any
 #: index array is allocated.
 CAP_MAX = 1_000_000
-
-#: Most centers verify_packing measures pair by pair, for families that do
-#: not carry their generating angles.
-SWEEP_CENTERS_MAX = 20_000
 
 #: Largest rounding of an index-lag angle lag * alpha, relative to alpha, that
 #: generate_centers accepts.  The rounding is at most half an ulp of pi and
@@ -142,89 +135,70 @@ def min_lag_distance(rho, alpha, indices) -> float:
 
 
 @dataclass(frozen=True)
-class PackingSpec:
-    """Parameters of one packing: ball radius C inside B(center, R).
-
-    The 2-plane carrying the centers is spanned by two unit tangent vectors
-    at the center; by default the first two frame directions.
-    """
-
-    C: float
-    R: float
-    center: HPoint
-    plane: tuple[HTangent, HTangent]
-
-    def __post_init__(self):
-        if self.R <= 2.0 * self.C or self.C <= 0.0:
-            raise ValueError(f"PackingSpec: need R > 2C > 0 (got R={self.R}, C={self.C})")
-        u, w = self.plane
-        if abs(u.norm - 1.0) > 1e-12 or abs(w.norm - 1.0) > 1e-12:
-            raise ValueError("PackingSpec: plane vectors must be unit")
-        if abs(float(minkowski_inner(u.vec, w.vec))) > 1e-12:
-            raise ValueError("PackingSpec: plane vectors must be orthogonal")
-
-    @staticmethod
-    def at_origin(C: float, R: float, m: int) -> "PackingSpec":
-        if m < 2:
-            raise ValueError(f"PackingSpec: m must be >= 2 (got {m})")
-        center = HPoint.origin(m)
-        e = np.eye(m + 1)
-        return PackingSpec(C, R, center, (HTangent(center, e[1]), HTangent(center, e[2])))
-
-
-@dataclass
 class BallFamily:
-    """Finite family of equal-radius balls with a certified min separation.
+    """The 2-plane family of radius-C balls inside B(o, R).
 
-    ``alpha`` and ``indices`` record the generating angles: center j sits at
-    plane angle 2*indices[j]*alpha.  They are what makes separation
-    verification exact at large R, where stored unit directions can no
-    longer resolve the angular gaps (the angle between adjacent directions
-    falls below the eps-level quantization of the direction vectors).
+    Center j sits at radius R - C in the plane of the first two tangent
+    directions at o, at plane angle 2 * indices[j] * alpha.  The generating
+    angles are what makes separation verification exact at large R, where
+    stored unit directions can no longer resolve the angular gaps (the angle
+    between adjacent directions falls below the eps-level quantization of
+    the direction vectors).
     """
 
     centers: PolarBatch
-    radius: float
-    min_separation: float
-    enclosing: tuple[HPoint, float] | None = None
-    alpha: float | None = None
-    indices: np.ndarray | None = None
-    center_radius: float | None = None
-    family_size_uncapped: float | None = None
+    C: float
+    R: float
+    alpha: float
+    indices: np.ndarray
+    family_size_uncapped: float
+
+    @property
+    def radius(self) -> float:
+        return self.C
+
+    @property
+    def min_separation(self) -> float:
+        return 2.0 * self.C
+
+    @property
+    def center_radius(self) -> float:
+        return self.R - self.C
 
     def __len__(self) -> int:
         return len(self.centers)
 
 
-def generate_centers(spec: PackingSpec, cap: int = 100_000) -> BallFamily:
-    """Build the 2-plane center family for `spec`.
+def generate_centers(C: float, R: float, m: int, cap: int = 100_000) -> BallFamily:
+    """Build the 2-plane family of radius-C balls inside B(o, R) in H^m.
 
-    Emits centers exp_center((R-C) * v_j) for directions
-    v_j = cos(2 j alpha) u + sin(2 j alpha) w, j = 0..k.  When k+1 exceeds
-    `cap`, indices are subsampled evenly (which trivially preserves the 2C
-    separation).
+    Emits centers exp_o((R-C) * v_j) for directions
+    v_j = cos(2 j alpha) e_1 + sin(2 j alpha) e_2, j = 0..k.  When k+1
+    exceeds `cap`, indices are subsampled evenly (which trivially preserves
+    the 2C separation).
 
     Raises
     ------
     ValueError
-        If `cap` lies outside [2, CAP_MAX].
+        If m lies outside [2, M_MAX] or `cap` outside [2, CAP_MAX].
     NumericRangeError
         If half an ulp of pi exceeds _LAG_ROUNDING_MAX * alpha: the rounded
         products j * alpha that count and certify the family could then
         pass a pair that is closer than 2C at the exact angles.
     """
+    check_dimension(m)
     if not 2 <= cap <= CAP_MAX:
         raise ValueError(f"generate_centers: cap must lie in [2, {CAP_MAX:,}] (got {cap})")
-    alpha = packing_angle(spec.C, spec.R)
+    alpha = packing_angle(C, R)
     if 0.5 * math.ulp(math.pi) > _LAG_ROUNDING_MAX * alpha:
         raise NumericRangeError(
             f"generate_centers: packing angle {alpha:.3g} is too small for double precision "
-            f"(R - 2C = {spec.R - 2.0 * spec.C:.6g}); index-lag angles round by more than "
+            f"(R - 2C = {R - 2.0 * C:.6g}); index-lag angles round by more than "
             f"{_LAG_ROUNDING_MAX:g} of it"
         )
     k = direction_count(alpha)
     count = k + 1
-    rho = spec.R - spec.C
+    rho = R - C
 
     if count <= cap:
         idx = np.arange(count, dtype=float)
@@ -233,17 +207,16 @@ def generate_centers(spec: PackingSpec, cap: int = 100_000) -> BallFamily:
         idx = np.unique(idx)
 
     theta = 2.0 * idx * alpha
-    u, w = spec.plane
-    vecs = rho * (np.cos(theta)[:, None] * u.vec + np.sin(theta)[:, None] * w.vec)
+    vecs = np.zeros((len(idx), m + 1))
+    vecs[:, 1] = rho * np.cos(theta)
+    vecs[:, 2] = rho * np.sin(theta)
 
     fam = BallFamily(
-        centers=exp_rows(spec.center, vecs, np.full(idx.shape, rho)),
-        radius=spec.C,
-        min_separation=2.0 * spec.C,
-        enclosing=(spec.center, spec.R),
+        centers=exp_rows(HPoint.origin(m), vecs, np.full(idx.shape, rho)),
+        C=C,
+        R=R,
         alpha=alpha,
         indices=idx,
-        center_radius=rho,
         family_size_uncapped=float(count) if count <= _EXACT_COUNT_MAX else math.inf,
     )
     # construction-time spot check of the separation invariant
@@ -270,42 +243,18 @@ class PackingReport:
         return self.separation_ok and self.enclosure_ok
 
 
-def _pairwise_min(points: PolarBatch) -> float:
-    """Min distance over all pairs of rows: the O(n^2) sweep for families
-    without generating angles, one row against every later row at a time."""
-    rows = (distance(points[i], points[i + 1 :]) for i in range(len(points) - 1))
-    return min((float(np.min(d)) for d in rows), default=math.inf)
-
-
-def verify_packing(fam: BallFamily, tol: float = DEFAULT_TOL) -> PackingReport:
+def verify_packing(fam: BallFamily) -> PackingReport:
     """Certify separation and enclosure of every center pair.
 
-    A family that carries its generating angles is certified exactly by
-    :func:`min_lag_distance`: the smallest and the largest index lag bound
-    every pair, so the check costs O(n).  A hand-built family without
-    ``alpha``/``indices`` falls back to the O(n^2) sweep over stored
-    directions, which refuses more than SWEEP_CENTERS_MAX centers.  Either
-    way the report covers all n(n-1)/2 pairs.  Enclosure is one vectorized
-    kernel call from the enclosing center.
+    Separation is certified exactly by :func:`min_lag_distance`: the
+    smallest and the largest index lag bound every pair, so the check costs
+    O(n) and covers all n(n-1)/2 pairs.  Enclosure is one vectorized kernel
+    call from o.  Both allow the slack DEFAULT_TOL.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"verify_packing: tolerance must be finite and >= 0 (got {tol})")
     n = len(fam)
-    min_pairwise = math.inf
-    if fam.alpha is not None and fam.indices is not None:
-        min_pairwise = min_lag_distance(fam.center_radius, fam.alpha, fam.indices)
-    elif n > SWEEP_CENTERS_MAX:
-        raise ValueError(f"verify_packing: {n} centers exceeds the sweep limit {SWEEP_CENTERS_MAX}")
-    else:
-        min_pairwise = _pairwise_min(fam.centers)
-
-    max_offset = 0.0
-    allowed = math.inf
-    if fam.enclosing is not None:
-        enc_center, enc_radius = fam.enclosing
-        allowed = enc_radius - fam.radius
-        max_offset = float(np.max(distance(enc_center, fam.centers)))
-
+    min_pairwise = min_lag_distance(fam.center_radius, fam.alpha, fam.indices)
+    allowed = fam.center_radius
+    max_offset = float(np.max(distance(HPoint.origin(fam.centers.dirs.shape[1]), fam.centers)))
     return PackingReport(
         n_centers=n,
         pairs_checked=n * (n - 1) // 2,
@@ -313,8 +262,8 @@ def verify_packing(fam: BallFamily, tol: float = DEFAULT_TOL) -> PackingReport:
         required_separation=fam.min_separation,
         max_center_offset=max_offset,
         allowed_offset=allowed,
-        separation_ok=(n < 2) or (min_pairwise >= fam.min_separation - tol),
-        enclosure_ok=(fam.enclosing is None) or (max_offset <= allowed + tol),
+        separation_ok=min_pairwise >= fam.min_separation - DEFAULT_TOL,
+        enclosure_ok=max_offset <= allowed + DEFAULT_TOL,
     )
 
 

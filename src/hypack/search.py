@@ -22,13 +22,7 @@ from scipy.spatial.distance import cdist
 from hypack.geometry import HPoint, PolarBatch, exp_rows, sample_ball, transport_frame
 from hypack.maps import LipschitzMapHandle
 from hypack.nets import NetTemplate, build_reference_net, transport_net
-from hypack.packing import (
-    CAP_MAX,
-    PackingSpec,
-    generate_centers,
-    min_lag_distance,
-    packing_angle,
-)
+from hypack.packing import CAP_MAX, generate_centers, min_lag_distance, packing_angle
 
 __all__ = [
     "BunchedConfiguration",
@@ -117,15 +111,15 @@ def default_schedule(C: float, cap: int) -> tuple[float, ...]:
 class SearchParams:
     """Search parameters; C is derived from (r, epsilon, hausdorff) by the chooser.
 
-    R_schedule is derived too: the default ladder for C and cap, less the
-    rungs above R_max (keeping min(first rung, R_max) if none is left).
+    The dimension is the map's.  R_schedule is derived too: the default
+    ladder for C and cap, less the rungs above R_max (keeping
+    min(first rung, R_max) if none is left).
     """
 
     r: float
     epsilon: float
     k: int
     hausdorff: bool = False
-    m: int = 2
     cap: int = 100_000
     R_max: float | None = None
     R_schedule: tuple[float, ...] = field(init=False)
@@ -134,8 +128,6 @@ class SearchParams:
         _check_r_eps(self.r, self.epsilon)
         if self.k < 2:
             raise ValueError("SearchParams: k must be >= 2")
-        if self.m < 2:
-            raise ValueError("SearchParams: m must be >= 2")
         if not 2 <= self.cap <= CAP_MAX:
             raise ValueError(f"SearchParams: cap must lie in [2, {CAP_MAX:,}] (got {self.cap})")
         if self.R_max is not None and math.isnan(self.R_max):
@@ -409,12 +401,10 @@ class BunchedConfiguration:
     """k ball centers plus the certificate data for the bunching conclusions.
 
     The centers sit at `indices` (times the packing angle `alpha`) on the
-    circle of radius `center_radius`; `net` is the certificate net of the
-    search's r and epsilon.
+    circle of radius `center_radius`.
     """
 
     params: SearchParams
-    net: NetTemplate
     centers: PolarBatch
     R_used: float
     pairwise_manifold_min: float
@@ -452,13 +442,13 @@ def find_bunched_configuration(
 ) -> BunchedConfiguration:
     """Walk the R schedule until some Theta fiber holds k members.
 
-    Builds the certificate net (:func:`certificate_net`) once, first; the
-    Hausdorff search evaluates the map augmented over it.  Returns the k
-    members (the consecutive-in-index window of the largest fiber with the
-    smallest image spread) together with the fiber's anchor, and carries the
-    net for :func:`certify_configuration`.  The returned configuration
-    re-verifies the two proof inequalities: pairwise manifold distance >= 2C
-    and pairwise image distance < 2/C.
+    The Hausdorff search evaluates the map augmented over the certificate net
+    (:func:`certificate_net`), built once; the set-distance search builds no
+    net.  Returns the k members (the consecutive-in-index window of the
+    largest fiber with the smallest image spread) together with the fiber's
+    anchor.  The returned configuration re-verifies the two proof
+    inequalities: pairwise manifold distance >= 2C and pairwise image
+    distance < 2/C.
 
     Raises
     ------
@@ -466,19 +456,19 @@ def find_bunched_configuration(
         If no R in the schedule produces a fiber of size k (with the image
         diameter constraint, when one is given).
     """
-    net = certificate_net(F, params.r, params.epsilon)
-    eff_F = augment_map(F, net) if params.hausdorff else F
-    rho = net.rho if params.hausdorff else 0.0
+    eff_F, rho, bound_L = F, 0.0, F.L
+    if params.hausdorff:
+        # the volume bound of the augmented pipeline uses the affine growth
+        # sqrt(l) L (R + 2 rho) of the concatenated image
+        net = certificate_net(F, params.r, params.epsilon)
+        eff_F, rho, bound_L = augment_map(F, net), net.rho, math.sqrt(net.l) * F.L
 
     sep = 1.0 / params.C
     diagnostics: list[dict] = []
     for R in params.R_schedule:
-        fam = generate_centers(PackingSpec.at_origin(params.C, R, params.m), params.cap)
+        fam = generate_centers(params.C, R, F.m, params.cap)
         images = eff_F.batch(fam.centers)
         sf = greedy_separated_subfamily(images, sep)
-        # volume bound; the augmented pipeline uses the affine growth
-        # sqrt(l) L (R + 2 rho) of the concatenated image
-        bound_L = math.sqrt(net.l) * F.L if params.hausdorff else F.L
         bound = counting_upper_bound(R + 2.0 * rho, params.C, bound_L, eff_F.n)
         if len(sf.selected) > bound:
             raise AssertionError(
@@ -513,7 +503,6 @@ def find_bunched_configuration(
             raise AssertionError("bunched configuration violates the 2/C image bound")
         return BunchedConfiguration(
             params=params,
-            net=net,
             centers=fam.centers[chosen],
             R_used=R,
             pairwise_manifold_min=pair_min,
@@ -622,8 +611,8 @@ def certify_configuration(
 ) -> Certificate:
     """Independent verification of conclusions (i)-(iii) for a configuration.
 
-    The net is the one the configuration carries: the certificate net its
-    search built.  (i) is exact: pairwise center distances are recomputed
+    The certificate net is built here (:func:`certificate_net`), not taken
+    from the search.  (i) is exact: pairwise center distances are recomputed
     from the center indices with the stable kernel and must exceed
     2r + 1/epsilon.  (ii) samples the image sets (centers, transported net
     points, and seeded random ball points); any cross pair bounds the set
@@ -637,7 +626,6 @@ def certify_configuration(
     eps = cfg.params.epsilon
     r = cfg.params.r
     k = cfg.k
-    net = cfg.net
 
     # (i): d(B_i, B_j) = d(p_i, p_j) - 2r >= 1/eps
     pair_min = min_lag_distance(cfg.center_radius, cfg.alpha, cfg.indices)
@@ -646,6 +634,7 @@ def certify_configuration(
     sep_2C_ok = pair_min >= 2.0 * cfg.params.C - 1e-9
 
     # point clouds per ball: net points plus volume-corrected random samples
+    net = certificate_net(F, r, eps)
     rng = np.random.default_rng(seed)
     center_images = F.batch(cfg.centers)
     net_images = np.split(F.batch(transport_net(net, cfg.centers)), k)  # l rows per ball

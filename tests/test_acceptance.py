@@ -29,7 +29,6 @@ from hypack.geometry import (
 from hypack.maps import poincare_inclusion
 from hypack.nets import build_reference_net, verify_cover
 from hypack.packing import (
-    PackingSpec,
     count_lower_bound,
     direction_count,
     generate_centers,
@@ -94,7 +93,7 @@ def test_criterion_2_separation():
     for _ in range(20):
         C = rng.uniform(0.5, 3.0)
         R = 2.0 * C + rng.uniform(0.5, 10.0)
-        fam = generate_centers(PackingSpec.at_origin(C, R, 2), cap=10_000)
+        fam = generate_centers(C, R, 2, cap=10_000)
         rep = verify_packing(fam)
         brute = oracle.brute_min_lag_distance(fam.center_radius, fam.alpha, fam.indices)
         total_pairs += rep.pairs_checked
@@ -272,7 +271,7 @@ def test_criterion_5_theorem_end_to_end(tmp_path):
 @pytest.fixture(scope="module")
 def corollary_runs():
     F = poincare_inclusion(2)
-    base = SearchParams(1.0, 0.5, 2, m=2)
+    base = SearchParams(1.0, 0.5, 2)
     return F, corollary_sequences(F, k=2, levels=3, base_params=base)
 
 
@@ -280,7 +279,7 @@ def test_criterion_6_counting_bound(corollary_runs):
     F, cfgs = corollary_runs
     records = []
     for r, eps, k in ((1.0, 0.5, 3), (1.0, 0.25, 2)):
-        params = SearchParams(r, eps, k, m=2)
+        params = SearchParams(r, eps, k)
         cfg = find_bunched_configuration(F, params)
         records.extend(cfg.history)
     for cfg in cfgs:

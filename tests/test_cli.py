@@ -8,6 +8,7 @@ import pytest
 from conftest import time_limit
 from hypack.cli import _dump_json, main
 import hypack.search
+from hypack.geometry import M_MAX
 from hypack.maps import FLAT_GRAPH_K_MAX
 from hypack.nets import build_reference_net
 from hypack.packing import CAP_MAX
@@ -74,15 +75,8 @@ class TestPack:
         assert rc == 2
         assert "m must be >= 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
-    def test_bad_tolerance_exit_2(self, capsys, tol):
-        with time_limit(10.0):
-            rc = main(["pack", "--C", "1", "--R", "3", "--tolerance", tol])
-        assert rc == 2
-        assert "tolerance must be finite and >= 0" in capsys.readouterr().err
-
     def test_default_cap_beyond_enumeration_cap(self, tmp_path):
-        # 48,539 centers: more than the O(n^2) sweep's cap, certified by the two lags
+        # 48,539 centers (1.2e9 pairs), certified by the two extreme index lags
         with time_limit(60.0):
             rc, out = run(tmp_path, "pack.json", ["pack", "--C", "1", "--R", "11.5"])
         assert rc == 0
@@ -235,8 +229,11 @@ class TestSearch:
     @pytest.mark.parametrize(
         "r, message",
         [
-            # sinh(r) overflows past r = 710; the net's grid limit refuses it
-            ("1000", "lattice points, more than the limit"),
+            # the first rung's centers lie at radius R - C = 4006
+            ("1000", "exceeds the representable range"),
+            # the Hausdorff search builds its net first; sinh(r) overflows past
+            # r = 710, and the net's grid limit refuses it
+            ("1000 --hausdorff", "lattice points, more than the limit"),
             # the first default rung 2C + 2 rounds to 2C, also for the smaller Hausdorff C
             ("1e300", "r is too large (r=1e+300, epsilon=0.5)"),
             ("1e16 --hausdorff", "r is too large (r=1e+16, epsilon=0.5)"),
@@ -255,7 +252,9 @@ class TestSearch:
             (["--map", "busemann", "--k", "2", "--R-max", "16.5"], 3),
         ],
     )
-    def test_one_net_per_search(self, tmp_path, monkeypatch, argv, code):
+    def test_net_builds_per_search(self, tmp_path, monkeypatch, argv, code):
+        # one net for the augmented map of a Hausdorff search, one for the
+        # certifier; none for a set-distance search that certifies nothing
         calls = []
 
         def counting(*args):
@@ -265,7 +264,7 @@ class TestSearch:
         monkeypatch.setattr(hypack.search, "build_reference_net", counting)
         rc, _ = run(tmp_path, "search.json", ["search", "--m", "2", "--samples", "16", *argv])
         assert rc == code
-        assert len(calls) == 1
+        assert len(calls) == ("--hausdorff" in argv) + (code == 0)
 
     def test_unknown_map_exit_2(self, tmp_path):
         rc = main(["search", "--map", "poincare", "--eps", "2.0"])
@@ -296,16 +295,48 @@ class TestDemoFlat:
         assert f"K must lie in [0, {FLAT_GRAPH_K_MAX}]" in capsys.readouterr().err
 
 
+class TestDimension:
+    """m is refused outside [2, M_MAX] before any array grows with it."""
+
+    @pytest.mark.parametrize("m", [0, 1, M_MAX + 1, 10**6])
+    @pytest.mark.parametrize(
+        "argv",
+        [["pack", "--C", "1", "--R", "3"], ["search"], ["search", "--map", "busemann"]],
+        ids=["pack", "poincare", "busemann"],
+    )
+    def test_outside_limits_exit_2(self, argv, m, capsys):
+        # m = 10**6 used to reach a 7.28 TiB np.eye allocation
+        assert refused_quickly(argv + ["--m", str(m)], seconds=2.0) == 2
+        assert f"m must be >= 2 and <= {M_MAX} (got {m})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["pack", "--C", "1", "--R", "3"], ["search", "--map", "busemann", "--k", "2", "--R-max", "16.5"]],
+        ids=["pack", "busemann"],
+    )
+    def test_largest_dimension_accepted(self, tmp_path, argv):
+        with time_limit(30.0):
+            rc, out = run(tmp_path, "m.json", argv + ["--m", str(M_MAX)])
+        payload = json.loads(out.read_text())
+        if argv[0] == "pack":
+            assert rc == 0 and len(payload["family"]["centers_polar"][0]) == M_MAX + 1
+        else:
+            assert rc == 3 and payload["params"]["m"] == M_MAX
+
+
 class TestTolerance:
+    """The packing check's slack is the fixed DEFAULT_TOL, so no command takes --tolerance."""
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["search"],
             ["growth", "--R-from", "3", "--R-to", "4"],
             ["demo-flat"],
+            ["pack", "--C", "1", "--R", "3"],
         ],
     )
-    def test_only_pack_takes_tolerance(self, argv, capsys):
+    def test_no_command_takes_tolerance(self, argv, capsys):
         with time_limit(10.0), pytest.raises(SystemExit) as exc:
             main(argv + ["--tolerance", "1e-9"])
         assert exc.value.code == 2
@@ -518,6 +549,7 @@ class TestArtifactWriter:
             {},
             "top",
             -0.0,
+            {1: "int key", 2: [np.zeros((1, 1))]},
         ],
     )
     def test_writer_matches_json_dumps(self, payload):
@@ -529,8 +561,3 @@ class TestArtifactWriter:
             json.dumps(payload, sort_keys=True, indent=2)
         with pytest.raises(TypeError):
             _dump_json(payload)
-
-    def test_writer_takes_string_keys_only(self):
-        # json.dumps would write the key as "1"; no artifact has a non-string key
-        with pytest.raises(TypeError):
-            _dump_json({1: "int key"})

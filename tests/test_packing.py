@@ -1,17 +1,15 @@
 import math
 import time
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from conftest import time_limit
-from hypack.geometry import HPoint, NumericRangeError, PolarBatch, dist_given_q, distance
+from hypack.geometry import HPoint, NumericRangeError, dist_given_q, distance
 from hypack.packing import (
     CAP_MAX,
-    SWEEP_CENTERS_MAX,
-    BallFamily,
-    PackingSpec,
     count_lower_bound,
     direction_count,
     generate_centers,
@@ -98,9 +96,9 @@ class TestDirectionCount:
 
 class TestGenerateCenters:
     def test_canonical_C1_R3(self):
-        fam = generate_centers(PackingSpec.at_origin(1.0, 3.0, 2))
+        fam = generate_centers(1.0, 3.0, 2)
         assert len(fam) == 9
-        center = fam.enclosing[0]
+        center = HPoint.origin(2)
         for c in fam.centers:
             assert distance(center, c) == pytest.approx(2.0, abs=1e-9)
         rep = verify_packing(fam)
@@ -110,14 +108,14 @@ class TestGenerateCenters:
         # alpha is just under pi/2, so the two directions are nearly
         # antipodal and the gap sits between 2C and 2(R - C)
         R = 2.0 + 1e-6
-        fam = generate_centers(PackingSpec.at_origin(1.0, R, 2))
+        fam = generate_centers(1.0, R, 2)
         assert len(fam) == 2
         d01 = float(lag_distance(fam.center_radius, fam.alpha, fam.indices[1] - fam.indices[0]))
         assert d01 == pytest.approx(2.0 * (R - 1.0), abs=1e-5)
         assert 2.0 - 1e-12 <= d01 <= 2.0 * (R - 1.0) + 1e-12
 
     def test_subsample_exact_cap(self):
-        fam = generate_centers(PackingSpec.at_origin(0.5, 11.0, 2), cap=100)
+        fam = generate_centers(0.5, 11.0, 2, cap=100)
         assert len(fam) == 100
         lags = np.diff(fam.indices)
         assert lags.min() >= 1.0
@@ -128,10 +126,10 @@ class TestGenerateCenters:
     def test_cap_outside_limits_refused(self, cap):
         # R = 22 has 1.76e9 centers, so an unchecked cap of 2e9 would allocate ~14 GB
         with time_limit(10.0), pytest.raises(ValueError, match="cap must lie in"):
-            generate_centers(PackingSpec.at_origin(1.0, 22.0, 2), cap=cap)
+            generate_centers(1.0, 22.0, 2, cap=cap)
 
     def test_angle_separation_claim(self):
-        fam = generate_centers(PackingSpec.at_origin(1.0, 4.0, 2))
+        fam = generate_centers(1.0, 4.0, 2)
         alpha = fam.alpha
         k = len(fam) - 1
         angles = 2.0 * fam.indices * alpha
@@ -144,7 +142,7 @@ class TestGenerateCenters:
         assert min_gap >= 2.0 * alpha - 1e-12
 
     def test_isoceles_midpoint_identity(self):
-        fam = generate_centers(PackingSpec.at_origin(1.0, 4.0, 2))
+        fam = generate_centers(1.0, 4.0, 2)
         rho = fam.center_radius
         for i in range(len(fam)):
             for j in range(i + 1, len(fam)):
@@ -155,50 +153,40 @@ class TestGenerateCenters:
                     math.sinh(rho) * math.sin(0.5 * theta), rel=1e-8
                 )
 
-    def test_plane_override(self):
-        center = HPoint.origin(3)
-        e2 = np.array([0.0, 0.0, 1.0, 0.0])
-        e3 = np.array([0.0, 0.0, 0.0, 1.0])
-        from hypack.geometry import HTangent
-
-        spec = PackingSpec(1.0, 3.0, center, (HTangent(center, e2), HTangent(center, e3)))
-        fam = generate_centers(spec)
-        for c in fam.centers:
-            assert abs(c.direction[0]) < 1e-12  # stays in the chosen 2-plane
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_centers_lie_in_the_first_two_directions(self, m):
+        fam = generate_centers(1.0, 4.0, m)
+        assert np.all(fam.centers.dirs[:, 2:] == 0.0)
+        assert np.array_equal(fam.centers.dirs[:, :2], generate_centers(1.0, 4.0, 2).centers.dirs)
 
     def test_enclosure_via_triangle_inequality(self):
-        fam = generate_centers(PackingSpec.at_origin(0.7, 4.0, 2))
+        fam = generate_centers(0.7, 4.0, 2)
         rep = verify_packing(fam)
         assert rep.enclosure_ok
-        assert rep.max_center_offset <= fam.enclosing[1] - fam.radius + 1e-9
+        assert rep.max_center_offset <= fam.R - fam.radius + 1e-9
 
 
 class TestVerifyPacking:
     def test_duplicated_centers_fail(self):
-        o = HPoint.origin(2)
-        fam = BallFamily(centers=PolarBatch.of([o, o]), radius=1.0, min_separation=2.0)
-        rep = verify_packing(fam)
+        fam = generate_centers(1.0, 3.0, 2)
+        dup = replace(fam, centers=fam.centers[[0, 0]], indices=fam.indices[[0, 0]])
+        rep = verify_packing(dup)
         assert not rep.ok and rep.min_pairwise == 0.0
 
     def test_single_ball_vacuous(self):
-        fam = BallFamily(centers=PolarBatch.of([HPoint.origin(2)]), radius=1.0, min_separation=2.0)
-        assert verify_packing(fam).ok
+        fam = generate_centers(1.0, 3.0, 2)
+        assert verify_packing(replace(fam, centers=fam.centers[:1], indices=fam.indices[:1])).ok
 
     def test_fallback_matches_angle_path(self):
-        fam = generate_centers(PackingSpec.at_origin(1.0, 5.0, 2))
-        rep_angle = verify_packing(fam)
-        stripped = BallFamily(
-            centers=fam.centers,
-            radius=fam.radius,
-            min_separation=fam.min_separation,
-            enclosing=fam.enclosing,
-        )
-        rep_dir = verify_packing(stripped)
-        assert rep_dir.min_pairwise == pytest.approx(rep_angle.min_pairwise, abs=1e-10)
+        # the index-lag certificate against a sweep over the stored directions
+        fam = generate_centers(1.0, 5.0, 2)
+        c = fam.centers
+        swept = min(float(np.min(distance(c[i], c[i + 1 :]))) for i in range(len(fam) - 1))
+        assert swept == pytest.approx(verify_packing(fam).min_pairwise, abs=1e-10)
 
     def test_lag_distance_matches_angle_kernel(self):
         # 0.5 * (2 * lag * alpha) rounds to lag * alpha, so both forms agree bitwise
-        fam = generate_centers(PackingSpec.at_origin(1.0, 7.0, 2), cap=1_000)
+        fam = generate_centers(1.0, 7.0, 2, cap=1_000)
         lags = fam.indices[1:] - fam.indices[0]
         rho, alpha = fam.center_radius, fam.alpha
         by_angle = dist_given_q(rho, rho, np.sin(0.5 * (2 * lags * alpha)) ** 2)
@@ -217,20 +205,17 @@ class TestVerifyPacking:
             min_lag_distance(2.0, 1.0, [0.0, 4.0])
 
     def test_sweep_limit(self):
-        # the two-lag certificate is O(n), so only the O(n^2) fallback is limited;
-        # the refusal comes before the sweep would measure 2e8 pairs
-        fam = generate_centers(PackingSpec.at_origin(1.0, 11.5, 2), cap=SWEEP_CENTERS_MAX + 1)
-        rep = verify_packing(fam)
-        assert rep.ok and rep.n_centers == len(fam) == SWEEP_CENTERS_MAX + 1
-        stripped = BallFamily(centers=fam.centers, radius=fam.radius, min_separation=fam.min_separation)
-        with time_limit(10.0), pytest.raises(ValueError, match="sweep limit"):
-            verify_packing(stripped)
+        # the two-lag certificate is O(n): 20,001 centers (2e8 pairs) in one pass
+        fam = generate_centers(1.0, 11.5, 2, cap=20_001)
+        with time_limit(10.0):
+            rep = verify_packing(fam)
+        assert rep.ok and rep.n_centers == len(fam) == 20_001
 
     def test_random_families_hold_2C(self, rng):
         for _ in range(5):
             C = rng.uniform(0.5, 3.0)
             R = 2.0 * C + rng.uniform(0.5, 10.0)
-            fam = generate_centers(PackingSpec.at_origin(C, R, 2), cap=2_000)
+            fam = generate_centers(C, R, 2, cap=2_000)
             rep = verify_packing(fam)
             assert rep.ok
             assert rep.min_pairwise >= 2.0 * C - 1e-9
@@ -244,7 +229,7 @@ class TestVerifyPacking:
         for i in range(18):
             C = float(rng.uniform(0.5, 3.0))
             specs.append((C, 2.0 * C + float(rng.uniform(0.2, 6.0)), 2 + i % 2, (5_000, 700)[i // 2 % 2]))
-        return [generate_centers(PackingSpec.at_origin(C, R, m), cap=cap) for C, R, m, cap in specs]
+        return [generate_centers(C, R, m, cap=cap) for C, R, m, cap in specs]
 
     def test_lag_extremes_match_brute_force(self):
         fams = self._oracle_families()
@@ -275,12 +260,12 @@ class TestLagResolution:
         assert doubles >= 2.0 and exact < 2.0  # 3.83 in doubles, 1.92 exactly
         assert k != mp_direction_count(1, 38)
         with pytest.raises(NumericRangeError, match="too small for double precision"):
-            generate_centers(PackingSpec.at_origin(1.0, 38.0, 2), cap=100)
+            generate_centers(1.0, 38.0, 2, cap=100)
 
     @pytest.mark.parametrize("C, R", [(1.0, 12.0), (1.0, 20.0), (1.0, 24.0), (8.0, 32.0), (1.0, 11.7)])
     def test_accepted_families_match_the_oracle(self, C, R):
         # R = 32 at C = 8 is the last rung of the default search ladder
-        fam = generate_centers(PackingSpec.at_origin(C, R, 2), cap=100)
+        fam = generate_centers(C, R, 2, cap=100)
         k, doubles, exact = self.wrap_pair(C, R)
         assert k == mp_direction_count(C, R) == fam.indices[-1]
         assert exact >= 2.0 * C
@@ -289,7 +274,7 @@ class TestLagResolution:
     @pytest.mark.parametrize("R", [26.0, 30.0])
     def test_refused_beyond_the_bound(self, R):
         with pytest.raises(NumericRangeError):
-            generate_centers(PackingSpec.at_origin(1.0, R, 2), cap=100)
+            generate_centers(1.0, R, 2, cap=100)
 
 
 class TestCountLowerBound:
@@ -342,12 +327,4 @@ class TestGrowthTable:
 class TestSpecValidation:
     def test_R_must_exceed_2C(self):
         with pytest.raises(ValueError):
-            PackingSpec.at_origin(1.0, 2.0, 2)
-
-    def test_plane_must_be_orthonormal(self):
-        from hypack.geometry import HTangent
-
-        center = HPoint.origin(2)
-        e1 = np.array([0.0, 1.0, 0.0])
-        with pytest.raises(ValueError):
-            PackingSpec(1.0, 3.0, center, (HTangent(center, e1), HTangent(center, 2.0 * e1)))
+            generate_centers(1.0, 2.0, 2)

@@ -20,7 +20,7 @@ import hypack.search
 from hypack.geometry import HPoint, HTangent, PolarBatch, distance, exp_map, sample_ball, transport_frame
 from hypack.maps import LipschitzMapHandle, busemann_map, ideal_point, poincare_inclusion
 from hypack.nets import build_reference_net, transport_net
-from hypack.packing import PackingSpec, generate_centers
+from hypack.packing import generate_centers
 from hypack.search import (
     ScheduleExhausted,
     SearchParams,
@@ -226,7 +226,7 @@ class TestSearchParams:
 
 class TestFindBunched:
     def test_constant_map_first_rung(self):
-        params = SearchParams(1.0, 0.5, 3, m=2, cap=1_000)
+        params = SearchParams(1.0, 0.5, 3, cap=1_000)
         cfg = find_bunched_configuration(constant_map(), params)
         assert cfg.R_used == params.R_schedule[0]
         assert cfg.pairwise_image_max == 0.0
@@ -234,7 +234,7 @@ class TestFindBunched:
 
     def test_poincare_k3(self):
         F = poincare_inclusion(2)
-        params = SearchParams(1.0, 0.5, 3, m=2)
+        params = SearchParams(1.0, 0.5, 3)
         cfg = find_bunched_configuration(F, params)
         assert cfg.k == 3
         assert cfg.pairwise_manifold_min >= 16.0 - 1e-9
@@ -247,7 +247,7 @@ class TestFindBunched:
 
     def test_busemann_small_schedule_exhausts(self):
         B = busemann_map([ideal_point([1.0, 0.0]), ideal_point([0.0, 1.0])])
-        params = SearchParams(1.0, 0.5, 2, m=2, R_max=16.5)
+        params = SearchParams(1.0, 0.5, 2, R_max=16.5)
         with pytest.raises(ScheduleExhausted) as exc:
             find_bunched_configuration(B, params)
         diag = exc.value.diagnostics
@@ -256,7 +256,7 @@ class TestFindBunched:
 
     def test_counting_bound_respected(self):
         F = poincare_inclusion(2)
-        params = SearchParams(1.0, 0.5, 3, m=2)
+        params = SearchParams(1.0, 0.5, 3)
         cfg = find_bunched_configuration(F, params)
         bound = counting_upper_bound(cfg.R_used, cfg.params.C, F.L, F.n)
         assert cfg.selected_count <= bound
@@ -265,7 +265,7 @@ class TestFindBunched:
 @pytest.fixture(scope="module")
 def poincare_cfg():
     F = poincare_inclusion(2)
-    params = SearchParams(1.0, 0.5, 3, m=2)
+    params = SearchParams(1.0, 0.5, 3)
     cfg = find_bunched_configuration(F, params)
     return F, cfg
 
@@ -273,7 +273,7 @@ def poincare_cfg():
 class TestCertify:
     def test_constant_map_trivial(self):
         F = constant_map()
-        params = SearchParams(1.0, 0.5, 2, m=2, cap=500)
+        params = SearchParams(1.0, 0.5, 2, cap=500)
         cfg = find_bunched_configuration(F, params)
         cert = certify_configuration(F, cfg, samples=64, seed=9)
         assert cert.pass_i and cert.pass_ii
@@ -306,12 +306,13 @@ class TestCertify:
 
     def test_hausdorff_pipeline_certifies_iii(self):
         F = poincare_inclusion(2)
-        params = SearchParams(1.0, 0.5, 2, hausdorff=True, m=2)
+        params = SearchParams(1.0, 0.5, 2, hausdorff=True)
         cfg = find_bunched_configuration(F, params)
-        # the net the configuration carries is the certificate net for r, eps
+        # the certificate net for r, eps is the reference net at delta = eps/(2L)
+        net = hypack.search.certificate_net(F, 1.0, 0.5)
         ref = build_reference_net(1.0, 0.5, 2)
-        assert (cfg.net.rho, cfg.net.delta) == (ref.rho, ref.delta)
-        assert np.array_equal(cfg.net.tangent_points, ref.tangent_points)
+        assert (net.rho, net.delta) == (ref.rho, ref.delta)
+        assert np.array_equal(net.tangent_points, ref.tangent_points)
         cert = certify_configuration(F, cfg, samples=64, seed=12)
         assert cert.pass_i and cert.pass_ii and cert.pass_iii
         assert cert.hausdorff_max <= 0.5
@@ -340,7 +341,7 @@ class TestRowPaths:
     def test_augmented_map_matches_per_point_concatenation(self):
         F = poincare_inclusion(2)
         net = build_reference_net(1.0, 0.5, 2)
-        centers = generate_centers(PackingSpec.at_origin(4.0, 14.0, 2), cap=60).centers
+        centers = generate_centers(4.0, 14.0, 2, cap=60).centers
         expected = np.array(
             [np.concatenate([poincare_at(s) for s in transport_net(net, centers[i : i + 1])])
              for i in range(len(centers))]
@@ -394,7 +395,7 @@ class TestHausdorffEstimate:
 class TestCorollarySequences:
     def test_poincare_three_levels(self):
         F = poincare_inclusion(2)
-        base = SearchParams(1.0, 0.5, 2, m=2)
+        base = SearchParams(1.0, 0.5, 2)
         cfgs = corollary_sequences(F, k=2, levels=3, base_params=base)
         seps = [c.pairwise_manifold_min for c in cfgs]
         diams = [c.pairwise_image_max for c in cfgs]
@@ -405,19 +406,28 @@ class TestCorollarySequences:
 
     def test_single_level(self):
         F = poincare_inclusion(2)
-        base = SearchParams(1.0, 0.5, 2, m=2)
+        base = SearchParams(1.0, 0.5, 2)
         cfgs = corollary_sequences(F, k=2, levels=1, base_params=base)
         assert len(cfgs) == 1
 
     def test_hausdorff_base_carries_to_every_level(self):
         F = poincare_inclusion(2)
-        base = SearchParams(1.0, 0.5, 2, hausdorff=True, m=2)
+        base = SearchParams(1.0, 0.5, 2, hausdorff=True)
         (cfg,) = corollary_sequences(F, k=2, levels=1, base_params=base)
         assert cfg.params.hausdorff
         assert cfg.params.C == choose_C_hausdorff(1.0, 0.5)
 
+    def test_busemann_m3_levels_build_no_net(self):
+        # the certificate net of Busemann m = 3 at eps = 0.25 exceeds the grid
+        # limit; the set-distance search never reads a net, so it builds none
+        F = busemann_map([ideal_point(d) for d in np.eye(3)])
+        with time_limit(60.0):
+            cfgs = corollary_sequences(F, k=2, levels=2, base_params=SearchParams(1.0, 0.5, 2))
+        assert [c.R_used for c in cfgs] == [20.0, 28.0]
+        assert all(c.centers.dirs.shape[1] == 3 for c in cfgs)
+
     def test_constant_map_zero_diameters(self):
-        base = SearchParams(1.0, 0.5, 2, m=2, cap=500)
+        base = SearchParams(1.0, 0.5, 2, cap=500)
         cfgs = corollary_sequences(constant_map(), k=2, levels=3, base_params=base)
         assert all(c.pairwise_image_max == 0.0 for c in cfgs)
         seps = [c.pairwise_manifold_min for c in cfgs]
