@@ -97,15 +97,27 @@ def _json_float(x: float) -> str:
     return float.__repr__(x)
 
 
+#: Rows _write_float_rows formats per step; bounds the Python floats and
+#: reprs alive at once.
+_FLOAT_ROWS_CHUNK = 4096
+
+
 def _write_float_rows(rows: np.ndarray, newline: str) -> str:
     """The text of rows.tolist() for a non-empty 2-D float array, for a line
-    that starts with `newline`: every value through one map over the flat
-    list, placed by a per-row template."""
-    flat = rows.ravel().tolist()
-    text = map(float.__repr__ if np.isfinite(rows).all() else _json_float, flat)
+    that starts with `newline`: _FLOAT_ROWS_CHUNK rows at a time, every value
+    through one map over the chunk's flat list, placed by a per-row template."""
+    fmt = float.__repr__ if np.isfinite(rows).all() else _json_float
     row_break, value_break = newline + "  ", newline + "    "
     row = "[" + value_break + ("," + value_break).join(["%s"] * rows.shape[1]) + row_break + "]"
-    return "[" + row_break + ("," + row_break).join([row] * rows.shape[0]) % tuple(text) + newline + "]"
+    between = "," + row_break
+    pieces = ["[" + row_break]
+    for lo in range(0, rows.shape[0], _FLOAT_ROWS_CHUNK):
+        part = rows[lo : lo + _FLOAT_ROWS_CHUNK]
+        if lo:
+            pieces.append(between)
+        pieces.append(between.join([row] * part.shape[0]) % tuple(map(fmt, part.ravel().tolist())))
+    pieces.append(newline + "]")
+    return "".join(pieces)
 
 
 def _polar_rows(points: PolarBatch) -> np.ndarray:

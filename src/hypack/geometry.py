@@ -28,6 +28,7 @@ import numpy as np
 __all__ = [
     "COORDS_RADIUS_MAX",
     "DEFAULT_TOL",
+    "EXP_RADIUS_MAX",
     "HPoint",
     "HTangent",
     "M_MAX",
@@ -55,9 +56,10 @@ __all__ = [
 #: absolute positional meaning as eps*sinh(r) grows).
 COORDS_RADIUS_MAX = 30.0
 
-#: Internal ceiling for carrying ambient coordinates at all.  cosh(350) is
-#: ~5e151, so products of two such coordinates still fit in a double.
-_COORDS_INTERNAL_MAX = 350.0
+#: Ceiling for carrying ambient coordinates at all, and so the largest radius
+#: exp_rows reaches.  cosh(350) is ~5e151, so products of two such
+#: coordinates still fit in a double.
+EXP_RADIUS_MAX = 350.0
 
 #: Default absolute tolerance on distances.
 DEFAULT_TOL = 1e-9
@@ -264,7 +266,7 @@ class HPoint:
             raise ValueError("from_polar: radius must be finite and >= 0")
         d = _as_unit(direction, "HPoint.from_polar")
         coords = None
-        if r <= _COORDS_INTERNAL_MAX:
+        if r <= EXP_RADIUS_MAX:
             coords = np.concatenate(([math.cosh(r)], math.sinh(r) * d))
             coords.setflags(write=False)
         return HPoint(r, d, coords)
@@ -486,7 +488,7 @@ def exp_rows(base, vecs, t) -> PolarBatch:
     m1 = bases.dirs.shape[1] + 1
     vecs = np.asarray(vecs, dtype=float).reshape(len(bases), t.shape[-1], m1)
     reach = bases.r[:, None] + t
-    if np.any(reach > _COORDS_INTERNAL_MAX):
+    if np.any(reach > EXP_RADIUS_MAX):
         raise NumericRangeError(
             f"exp_map: target radius ~{reach.max():.3g} exceeds the representable range"
         )

@@ -14,8 +14,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from hypack.geometry import HPoint, PolarBatch, _tanh, distance, exp_rows, sample_ball
 
@@ -217,8 +215,12 @@ def _mesh_shortest_path(k: int, nx: int, ny: int = 7) -> float:
 
     Edge weights are lifted-segment lengths, so any graph path is a genuine
     curve on the surface and the result is an upper bound for the intrinsic
-    distance.
+    distance.  scipy.sparse.csgraph is imported here, by its only user, so
+    the other commands do not load it.
     """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     half = 1.0 / (k + 1.0)
     xs = np.linspace(k - half, k + half, nx)
     ys = np.linspace(-half / 2.0, half / 2.0, ny)

@@ -41,6 +41,7 @@ __all__ = [
     "CoverReport",
     "NetTemplate",
     "build_reference_net",
+    "check_net_grid",
     "net_from_json",
     "net_to_json",
     "transport_net",
@@ -99,16 +100,11 @@ class NetTemplate:
         return self.tangent_points.shape[1]
 
 
-def _candidate_grid(rho: float, h: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cell-center lattice covering the rho-ball, centers projected into it.
-
-    Returns the points as an array of shape (2n+1,)*m + (m,) in lattice
-    order, and the mask of the cells kept (centers within half a cell
-    diagonal of the ball).  The lattice size is checked against
-    GRID_POINTS_MAX before anything is allocated.
-    """
-    half_diag = 0.5 * h * math.sqrt(m)
-    cells = (rho + half_diag) / h if h > 0.0 else math.inf
+def _grid_side(rho: float, h: float, m: int) -> int:
+    """Cells n_side on each side of the center of the lattice of step h that
+    covers the rho-ball: the lattice has (2 n_side + 1)^m points.  ValueError
+    where that exceeds GRID_POINTS_MAX; nothing is allocated."""
+    cells = (rho + 0.5 * h * math.sqrt(m)) / h if h > 0.0 else math.inf
     if not cells < GRID_POINTS_MAX or (2 * math.ceil(cells) + 1) ** m > GRID_POINTS_MAX:
         exponent = m * math.log10(2.0 * cells + 1.0)
         size = f"about 10^{exponent:.1f}" if math.isfinite(exponent) else "over 10^308"
@@ -116,7 +112,36 @@ def _candidate_grid(rho: float, h: float, m: int) -> tuple[np.ndarray, np.ndarra
             f"build_reference_net: the candidate grid would span {size} lattice points,"
             f" more than the limit of {GRID_POINTS_MAX:,}; raise delta or lower rho or m"
         )
-    n_side = math.ceil(cells)
+    return math.ceil(cells)
+
+
+def _grid_step(rho: float, delta: float, m: int) -> tuple[float, float]:
+    """(h, stop) of build_reference_net: the candidate grid's step and the
+    greedy's stop distance, which split the tangent spacing delta rho/sinh(rho)."""
+    try:
+        spacing = delta * rho / math.sinh(rho)
+    except OverflowError:  # rho past about 710: no grid fits, _grid_side refuses h = 0
+        spacing = 0.0
+    return 2.0 * _GRID_FRACTION * spacing / math.sqrt(m), (1.0 - _GRID_FRACTION) * spacing
+
+
+def check_net_grid(rho: float, delta: float, m: int) -> None:
+    """Refuse, before any allocation, the arguments of a build_reference_net
+    call whose candidate grid would exceed GRID_POINTS_MAX (ValueError)."""
+    if delta < rho:
+        _grid_side(rho, _grid_step(rho, delta, m)[0], m)
+
+
+def _candidate_grid(rho: float, h: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell-center lattice covering the rho-ball, centers projected into it.
+
+    Returns the points as an array of shape (2n+1,)*m + (m,) in lattice
+    order, and the mask of the cells kept (centers within half a cell
+    diagonal of the ball).  The lattice size is checked against
+    GRID_POINTS_MAX (:func:`_grid_side`) before anything is allocated.
+    """
+    n_side = _grid_side(rho, h, m)
+    half_diag = 0.5 * h * math.sqrt(m)
     axis = h * np.arange(-n_side, n_side + 1)
     grid = np.empty((2 * n_side + 1,) * m + (m,))
     for k in range(m):
@@ -170,13 +195,7 @@ def build_reference_net(rho: float, delta: float, m: int) -> NetTemplate:
     if delta >= rho:
         return NetTemplate(rho=rho, delta=delta, tangent_points=np.zeros((1, m)))
 
-    try:
-        spacing = delta * rho / math.sinh(rho)
-    except OverflowError:  # rho past about 710: no grid fits, _candidate_grid refuses h = 0
-        spacing = 0.0
-    h = 2.0 * _GRID_FRACTION * spacing / math.sqrt(m)
-    stop = (1.0 - _GRID_FRACTION) * spacing
-
+    h, stop = _grid_step(rho, delta, m)
     grid, keep = _candidate_grid(rho, h, m)
     side = keep.shape[0]
     pts = grid.reshape(-1, m)

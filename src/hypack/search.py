@@ -19,14 +19,15 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from hypack.geometry import HPoint, PolarBatch, exp_rows, sample_ball, transport_frame
+from hypack.geometry import EXP_RADIUS_MAX, HPoint, PolarBatch, exp_rows, sample_ball, transport_frame
 from hypack.maps import LipschitzMapHandle
-from hypack.nets import NetTemplate, build_reference_net, transport_net
+from hypack.nets import NetTemplate, build_reference_net, check_net_grid, transport_net
 from hypack.packing import CAP_MAX, generate_centers, min_lag_distance, packing_angle
 
 __all__ = [
     "BunchedConfiguration",
     "Certificate",
+    "PrefilterKeys",
     "SAMPLES_MAX",
     "ScheduleExhausted",
     "SearchParams",
@@ -44,6 +45,7 @@ __all__ = [
     "find_bunched_configuration",
     "greedy_separated_subfamily",
     "hausdorff_distance_estimate",
+    "prefilter_keys",
     "theta_assignment",
 ]
 
@@ -151,21 +153,94 @@ class SearchParams:
         """The chooser's separation scale for the set-distance or the Hausdorff conclusion."""
         return (choose_C_hausdorff if self.hausdorff else choose_C_setdist)(self.r, self.epsilon)
 
+    def check_first_rung(self) -> None:
+        """Refuse (ValueError) a schedule whose first rung puts its centers,
+        at radius R - C, beyond EXP_RADIUS_MAX, where exp_rows cannot make them."""
+        radius = self.R_schedule[0] - self.C
+        if radius > EXP_RADIUS_MAX:
+            raise ValueError(
+                f"SearchParams: r is too large (r={self.r}, epsilon={self.epsilon}): the first"
+                f" rung puts its centers at radius {radius:.4g}, which exceeds the representable"
+                f" range (radius {EXP_RADIUS_MAX:g})"
+            )
+
+
+def _certificate_net_args(F: LipschitzMapHandle, r: float, epsilon: float) -> tuple:
+    """(rho, delta, m) of the certificate net: delta = epsilon/(2L), so the net
+    slack L*delta of conclusion (iii) is epsilon/2."""
+    return r, epsilon / (2.0 * F.L), F.m
+
 
 def certificate_net(F: LipschitzMapHandle, r: float, epsilon: float) -> NetTemplate:
     """The reference net of the certificate: radius r, spacing delta = epsilon/(2L),
     so the net slack L*delta of conclusion (iii) is epsilon/2."""
-    return build_reference_net(r, epsilon / (2.0 * F.L), F.m)
+    return build_reference_net(*_certificate_net_args(F, r, epsilon))
 
 
 #: Relative gap within which a tree distance may misorder two cdist values;
 #: both are sums of squares rounded in different orders.
 _TREE_SLACK = 1e-9
 
-#: Leading image columns the pigeonhole scans index in k-d trees.  Dropping
-#: coordinates never lengthens a difference, so a pair closer than s in full
-#: is closer than s(1 + _TREE_SLACK) in these columns.
+#: Unit roundoff of float64.
+_UNIT_ROUNDOFF = 2.0**-53
+
+#: Leading columns of the block sum that the pigeonhole scans index in k-d
+#: trees (see :func:`prefilter_keys`).
 _PREFILTER_COLUMNS = 3
+
+
+@dataclass(frozen=True)
+class PrefilterKeys:
+    """k-d tree keys of image rows, and the reach that keeps them an exact prefilter.
+
+    For images made of l blocks of n columns, the key of a row x is the
+    leading min(_PREFILTER_COLUMNS, n) columns of the scaled block sum
+    S(x) = l^(-1/2) (x_1 + ... + x_l).  S has orthonormal rows, so
+    |S(x) - S(y)| <= |x - y|: a pair that cdist puts below a limit is closer
+    than that limit in exact arithmetic, up to cdist's own rounding, and so
+    are its exact keys.  ``rounding`` bounds how far the computed keys of
+    two rows can move their distance (see :func:`prefilter_keys`); a plain
+    map (l = 1) has its leading columns as keys, exact, and a zero term.
+    """
+
+    keys: np.ndarray
+    rounding: float
+
+    def reach(self, limit: float) -> float:
+        """A tree radius that lists every pair cdist puts below `limit`:
+        _TREE_SLACK covers the different rounding of the tree's and cdist's
+        sums of squares, `rounding` the rounding of the keys themselves."""
+        return limit * (1.0 + _TREE_SLACK) + self.rounding
+
+
+def prefilter_keys(images: np.ndarray, blocks: int = 1) -> PrefilterKeys:
+    """The prefilter keys of image rows made of `blocks` blocks of equal width.
+
+    With l = `blocks` and M = max |x| over the images, each computed key
+    coordinate is l^(-1/2)(1 + theta_3) times the computed block sum, which
+    is off the exact sum by at most gamma_(l-1) (|x_1| + ... + |x_l|) <=
+    gamma_(l-1) l M in any summation order (gamma_k = k u / (1 - k u), u the
+    unit roundoff); so it is off the exact S by at most sqrt(l) M
+    gamma_(l+2).  Two rows' computed keys of w coordinates are then off by at
+    most 2 sqrt(w l) M gamma_(l+2) in distance.  That bound, widened by
+    _TREE_SLACK for the tree's rounding of it, is ``rounding``.  The keys of
+    one block are its leading columns, a view, with no rounding.
+    """
+    rows, width = images.shape
+    if blocks < 1 or width % blocks:
+        raise ValueError(f"prefilter_keys: width {width} is not a multiple of {blocks} blocks")
+    n = width // blocks
+    w = min(_PREFILTER_COLUMNS, n)
+    if blocks == 1:
+        return PrefilterKeys(keys=images[:, :w], rounding=0.0)
+    keys = images.reshape(rows, blocks, n)[:, :, :w].sum(axis=1)
+    keys *= 1.0 / math.sqrt(blocks)
+    bound = max(images.max(), -images.min())  # no |images| temporary
+    k = blocks + 2
+    gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+    rounding = (1.0 + _TREE_SLACK) * 2.0 * math.sqrt(w * blocks) * float(bound) * gamma
+    return PrefilterKeys(keys=keys, rounding=rounding)
+
 
 #: Elements (rows times width) of one temporary difference array in the exact
 #: rechecks of the pigeonhole scans; bounds their memory at any candidate count.
@@ -191,38 +266,43 @@ def _pair_cdist(A: np.ndarray, a: np.ndarray, B: np.ndarray, b: np.ndarray) -> n
     return np.sqrt(out)
 
 
-def _close_pairs(A: np.ndarray, rows: np.ndarray, B: np.ndarray, limit: float):
-    """(t, j, d) for every pair of A[rows[t]] and B[j] that cdist puts below
-    `limit`, with d the cdist value.
+def _close_pairs(
+    images: np.ndarray, keys: PrefilterKeys, a: np.ndarray, b: np.ndarray, limit: float
+):
+    """(t, u, d) for every pair of images[a[t]] and images[b[u]] that cdist
+    puts below `limit`, with d the cdist value.
 
-    Exact: every such pair lies within limit(1 + _TREE_SLACK) in the leading
-    columns, so one k-d tree pass over those columns lists it, and the
+    Exact: every such pair lies within keys.reach(limit) in the keys, so one
+    k-d tree pass over the keys of `a` and of `b` lists it, and the
     candidates are measured with cdist's bits.
     """
-    w = min(_PREFILTER_COLUMNS, A.shape[1])
-    pairs = cKDTree(A[rows, :w]).sparse_distance_matrix(
-        cKDTree(B[:, :w]), limit * (1.0 + _TREE_SLACK), output_type="ndarray"
+    pairs = cKDTree(keys.keys[a]).sparse_distance_matrix(
+        cKDTree(keys.keys[b]), keys.reach(limit), output_type="ndarray"
     )
-    t, j = pairs["i"], pairs["j"]
-    d = _pair_cdist(A, rows[t], B, j)
+    t, u = pairs["i"], pairs["j"]
+    d = _pair_cdist(images, a[t], images, b[u])
     below = d < limit
-    return t[below], j[below], d[below]
+    return t[below], u[below], d[below]
 
 
-def _nearest_below(A: np.ndarray, rows: np.ndarray, B: np.ndarray, limit: float) -> np.ndarray:
-    """Position in B of the row nearest to each A[rows[t]] under cdist, the
-    lowest position on ties; -1 where no row of B is closer than `limit`.
+def _nearest_below(
+    images: np.ndarray, keys: PrefilterKeys, a: np.ndarray, b: np.ndarray, limit: float
+) -> np.ndarray:
+    """Position in `b` of the image nearest to each images[a[t]] under cdist,
+    the lowest position on ties; -1 where no image of `b` is closer than
+    `limit`.
 
-    Equals np.argmin(cdist(A[rows], B), axis=1) wherever that minimum is
-    below `limit`, since :func:`_close_pairs` lists every such pair.
+    Equals np.argmin(cdist(images[a], images[b]), axis=1) wherever that
+    minimum is below `limit`, since :func:`_close_pairs` lists every such
+    pair.
     """
-    t, j, d = _close_pairs(A, rows, B, limit)
-    best = np.full(len(rows), np.inf)
+    t, u, d = _close_pairs(images, keys, a, b, limit)
+    best = np.full(len(a), np.inf)
     np.minimum.at(best, t, d)
     tied = d == best[t]
-    nearest = np.full(len(rows), len(B))
-    np.minimum.at(nearest, t[tied], j[tied])
-    nearest[nearest == len(B)] = -1
+    nearest = np.full(len(a), len(b))
+    np.minimum.at(nearest, t[tied], u[tied])
+    nearest[nearest == len(b)] = -1
     return nearest
 
 
@@ -241,7 +321,9 @@ class SeparatedFamily:
     separation: float
 
 
-def greedy_separated_subfamily(images, sep: float) -> SeparatedFamily:
+def greedy_separated_subfamily(
+    images, sep: float, keys: PrefilterKeys | None = None
+) -> SeparatedFamily:
     """Scan in index order; keep a center iff its image clears all kept images.
 
     The output satisfies separation by the acceptance test and maximality
@@ -252,10 +334,10 @@ def greedy_separated_subfamily(images, sep: float) -> SeparatedFamily:
     image against every kept one, each kept image rejects the later images
     close to it, so only close pairs are ever measured:
 
-    - A pair that close in full is within sep(1 + _TREE_SLACK) in the
-      leading _PREFILTER_COLUMNS columns (dropping columns can only shorten
-      a difference; the slack covers the different rounding of the sums), so
-      one k-d tree over those columns lists its candidates.
+    - A pair that close in full is within keys.reach(sep) in the prefilter
+      keys (:func:`prefilter_keys`; `keys` defaults to those of one block,
+      the leading columns), so one k-d tree over the keys lists its
+      candidates.
     - Each candidate is rechecked with the scan's own predicate.
       np.linalg.norm(..., axis=1) reduces every row by itself, so a row has
       the same bits in any number of rows.
@@ -270,17 +352,17 @@ def greedy_separated_subfamily(images, sep: float) -> SeparatedFamily:
         raise ValueError("greedy_separated_subfamily: images must be a non-empty finite 2-d array")
     if sep <= 0.0:
         raise ValueError("greedy_separated_subfamily: sep must be > 0")
-    lead = images[:, : min(_PREFILTER_COLUMNS, images.shape[1])]
-    tree = cKDTree(lead)
-    reach = sep * (1.0 + _TREE_SLACK)
+    keys = prefilter_keys(images) if keys is None else keys
+    tree = cKDTree(keys.keys)
+    reach = keys.reach(sep)
     rejected = np.zeros(len(images), dtype=bool)
     if len(images) > 1:
         # nearest other image in the tree; inf where none is within reach
-        second = tree.query(lead, k=2, distance_upper_bound=reach)[0][:, 1]
+        second = tree.query(keys.keys, k=2, distance_upper_bound=reach)[0][:, 1]
         for i in np.flatnonzero(np.isfinite(second)).tolist():
             if rejected[i]:
                 continue
-            later = np.asarray(tree.query_ball_point(lead[i], reach), dtype=np.intp)
+            later = np.asarray(tree.query_ball_point(keys.keys[i], reach), dtype=np.intp)
             later = later[later > i]
             for part in _recheck_chunks(later, images.shape[1]):
                 rows = later[part]
@@ -320,7 +402,9 @@ class ThetaFibers:
         return anchor, self.fibers[anchor]
 
 
-def theta_assignment(fam: SeparatedFamily, images) -> ThetaFibers:
+def theta_assignment(
+    fam: SeparatedFamily, images, keys: PrefilterKeys | None = None
+) -> ThetaFibers:
     """Map every non-selected image row to the nearest selected image.
 
     Ties break toward the lowest selected index.  This is also the one check
@@ -328,32 +412,32 @@ def theta_assignment(fam: SeparatedFamily, images) -> ThetaFibers:
     the property that fails:
 
     - separation: no two selected images closer than separation - 1e-12
-      under cdist.  Every such pair lies within that limit times
-      (1 + _TREE_SLACK) in the leading columns (dropping columns never
-      lengthens a difference; the slack covers the different rounding of
-      the sums), so :func:`_close_pairs` lists it and cdist's bits decide
-      it.  The check therefore fails exactly when an off-diagonal entry of
-      cdist(selected, selected) is below the limit.
+      under cdist.  Every such pair lies within keys.reach of that limit in
+      the prefilter keys (:func:`prefilter_keys`; `keys` defaults to those
+      of one block, the leading columns), so :func:`_close_pairs` lists it
+      and cdist's bits decide it.  The check therefore fails exactly when an
+      off-diagonal entry of cdist(selected, selected) is below the limit.
     - maximality: every leftover has a selected image closer than
       separation + 1e-12.  Its nearest one is the argmin of its cdist row,
       found among the candidates of the same prefilter
       (:func:`_nearest_below`), so only close pairs are measured.
     """
     images = np.asarray(images, dtype=float)
-    sel = images[fam.selected]
-    t, j, _ = _close_pairs(sel, np.arange(len(sel)), sel, fam.separation - 1e-12)
-    if np.any(t != j):
+    keys = prefilter_keys(images) if keys is None else keys
+    sel = fam.selected
+    t, u, _ = _close_pairs(images, keys, sel, sel, fam.separation - 1e-12)
+    if np.any(t != u):
         raise AssertionError("theta_assignment: separation violated")
     mask = np.ones(len(images), dtype=bool)
-    mask[fam.selected] = False
+    mask[sel] = False
     leftovers = np.nonzero(mask)[0]
     fibers: dict[int, list[int]] = {}
     if leftovers.size == 0:
         return ThetaFibers(assignment=np.empty(0, dtype=int), leftovers=leftovers, fibers=fibers)
-    nearest = _nearest_below(images, leftovers, sel, fam.separation + 1e-12)
+    nearest = _nearest_below(images, keys, leftovers, sel, fam.separation + 1e-12)
     if np.any(nearest < 0):
         raise AssertionError("theta_assignment: maximality violated")
-    assignment = fam.selected[nearest]
+    assignment = sel[nearest]
     for pos, anchor in zip(leftovers.tolist(), assignment.tolist()):
         fibers.setdefault(anchor, []).append(pos)
     return ThetaFibers(assignment=assignment, leftovers=leftovers, fibers=fibers)
@@ -444,8 +528,15 @@ def find_bunched_configuration(
 
     The Hausdorff search evaluates the map augmented over the certificate net
     (:func:`certificate_net`), built once; the set-distance search builds no
-    net.  Returns the k members (the consecutive-in-index window of the
-    largest fiber with the smallest image spread) together with the fiber's
+    net.  Before any rung, a Hausdorff search refuses a net whose grid is too
+    large (:func:`hypack.nets.check_net_grid`), and then every search
+    refuses a first rung beyond the representable radius
+    (:meth:`SearchParams.check_first_rung`).  Each rung computes the
+    prefilter keys of its images once (:func:`prefilter_keys`, one block
+    per net point) for both pigeonhole scans.
+
+    Returns the k members (the consecutive-in-index window of the largest
+    fiber with the smallest image spread) together with the fiber's
     anchor.  The returned configuration re-verifies the two proof
     inequalities: pairwise manifold distance >= 2C and pairwise image
     distance < 2/C.
@@ -456,25 +547,29 @@ def find_bunched_configuration(
         If no R in the schedule produces a fiber of size k (with the image
         diameter constraint, when one is given).
     """
-    eff_F, rho, bound_L = F, 0.0, F.L
+    if params.hausdorff:  # the augmented map needs the net before any rung
+        check_net_grid(*_certificate_net_args(F, params.r, params.epsilon))
+    params.check_first_rung()
+    eff_F, rho, bound_L, blocks = F, 0.0, F.L, 1
     if params.hausdorff:
         # the volume bound of the augmented pipeline uses the affine growth
         # sqrt(l) L (R + 2 rho) of the concatenated image
         net = certificate_net(F, params.r, params.epsilon)
-        eff_F, rho, bound_L = augment_map(F, net), net.rho, math.sqrt(net.l) * F.L
+        eff_F, rho, bound_L, blocks = augment_map(F, net), net.rho, math.sqrt(net.l) * F.L, net.l
 
     sep = 1.0 / params.C
     diagnostics: list[dict] = []
     for R in params.R_schedule:
         fam = generate_centers(params.C, R, F.m, params.cap)
         images = eff_F.batch(fam.centers)
-        sf = greedy_separated_subfamily(images, sep)
+        keys = prefilter_keys(images, blocks)
+        sf = greedy_separated_subfamily(images, sep, keys)
         bound = counting_upper_bound(R + 2.0 * rho, params.C, bound_L, eff_F.n)
         if len(sf.selected) > bound:
             raise AssertionError(
                 f"volume bound violated: {len(sf.selected)} selected > {bound}"
             )
-        fibers = theta_assignment(sf, images)
+        fibers = theta_assignment(sf, images, keys)
         anchor, members = fibers.largest
         entry = {
             "R": R,

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import time_limit
-from hypack.cli import _dump_json, main
+from hypack.cli import _dump_json, _write_float_rows, main
+import hypack.cli
 import hypack.search
 from hypack.geometry import M_MAX
 from hypack.maps import FLAT_GRAPH_K_MAX
@@ -243,6 +244,30 @@ class TestSearch:
         # a value of r may carry a trailing flag
         assert refused_quickly(["search", "--r", *r.split()]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, radius",
+        [
+            # set-distance C = 404: the first rung's centers lie at radius 406
+            (["--r", "100"], "406"),
+            # a one-point net passes; C = 4/eps = 400 puts the centers at 402
+            (["--r", "0.01", "--eps", "0.01", "--hausdorff"], "402"),
+        ],
+    )
+    def test_unrepresentable_first_rung_exit_2(self, capsys, argv, radius):
+        assert refused_quickly(["search", *argv], seconds=2.0) == 2
+        err = capsys.readouterr().err
+        assert f"r is too large (r={float(argv[1])}, epsilon=" in err
+        assert f"centers at radius {radius}, which exceeds the representable range" in err
+
+    def test_hausdorff_net_grid_refused_before_any_rung(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(hypack.search, "build_reference_net", never)
+        monkeypatch.setattr(hypack.search, "generate_centers", never)
+        assert refused_quickly(["search", "--m", "5", "--hausdorff"], seconds=2.0) == 2
+        assert "lattice points, more than the limit" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -554,6 +579,26 @@ class TestArtifactWriter:
     )
     def test_writer_matches_json_dumps(self, payload):
         assert _dump_json(payload) == json.dumps(_as_lists(payload), sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_writer_rows_in_chunks(self, monkeypatch, chunk):
+        rows = np.random.default_rng(chunk).standard_normal((7, 3))
+        rows[5, 1] = math.nan
+        monkeypatch.setattr(hypack.cli, "_FLOAT_ROWS_CHUNK", chunk)
+        for payload in ({"rows": rows}, {"rows": rows[np.isfinite(rows).all(axis=1)]}):
+            assert _dump_json(payload) == json.dumps(_as_lists(payload), sort_keys=True, indent=2) + "\n"
+
+    def test_writer_memory_is_bounded(self):
+        # rows, then their text, then the joined text: about twice the text,
+        # not the whole list of floats and their reprs at once
+        rows = np.random.default_rng(1).standard_normal((20_000, 14))
+        tracemalloc.start()
+        try:
+            text = _write_float_rows(rows, "\n  ")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(text)
 
     @pytest.mark.parametrize("payload", [{"a": object()}, [np.int64(3)], [np.bool_(True)]])
     def test_writer_refuses_what_json_refuses(self, payload):

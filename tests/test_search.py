@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from hypack.search import (
     _sample_ball_points,
     _set_distance_max,
     augment_map,
+    certificate_net,
     certify_configuration,
     choose_C_hausdorff,
     choose_C_setdist,
@@ -38,6 +40,7 @@ from hypack.search import (
     find_bunched_configuration,
     greedy_separated_subfamily,
     hausdorff_distance_estimate,
+    prefilter_keys,
     theta_assignment,
 )
 
@@ -485,41 +488,50 @@ class TestTreeDistances:
 
 @st.composite
 def pigeonhole_cases(draw):
-    """(images, sep, recheck chunk): small image sets with duplicates, exact
-    distances and equidistant ties, shifted far from the origin or not."""
-    width = draw(st.sampled_from([1, 2, 3, 8, 40]))
-    n = draw(st.integers(1, 60))
-    kind = draw(st.sampled_from(["lattice", "random", "clustered", "spread"]))
+    """(images, sep, recheck chunk, blocks): small image sets of l = blocks
+    blocks with duplicates, exact distances and equidistant ties, shifted far
+    from the origin or not.  "tiled" rows repeat one vector in every block, so
+    a pair moves by the same vector in each and the block-sum prefilter is
+    tight; a pair may sit exactly at the separation or one ulp inside it."""
+    blocks = draw(st.sampled_from([1, 2, 20]))
+    n = draw(st.sampled_from([1, 2, 3, 8, 40] if blocks == 1 else [1, 2, 3, 4]))
+    width = blocks * n
+    count = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["lattice", "random", "clustered", "spread", "tiled"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "lattice":  # few distinct distances: exact ties everywhere
-        X = 0.5 * rng.integers(0, 3, (n, width)).astype(float)
+        X = 0.5 * rng.integers(0, 3, (count, width)).astype(float)
     elif kind == "random":
-        X = rng.standard_normal((n, width))
+        X = rng.standard_normal((count, width))
     elif kind == "clustered":
-        centers = 3.0 * rng.standard_normal((max(1, n // 5), width))
-        X = centers[rng.integers(0, len(centers), n)] + 0.2 * rng.standard_normal((n, width))
+        centers = 3.0 * rng.standard_normal((max(1, count // 5), width))
+        X = centers[rng.integers(0, len(centers), count)] + 0.2 * rng.standard_normal((count, width))
+    elif kind == "tiled":  # clustered in one block, repeated in all
+        centers = 3.0 * rng.standard_normal((max(1, count // 5), n))
+        Y = centers[rng.integers(0, len(centers), count)] + 0.2 * rng.standard_normal((count, n))
+        X = np.tile(Y, (1, blocks))
     else:  # all far apart (no leftover), or one repeated row (one leftover)
-        X = np.zeros((n, width))
-        X[:, 0] = 10.0 * np.arange(n)
-        if n > 1 and draw(st.booleans()):
-            X[-1] = X[int(rng.integers(0, n - 1))]
-    if kind != "spread" and n > 1 and draw(st.booleans()):  # duplicated rows
-        X[rng.integers(0, n, n // 3 + 1)] = X[rng.integers(0, n, n // 3 + 1)]
+        X = np.zeros((count, width))
+        X[:, 0] = 10.0 * np.arange(count)
+        if count > 1 and draw(st.booleans()):
+            X[-1] = X[int(rng.integers(0, count - 1))]
+    if kind != "spread" and count > 1 and draw(st.booleans()):  # duplicated rows
+        X[rng.integers(0, count, count // 3 + 1)] = X[rng.integers(0, count, count // 3 + 1)]
     if draw(st.booleans()):
         X = X + 1e6
-    how = draw(st.sampled_from(["norm pair", "cdist pair", "scale"]))
+    how = draw(st.sampled_from(["norm pair", "cdist pair", "inside pair", "scale"]))
     sep = draw(st.floats(0.05, 3.0)) if kind != "spread" else 1.0
-    if how != "scale" and kind != "spread" and n > 1:
-        i, j = rng.choice(n, 2, replace=False)
+    if how != "scale" and kind != "spread" and count > 1:
+        i, j = rng.choice(count, 2, replace=False)
         exact = (
             float(np.linalg.norm(X[i] - X[j]))
-            if how == "norm pair"
+            if how != "cdist pair"
             else float(cdist(X[i : i + 1], X[j : j + 1])[0, 0])
         )
-        if exact > 0.0:  # a pair at exactly the separation
-            sep = exact
+        if exact > 0.0:  # a pair at exactly the separation, or just inside it
+            sep = exact if how != "inside pair" else float(np.nextafter(exact, np.inf))
     chunk = draw(st.sampled_from([1, 7, 1 << 16, 1 << 40]))
-    return X, sep, chunk
+    return X, sep, chunk, blocks
 
 
 class TestPigeonholeScans:
@@ -528,15 +540,16 @@ class TestPigeonholeScans:
     @settings(max_examples=400, deadline=None)
     @given(case=pigeonhole_cases())
     def test_equal_to_full_scans(self, case):
-        X, sep, chunk = case
+        X, sep, chunk, blocks = case
         sel, kept = loop_separated_subfamily(X, sep)
+        keys = prefilter_keys(X, blocks)
         with mock.patch.object(hypack.search, "_RECHECK_ELEMENTS", chunk):
-            sf = greedy_separated_subfamily(X, sep)
+            sf = greedy_separated_subfamily(X, sep, keys)
             assert sf.selected.dtype == sel.dtype
             assert np.array_equal(sf.selected, sel)
             assert np.array_equal(X[sf.selected], kept)
             assert full_cdist_verify(sel, kept, sep, X)
-            fib = theta_assignment(sf, X)
+            fib = theta_assignment(sf, X, keys)
         assignment, leftovers, fibers = full_cdist_theta(len(X), sel, kept, X, sep)
         assert np.array_equal(fib.assignment, assignment)
         assert np.array_equal(fib.leftovers, leftovers)
@@ -546,7 +559,8 @@ class TestPigeonholeScans:
     @given(case=pigeonhole_cases(), pick=st.integers(0, 2**32 - 1))
     def test_hand_built_families(self, case, pick):
         # arbitrary subsets: the assignment must fail exactly where the full scans fail
-        X, sep, chunk = case
+        X, sep, chunk, blocks = case
+        keys = prefilter_keys(X, blocks)
         rng = np.random.default_rng(pick)
         sel = np.flatnonzero(rng.random(len(X)) < 0.5)
         if sel.size == 0:
@@ -555,10 +569,10 @@ class TestPigeonholeScans:
         with mock.patch.object(hypack.search, "_RECHECK_ELEMENTS", chunk):
             if not full_cdist_verify(sel, X[sel], sep, X, 1e-12):
                 with pytest.raises(AssertionError, match="separation|maximality"):
-                    theta_assignment(fam, X)
+                    theta_assignment(fam, X, keys)
                 return
             expected = full_cdist_theta(len(X), sel, X[sel], X, sep)
-            fib = theta_assignment(fam, X)
+            fib = theta_assignment(fam, X, keys)
         assert np.array_equal(fib.assignment, expected[0])
         assert fib.fibers == expected[2] and list(fib.fibers) == list(expected[2])
 
@@ -585,6 +599,66 @@ class TestPigeonholeScans:
         assert not full_cdist_verify(wider.selected, X[wider.selected], wider.separation, X, 1e-12)
         with pytest.raises(AssertionError, match="separation"):
             theta_assignment(wider, X)
+
+    @pytest.mark.parametrize("blocks, n", [(2, 1), (2, 3), (20, 1), (20, 3)])
+    def test_translated_pairs_at_the_separation(self, blocks, n):
+        # every pair moves by the same vector in each block, so its block-sum
+        # key distance equals its full distance: the prefilter is tight, and
+        # the 1e6 offset makes the keys' rounding as large as the reach's slack
+        rng = np.random.default_rng(100 * blocks + n)
+        for _ in range(100):
+            Y = rng.integers(0, 4, (12, 1)) + 0.1 * rng.standard_normal((12, n))
+            X = np.tile(Y, (1, blocks)) + 1e6
+            i, j = rng.choice(len(X), 2, replace=False)
+            exact = float(np.linalg.norm(X[i] - X[j]))
+            keys = prefilter_keys(X, blocks)
+            for sep in (exact, float(np.nextafter(exact, np.inf))):
+                sel, kept = loop_separated_subfamily(X, sep)
+                sf = greedy_separated_subfamily(X, sep, keys)
+                assert np.array_equal(sf.selected, sel)
+                fib = theta_assignment(sf, X, keys)
+                assignment, _, fibers = full_cdist_theta(len(X), sel, kept, X, sep)
+                assert np.array_equal(fib.assignment, assignment) and fib.fibers == fibers
+
+    @pytest.mark.parametrize("blocks", [2, 20, 2565])
+    def test_key_rounding_is_bounded(self, blocks):
+        # computed keys against 50-digit block sums, offsets of mixed sign and size
+        rng = np.random.default_rng(blocks)
+        X = rng.standard_normal((4, 3 * blocks)) * 10.0 ** rng.integers(-2, 7, (4, 3 * blocks))
+        keys = prefilter_keys(X, blocks)
+        with mpmath.workdps(50):
+            scale = 1 / mpmath.sqrt(blocks)
+            worst = max(
+                abs(mpmath.mpf(float(keys.keys[r, c])) - scale * mpmath.fsum(X[r, c::3].tolist()))
+                for r in range(len(X))
+                for c in range(3)
+            )
+        assert 0.0 < 2.0 * math.sqrt(3.0) * float(worst) <= keys.rounding
+
+    def test_one_block_keys_are_the_leading_columns(self):
+        X = np.random.default_rng(3).standard_normal((5, 8)) + 1e6
+        keys = prefilter_keys(X)
+        assert keys.rounding == 0.0 and np.shares_memory(keys.keys, X)
+        assert np.array_equal(keys.keys, X[:, :3])
+        assert keys.reach(0.5) == 0.5 * (1.0 + hypack.search._TREE_SLACK)
+        with pytest.raises(ValueError, match="multiple of 3 blocks"):
+            prefilter_keys(X, 3)
+
+    def test_search_keys_have_one_block_per_net_point(self):
+        F = poincare_inclusion(2)
+        seen = []
+
+        def spy(images, blocks=1):
+            seen.append((images.shape[1], blocks))
+            return prefilter_keys(images, blocks)
+
+        with mock.patch.object(hypack.search, "prefilter_keys", spy):
+            find_bunched_configuration(F, SearchParams(1.0, 0.5, 2))
+            plain = len(seen)
+            find_bunched_configuration(F, SearchParams(1.0, 0.5, 2, hausdorff=True))
+        l = certificate_net(F, 1.0, 0.5).l
+        assert seen[:plain] == [(2, 1)] * plain
+        assert seen[plain:] and seen[plain:] == [(2 * l, l)] * (len(seen) - plain)
 
     @pytest.mark.parametrize("width", [2, 3, 6, 40, 7695])
     def test_pair_distances_have_cdist_bits(self, width):
