@@ -2,7 +2,8 @@
 
 Shows the dual point representation (ambient coordinates + polar data), the
 log-domain distance kernel staying accurate at radius 10^4, exp/log maps,
-parallel transport, and the hyperbolic law of sines on a measured triangle.
+parallel transport, the isometry sigma_p that moves o to p, and the hyperbolic
+law of sines on a measured triangle.
 """
 
 import math
@@ -14,11 +15,12 @@ from hypack.geometry import (
     HTangent,
     distance,
     exp_map,
+    exp_rows,
     law_of_sines_residual,
     log_map,
     parallel_transport,
     polar_distance,
-    transvection_to,
+    transport_frame,
     triangle_angles,
 )
 
@@ -46,15 +48,19 @@ w = log_map(o, q)
 print(f"|v| = {v.norm},  d(o, exp v) = {distance(o, q)}")
 print(f"log returns the tangent back: |log - v| = {np.linalg.norm(w.vec - v.vec):.2e}")
 
-print("\n== parallel transport and transvections ==")
+print("\n== parallel transport and the isometry sigma_p ==")
 target = HPoint.from_polar(5.0, [0.8, 0.6])
 moved = parallel_transport(v, target)
 print(f"norm before/after transport: {v.norm} / {moved.norm} (isometry)")
-T = transvection_to(target)
-x1, x2 = HPoint.from_polar(1.0, [0.0, 1.0]), HPoint.from_polar(2.0, [1.0, 0.0])
+# sigma_p = exp_p of the frame-transported tangent coordinates; applied to
+# exp_o of the rows below (o, x1, x2) it gives (p, sigma_p x1, sigma_p x2)
+tangent = np.array([[0.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
+norms = np.linalg.norm(tangent, axis=1)
+_, x1, x2 = exp_rows(o, np.pad(tangent, ((0, 0), (1, 0))), norms)
+y0, y1, y2 = exp_rows(target, tangent @ transport_frame(target), norms)
 print(
-    f"transvection moves o to target: d(T(o), target) = {distance(T(o), target):.2e}; "
-    f"d preserved: {abs(distance(T(x1), T(x2)) - distance(x1, x2)):.2e}"
+    f"sigma_p moves o to target: d(sigma_p o, target) = {distance(y0, target):.2e}; "
+    f"d preserved: {abs(distance(y1, y2) - distance(x1, x2)):.2e}"
 )
 
 print("\n== law of sines on a measured triangle ==")

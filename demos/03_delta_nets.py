@@ -7,7 +7,7 @@ on (rho, delta, m), never on the basepoint.
 """
 
 from hypack.geometry import HPoint, PolarBatch, distance
-from hypack.nets import build_reference_net, net_to_json, transport_net, verify_cover
+from hypack.nets import NetTemplate, build_reference_net, transport_net, verify_cover
 
 rho, delta, m = 1.0, 0.25, 2
 tmpl = build_reference_net(rho, delta, m)
@@ -39,14 +39,10 @@ for i, j in pairs:
         f"at q -> {distance(sig_q[i], sig_q[j]):.10f}"
     )
 
-print(f"\nJSON serialization starts: {net_to_json(tmpl)[:80]}...")
-
 half = tmpl.tangent_points[tmpl.tangent_points[:, 0] <= 0.0]
-from hypack.nets import NetTemplate
-
 broken = NetTemplate(tmpl.rho, tmpl.delta, half)
 rep = verify_cover(broken, HPoint.origin(m), samples=20_000, seed=11)
 print(
-    f"deleting half the net: covered fraction {rep.covered_fraction:.3f}, "
+    f"\ndeleting half the net: covered fraction {rep.covered_fraction:.3f}, "
     f"max gap {rep.max_gap:.3f} > delta -> fail (as it must)"
 )

@@ -45,9 +45,9 @@ print(f"\ncomposed with a projection: n = {G.n}, declared L = {G.L}")
 print("\n== flat-graph surface: proper but not strongly proper ==")
 print("g(x, y) = f(x) with bumps of height k over the k-th support interval;")
 print("p_k, q_k sit at the feet of bump k, so every surface path climbs over height k.")
-report = flat_graph_example(K=8)
+rows = flat_graph_example(K=8)
 print(f"{'k':>2} {'extrinsic':>12} {'intrinsic_lo':>13} {'intrinsic_hi':>13} {'ratio':>9}")
-for row in report.rows:
+for row in rows:
     print(
         f"{row.k:>2} {row.extrinsic:>12.6f} {row.intrinsic_lo:>13.3f} "
         f"{row.intrinsic_hi:>13.3f} {row.ratio:>9.1f}"

@@ -41,7 +41,7 @@ print(
 cert = certify_configuration(F, cfg, samples=256, seed=3)
 print(
     f"certificate: (i) ball separation {cert.separation_min:.3f} >= 1/eps = "
-    f"{cert.separation_required} -> {cert.pass_i}; (ii) image set distance "
+    f"{1 / eps} -> {cert.pass_i}; (ii) image set distance "
     f"{cert.set_distance_max:.6f} <= eps -> {cert.pass_ii}"
 )
 

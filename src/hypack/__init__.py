@@ -13,7 +13,6 @@ from hypack.geometry import (
     minkowski_inner,
     parallel_transport,
     polar_distance,
-    transvection_to,
     triangle_angles,
 )
 

@@ -1,4 +1,4 @@
-"""Batch front door: packings, growth tables, net checks, compression searches.
+"""Batch front door: the commands pack, growth, search and demo-flat.
 
 One command per process; artifacts are JSON (schema field included) or CSV,
 written atomically.  JSON artifacts are json.dumps(payload, sort_keys=True,
@@ -161,8 +161,8 @@ def cmd_pack(args) -> int:
         "spec": {"C": args.C, "R": args.R, "m": args.m, "cap": args.cap},
         "family": {
             "n_centers": len(fam),
-            "radius": fam.radius,
-            "min_separation": fam.min_separation,
+            "radius": fam.C,
+            "min_separation": 2.0 * fam.C,
             "alpha": fam.alpha,
             "family_size_uncapped": fam.family_size_uncapped,
             "centers_polar": _polar_rows(fam.centers),
@@ -253,7 +253,7 @@ def cmd_search(args) -> int:
         "pairwise_image_max": cfg.pairwise_image_max,
         "hausdorff_max": cert.hausdorff_max,
         "set_distance_max": cert.set_distance_max,
-        "separation_margin": cert.separation_min - cert.separation_required,
+        "separation_margin": cert.separation_min - 1.0 / params.epsilon,
         "pass": cert.passes(),
         "family_count": cfg.family_count,
         "selected_count": cfg.selected_count,
@@ -281,11 +281,10 @@ def cmd_demo_flat(args) -> int:
 
     if args.K < 1:
         raise ValueError(f"demo-flat: --K must be >= 1 (got {args.K})")
-    report = flat_graph_example(K=args.K)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "demo-flat",
-        "rows": report.to_json_rows(),
+        "rows": [asdict(row) for row in flat_graph_example(K=args.K)],
     }
     _atomic_write(args.out, _dump_json(payload))
     return EXIT_PASS

@@ -34,7 +34,6 @@ __all__ = [
     "M_MAX",
     "NumericRangeError",
     "PolarBatch",
-    "Transvection",
     "check_dimension",
     "dist_given_q",
     "distance",
@@ -47,7 +46,6 @@ __all__ = [
     "polar_distance",
     "sample_ball",
     "transport_frame",
-    "transvection_to",
     "triangle_angles",
 ]
 
@@ -270,21 +268,6 @@ class HPoint:
             coords = np.concatenate(([math.cosh(r)], math.sinh(r) * d))
             coords.setflags(write=False)
         return HPoint(r, d, coords)
-
-    @staticmethod
-    def from_coords(coords) -> "HPoint":
-        c = np.asarray(coords, dtype=float).copy()
-        if c.ndim != 1 or c.shape[0] < 3:
-            raise ValueError("from_coords: expected a vector of length m+1, m >= 2")
-        if c[0] < 1.0 - 1e-9:
-            raise ValueError("from_coords: point not on the upper sheet (x0 < 1)")
-        sq = float(minkowski_inner(c, c))
-        # rounding perturbs the self-product by ~eps*cosh(r)^2; anything far
-        # beyond that is a modeling error, anything within gets snapped back
-        tol = 1e-8 * max(1.0, c[0] * c[0])
-        if abs(sq + 1.0) > tol:
-            raise ValueError(f"from_coords: Minkowski self-product {sq} != -1")
-        return PolarBatch(*_snap_rows(c[None, :]))[0]
 
     @property
     def dim(self) -> int:
@@ -642,41 +625,6 @@ def law_of_sines_residual(sides, angles) -> float:
         raise ValueError("law_of_sines_residual: sides must be > 0, angles in (0, pi)")
     ratios = np.sinh(sides) / np.sin(angles)
     return float(ratios.max() - ratios.min())
-
-
-# ---------------------------------------------------------------------------
-# isometries
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Transvection:
-    """Distance-preserving map of H^m sending the base point o to p.
-
-    Realized as the Lorentz matrix with columns (p, V_1, ..., V_m), i.e.
-    exp_p of the frame-transported exp_o^{-1}; in a symmetric space this is
-    exactly the transvection along the geodesic from o to p.
-    """
-
-    matrix: np.ndarray
-
-    def __call__(self, x: HPoint) -> HPoint:
-        return PolarBatch(*_snap_rows((self.matrix @ x.coords_extended)[None, :]))[0]
-
-    def inverse(self) -> "Transvection":
-        eta = np.ones(self.matrix.shape[0])
-        eta[0] = -1.0
-        inv = eta[:, None] * self.matrix.T * eta[None, :]
-        return Transvection(inv)
-
-
-def transvection_to(p: HPoint) -> Transvection:
-    """Isometry handle moving o to p (identity when p = o)."""
-    m = p.dim
-    mat = np.zeros((m + 1, m + 1))
-    mat[:, 0] = p.coords_extended
-    mat[:, 1:] = transport_frame(p).T
-    return Transvection(mat)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ strongly proper.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,7 +19,6 @@ from hypack.geometry import HPoint, PolarBatch, _tanh, distance, exp_rows, sampl
 
 __all__ = [
     "FLAT_GRAPH_K_MAX",
-    "FlatGraphReport",
     "FlatGraphRow",
     "LipschitzMapHandle",
     "busemann_map",
@@ -192,14 +191,6 @@ class FlatGraphRow:
         return self.intrinsic_lo / self.extrinsic
 
 
-@dataclass(frozen=True)
-class FlatGraphReport:
-    rows: list[FlatGraphRow]
-
-    def to_json_rows(self) -> list[dict]:
-        return [asdict(row) for row in self.rows]
-
-
 def _bump_height(x: np.ndarray, k: int) -> np.ndarray:
     """Smooth bump of height k supported on (k - 1/(k+1), k + 1/(k+1))."""
     t = (np.asarray(x, dtype=float) - k) * (k + 1.0)
@@ -251,7 +242,7 @@ _BASE_NX = 301
 _STABILIZE_TOL = 0.1
 
 
-def flat_graph_example(K: int = 8) -> FlatGraphReport:
+def flat_graph_example(K: int = 8) -> list[FlatGraphRow]:
     """Intrinsic vs extrinsic distances on the graph of g(x, y) = f(x).
 
     f is a smooth bump of height k over the k-th component of the support
@@ -279,4 +270,4 @@ def flat_graph_example(K: int = 8) -> FlatGraphReport:
             nx = 2 * nx - 1
             hi_prev, hi = hi, _mesh_shortest_path(k, 2 * nx - 1)
         rows.append(FlatGraphRow(k=k, extrinsic=extrinsic, intrinsic_lo=lo, intrinsic_hi=hi))
-    return FlatGraphReport(rows=rows)
+    return rows

@@ -21,7 +21,6 @@ bounded by GRID_POINTS_MAX before the grid is allocated.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -42,8 +41,6 @@ __all__ = [
     "NetTemplate",
     "build_reference_net",
     "check_net_grid",
-    "net_from_json",
-    "net_to_json",
     "transport_net",
     "verify_cover",
 ]
@@ -244,11 +241,8 @@ def transport_net(tmpl: NetTemplate, points: PolarBatch) -> PolarBatch:
 
 @dataclass(frozen=True)
 class CoverReport:
-    l: int
-    samples: int
     covered_fraction: float
     max_gap: float
-    delta: float
     max_radial: float
     rho: float
 
@@ -300,6 +294,8 @@ def verify_cover(
     # big sample-by-net matrix never sees a transcendental.
     cosh_n = np.cosh(norms)
     sinh_n = np.sinh(norms)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(norms > 0, sinh_n / norms, 0.0)
     u_thresh = math.cosh(tmpl.delta) - 1.0
 
     rng = np.random.default_rng(seed)
@@ -314,37 +310,15 @@ def verify_cover(
         pos = xr > 0
         scale = np.zeros_like(xr)
         scale[pos] = np.sinh(xr[pos]) / xr[pos]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(norms > 0, sinh_n / norms, 0.0)
         u -= (scale[:, None] * dots) * ratio[None, :]
         nearest = u.min(axis=1)
         covered += int(np.count_nonzero(nearest <= u_thresh + 1e-12))
         worst_u = max(worst_u, float(nearest.max()))
     max_gap = float(math.acosh(1.0 + max(worst_u, 0.0)))
     return CoverReport(
-        l=tmpl.l,
-        samples=samples,
         covered_fraction=covered / samples,
         max_gap=max_gap,
-        delta=tmpl.delta,
         max_radial=max_radial,
         rho=tmpl.rho,
     )
 
-
-def net_to_json(tmpl: NetTemplate) -> str:
-    payload = {
-        "rho": tmpl.rho,
-        "delta": tmpl.delta,
-        "m": tmpl.m,
-        "points": tmpl.tangent_points.tolist(),
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def net_from_json(text: str) -> NetTemplate:
-    payload = json.loads(text)
-    pts = np.asarray(payload["points"], dtype=float)
-    if pts.shape[1] != payload["m"]:
-        raise ValueError("net_from_json: point dimension disagrees with m")
-    return NetTemplate(rho=float(payload["rho"]), delta=float(payload["delta"]), tangent_points=pts)

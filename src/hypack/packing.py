@@ -154,14 +154,6 @@ class BallFamily:
     family_size_uncapped: float
 
     @property
-    def radius(self) -> float:
-        return self.C
-
-    @property
-    def min_separation(self) -> float:
-        return 2.0 * self.C
-
-    @property
     def center_radius(self) -> float:
         return self.R - self.C
 
@@ -229,12 +221,9 @@ def generate_centers(C: float, R: float, m: int, cap: int = 100_000) -> BallFami
 
 @dataclass(frozen=True)
 class PackingReport:
-    n_centers: int
     pairs_checked: int
     min_pairwise: float
-    required_separation: float
     max_center_offset: float
-    allowed_offset: float
     separation_ok: bool
     enclosure_ok: bool
 
@@ -253,17 +242,13 @@ def verify_packing(fam: BallFamily) -> PackingReport:
     """
     n = len(fam)
     min_pairwise = min_lag_distance(fam.center_radius, fam.alpha, fam.indices)
-    allowed = fam.center_radius
     max_offset = float(np.max(distance(HPoint.origin(fam.centers.dirs.shape[1]), fam.centers)))
     return PackingReport(
-        n_centers=n,
         pairs_checked=n * (n - 1) // 2,
         min_pairwise=min_pairwise,
-        required_separation=fam.min_separation,
         max_center_offset=max_offset,
-        allowed_offset=allowed,
-        separation_ok=min_pairwise >= fam.min_separation - DEFAULT_TOL,
-        enclosure_ok=max_offset <= allowed + DEFAULT_TOL,
+        separation_ok=min_pairwise >= 2.0 * fam.C - DEFAULT_TOL,
+        enclosure_ok=max_offset <= fam.center_radius + DEFAULT_TOL,
     )
 
 

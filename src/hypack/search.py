@@ -388,10 +388,9 @@ def counting_upper_bound(R: float, C: float, L: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class ThetaFibers:
-    """Assignment of each leftover center to its nearest selected image."""
+    """Assignment of each leftover center to its nearest selected image:
+    selected position -> its leftover positions, in order."""
 
-    assignment: np.ndarray  # leftover position -> selected position
-    leftovers: np.ndarray
     fibers: dict[int, list[int]]
 
     @property
@@ -433,14 +432,13 @@ def theta_assignment(
     leftovers = np.nonzero(mask)[0]
     fibers: dict[int, list[int]] = {}
     if leftovers.size == 0:
-        return ThetaFibers(assignment=np.empty(0, dtype=int), leftovers=leftovers, fibers=fibers)
+        return ThetaFibers(fibers)
     nearest = _nearest_below(images, keys, leftovers, sel, fam.separation + 1e-12)
     if np.any(nearest < 0):
         raise AssertionError("theta_assignment: maximality violated")
-    assignment = sel[nearest]
-    for pos, anchor in zip(leftovers.tolist(), assignment.tolist()):
+    for pos, anchor in zip(leftovers.tolist(), sel[nearest].tolist()):
         fibers.setdefault(anchor, []).append(pos)
-    return ThetaFibers(assignment=assignment, leftovers=leftovers, fibers=fibers)
+    return ThetaFibers(fibers)
 
 
 #: Rows one transport_net call of the augmented map may make: its blocks hold
@@ -512,7 +510,7 @@ def _best_window(members: list[int], imgs: np.ndarray, k: int) -> tuple[list[int
     best: list[int] = []
     for s in range(len(members) - k + 1):
         window = imgs[s : s + k]
-        diam = float(np.max(cdist(window, window))) if k > 1 else 0.0
+        diam = float(np.max(cdist(window, window)))
         if diam < best_diam:
             best_diam = diam
             best = members[s : s + k]
@@ -616,16 +614,12 @@ def find_bunched_configuration(
 
 
 def hausdorff_distance_estimate(A, B) -> float:
-    """Hausdorff distance between finite point sets:
-    max of the two directed sup-inf distances."""
+    """Hausdorff distance between the finite point sets given as the rows of
+    two 2-D arrays: max of the two directed sup-inf distances."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.size == 0 or B.size == 0:
         raise ValueError("hausdorff_distance_estimate: empty point set")
-    if A.ndim == 1:
-        A = A[:, None]
-    if B.ndim == 1:
-        B = B[:, None]
     return max(
         _nearest_extreme(A, B, cKDTree(B), farthest=True),
         _nearest_extreme(B, A, cKDTree(A), farthest=True),
@@ -676,14 +670,12 @@ class Certificate:
     """Measured margins for the three bunching conclusions."""
 
     separation_min: float  # min over pairs of d(B_i, B_j) lower bound
-    separation_required: float  # 1/epsilon
     pass_i: bool
     set_distance_max: float  # max over pairs of the image set-distance upper bound
     pass_ii: bool
     hausdorff_max: float | None
     pass_iii: bool | None
-    epsilon: float
-    separation_2C_ok: bool = True  # the proof invariant d(p_i, p_j) >= 2C
+    separation_2C_ok: bool  # the proof invariant d(p_i, p_j) >= 2C
 
     @property
     def ok(self) -> bool:
@@ -755,13 +747,11 @@ def certify_configuration(
 
     return Certificate(
         separation_min=sep,
-        separation_required=1.0 / eps,
         pass_i=bool(pass_i),
         set_distance_max=set_dist,
         pass_ii=bool(pass_ii),
         hausdorff_max=hausdorff_max,
         pass_iii=pass_iii,
-        epsilon=eps,
         separation_2C_ok=bool(sep_2C_ok),
     )
 

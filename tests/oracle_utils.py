@@ -204,23 +204,23 @@ def loop_separated_subfamily(images, sep):
 
 
 def full_cdist_theta(n_centers, selected, sel_images, images, sep):
-    """(assignment, leftovers, fibers) from the full cdist of leftovers to the
-    selected images: first minimum per row, so ties go to the lowest position.
-    Raises AssertionError where a leftover is not within sep + 1e-12."""
+    """The fibers (selected position -> leftover positions, in order) from the
+    full cdist of leftovers to the selected images: first minimum per row, so
+    ties go to the lowest position.  Raises AssertionError where a leftover
+    is not within sep + 1e-12."""
     mask = np.ones(n_centers, dtype=bool)
     mask[selected] = False
     leftovers = np.nonzero(mask)[0]
     if leftovers.size == 0:
-        return np.empty(0, dtype=int), leftovers, {}
+        return {}
     d = cdist(np.asarray(images, dtype=float)[leftovers], sel_images)
     nearest = np.argmin(d, axis=1)
     if np.any(d[np.arange(leftovers.size), nearest] >= sep + 1e-12):
         raise AssertionError("maximality violated")
-    assignment = selected[nearest]
     fibers = {}
-    for pos, anchor in zip(leftovers, assignment):
+    for pos, anchor in zip(leftovers, selected[nearest]):
         fibers.setdefault(int(anchor), []).append(int(pos))
-    return assignment, leftovers, fibers
+    return fibers
 
 
 def full_cdist_verify(selected, sel_images, sep, all_images, tol=1e-12):

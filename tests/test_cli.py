@@ -1,6 +1,8 @@
 import json
 import math
+import shlex
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,6 +309,12 @@ class TestDemoFlat:
         ratios = [row["intrinsic_lo"] / row["extrinsic"] for row in payload["rows"]]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
+    def test_json_rows_schema(self, tmp_path):
+        rc, out = run(tmp_path, "demo.json", ["demo-flat", "--K", "1"])
+        assert rc == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [set(row) for row in rows] == [{"k", "extrinsic", "intrinsic_lo", "intrinsic_hi"}]
+
     def test_K_below_1_exit_2(self, tmp_path, capsys):
         for K in ("0", "-3"):
             with time_limit(10.0):
@@ -430,6 +438,17 @@ class TestDeterminism:
         _, a = run(tmp_path, "a.json", argv)
         _, b = run(tmp_path, "b.json", argv)
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("hypack ")]
+    assert len(lines) == 5
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        with time_limit(30.0):
+            assert main(shlex.split(line)[1:]) == 0, line
 
 
 class TestConfigFile:

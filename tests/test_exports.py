@@ -1,6 +1,8 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +19,7 @@ def test_every_public_name_resolves(name):
 
 
 def test_package_imports_resolve():
-    tree = ast.parse(open(hypack.__file__, encoding="utf-8").read())
+    tree = ast.parse(Path(hypack.__file__).read_text(encoding="utf-8"))
     imported = [
         (node.module, alias.name)
         for node in ast.walk(tree)
@@ -31,3 +33,30 @@ def test_package_imports_resolve():
         if not hasattr(importlib.import_module(module), attr) or not hasattr(hypack, attr)
     ]
     assert missing == []
+
+
+def test_benchmark_trace_hooks_resolve(tmp_path):
+    # the benchmark's tracer wraps these names from outside the package
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attr, *_ in tracer.STAGES + tracer.KERNELS:
+        tracer._resolve(module, attr)
+    import hypack.cli
+
+    t = tracer.Tracer()
+    t.install()
+    try:
+        pack = hypack.cli.main(["pack", "--C", "1", "--R", "3", "--out", str(tmp_path / "p.json")])
+        search = hypack.cli.main(
+            ["search", "--eps", "0.5", "--k", "2", "--hausdorff", "--out", str(tmp_path / "s.json")]
+        )
+    finally:
+        restored = t.uninstall()
+    assert (pack, search, restored) == (0, 0, True)
+    metrics = t.layer_metrics()
+    from_run = {"cli.artifact_bytes", "process.cpu_s", "trace.overhead_s"}
+    assert set(metrics) == {name for name, _, _ in tracer.PER_LAYER} - from_run
+    assert metrics["packing.verify_packing.pairs"] > 0 and metrics["nets.net_size"] > 0
+    assert metrics["nets.transport_net.calls"] > 0 and metrics["search.rungs"] >= 1

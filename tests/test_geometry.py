@@ -28,7 +28,6 @@ from hypack.geometry import (
     polar_distance,
     sample_ball,
     transport_frame,
-    transvection_to,
     triangle_angles,
 )
 
@@ -168,7 +167,7 @@ class TestExpLog:
 
     def test_log_radial(self):
         o = HPoint.origin(2)
-        y = HPoint.from_coords([math.cosh(2.0), math.sinh(2.0), 0.0])
+        y = HPoint.from_polar(2.0, [1.0, 0.0])
         np.testing.assert_allclose(log_map(o, y).vec, [0.0, 2.0, 0.0], atol=1e-12)
 
     def test_exp_log_round_trip(self, rng):
@@ -365,20 +364,6 @@ class TestHPoint:
         with pytest.raises(NumericRangeError):
             _ = p.coords
         assert p.r == 50.0
-
-    def test_from_coords_round_trip(self, rng):
-        for _ in range(100):
-            p = random_point(rng, 3, 10.0)
-            q = HPoint.from_coords(p.coords)
-            assert distance(p, q) <= 1e-11
-
-    def test_from_coords_rejects_off_sheet(self):
-        with pytest.raises(ValueError):
-            HPoint.from_coords([2.0, 0.0, 0.0])
-
-    def test_upper_sheet_required(self):
-        with pytest.raises(ValueError):
-            HPoint.from_coords([-1.0, 0.0, 0.0])
 
 
 class TestParallelTransport:
@@ -598,34 +583,6 @@ class TestLibmHelpers:
         for helper in (_cosh, _sinh):
             with pytest.raises(OverflowError):
                 helper(np.array([1.0, 800.0]))
-
-
-class TestTransvections:
-    def test_identity_at_origin(self, rng):
-        T = transvection_to(HPoint.origin(2))
-        x = random_point(rng, 2, 5.0)
-        assert distance(T(x), x) <= 1e-12
-
-    def test_moves_origin_to_target(self, rng):
-        p = random_point(rng, 3, 8.0)
-        T = transvection_to(p)
-        assert distance(T(HPoint.origin(3)), p) <= 1e-9
-
-    def test_distance_preservation(self, rng):
-        p = HPoint.from_polar(6.0, random_unit(rng, 3))
-        T = transvection_to(p)
-        for _ in range(1_000):
-            x = random_point(rng, 3, 5.0)
-            y = random_point(rng, 3, 5.0)
-            assert abs(distance(T(x), T(y)) - distance(x, y)) <= 1e-9
-
-    def test_inverse_composition(self, rng):
-        p = random_point(rng, 2, 7.0)
-        T = transvection_to(p)
-        Ti = T.inverse()
-        for _ in range(50):
-            x = random_point(rng, 2, 5.0)
-            assert distance(Ti(T(x)), x) <= 1e-9
 
 
 class TestSampling:

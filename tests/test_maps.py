@@ -171,46 +171,42 @@ class TestBatchMatchesClosedForm:
 
 
 @pytest.fixture(scope="module")
-def report():
+def rows():
     return flat_graph_example(K=6)
 
 
 class TestFlatGraphExample:
-    def test_extrinsic_exact(self, report):
-        for row in report.rows:
+    def test_extrinsic_exact(self, rows):
+        for row in rows:
             assert row.extrinsic == 2.0 / (row.k + 1.0)
 
-    def test_extrinsic_strictly_decreasing(self, report):
-        e = [row.extrinsic for row in report.rows]
+    def test_extrinsic_strictly_decreasing(self, rows):
+        e = [row.extrinsic for row in rows]
         assert all(b < a for a, b in zip(e, e[1:]))
 
-    def test_lower_bound_is_ridge_climb(self, report):
-        for row in report.rows:
+    def test_lower_bound_is_ridge_climb(self, rows):
+        for row in rows:
             assert row.intrinsic_lo == pytest.approx(2.0 * row.k, abs=1e-12)
 
-    def test_bounds_ordered(self, report):
-        for row in report.rows:
+    def test_bounds_ordered(self, rows):
+        for row in rows:
             assert row.intrinsic_lo <= row.intrinsic_hi
             # the straight-over-the-ridge path is short: hi stays close to lo
             assert row.intrinsic_hi <= row.intrinsic_lo * 1.25
 
-    def test_k3_exceeds_spec_floor(self, report):
-        row = report.rows[2]
+    def test_k3_exceeds_spec_floor(self, rows):
+        row = rows[2]
         assert row.k == 3
         assert row.intrinsic_lo >= 5.4  # 2 * 3 * 0.9
 
-    def test_ratio_diverges(self, report):
-        ratios = [row.ratio for row in report.rows]
+    def test_ratio_diverges(self, rows):
+        ratios = [row.ratio for row in rows]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] >= 10.0  # k = 6
 
     def test_empty_report(self):
-        assert flat_graph_example(K=0).rows == []
+        assert flat_graph_example(K=0) == []
 
     @pytest.mark.parametrize("k, nx", [(1, 31), (3, 61), (8, 121), (32, 61)])
     def test_mesh_equals_edge_by_edge_build(self, k, nx):
         assert _mesh_shortest_path(k, nx) == loop_mesh_shortest_path(k, nx)
-
-    def test_json_rows_schema(self, report):
-        rows = report.to_json_rows()
-        assert set(rows[0]) == {"k", "extrinsic", "intrinsic_lo", "intrinsic_hi"}

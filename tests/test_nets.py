@@ -8,7 +8,7 @@ import pytest
 
 import hypack.search
 from conftest import random_point, random_unit, time_limit
-from hypack.geometry import HPoint, NumericRangeError, PolarBatch, distance
+from hypack.geometry import HPoint, NumericRangeError, PolarBatch, distance, sample_ball
 from hypack.maps import busemann_map, ideal_point, poincare_inclusion
 from hypack.nets import (
     GRID_POINTS_MAX,
@@ -16,8 +16,6 @@ from hypack.nets import (
     _candidate_grid,
     _window,
     build_reference_net,
-    net_from_json,
-    net_to_json,
     transport_net,
     verify_cover,
 )
@@ -128,6 +126,22 @@ class TestTransportNet:
             assert p.r == pytest.approx(r, abs=1e-12)
             if r > 0:
                 np.testing.assert_allclose(p.direction, tp / r, atol=1e-12)
+
+    def test_moves_origin_to_target(self, rng):
+        # the zero tangent vector lands exactly on the basepoint
+        tmpl = NetTemplate(rho=1.0, delta=1.0, tangent_points=np.zeros((1, 3)))
+        for p in (random_point(rng, 3, 8.0), HPoint.from_polar(300.0, random_unit(rng, 3))):
+            _assert_same_rows(transport_net(tmpl, PolarBatch.of([p])), PolarBatch.of([p]))
+
+    def test_distance_preservation(self, rng):
+        # sigma_p is an isometry: the net's pairwise distances at p equal those at o
+        tmpl = NetTemplate(rho=5.0, delta=1.0, tangent_points=sample_ball(3, 5.0, 1_000, rng))
+        p = HPoint.from_polar(6.0, random_unit(rng, 3))
+        both = transport_net(tmpl, PolarBatch.of([HPoint.origin(3), p]))
+        at_o, at_p = both[: tmpl.l], both[tmpl.l :]
+        i, j = np.triu_indices(tmpl.l, 1)
+        gap = distance(at_p[i], at_p[j]) - distance(at_o[i], at_o[j])
+        assert np.max(np.abs(gap)) <= 1e-9
 
     def test_radial_distances_match_template(self, net_2d, rng):
         p = random_point(rng, 2, 8.0)
@@ -289,13 +303,6 @@ class TestVerifyCover:
 
 
 class TestSerialization:
-    def test_json_round_trip(self, net_2d):
-        text = net_to_json(net_2d)
-        back = net_from_json(text)
-        assert back.rho == net_2d.rho
-        assert back.delta == net_2d.delta
-        np.testing.assert_array_equal(back.tangent_points, net_2d.tangent_points)
-
     def test_template_validation(self):
         with pytest.raises(ValueError):
             NetTemplate(rho=1.0, delta=0.2, tangent_points=np.array([[2.0, 0.0]]))

@@ -163,7 +163,7 @@ class TestGenerateCenters:
         fam = generate_centers(0.7, 4.0, 2)
         rep = verify_packing(fam)
         assert rep.enclosure_ok
-        assert rep.max_center_offset <= fam.R - fam.radius + 1e-9
+        assert rep.max_center_offset <= fam.R - fam.C + 1e-9
 
 
 class TestVerifyPacking:
@@ -209,7 +209,7 @@ class TestVerifyPacking:
         fam = generate_centers(1.0, 11.5, 2, cap=20_001)
         with time_limit(10.0):
             rep = verify_packing(fam)
-        assert rep.ok and rep.n_centers == len(fam) == 20_001
+        assert rep.ok and len(fam) == 20_001 and rep.pairs_checked == 20_001 * 20_000 // 2
 
     def test_random_families_hold_2C(self, rng):
         for _ in range(5):

@@ -286,7 +286,7 @@ class TestCertify:
         F, cfg = poincare_cfg
         cert = certify_configuration(F, cfg, samples=128, seed=10)
         assert cert.pass_i and cert.pass_ii
-        assert cert.separation_min >= cert.separation_required
+        assert cert.separation_min >= 1.0 / cfg.params.epsilon
         assert cert.set_distance_max <= cfg.params.epsilon
 
     def test_corrupted_configuration_fails(self, poincare_cfg):
@@ -550,9 +550,7 @@ class TestPigeonholeScans:
             assert np.array_equal(X[sf.selected], kept)
             assert full_cdist_verify(sel, kept, sep, X)
             fib = theta_assignment(sf, X, keys)
-        assignment, leftovers, fibers = full_cdist_theta(len(X), sel, kept, X, sep)
-        assert np.array_equal(fib.assignment, assignment)
-        assert np.array_equal(fib.leftovers, leftovers)
+        fibers = full_cdist_theta(len(X), sel, kept, X, sep)
         assert fib.fibers == fibers and list(fib.fibers) == list(fibers)
 
     @settings(max_examples=200, deadline=None)
@@ -573,8 +571,7 @@ class TestPigeonholeScans:
                 return
             expected = full_cdist_theta(len(X), sel, X[sel], X, sep)
             fib = theta_assignment(fam, X, keys)
-        assert np.array_equal(fib.assignment, expected[0])
-        assert fib.fibers == expected[2] and list(fib.fibers) == list(expected[2])
+        assert fib.fibers == expected and list(fib.fibers) == list(expected)
 
     def test_equidistant_leftover_goes_to_the_lowest_anchor(self):
         # the middle rows are exactly 1 from both neighbours in every width
@@ -617,8 +614,8 @@ class TestPigeonholeScans:
                 sf = greedy_separated_subfamily(X, sep, keys)
                 assert np.array_equal(sf.selected, sel)
                 fib = theta_assignment(sf, X, keys)
-                assignment, _, fibers = full_cdist_theta(len(X), sel, kept, X, sep)
-                assert np.array_equal(fib.assignment, assignment) and fib.fibers == fibers
+                fibers = full_cdist_theta(len(X), sel, kept, X, sep)
+                assert fib.fibers == fibers and list(fib.fibers) == list(fibers)
 
     @pytest.mark.parametrize("blocks", [2, 20, 2565])
     def test_key_rounding_is_bounded(self, blocks):
