@@ -1,9 +1,11 @@
 """Reference delta-nets of geodesic balls, transported anywhere.
 
-The net is built once in tangent coordinates at the reference basepoint
-(greedy farthest-point insertion against a certified grid), then carried to
-any basepoint by the frame-transport isometry: the net size l depends only
-on (rho, delta, m), never on the basepoint.
+The net is built once in tangent coordinates at the reference basepoint (the
+points of the cubic lattice h Z^m within rho + spacing of the origin, those
+outside the rho-ball projected onto its sphere; the step makes the
+lattice's covering radius the tangent spacing delta*rho/sinh(rho)), then
+carried to any basepoint by the frame-transport isometry: the net size l
+depends only on (rho, delta, m), never on the basepoint.
 """
 
 from hypack.geometry import HPoint, PolarBatch, distance

@@ -62,9 +62,12 @@ EXP_RADIUS_MAX = 350.0
 #: Default absolute tolerance on distances.
 DEFAULT_TOL = 1e-9
 
-#: Largest dimension m taken from outside: the largest whose certificate net
-#: grid fits nets.GRID_POINTS_MAX.  It also bounds every array that grows
-#: with m before the first is allocated.
+#: Largest dimension m taken from outside.  It bounds every array that grows
+#: with m before the first is allocated: the packing rows, their (N, m, m+1)
+#: transport frames and the map images.  A set-distance search needs no net
+#: and runs up to it; a Hausdorff search is further held to nets whose size
+#: bound fits nets.NET_POINTS_MAX (at the default r and eps, m <= 4 for
+#: the Poincare map and m <= 3 for the Busemann map).
 M_MAX = 13
 
 

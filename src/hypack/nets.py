@@ -4,19 +4,19 @@ A net is built once in tangent coordinates at the reference basepoint and
 moved elsewhere by the frame-transport isometry, so its size l depends only
 on (rho, delta, m).  Transport is batched: the nets around N basepoints are
 one PolarBatch of N*l rows, basepoint-major, made by one call of the row exp
-kernel.  Coverage is sound by construction: greedy insertion runs until the
-tangent covering radius is below delta' = delta*rho/sinh(rho), and the
-exponential map stretches tangent lengths by at most sinh(rho)/rho on the
-ball.
+kernel.
 
-The greedy is Gonzalez's farthest-point clustering over a lattice of
-candidates, made local: a new net point x, picked at squared distance dmax
-from the net so far, can only lower the squared distance of candidates
-closer than sqrt(dmax) to it, so each pick updates the lattice box around x
-that holds them, and per-line maxima give the next farthest candidate
-without a full scan.  The net is bit-identical to full passes over the grid
-(the test suite keeps that greedy as an oracle).  The lattice size is
-bounded by GRID_POINTS_MAX before the grid is allocated.
+The net is the cubic lattice h Z^m in closed form.  With the tangent
+spacing s = delta*rho/sinh(rho) and the step h = 2s/sqrt(m), the lattice's
+covering radius h sqrt(m)/2 is s.  The points g with |g| <= rho + s are
+kept, and those outside the rho-ball are projected radially onto its
+sphere.  A point x of the ball has a lattice point within s, which is kept;
+the nearest-point map onto the convex ball fixes x and moves no point
+further from it; and exp stretches tangent lengths by at most
+sinh(rho)/rho on the ball, so the transported net covers B(p, rho) at
+radius delta.  Every kept point's cell [g - h/2, g + h/2]^m lies in the
+ball of radius rho + 2s, so l <= vol B_m(rho + 2s) / h^m; that bound is
+checked against NET_POINTS_MAX before anything is allocated.
 """
 
 from __future__ import annotations
@@ -36,28 +36,19 @@ from hypack.geometry import (
 )
 
 __all__ = [
-    "GRID_POINTS_MAX",
+    "NET_POINTS_MAX",
     "CoverReport",
     "NetTemplate",
     "build_reference_net",
-    "check_net_grid",
+    "check_net_size",
     "transport_net",
     "verify_cover",
 ]
 
-#: Fraction of the tangent spacing budget handed to the candidate grid; the
-#: greedy stop threshold keeps the remainder.
-_GRID_FRACTION = 0.15
-
-#: Most lattice points a candidate grid may span; search --m 3 at the
-#: default (r, eps) spans about 0.9 million.
-GRID_POINTS_MAX = 4_000_000
-
-#: Widening of the greedy's update window, in units of rho.  For every m the
-#: grid limit admits (m <= 13), the squared distances carry rounding errors
-#: below 1e-14 rho^2 and the window bounds a few ulps of rho, so a candidate
-#: whose value can still drop lies within sqrt(dmax) + 1e-7 rho of the pick.
-_REACH_SLACK = 1e-6
+#: Most points a reference net may hold, by its closed-form size bound; the
+#: largest net the search builds at the default (r, eps), Busemann m = 3,
+#: has a bound of 2,838.
+NET_POINTS_MAX = 4_096
 
 
 @dataclass(frozen=True)
@@ -97,127 +88,72 @@ class NetTemplate:
         return self.tangent_points.shape[1]
 
 
-def _grid_side(rho: float, h: float, m: int) -> int:
-    """Cells n_side on each side of the center of the lattice of step h that
-    covers the rho-ball: the lattice has (2 n_side + 1)^m points.  ValueError
-    where that exceeds GRID_POINTS_MAX; nothing is allocated."""
-    cells = (rho + 0.5 * h * math.sqrt(m)) / h if h > 0.0 else math.inf
-    if not cells < GRID_POINTS_MAX or (2 * math.ceil(cells) + 1) ** m > GRID_POINTS_MAX:
-        exponent = m * math.log10(2.0 * cells + 1.0)
-        size = f"about 10^{exponent:.1f}" if math.isfinite(exponent) else "over 10^308"
-        raise ValueError(
-            f"build_reference_net: the candidate grid would span {size} lattice points,"
-            f" more than the limit of {GRID_POINTS_MAX:,}; raise delta or lower rho or m"
-        )
-    return math.ceil(cells)
-
-
-def _grid_step(rho: float, delta: float, m: int) -> tuple[float, float]:
-    """(h, stop) of build_reference_net: the candidate grid's step and the
-    greedy's stop distance, which split the tangent spacing delta rho/sinh(rho)."""
+def _lattice_step(rho: float, delta: float, m: int) -> tuple[float, float]:
+    """(spacing, h) of the lattice net: the tangent spacing delta rho/sinh(rho)
+    and the largest step h whose covering radius h sqrt(m)/2 is at most the
+    spacing in floats.  Both are 0 where sinh(rho) overflows."""
     try:
         spacing = delta * rho / math.sinh(rho)
-    except OverflowError:  # rho past about 710: no grid fits, _grid_side refuses h = 0
-        spacing = 0.0
-    return 2.0 * _GRID_FRACTION * spacing / math.sqrt(m), (1.0 - _GRID_FRACTION) * spacing
+    except OverflowError:  # rho past about 710: check_net_size refuses h = 0
+        return 0.0, 0.0
+    h = 2.0 * spacing / math.sqrt(m)
+    while h * math.sqrt(m) / 2.0 > spacing:
+        h = math.nextafter(h, 0.0)
+    return spacing, h
 
 
-def check_net_grid(rho: float, delta: float, m: int) -> None:
+def check_net_size(rho: float, delta: float, m: int) -> None:
     """Refuse, before any allocation, the arguments of a build_reference_net
-    call whose candidate grid would exceed GRID_POINTS_MAX (ValueError)."""
-    if delta < rho:
-        _grid_side(rho, _grid_step(rho, delta, m)[0], m)
-
-
-def _candidate_grid(rho: float, h: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cell-center lattice covering the rho-ball, centers projected into it.
-
-    Returns the points as an array of shape (2n+1,)*m + (m,) in lattice
-    order, and the mask of the cells kept (centers within half a cell
-    diagonal of the ball).  The lattice size is checked against
-    GRID_POINTS_MAX (:func:`_grid_side`) before anything is allocated.
-    """
-    n_side = _grid_side(rho, h, m)
-    half_diag = 0.5 * h * math.sqrt(m)
-    axis = h * np.arange(-n_side, n_side + 1)
-    grid = np.empty((2 * n_side + 1,) * m + (m,))
-    for k in range(m):
-        grid[..., k] = axis.reshape((-1,) + (1,) * (m - 1 - k))
-    pts = grid.reshape(-1, m)
-    norms = np.linalg.norm(pts, axis=1)
-    keep = norms <= rho + half_diag
-    outside = keep & (norms > rho)
-    pts[outside] *= (rho / norms[outside])[:, None]
-    return grid, keep.reshape(grid.shape[:-1])
-
-
-def _window(x: np.ndarray, dmax: float, rho: float, h: float, n_side: int) -> tuple:
-    """Slices of the lattice cells whose candidates c can get a squared
-    distance cnorm2 - 2 c.x + x.x to x below dmax.
-
-    Those lie within sqrt(dmax) of x, up to rounding (_REACH_SLACK).  A
-    cell's candidate is its center g*h or, for a projected boundary cell,
-    the center pulled toward 0 by a factor between 1/stretch and 1; so a
-    candidate in (a, b) along an axis has its center in (a, b) widened by
-    `stretch` on the side away from 0.
-    """
-    reach = math.sqrt(dmax) + _REACH_SLACK * rho
-    stretch = 1.0 + 0.5 * h * math.sqrt(len(x)) / rho
-    box = []
-    for xk in x:
-        a, b = xk - reach, xk + reach
-        a = a * stretch if a < 0.0 else a
-        b = b * stretch if b > 0.0 else b
-        box.append(slice(max(math.floor(a / h) + 1 + n_side, 0), max(math.ceil(b / h) + n_side, 0)))
-    return tuple(box)
+    call whose size bound vol B_m(rho + 2 spacing) / h^m exceeds
+    NET_POINTS_MAX (ValueError).  The bound is taken in log domain."""
+    if delta >= rho:
+        return
+    spacing, h = _lattice_step(rho, delta, m)
+    ratio = (rho + 2.0 * spacing) / h if h > 0.0 else math.inf
+    log_bound = 0.5 * m * math.log(math.pi) - math.lgamma(0.5 * m + 1.0) + m * math.log(ratio)
+    if log_bound > math.log(NET_POINTS_MAX):
+        exponent = log_bound / math.log(10.0)
+        size = f"about 10^{exponent:.1f}" if exponent < 308 else "over 10^308"
+        raise ValueError(
+            f"build_reference_net: the net's size bound is {size} lattice points,"
+            f" more than the limit of {NET_POINTS_MAX:,}; raise delta or lower rho or m"
+        )
 
 
 def build_reference_net(rho: float, delta: float, m: int) -> NetTemplate:
-    """Greedy farthest-point net whose transported copies cover B(p, rho).
+    """Lattice net whose transported copies cover B(p, rho) at radius delta.
 
-    Tangent spacing compensates the worst-case exp stretch sinh(rho)/rho;
-    the candidate grid's half-diagonal eats _GRID_FRACTION of that budget
-    so coverage of the full continuous ball is certified, not sampled.
-
-    The greedy starts at the center cell and keeps d2, each candidate's
-    squared distance to the net so far, on the whole lattice (-inf off the
-    ball).  A pick x at d2 = dmax can only lower the d2 of candidates closer
-    than sqrt(dmax) to x, so only the lattice box around x that holds them
-    is updated, and each lattice line keeps its maximum so the next pick
-    (the first maximum in lattice order) is read off the line maxima.  The
-    net equals the one from full passes over the grid bit for bit.
+    The points of h Z^m (h from the tangent spacing, see the module notes)
+    within rho + spacing of the origin, those outside the rho-ball projected
+    radially onto it.  The lattice is enumerated one coordinate at a time,
+    each prefix extended by the values that keep its squared norm within
+    the limit, so no set is larger than the net and the (2n+1)^m box is
+    never formed.  Values run 0, 1, -1, 2, -2, ..., so the origin is row 0.
+    The size bound is checked first (:func:`check_net_size`).
     """
     if rho <= 0.0 or delta <= 0.0 or m < 1:
         raise ValueError("build_reference_net: need rho > 0, delta > 0, m >= 1")
     if delta >= rho:
         return NetTemplate(rho=rho, delta=delta, tangent_points=np.zeros((1, m)))
 
-    h, stop = _grid_step(rho, delta, m)
-    grid, keep = _candidate_grid(rho, h, m)
-    side = keep.shape[0]
-    pts = grid.reshape(-1, m)
-    x = pts[len(pts) // 2]  # the center cell, at the origin
-    chosen = [x.copy()]
-    cnorm2 = np.sum(pts * pts, axis=1).reshape(keep.shape)
-    d2 = (cnorm2.ravel() - 2.0 * (pts @ x) + x @ x).reshape(keep.shape)
-    d2[~keep] = -np.inf
-    lines = d2.reshape(-1, side)
-    line_max = lines.max(axis=1)
-    stop2 = stop * stop
-    while True:
-        line = int(np.argmax(line_max))
-        far = int(np.argmax(lines[line]))
-        dmax = lines[line, far]
-        if dmax <= stop2:
-            break
-        x = pts[line * side + far]
-        chosen.append(x.copy())
-        box = _window(x, dmax, rho, h, side // 2)
-        near = grid[box]
-        dots = (near.reshape(-1, m) @ x).reshape(near.shape[:-1])
-        np.minimum(d2[box], cnorm2[box] - 2.0 * dots + x @ x, out=d2[box])
-        line_max.reshape(keep.shape[:-1])[box[:-1]] = d2[box[:-1]].max(axis=-1)
-    return NetTemplate(rho=rho, delta=delta, tangent_points=np.asarray(chosen))
+    check_net_size(rho, delta, m)
+    spacing, h = _lattice_step(rho, delta, m)
+    limit = ((rho + spacing) / h) ** 2
+    n = math.isqrt(math.floor(limit))
+    steps = np.arange(1, n + 1)
+    values = np.concatenate([[0], np.column_stack([steps, -steps]).ravel()])
+    g = np.zeros((1, 0), dtype=np.int64)
+    norm2 = np.zeros(1, dtype=np.int64)
+    for _ in range(m):
+        sums = norm2[:, None] + values * values
+        rows, cols = np.nonzero(sums <= limit)
+        g = np.column_stack([g[rows], values[cols]])
+        norm2 = sums[rows, cols]
+    pts = h * g
+    norms = np.linalg.norm(pts, axis=1)
+    outside = norms > rho
+    pts[outside] *= (rho / norms[outside])[:, None]
+    return NetTemplate(rho=rho, delta=delta, tangent_points=pts)
 
 
 def transport_net(tmpl: NetTemplate, points: PolarBatch) -> PolarBatch:

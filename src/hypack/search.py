@@ -21,7 +21,7 @@ from scipy.spatial.distance import cdist
 
 from hypack.geometry import EXP_RADIUS_MAX, HPoint, PolarBatch, exp_rows, sample_ball, transport_frame
 from hypack.maps import LipschitzMapHandle
-from hypack.nets import NetTemplate, build_reference_net, check_net_grid, transport_net
+from hypack.nets import NetTemplate, build_reference_net, check_net_size, transport_net
 from hypack.packing import CAP_MAX, generate_centers, min_lag_distance, packing_angle
 
 __all__ = [
@@ -526,8 +526,8 @@ def find_bunched_configuration(
 
     The Hausdorff search evaluates the map augmented over the certificate net
     (:func:`certificate_net`), built once; the set-distance search builds no
-    net.  Before any rung, a Hausdorff search refuses a net whose grid is too
-    large (:func:`hypack.nets.check_net_grid`), and then every search
+    net.  Before any rung, a Hausdorff search refuses a net whose size bound
+    is too large (:func:`hypack.nets.check_net_size`), and then every search
     refuses a first rung beyond the representable radius
     (:meth:`SearchParams.check_first_rung`).  Each rung computes the
     prefilter keys of its images once (:func:`prefilter_keys`, one block
@@ -546,7 +546,7 @@ def find_bunched_configuration(
         diameter constraint, when one is given).
     """
     if params.hausdorff:  # the augmented map needs the net before any rung
-        check_net_grid(*_certificate_net_args(F, params.r, params.epsilon))
+        check_net_size(*_certificate_net_args(F, params.r, params.epsilon))
     params.check_first_rung()
     eff_F, rho, bound_L, blocks = F, 0.0, F.L, 1
     if params.hausdorff:
@@ -698,16 +698,18 @@ def certify_configuration(
 ) -> Certificate:
     """Independent verification of conclusions (i)-(iii) for a configuration.
 
-    The certificate net is built here (:func:`certificate_net`), not taken
-    from the search.  (i) is exact: pairwise center distances are recomputed
-    from the center indices with the stable kernel and must exceed
-    2r + 1/epsilon.  (ii) samples the image sets (centers, transported net
-    points, and seeded random ball points); any cross pair bounds the set
-    distance from above, and the closest pair is found through one k-d tree
-    per set (`_set_distance_max`).  (iii) bounds the directed Hausdorff
-    distances by the net-image estimate plus the L*delta net slack, and is
-    only evaluated for configurations from the augmented pipeline (the
-    set-distance C need not satisfy the Hausdorff budget).
+    (i) is exact: pairwise center distances are recomputed from the center
+    indices with the stable kernel and must exceed 2r + 1/epsilon.  (ii)
+    samples the image sets without a net (the center image and seeded,
+    volume-uniform random ball points); any cross pair bounds the set
+    distance from above, the center images alone by 2/C < epsilon, and the
+    closest pair is found through one k-d tree per set
+    (`_set_distance_max`).  (iii) is only evaluated for configurations from
+    the augmented pipeline (the set-distance C need not satisfy the
+    Hausdorff budget): the certificate net is built here
+    (:func:`certificate_net`), not taken from the search, and the directed
+    Hausdorff distances are bounded by the net-image estimate plus the
+    L*delta net slack.
     """
     check_samples(samples)
     eps = cfg.params.epsilon
@@ -720,15 +722,13 @@ def certify_configuration(
     pass_i = sep >= 1.0 / eps - 1e-9
     sep_2C_ok = pair_min >= 2.0 * cfg.params.C - 1e-9
 
-    # point clouds per ball: net points plus volume-corrected random samples
-    net = certificate_net(F, r, eps)
+    # point clouds per ball: volume-corrected random samples plus the center
     rng = np.random.default_rng(seed)
     center_images = F.batch(cfg.centers)
-    net_images = np.split(F.batch(transport_net(net, cfg.centers)), k)  # l rows per ball
     clouds = []
-    for p, img, imgs_net in zip(cfg.centers, center_images, net_images):
+    for p, img in zip(cfg.centers, center_images):
         extra = F.batch(_sample_ball_points(p, r, samples, rng))
-        clouds.append(np.vstack([imgs_net, extra, img[None, :]]))
+        clouds.append(np.vstack([extra, img[None, :]]))
 
     set_dist = _set_distance_max(clouds)
     pass_ii = set_dist <= eps + 1e-9
@@ -736,6 +736,8 @@ def certify_configuration(
     hausdorff_max: float | None = None
     pass_iii: bool | None = None
     if cfg.params.hausdorff:
+        net = certificate_net(F, r, eps)
+        net_images = np.split(F.batch(transport_net(net, cfg.centers)), k)  # l rows per ball
         slack = F.L * net.delta
         worst = 0.0
         for i in range(k):

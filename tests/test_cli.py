@@ -203,9 +203,18 @@ class TestSearch:
 
     @pytest.mark.parametrize("m", ["5", "6"])
     def test_net_grid_over_limit_exit_2(self, capsys, m):
-        # the grids would span 9e7 and 6e9 lattice points (GBs); refused before allocating
-        assert refused_quickly(["search", "--m", m]) == 2
+        # the Hausdorff nets' size bounds are 14,329 and 118,236 lattice points;
+        # refused from the bound, before allocating
+        assert refused_quickly(["search", "--m", m, "--hausdorff"]) == 2
         assert "lattice points, more than the limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--map", "busemann", "--m", "5"], ["--map", "poincare", "--m", "13"]])
+    def test_set_distance_search_needs_no_net(self, tmp_path, argv):
+        # no net is built for (i) and (ii), so no net size limits the dimension
+        with time_limit(30.0):
+            rc, out = run(tmp_path, "search.json", ["search", *argv, "--k", "3"])
+        payload = json.loads(out.read_text())
+        assert rc == 0 and payload["pass"] == {"i": True, "ii": True, "iii": None}
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -281,7 +290,7 @@ class TestSearch:
     )
     def test_net_builds_per_search(self, tmp_path, monkeypatch, argv, code):
         # one net for the augmented map of a Hausdorff search, one for the
-        # certifier; none for a set-distance search that certifies nothing
+        # certifier's (iii); none for a set-distance search
         calls = []
 
         def counting(*args):
@@ -291,7 +300,7 @@ class TestSearch:
         monkeypatch.setattr(hypack.search, "build_reference_net", counting)
         rc, _ = run(tmp_path, "search.json", ["search", "--m", "2", "--samples", "16", *argv])
         assert rc == code
-        assert len(calls) == ("--hausdorff" in argv) + (code == 0)
+        assert len(calls) == 2 * ("--hausdorff" in argv)
 
     def test_unknown_map_exit_2(self, tmp_path):
         rc = main(["search", "--map", "poincare", "--eps", "2.0"])

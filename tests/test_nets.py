@@ -1,26 +1,28 @@
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import hypack.search
 from conftest import random_point, random_unit, time_limit
 from hypack.geometry import HPoint, NumericRangeError, PolarBatch, distance, sample_ball
 from hypack.maps import busemann_map, ideal_point, poincare_inclusion
 from hypack.nets import (
-    GRID_POINTS_MAX,
+    NET_POINTS_MAX,
     NetTemplate,
-    _candidate_grid,
-    _window,
+    _lattice_step,
     build_reference_net,
     transport_net,
     verify_cover,
 )
 from hypack.search import _AUGMENT_BLOCK_ROWS, augment_map
-from oracle_utils import brute_greedy_net, per_point_augmented, per_point_transport
+from oracle_utils import brute_lattice_points, per_point_augmented, per_point_transport
 
 
 @pytest.fixture(scope="module")
@@ -57,53 +59,71 @@ class TestBuildReferenceNet:
         assert len(transport_net(net_2d, PolarBatch.of([p]))) == net_2d.l
 
 
-class TestLocalGreedy:
-    @pytest.mark.parametrize(
-        "rho, delta, m",
-        [
-            (1.0, 0.25, 2),
-            (1.0, 0.1, 2),
-            (0.5, 0.05, 2),
-            (2.0, 0.3, 2),
-            (3.0, 0.5, 2),
-            (1.0, 0.3, 3),
-            (1.0, 0.2, 3),
-            (1.0, 0.05, 1),
-            (1.0, 0.6, 4),
-            (1.0, 1.0, 2),
-            (1.0, 1.5, 3),
-        ],
-    )
-    def test_equals_full_pass_greedy(self, rho, delta, m):
-        tmpl = build_reference_net(rho, delta, m)
-        assert np.array_equal(tmpl.tangent_points, brute_greedy_net(rho, delta, m))
+_NET_CASES = [
+    (1.0, 0.25, 2),
+    (1.0, 0.1, 2),
+    (0.5, 0.05, 2),
+    (2.0, 0.3, 2),
+    (3.0, 0.5, 2),
+    (1.0, 0.3, 3),
+    (1.0, 0.2, 3),
+    (1.0, 0.05, 1),
+    (1.0, 0.6, 4),
+    (1.0, 1.0, 2),
+    (1.0, 1.5, 3),
+]
 
-    def test_search_m3_net_equals_full_pass_greedy(self):
+
+def _size_bound(rho, delta, m):
+    """vol B_m(rho + 2 spacing) / h^m, in floats."""
+    spacing, h = _lattice_step(rho, delta, m)
+    unit_ball = math.pi ** (m / 2) / math.gamma(m / 2 + 1)
+    return unit_ball * (rho + 2.0 * spacing) ** m / h**m
+
+
+class TestLatticeNet:
+    @pytest.mark.parametrize("rho, delta, m", _NET_CASES)
+    def test_size_equals_brute_count(self, rho, delta, m):
+        tmpl = build_reference_net(rho, delta, m)
+        if delta >= rho:  # the center alone covers the ball
+            assert tmpl.l == 1
+        else:
+            spacing, h = _lattice_step(rho, delta, m)
+            assert tmpl.l == len(brute_lattice_points(rho, spacing, h, m))
+
+    @pytest.mark.parametrize("rho, delta, m", [c for c in _NET_CASES if c[1] < c[0]])
+    def test_covers_cell_corners_and_sphere(self, rho, delta, m):
+        # the cell corners are the points farthest from the lattice; sphere
+        # points are the ones the projection onto the ball serves
+        spacing, h = _lattice_step(rho, delta, m)
+        assert h * math.sqrt(m) / 2.0 <= spacing
+        tmpl = build_reference_net(rho, delta, m)
+        n = math.ceil(rho / h) + 1
+        axis = h * (np.arange(-n, n + 1) + 0.5)
+        corners = np.stack(np.meshgrid(*([axis] * m), indexing="ij"), axis=-1).reshape(-1, m)
+        corners = corners[np.linalg.norm(corners, axis=1) <= rho]
+        dirs = np.random.default_rng(m).standard_normal((2_000, m))
+        sphere = rho * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+        for x in (corners, sphere):
+            gap = cdist(x, tmpl.tangent_points).min(axis=1)
+            assert gap.max() <= spacing * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("rho, delta, m", [c for c in _NET_CASES if c[1] < c[0]])
+    def test_size_within_closed_form_bound(self, rho, delta, m):
+        assert build_reference_net(rho, delta, m).l <= _size_bound(rho, delta, m)
+
+    @pytest.mark.parametrize("rho, delta, m", _NET_CASES)
+    def test_origin_is_row_0(self, rho, delta, m):
+        tmpl = build_reference_net(rho, delta, m)
+        assert not tmpl.tangent_points[0].any()
+        assert np.count_nonzero(~tmpl.tangent_points.any(axis=1)) == 1
+
+    def test_search_m3_net_size(self):
         # the net of `search --map busemann --m 3` at r = 1, eps = 0.5
         F = busemann_map([ideal_point(d) for d in np.eye(3)])
         tmpl = hypack.search.certificate_net(F, 1.0, 0.5)
-        assert tmpl.l == 2565
-        assert np.array_equal(tmpl.tangent_points, brute_greedy_net(1.0, tmpl.delta, 3))
-
-    @pytest.mark.parametrize(
-        "rho, h, m, picks", [(1.0, 0.07, 2, 60), (2.0, 0.3, 2, 60), (1.0, 0.11, 3, 12)]
-    )
-    def test_window_holds_every_candidate_that_can_drop(self, rho, h, m, picks):
-        # dmax one ulp above a candidate's computed value is the tightest case:
-        # that candidate's value can still drop, so its cell must be in the window
-        grid, keep = _candidate_grid(rho, h, m)
-        pts = grid.reshape(-1, m)
-        cnorm2 = np.sum(pts * pts, axis=1)
-        cells = np.argwhere(keep)
-        rng = np.random.default_rng(m)
-        for xi in rng.choice(np.flatnonzero(keep), picks, replace=False):
-            x = pts[xi]
-            value = (cnorm2 - 2.0 * (pts @ x) + x @ x)[keep.ravel()]
-            for cell, v in zip(cells, value):
-                if v <= 0.0:  # x itself; picks have dmax above the stop radius
-                    continue
-                box = _window(x, np.nextafter(v, np.inf), rho, h, keep.shape[0] // 2)
-                assert all(s.start <= g < s.stop for s, g in zip(box, cell)), (x, cell)
+        assert tmpl.l == 2103
+        assert tmpl.l <= _size_bound(1.0, tmpl.delta, 3) < NET_POINTS_MAX
 
     @pytest.mark.parametrize(
         "rho, delta, m",
@@ -112,9 +132,16 @@ class TestLocalGreedy:
             (1000.0, 0.25, 2), (1e300, 0.25, 2),  # sinh(rho) overflows
         ],
     )
-    def test_grid_over_limit_refused(self, rho, delta, m):
-        with time_limit(10.0), pytest.raises(ValueError, match=f"limit of {GRID_POINTS_MAX:,}"):
-            build_reference_net(rho, delta, m)
+    def test_over_limit_refused(self, rho, delta, m):
+        # refused from the closed-form bound, before anything is allocated
+        tracemalloc.start()
+        try:
+            with time_limit(10.0), pytest.raises(ValueError, match=f"limit of {NET_POINTS_MAX:,}"):
+                build_reference_net(rho, delta, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestTransportNet:

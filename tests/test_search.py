@@ -320,8 +320,9 @@ class TestCertify:
         assert cert.pass_i and cert.pass_ii and cert.pass_iii
         assert cert.hausdorff_max <= 0.5
 
-    def test_all_nets_in_one_transport_call(self, poincare_cfg, monkeypatch):
-        F, cfg = poincare_cfg
+    def test_all_nets_in_one_transport_call(self, monkeypatch):
+        F = poincare_inclusion(2)
+        cfg = find_bunched_configuration(F, SearchParams(1.0, 0.5, 2, hausdorff=True))
         calls = []
 
         def counting(tmpl, points):
