@@ -31,7 +31,7 @@ from hypack.search import (
     find_bunched_configuration,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_PASS = 0
 EXIT_VERIFY_FAIL = 1
@@ -236,7 +236,7 @@ def cmd_search(args) -> int:
             "error": "schedule-exhausted",
             "message": str(exc),
             "diagnostics": exc.diagnostics,
-            "params": _params_dict(params, F.m, args.seed),
+            "params": _params_dict(params, F.m, args),
         }
         _atomic_write(args.out, _dump_json(payload))
         return EXIT_EXHAUSTED
@@ -244,9 +244,13 @@ def cmd_search(args) -> int:
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "search",
-        "params": _params_dict(params, F.m, args.seed),
+        "params": _params_dict(params, F.m, args),
         "map": F.label,
+        "ladder": cfg.ladder,
         "R_used": cfg.R_used,
+        "indices": list(cfg.indices),
+        "alpha": cfg.alpha,
+        "center_radius": cfg.center_radius,
         "centers_polar": _polar_rows(cfg.centers),
         "fiber_anchor_polar": _polar_rows(PolarBatch.of([cfg.fiber_anchor]))[0].tolist(),
         "pairwise_manifold_min": cfg.pairwise_manifold_min,
@@ -258,11 +262,14 @@ def cmd_search(args) -> int:
         "family_count": cfg.family_count,
         "selected_count": cfg.selected_count,
     }
+    if cert.net is not None:
+        payload["net_l"] = cert.net.l
+        payload["net_delta"] = cert.net.delta
     _atomic_write(args.out, _dump_json(payload))
     return EXIT_PASS if cert.ok else EXIT_VERIFY_FAIL
 
 
-def _params_dict(params: SearchParams, m: int, seed: int) -> dict:
+def _params_dict(params: SearchParams, m: int, args) -> dict:
     return {
         "r": params.r,
         "epsilon": params.epsilon,
@@ -270,7 +277,8 @@ def _params_dict(params: SearchParams, m: int, seed: int) -> dict:
         "C": params.C,
         "m": m,
         "cap": params.cap,
-        "seed": seed,
+        "seed": args.seed,
+        "samples": args.samples,
         "hausdorff": params.hausdorff,
         "R_schedule": list(params.R_schedule),
     }

@@ -1,13 +1,20 @@
 """Pigeonhole search for far-apart geodesic balls with near-coincident images.
 
 The pipeline per ambient radius R: generate the 2-plane packing family of
-radius-C balls inside B(o, R), evaluate the map (or its net-augmented
-version) at the centers, extract a maximal 1/C-separated subfamily of
-images, assign every leftover center to its nearest selected image, and
-look for a fiber with at least k members.  Since the family grows like
-sinh(R-C) while the separated subfamily is polynomially bounded in R, some
-fiber outgrows any k once R is large enough; the k members then have
-pairwise manifold distance >= 2C and image distance < 2/C.
+radius-C balls inside B(o, R), evaluate the map at the centers, extract a
+maximal 1/C-separated subfamily of images, assign every leftover center to
+its nearest selected image, and look for a fiber with at least k members.
+Since the family grows like sinh(R-C) while the separated subfamily is
+polynomially bounded in R, some fiber outgrows any k once R is large
+enough; the k members then have pairwise manifold distance >= 2C and image
+distance < 2/C.
+
+A Hausdorff search runs this pipeline on the plain map first and accepts a
+window only on its measured bound of conclusion (iii), the net images of
+its k balls; the net is transported to those k centers alone.  Only if
+that ladder is exhausted does it run the paper's construction, the
+pipeline on the map augmented over the net, whose fibers bound (iii) as R
+grows.
 """
 
 from __future__ import annotations
@@ -497,6 +504,7 @@ class BunchedConfiguration:
     center_radius: float
     selected_count: int
     family_count: int
+    ladder: str  # "plain" (the pigeonhole on F) or "augmented" (on F over the net)
     history: tuple  # per-R records: family/selected/largest_fiber/bound
 
     @property
@@ -524,39 +532,84 @@ def find_bunched_configuration(
 ) -> BunchedConfiguration:
     """Walk the R schedule until some Theta fiber holds k members.
 
-    The Hausdorff search evaluates the map augmented over the certificate net
-    (:func:`certificate_net`), built once; the set-distance search builds no
-    net.  Before any rung, a Hausdorff search refuses a net whose size bound
-    is too large (:func:`hypack.nets.check_net_size`), and then every search
+    The set-distance search walks one ladder with the plain map F and builds
+    no net.  The Hausdorff search builds the certificate net
+    (:func:`certificate_net`) once and runs plain-first:
+
+    - the plain ladder: the pigeonhole on F at the Hausdorff C.  On each rung
+      the best k-window of the largest fiber is accepted only when the
+      bound of conclusion (iii) measured on it (:func:`_hausdorff_bound`,
+      one net transport to its k centers) is at most epsilon; a rejected
+      rung records ``rejected_hausdorff`` and the ladder moves on.
+    - only when that ladder is exhausted, the augmented ladder: the map
+      augmented over the net (:func:`augment_map`), whose pigeonhole
+      guarantees (iii) as R grows (the paper's construction).
+
+    Before any rung, a Hausdorff search refuses a net whose size bound is
+    too large (:func:`hypack.nets.check_net_size`), and then every search
     refuses a first rung beyond the representable radius
     (:meth:`SearchParams.check_first_rung`).  Each rung computes the
     prefilter keys of its images once (:func:`prefilter_keys`, one block
-    per net point) for both pigeonhole scans.
+    per net point on the augmented ladder) for both pigeonhole scans.
 
     Returns the k members (the consecutive-in-index window of the largest
     fiber with the smallest image spread) together with the fiber's
-    anchor.  The returned configuration re-verifies the two proof
-    inequalities: pairwise manifold distance >= 2C and pairwise image
-    distance < 2/C.
+    anchor and the ladder that found them.  The returned configuration
+    re-verifies the two proof inequalities: pairwise manifold distance
+    >= 2C and pairwise image distance < 2/C.
 
     Raises
     ------
     ScheduleExhausted
-        If no R in the schedule produces a fiber of size k (with the image
-        diameter constraint, when one is given).
+        If no rung produces a window that passes (a fiber of size k, the
+        image diameter constraint when one is given, and on the plain
+        Hausdorff ladder the bound of (iii)); for a Hausdorff search, with
+        the diagnostics of both ladders.
     """
-    if params.hausdorff:  # the augmented map needs the net before any rung
+    if params.hausdorff:  # the bound check and the augmented map need the net
         check_net_size(*_certificate_net_args(F, params.r, params.epsilon))
     params.check_first_rung()
-    eff_F, rho, bound_L, blocks = F, 0.0, F.L, 1
-    if params.hausdorff:
+    net = certificate_net(F, params.r, params.epsilon) if params.hausdorff else None
+    diagnostics: list[dict] = []
+    cfg = _walk_ladder(F, params, F, 0.0, F.L, 1, net, max_image_diameter, diagnostics)
+    if cfg is None and net is not None:
         # the volume bound of the augmented pipeline uses the affine growth
         # sqrt(l) L (R + 2 rho) of the concatenated image
-        net = certificate_net(F, params.r, params.epsilon)
-        eff_F, rho, bound_L, blocks = augment_map(F, net), net.rho, math.sqrt(net.l) * F.L, net.l
+        cfg = _walk_ladder(
+            F, params, augment_map(F, net), net.rho, math.sqrt(net.l) * F.L, net.l, None,
+            max_image_diameter, diagnostics,
+        )
+    if cfg is not None:
+        return cfg
+    if net is None:
+        message = f"no fiber reached k={params.k}"
+    else:
+        message = f"neither the plain nor the augmented ladder found k={params.k} balls passing (iii)"
+    raise ScheduleExhausted(f"{message} on schedule {params.R_schedule}", diagnostics)
 
+
+def _walk_ladder(
+    F: LipschitzMapHandle,
+    params: SearchParams,
+    eff_F: LipschitzMapHandle,
+    rho: float,
+    bound_L: float,
+    blocks: int,
+    net: NetTemplate | None,
+    max_image_diameter: float | None,
+    diagnostics: list[dict],
+) -> BunchedConfiguration | None:
+    """One R ladder of the pigeonhole on the evaluated map `eff_F` (F itself,
+    the "plain" ladder, or F augmented over a net); None if it is exhausted.
+
+    The volume bound of a rung is counting_upper_bound(R + 2 rho, C,
+    bound_L, eff_F.n), and the images are keyed in `blocks` blocks.  With a
+    `net`, a window is accepted only when :func:`_hausdorff_bound` of its
+    centers is at most epsilon.  Appends one entry per rung to
+    `diagnostics`.
+    """
+    ladder = "plain" if eff_F is F else "augmented"
     sep = 1.0 / params.C
-    diagnostics: list[dict] = []
     for R in params.R_schedule:
         fam = generate_centers(params.C, R, F.m, params.cap)
         images = eff_F.batch(fam.centers)
@@ -579,6 +632,7 @@ def find_bunched_configuration(
             "selected": int(len(sf.selected)),
             "largest_fiber": len(members),
             "bound": bound,
+            "ladder": ladder,
         }
         diagnostics.append(entry)
         if len(members) < params.k:
@@ -587,6 +641,12 @@ def find_bunched_configuration(
         if max_image_diameter is not None and diam >= max_image_diameter and diam > 0.0:
             entry["rejected_diameter"] = diam
             continue
+        if net is not None:
+            hausdorff = _hausdorff_bound(F, net, fam.centers[chosen])
+            if not hausdorff <= params.epsilon:
+                entry["rejected_hausdorff"] = hausdorff
+                continue
+            entry["hausdorff_bound"] = hausdorff
 
         idx = tuple(float(fam.indices[i]) for i in chosen)
         pair_min = min_lag_distance(fam.center_radius, fam.alpha, idx)
@@ -606,11 +666,24 @@ def find_bunched_configuration(
             center_radius=fam.center_radius,
             selected_count=int(len(sf.selected)),
             family_count=len(fam),
+            ladder=ladder,
             history=tuple(diagnostics),
         )
-    raise ScheduleExhausted(
-        f"no fiber reached k={params.k} on schedule {params.R_schedule}", diagnostics
-    )
+    return None
+
+
+def _hausdorff_bound(F: LipschitzMapHandle, net: NetTemplate, centers: PolarBatch) -> float:
+    """The bound of conclusion (iii) for the radius-net.rho balls at `centers`:
+    the largest pairwise Hausdorff estimate between the images of the net
+    transported to each center, plus the net slack F.L * net.delta.  The
+    net goes to all centers in one transport_net call."""
+    net_images = np.split(F.batch(transport_net(net, centers)), len(centers))  # l rows per ball
+    slack = F.L * net.delta
+    worst = 0.0
+    for i in range(len(centers)):
+        for j in range(i + 1, len(centers)):
+            worst = max(worst, hausdorff_distance_estimate(net_images[i], net_images[j]) + slack)
+    return worst
 
 
 def hausdorff_distance_estimate(A, B) -> float:
@@ -676,6 +749,7 @@ class Certificate:
     hausdorff_max: float | None
     pass_iii: bool | None
     separation_2C_ok: bool  # the proof invariant d(p_i, p_j) >= 2C
+    net: NetTemplate | None  # the net (iii) was measured on
 
     @property
     def ok(self) -> bool:
@@ -704,17 +778,17 @@ def certify_configuration(
     volume-uniform random ball points); any cross pair bounds the set
     distance from above, the center images alone by 2/C < epsilon, and the
     closest pair is found through one k-d tree per set
-    (`_set_distance_max`).  (iii) is only evaluated for configurations from
-    the augmented pipeline (the set-distance C need not satisfy the
-    Hausdorff budget): the certificate net is built here
-    (:func:`certificate_net`), not taken from the search, and the directed
-    Hausdorff distances are bounded by the net-image estimate plus the
-    L*delta net slack.
+    (`_set_distance_max`).  (iii) is only evaluated for configurations of a
+    Hausdorff search (the set-distance C need not satisfy the Hausdorff
+    budget): the certificate net is built here (:func:`certificate_net`),
+    not taken from the search, and the Hausdorff distances are bounded by
+    the net-image estimate plus the L*delta net slack
+    (:func:`_hausdorff_bound`, the measure the plain Hausdorff ladder
+    accepts its window on).
     """
     check_samples(samples)
     eps = cfg.params.epsilon
     r = cfg.params.r
-    k = cfg.k
 
     # (i): d(B_i, B_j) = d(p_i, p_j) - 2r >= 1/eps
     pair_min = min_lag_distance(cfg.center_radius, cfg.alpha, cfg.indices)
@@ -735,17 +809,11 @@ def certify_configuration(
 
     hausdorff_max: float | None = None
     pass_iii: bool | None = None
+    net: NetTemplate | None = None
     if cfg.params.hausdorff:
         net = certificate_net(F, r, eps)
-        net_images = np.split(F.batch(transport_net(net, cfg.centers)), k)  # l rows per ball
-        slack = F.L * net.delta
-        worst = 0.0
-        for i in range(k):
-            for j in range(i + 1, k):
-                est = hausdorff_distance_estimate(net_images[i], net_images[j])
-                worst = max(worst, est + slack)
-        hausdorff_max = worst
-        pass_iii = worst <= eps + 1e-9
+        hausdorff_max = _hausdorff_bound(F, net, cfg.centers)
+        pass_iii = hausdorff_max <= eps + 1e-9
 
     return Certificate(
         separation_min=sep,
@@ -755,6 +823,7 @@ def certify_configuration(
         hausdorff_max=hausdorff_max,
         pass_iii=pass_iii,
         separation_2C_ok=bool(sep_2C_ok),
+        net=net,
     )
 
 

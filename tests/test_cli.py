@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import time_limit
+from conftest import PINWHEEL_R_MAX, pinwheel_map, time_limit
 from hypack.cli import _dump_json, _write_float_rows, main
 import hypack.cli
 import hypack.search
@@ -43,7 +43,7 @@ class TestPack:
         rc, out = run(tmp_path, "pack.json", ["pack", "--C", "1", "--R", "3", "--m", "2"])
         assert rc == 0
         payload = json.loads(out.read_text())
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         assert payload["family"]["n_centers"] == 9
         assert payload["report"]["pass"] is True
 
@@ -149,7 +149,7 @@ class TestGrowth:
         )
         assert rc == 0
         payload = json.loads(out.read_text())
-        assert payload["schema"] == 1 and len(payload["rows"]) == 3
+        assert payload["schema"] == 2 and len(payload["rows"]) == 3
 
 
 class TestSearch:
@@ -163,6 +163,7 @@ class TestSearch:
         payload = json.loads(out.read_text())
         assert payload["pass"]["i"] is True and payload["pass"]["ii"] is True
         assert payload["pass"]["iii"] is None
+        assert payload["ladder"] == "plain" and "net_l" not in payload and "net_delta" not in payload
         assert payload["pairwise_manifold_min"] >= 16.0 - 1e-9
         assert payload["pairwise_image_max"] < 0.25 + 1e-9
         assert len(payload["centers_polar"]) == 3
@@ -180,6 +181,36 @@ class TestSearch:
         payload = json.loads(out.read_text())
         assert payload["pass"]["iii"] is True
         assert payload["hausdorff_max"] <= 0.5
+        # schema 2: the ladder, the packing data of (i) and the net of (iii)
+        assert payload["ladder"] == "plain" and payload["params"]["samples"] == 512
+        assert payload["indices"] == sorted(payload["indices"]) and len(payload["indices"]) == 2
+        assert payload["center_radius"] == payload["R_used"] - payload["params"]["C"]
+        assert payload["alpha"] > 0.0
+        assert payload["net_l"] == build_reference_net(1.0, 0.5, 2).l and payload["net_delta"] == 0.5
+
+    @pytest.mark.parametrize(
+        "argv", [["--map", "busemann", "--m", "3"], ["--map", "poincare", "--m", "4"]]
+    )
+    def test_higher_dimensional_hausdorff_search(self, tmp_path, argv):
+        # the plain ladder transports the net to the two chosen centers only
+        with time_limit(10.0):
+            rc, out = run(tmp_path, "search.json", ["search", *argv, "--hausdorff", "--k", "2"])
+        payload = json.loads(out.read_text())
+        assert rc == 0 and payload["pass"] == {"i": True, "ii": True, "iii": True}
+        assert payload["ladder"] == "plain" and payload["hausdorff_max"] <= 0.5
+
+    def test_both_ladders_exhausted_exit_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hypack.cli, "_map_handle", lambda args: pinwheel_map())
+        rc, out = run(
+            tmp_path,
+            "exhausted.json",
+            ["search", "--m", "3", "--hausdorff", "--k", "8", "--R-max", str(PINWHEEL_R_MAX)],
+        )
+        assert rc == 3
+        payload = json.loads(out.read_text())
+        assert payload["error"] == "schedule-exhausted" and "ladder" not in payload
+        assert [d["ladder"] for d in payload["diagnostics"]] == ["plain", "augmented"]
+        assert "rejected_hausdorff" in payload["diagnostics"][0]
 
     def test_small_R_max_exhausts_with_exit_3(self, tmp_path):
         rc, out = run(

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from conftest import poincare_at, time_limit
+from conftest import PINWHEEL_R_MAX, pinwheel_map, poincare_at, time_limit
 from oracle_utils import (
     brute_hausdorff,
     brute_set_distance_max,
@@ -339,6 +339,71 @@ class TestCertify:
         assert cert.pass_iii is None and cert.hausdorff_max is None
 
 
+class TestPlainFirst:
+    """The Hausdorff search runs the plain ladder first and falls back to the
+    augmented ladder only when the plain one is exhausted."""
+
+    @staticmethod
+    def record_calls(monkeypatch, name):
+        """The argument tuples of every later call of hypack.search.<name>."""
+        calls = []
+        original = getattr(hypack.search, name)
+
+        def recording(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(hypack.search, name, recording)
+        return calls
+
+    def test_plain_bound_is_the_certificates_bit_for_bit(self):
+        F = poincare_inclusion(2)
+        cfg = find_bunched_configuration(F, SearchParams(1.0, 0.5, 2, hausdorff=True))
+        cert = certify_configuration(F, cfg, samples=16, seed=4)
+        assert cfg.ladder == "plain" and cert.ok
+        assert cfg.history[-1]["hausdorff_bound"] == cert.hausdorff_max
+        assert np.array_equal(cert.net.tangent_points, certificate_net(F, 1.0, 0.5).tangent_points)
+
+    def test_plain_ladder_transports_the_net_to_k_centers(self, monkeypatch):
+        transported = self.record_calls(monkeypatch, "transport_net")
+        augmented = self.record_calls(monkeypatch, "augment_map")
+        F = busemann_map([ideal_point(d) for d in np.eye(3)])
+        with time_limit(10.0):
+            cfg = find_bunched_configuration(F, SearchParams(1.0, 0.5, 2, hausdorff=True))
+        assert cfg.ladder == "plain" and cfg.R_used == 20.0
+        assert [len(points) for _, points in transported] == [2] and augmented == []
+
+    def test_set_distance_search_builds_and_transports_no_net(self, monkeypatch):
+        calls = [self.record_calls(monkeypatch, name) for name in ("certificate_net", "transport_net")]
+        cfg = find_bunched_configuration(poincare_inclusion(2), SearchParams(1.0, 0.5, 3))
+        assert cfg.ladder == "plain" and calls == [[], []]
+        assert all("hausdorff_bound" not in h and h["ladder"] == "plain" for h in cfg.history)
+
+    def test_exhausted_plain_ladder_falls_back_to_the_augmented_ladder(self):
+        F = pinwheel_map()
+        params = SearchParams(1.0, 0.5, 2, hausdorff=True, R_max=PINWHEEL_R_MAX)
+        cfg = find_bunched_configuration(F, params)
+        plain, augmented = cfg.history
+        # every center maps to 0: one fiber, whose first window's segments
+        # are perpendicular, 0.6 apart, and 0.6 + L*delta > eps
+        assert plain["ladder"] == "plain" and plain["largest_fiber"] == 22
+        assert plain["rejected_hausdorff"] == pytest.approx(0.85, abs=1e-12)
+        assert augmented["ladder"] == "augmented" and "rejected_hausdorff" not in augmented
+        assert cfg.ladder == "augmented" and cfg.indices == (4.0, 8.0)
+        cert = certify_configuration(F, cfg, samples=64, seed=5)
+        assert cert.ok and cert.pass_iii
+        assert cert.hausdorff_max == pytest.approx(0.25, abs=1e-4)
+
+    def test_both_ladders_exhausted(self):
+        # 23 centers on the rung; no augmented fiber holds 8
+        params = SearchParams(1.0, 0.5, 8, hausdorff=True, R_max=PINWHEEL_R_MAX)
+        with pytest.raises(ScheduleExhausted, match="neither the plain nor the augmented") as exc:
+            find_bunched_configuration(pinwheel_map(), params)
+        plain, augmented = exc.value.diagnostics
+        assert plain["ladder"] == "plain" and plain["rejected_hausdorff"] > 0.5
+        assert augmented["ladder"] == "augmented" and augmented["largest_fiber"] < 8
+
+
 class TestRowPaths:
     """Batched evaluation against the per-point scalar path, bit for bit."""
 
@@ -643,7 +708,10 @@ class TestPigeonholeScans:
             prefilter_keys(X, 3)
 
     def test_search_keys_have_one_block_per_net_point(self):
-        F = poincare_inclusion(2)
+        # only the augmented ladder makes l-block keys; the pinwheel map's
+        # plain Hausdorff ladder is exhausted, so its search reaches it
+        F, P = poincare_inclusion(2), pinwheel_map()
+        hausdorff = SearchParams(1.0, 0.5, 2, hausdorff=True, R_max=PINWHEEL_R_MAX)
         seen = []
 
         def spy(images, blocks=1):
@@ -653,10 +721,11 @@ class TestPigeonholeScans:
         with mock.patch.object(hypack.search, "prefilter_keys", spy):
             find_bunched_configuration(F, SearchParams(1.0, 0.5, 2))
             plain = len(seen)
-            find_bunched_configuration(F, SearchParams(1.0, 0.5, 2, hausdorff=True))
-        l = certificate_net(F, 1.0, 0.5).l
+            cfg = find_bunched_configuration(P, hausdorff)
+        l = certificate_net(P, 1.0, 0.5).l
         assert seen[:plain] == [(2, 1)] * plain
-        assert seen[plain:] and seen[plain:] == [(2 * l, l)] * (len(seen) - plain)
+        assert cfg.ladder == "augmented"
+        assert seen[plain:] == [(2, 1), (2 * l, l)]
 
     @pytest.mark.parametrize("width", [2, 3, 6, 40, 7695])
     def test_pair_distances_have_cdist_bits(self, width):
