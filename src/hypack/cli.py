@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
+# argparse's gettext loads locale for the first parser; load it at import time
+import locale  # noqa: F401
 import math
 import os
 import re

@@ -206,8 +206,8 @@ def _mesh_shortest_path(k: int, nx: int, ny: int = 7) -> float:
 
     Edge weights are lifted-segment lengths, so any graph path is a genuine
     curve on the surface and the result is an upper bound for the intrinsic
-    distance.  scipy.sparse.csgraph is imported here, by its only user, so
-    the other commands do not load it.
+    distance.  scipy.sparse.csgraph is imported here, by the package's only
+    scipy user, so the other commands do not load scipy.
     """
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import dijkstra

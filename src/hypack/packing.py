@@ -58,6 +58,10 @@ CAP_MAX = 1_000_000
 #: of exact angles 2 * j * alpha.
 _LAG_ROUNDING_MAX = 1e-6
 
+#: Elements (rows times m+1) of the tangent rows generate_centers passes to
+#: one exp_rows call; bounds the temporaries of exp at any family size.
+_CENTER_BLOCK_ELEMENTS = 1 << 16
+
 
 def packing_angle(C: float, R: float) -> float:
     """Half the angular spacing between adjacent center directions.
@@ -196,15 +200,26 @@ def generate_centers(C: float, R: float, m: int, cap: int = 100_000) -> BallFami
         idx = np.arange(count, dtype=float)
     else:
         idx = np.round(np.linspace(0.0, float(k), cap))
-        idx = np.unique(idx)
+        # rounding keeps the order, so repeats are adjacent; np.unique would
+        # load numpy.ma (about 14 ms) on its first call, inside the run
+        idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
 
-    theta = 2.0 * idx * alpha
-    vecs = np.zeros((len(idx), m + 1))
-    vecs[:, 1] = rho * np.cos(theta)
-    vecs[:, 2] = rho * np.sin(theta)
+    # exp_rows gives every row the bits of a one-row call, so the rows can be
+    # made in blocks, which bounds its temporaries
+    n = len(idx)
+    r, dirs, coords = np.empty(n), np.empty((n, m)), np.empty((n, m + 1))
+    origin = HPoint.origin(m)
+    block = max(1, _CENTER_BLOCK_ELEMENTS // (m + 1))
+    for lo in range(0, n, block):
+        theta = 2.0 * idx[lo : lo + block] * alpha
+        vecs = np.zeros((len(theta), m + 1))
+        vecs[:, 1] = rho * np.cos(theta)
+        vecs[:, 2] = rho * np.sin(theta)
+        part = exp_rows(origin, vecs, np.full(theta.shape, rho))
+        r[lo : lo + block], dirs[lo : lo + block], coords[lo : lo + block] = part.r, part.dirs, part.coords
 
     fam = BallFamily(
-        centers=exp_rows(HPoint.origin(m), vecs, np.full(idx.shape, rho)),
+        centers=PolarBatch(r, dirs, coords),
         C=C,
         R=R,
         alpha=alpha,

@@ -23,8 +23,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
+
+# numpy loads numpy.random on first use (about 11 ms); load it here, at import
+# time, so that it stays out of the first certification (its seeded sampler)
+import numpy.random  # noqa: F401
 
 from hypack.geometry import EXP_RADIUS_MAX, HPoint, PolarBatch, exp_rows, sample_ball, transport_frame
 from hypack.maps import LipschitzMapHandle
@@ -184,21 +186,29 @@ def certificate_net(F: LipschitzMapHandle, r: float, epsilon: float) -> NetTempl
     return build_reference_net(*_certificate_net_args(F, r, epsilon))
 
 
-#: Relative gap within which a tree distance may misorder two cdist values;
-#: both are sums of squares rounded in different orders.
+#: Relative slack of every prefilter bound below: it covers cdist's rounding
+#: of a distance against the exact one (gamma_(n+2), under 1e-9 for widths n
+#: up to 10^6) and the rounding of the bound's own evaluation.
 _TREE_SLACK = 1e-9
 
 #: Unit roundoff of float64.
 _UNIT_ROUNDOFF = 2.0**-53
 
-#: Leading columns of the block sum that the pigeonhole scans index in k-d
-#: trees (see :func:`prefilter_keys`).
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), the bound on k accumulated roundings."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+
+
+#: Leading columns of the block sum that the pigeonhole scans bucket in
+#: :class:`_CellGrid` (see :func:`prefilter_keys`).
 _PREFILTER_COLUMNS = 3
 
 
 @dataclass(frozen=True)
 class PrefilterKeys:
-    """k-d tree keys of image rows, and the reach that keeps them an exact prefilter.
+    """Neighbour-index keys of image rows, and the reach that keeps them an
+    exact prefilter.
 
     For images made of l blocks of n columns, the key of a row x is the
     leading min(_PREFILTER_COLUMNS, n) columns of the scaled block sum
@@ -214,9 +224,9 @@ class PrefilterKeys:
     rounding: float
 
     def reach(self, limit: float) -> float:
-        """A tree radius that lists every pair cdist puts below `limit`:
-        _TREE_SLACK covers the different rounding of the tree's and cdist's
-        sums of squares, `rounding` the rounding of the keys themselves."""
+        """A key distance that every pair cdist puts below `limit` keeps in
+        exact arithmetic: _TREE_SLACK covers cdist's rounding, `rounding`
+        the rounding of the keys themselves."""
         return limit * (1.0 + _TREE_SLACK) + self.rounding
 
 
@@ -230,8 +240,8 @@ def prefilter_keys(images: np.ndarray, blocks: int = 1) -> PrefilterKeys:
     unit roundoff); so it is off the exact S by at most sqrt(l) M
     gamma_(l+2).  Two rows' computed keys of w coordinates are then off by at
     most 2 sqrt(w l) M gamma_(l+2) in distance.  That bound, widened by
-    _TREE_SLACK for the tree's rounding of it, is ``rounding``.  The keys of
-    one block are its leading columns, a view, with no rounding.
+    _TREE_SLACK for its own evaluation, is ``rounding``.  The keys of one
+    block are its leading columns, a view, with no rounding.
     """
     rows, width = images.shape
     if blocks < 1 or width % blocks:
@@ -243,14 +253,106 @@ def prefilter_keys(images: np.ndarray, blocks: int = 1) -> PrefilterKeys:
     keys = images.reshape(rows, blocks, n)[:, :, :w].sum(axis=1)
     keys *= 1.0 / math.sqrt(blocks)
     bound = max(images.max(), -images.min())  # no |images| temporary
-    k = blocks + 2
-    gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-    rounding = (1.0 + _TREE_SLACK) * 2.0 * math.sqrt(w * blocks) * float(bound) * gamma
+    rounding = (1.0 + _TREE_SLACK) * 2.0 * math.sqrt(w * blocks) * float(bound) * _gamma(blocks + 2)
     return PrefilterKeys(keys=keys, rounding=rounding)
 
 
-#: Elements (rows times width) of one temporary difference array in the exact
-#: rechecks of the pigeonhole scans; bounds their memory at any candidate count.
+#: Largest cell code of a :class:`_CellGrid`; codes and their neighbour
+#: offsets then stay inside int64.
+_CODE_MAX = 2**62
+
+
+class _CellGrid:
+    """A fixed-radius neighbour index over prefilter keys (a cell list:
+    Bentley, Stanat and Williams, IPL 1977).
+
+    Every key row is bucketed in an axis cube of side s; a query row's
+    neighbours are the indexed rows of the 3^w cubes around its own.  With
+    s = (reach + 2^-50 D)(1 + 2^-50), D the largest column span of the keys
+    and reach = keys.reach(limit), that lists every pair that cdist puts
+    below `limit`:
+
+    - Such a pair is within reach in every key column, in exact arithmetic
+      (:class:`PrefilterKeys`).
+    - A row's cube coordinate is floor(fl(fl(x - lo) / s)), lo the column
+      minimum.  Two roundings of relative size u put the computed quotient
+      within gamma_2 D / s of (x - lo) / s, so the quotients of a pair within
+      reach differ by at most (reach + 2 gamma_2 D) / s <= 1, since
+      2^-50 = 8u exceeds 2 gamma_2 and the factor 1 + 2^-50 covers the
+      rounding of s and D themselves.  Floors of numbers at most 1 apart
+      differ by at most 1.
+    - The quotients are at most D / s <= 2^50, so the coordinates are exact
+      int64 values.  No cube is ever allocated: a cube is named by a code,
+      the coordinates (shifted by one) in mixed radix, and the rows are
+      sorted by code.  Over the last key column the 3 neighbour cubes are
+      consecutive codes, so one pair of binary searches per offset in the
+      other columns (3^(w-1) of them) finds their rows.
+    - If the mixed-radix codes could pass _CODE_MAX (spans of millions of
+      cubes), each column's coordinates are first renumbered in order with
+      gaps capped at 3, which keeps every difference of at most 1 as it is
+      and every larger one at least 2; if they still could, they are divided
+      by a power of two, which keeps neighbours neighbours.
+
+    The grid spans every row of `keys`, queries included, so a query row
+    outside the indexed rows' box simply finds no cube.
+    """
+
+    def __init__(self, keys: PrefilterKeys, limit: float):
+        K = keys.keys
+        lo = K.min(axis=0)
+        span = float(np.max(K.max(axis=0) - lo))
+        side = (max(keys.reach(limit), 0.0) + span * 2.0**-50) * (1.0 + 2.0**-50)
+        if 0.0 < side < math.inf:
+            cells = np.floor((K - lo) / side).astype(np.int64)
+        else:  # unbounded keys or an empty reach: one cube holds every row
+            cells = np.zeros(K.shape, dtype=np.int64)
+        if math.prod(int(top) + 3 for top in cells.max(axis=0)) > _CODE_MAX:
+            cells = _renumber(cells)
+        shape = [int(top) + 3 for top in cells.max(axis=0)]
+        strides = [math.prod(shape[c + 1 :]) for c in range(len(shape))]
+        self.codes = (cells + 1) @ np.array(strides, dtype=np.int64)
+        steps = np.zeros(1, dtype=np.int64)
+        for stride in strides[:-1]:
+            steps = (steps[:, None] + np.array([-stride, 0, stride])).ravel()
+        self.steps = steps
+
+    def neighbours(self, a: np.ndarray, b: np.ndarray):
+        """(cell, indptr, rows): rows[indptr[cell[t]]:indptr[cell[t] + 1]]
+        are the positions in `b` of the rows in the cubes around row a[t]."""
+        indexed = self.codes[b]
+        order = np.argsort(indexed)
+        indexed = indexed[order]
+        queried, cell = np.unique(self.codes[a], return_inverse=True)
+        needles = self.steps[:, None] + queried  # sorted along each offset
+        first = np.searchsorted(indexed, (needles - 1).ravel(), "left")
+        count = np.searchsorted(indexed, (needles + 1).ravel(), "right") - first
+        first = first.reshape(needles.shape).T.ravel()  # cube-major
+        count = count.reshape(needles.shape).T
+        indptr = np.concatenate(([0], np.cumsum(count.sum(axis=1))))
+        return cell, indptr, order[_ranges(first, count.ravel())]
+
+
+def _renumber(cells: np.ndarray) -> np.ndarray:
+    """Cube coordinates renumbered per column with gaps capped at 3, then
+    halved until their mixed-radix codes stay below _CODE_MAX."""
+    columns = []
+    for column in cells.T:
+        values, inverse = np.unique(column, return_inverse=True)
+        columns.append(np.concatenate(([0], np.cumsum(np.minimum(np.diff(values), 3))))[inverse])
+    cells = np.column_stack(columns)
+    while math.prod(int(top) + 3 for top in cells.max(axis=0)) > _CODE_MAX:
+        cells //= 2
+    return cells
+
+
+def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(f, f + c) over the pairs of `first` and `count`."""
+    ends = np.cumsum(count)
+    return np.repeat(first - ends + count, count) + np.arange(ends[-1] if len(ends) else 0)
+
+
+#: Elements (rows times width) of one temporary array in the exact rechecks
+#: and the distance prefilters; bounds their memory at any candidate count.
 _RECHECK_ELEMENTS = 1 << 16
 
 
@@ -273,27 +375,25 @@ def _pair_cdist(A: np.ndarray, a: np.ndarray, B: np.ndarray, b: np.ndarray) -> n
     return np.sqrt(out)
 
 
-def _close_pairs(
-    images: np.ndarray, keys: PrefilterKeys, a: np.ndarray, b: np.ndarray, limit: float
-):
+def _close_pairs(images: np.ndarray, grid: _CellGrid, a: np.ndarray, b: np.ndarray, limit: float):
     """(t, u, d) for every pair of images[a[t]] and images[b[u]] that cdist
     puts below `limit`, with d the cdist value.
 
-    Exact: every such pair lies within keys.reach(limit) in the keys, so one
-    k-d tree pass over the keys of `a` and of `b` lists it, and the
+    Exact: `grid`, built for a limit of at least `limit`, lists every such
+    pair among the rows of the cubes around each images[a[t]], and the
     candidates are measured with cdist's bits.
     """
-    pairs = cKDTree(keys.keys[a]).sparse_distance_matrix(
-        cKDTree(keys.keys[b]), keys.reach(limit), output_type="ndarray"
-    )
-    t, u = pairs["i"], pairs["j"]
+    cell, indptr, rows = grid.neighbours(a, b)
+    count = indptr[cell + 1] - indptr[cell]
+    t = np.repeat(np.arange(len(a)), count)
+    u = rows[_ranges(indptr[cell], count)]
     d = _pair_cdist(images, a[t], images, b[u])
     below = d < limit
     return t[below], u[below], d[below]
 
 
 def _nearest_below(
-    images: np.ndarray, keys: PrefilterKeys, a: np.ndarray, b: np.ndarray, limit: float
+    images: np.ndarray, grid: _CellGrid, a: np.ndarray, b: np.ndarray, limit: float
 ) -> np.ndarray:
     """Position in `b` of the image nearest to each images[a[t]] under cdist,
     the lowest position on ties; -1 where no image of `b` is closer than
@@ -303,7 +403,7 @@ def _nearest_below(
     minimum is below `limit`, since :func:`_close_pairs` lists every such
     pair.
     """
-    t, u, d = _close_pairs(images, keys, a, b, limit)
+    t, u, d = _close_pairs(images, grid, a, b, limit)
     best = np.full(len(a), np.inf)
     np.minimum.at(best, t, d)
     tied = d == best[t]
@@ -343,16 +443,17 @@ def greedy_separated_subfamily(
 
     - A pair that close in full is within keys.reach(sep) in the prefilter
       keys (:func:`prefilter_keys`; `keys` defaults to those of one block,
-      the leading columns), so one k-d tree over the keys lists its
-      candidates.
+      the leading columns), so it lies in neighbouring cubes of one
+      :class:`_CellGrid`, whose per-cube lists of neighbour rows are built
+      once.
     - Each candidate is rechecked with the scan's own predicate.
       np.linalg.norm(..., axis=1) reduces every row by itself, so a row has
       the same bits in any number of rows.
-    - Images with no other image within reach in the tree are kept without a
-      query: nothing is close to them.
+    - Images alone in their 3^w cubes are kept without a look: nothing is
+      close to them.
 
-    Python runs one boolean step per image with a neighbour in reach and one
-    tree query per kept image.
+    Python runs one boolean step per image with a neighbour in its cubes
+    and one slice of the neighbour lists per kept image.
     """
     images = np.asarray(images, dtype=float)
     if images.ndim != 2 or len(images) == 0 or not np.all(np.isfinite(images)):
@@ -360,20 +461,18 @@ def greedy_separated_subfamily(
     if sep <= 0.0:
         raise ValueError("greedy_separated_subfamily: sep must be > 0")
     keys = prefilter_keys(images) if keys is None else keys
-    tree = cKDTree(keys.keys)
-    reach = keys.reach(sep)
+    every = np.arange(len(images))
+    cell, indptr, rows = _CellGrid(keys, sep).neighbours(every, every)
+    first, stop = indptr[cell], indptr[cell + 1]
     rejected = np.zeros(len(images), dtype=bool)
-    if len(images) > 1:
-        # nearest other image in the tree; inf where none is within reach
-        second = tree.query(keys.keys, k=2, distance_upper_bound=reach)[0][:, 1]
-        for i in np.flatnonzero(np.isfinite(second)).tolist():
-            if rejected[i]:
-                continue
-            later = np.asarray(tree.query_ball_point(keys.keys[i], reach), dtype=np.intp)
-            later = later[later > i]
-            for part in _recheck_chunks(later, images.shape[1]):
-                rows = later[part]
-                rejected[rows[np.linalg.norm(images[i] - images[rows], axis=1) < sep]] = True
+    for i in np.flatnonzero(stop - first > 1).tolist():
+        if rejected[i]:
+            continue
+        later = rows[first[i] : stop[i]]
+        later = later[later > i]
+        for part in _recheck_chunks(later, images.shape[1]):
+            close = later[part]
+            rejected[close[np.linalg.norm(images[i] - images[close], axis=1) < sep]] = True
     selected = np.flatnonzero(~rejected)
     return SeparatedFamily(selected=selected, separation=sep)
 
@@ -415,23 +514,26 @@ def theta_assignment(
 
     Ties break toward the lowest selected index.  This is also the one check
     of the family, decided as by the full cdist scans; AssertionError names
-    the property that fails:
+    the property that fails.  Both checks list their candidates in one
+    :class:`_CellGrid` over the prefilter keys (:func:`prefilter_keys`;
+    `keys` defaults to those of one block, the leading columns), built for
+    the larger of their two limits:
 
     - separation: no two selected images closer than separation - 1e-12
-      under cdist.  Every such pair lies within keys.reach of that limit in
-      the prefilter keys (:func:`prefilter_keys`; `keys` defaults to those
-      of one block, the leading columns), so :func:`_close_pairs` lists it
-      and cdist's bits decide it.  The check therefore fails exactly when an
-      off-diagonal entry of cdist(selected, selected) is below the limit.
+      under cdist.  Every such pair lies in neighbouring cubes of the grid,
+      so :func:`_close_pairs` lists it and cdist's bits decide it.  The
+      check therefore fails exactly when an off-diagonal entry of
+      cdist(selected, selected) is below the limit.
     - maximality: every leftover has a selected image closer than
       separation + 1e-12.  Its nearest one is the argmin of its cdist row,
-      found among the candidates of the same prefilter
-      (:func:`_nearest_below`), so only close pairs are measured.
+      found among the candidates of the same grid (:func:`_nearest_below`),
+      so only close pairs are measured.
     """
     images = np.asarray(images, dtype=float)
     keys = prefilter_keys(images) if keys is None else keys
     sel = fam.selected
-    t, u, _ = _close_pairs(images, keys, sel, sel, fam.separation - 1e-12)
+    grid = _CellGrid(keys, fam.separation + 1e-12)
+    t, u, _ = _close_pairs(images, grid, sel, sel, fam.separation - 1e-12)
     if np.any(t != u):
         raise AssertionError("theta_assignment: separation violated")
     mask = np.ones(len(images), dtype=bool)
@@ -440,7 +542,7 @@ def theta_assignment(
     fibers: dict[int, list[int]] = {}
     if leftovers.size == 0:
         return ThetaFibers(fibers)
-    nearest = _nearest_below(images, keys, leftovers, sel, fam.separation + 1e-12)
+    nearest = _nearest_below(images, grid, leftovers, sel, fam.separation + 1e-12)
     if np.any(nearest < 0):
         raise AssertionError("theta_assignment: maximality violated")
     for pos, anchor in zip(leftovers.tolist(), sel[nearest].tolist()):
@@ -513,16 +615,19 @@ class BunchedConfiguration:
 
 
 def _best_window(members: list[int], imgs: np.ndarray, k: int) -> tuple[list[int], float]:
-    """k consecutive fiber members minimizing their image diameter."""
-    best_diam = math.inf
-    best: list[int] = []
-    for s in range(len(members) - k + 1):
-        window = imgs[s : s + k]
-        diam = float(np.max(cdist(window, window)))
-        if diam < best_diam:
-            best_diam = diam
-            best = members[s : s + k]
-    return best, best_diam
+    """k consecutive fiber members minimizing their image diameter, the
+    largest cdist value over the window's pairs (the first window on ties).
+
+    The pairs of a block of windows are measured in one :func:`_pair_cdist`
+    call, so its index arrays stay within _RECHECK_ELEMENTS entries."""
+    i, j = np.triu_indices(k, 1)
+    diam = np.empty(len(members) - k + 1)
+    for part in _recheck_chunks(diam, len(i)):
+        s = np.arange(len(diam))[part, None]
+        pair = _pair_cdist(imgs, (s + i).ravel(), imgs, (s + j).ravel())
+        diam[part] = pair.reshape(len(s), len(i)).max(axis=1)
+    s = int(np.argmin(diam))
+    return members[s : s + k], float(diam[s])
 
 
 def find_bunched_configuration(
@@ -688,47 +793,125 @@ def _hausdorff_bound(F: LipschitzMapHandle, net: NetTemplate, centers: PolarBatc
 
 def hausdorff_distance_estimate(A, B) -> float:
     """Hausdorff distance between the finite point sets given as the rows of
-    two 2-D arrays: max of the two directed sup-inf distances."""
+    two 2-D arrays: max of the two directed sup-inf distances, equal to the
+    full-cdist value bit for bit.
+
+    Pairs are ranked by the Gram identity |a - b|^2 = |a|^2 + |b|^2 - 2 a.b,
+    one BLAS product per block of rows of A.  In any summation order the
+    computed value is off the exact square by at most
+    2 gamma_(n+3) (|a|^2 + |b|^2), and the square of cdist's value is off it
+    by at most 2 gamma_(n+4) (|a|^2 + |b|^2); their sum over the largest
+    squared norms, widened by _TREE_SLACK, is `err`.  So the row that
+    attains a directed maximum has a Gram minimum within 2 err of the
+    largest one, and its nearest point a Gram value within 2 err of that
+    minimum (3 err also covers the rounding of these comparisons).  Only
+    those pairs are measured with cdist's bits (:func:`_farthest_nearest`).
+    """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.size == 0 or B.size == 0:
         raise ValueError("hausdorff_distance_estimate: empty point set")
+    na, nb = np.vecdot(A, A), np.vecdot(B, B)
+    err = (1.0 + _TREE_SLACK) * 4.0 * _gamma(A.shape[1] + 4) * float(na.max() + nb.max())
+    B2 = -2.0 * B
+    near_a, near_b = np.empty(len(A)), np.full(len(B), np.inf)
+    for part in _recheck_chunks(A, len(B)):
+        G = A[part] @ B2.T
+        G += na[part, None]
+        G += nb
+        near_a[part] = G.min(axis=1)
+        np.minimum(near_b, G.min(axis=0), out=near_b)
     return max(
-        _nearest_extreme(A, B, cKDTree(B), farthest=True),
-        _nearest_extreme(B, A, cKDTree(A), farthest=True),
+        _farthest_nearest(A, na, B, nb, near_a, 3.0 * err),
+        _farthest_nearest(B, nb, A, na, near_b, 3.0 * err),
     )
 
 
-def _nearest_extreme(A: np.ndarray, B: np.ndarray, tree: cKDTree, farthest: bool) -> float:
-    """min (or max, if `farthest`) over the rows a of A of min_b |a - b|, for
-    `tree` built on B.
+def _farthest_nearest(A, na, B, nb, near, err) -> float:
+    """max over the rows a of A of min_b cdist(a, b), with cdist's bits, for
+    `near` the Gram row minima and `err` the margin of
+    :func:`hausdorff_distance_estimate`: only the rows whose Gram minimum is
+    within `err` of the largest, and their points within `err` of that
+    minimum, are measured."""
+    rows = np.flatnonzero(near >= near.max() - err)
+    best = np.full(len(rows), np.inf)
+    B2 = -2.0 * B
+    for part in _recheck_chunks(rows, len(B)):
+        G = A[rows[part]] @ B2.T
+        G += na[rows[part], None]
+        G += nb
+        t, u = np.nonzero(G <= near[rows[part], None] + err)
+        t += part.start
+        np.minimum.at(best, t, _pair_cdist(A, rows[t], B, u))
+    return float(best.max())
 
-    Equals cdist(A, B).min(axis=1).min() (or .max()) bit for bit: the tree's
-    nearest distances pick every row within _TREE_SLACK of the extreme, and
-    only those rows are measured against all of B with cdist.
+
+def _closest_pair(A: np.ndarray, B: np.ndarray, bound: float) -> float:
+    """min over a in A and b in B of cdist(a, b), with cdist's bits, given
+    `bound`, the cdist value of one pair of A x B.
+
+    Rows are ranked by their projections onto v = mean(B) - mean(A), a
+    one-dimensional prefilter: |a - b| >= |b.v - a.v| / |v|.  The computed
+    projections are off the exact ones by at most e = gamma_(n+2) M |v|_1
+    in any summation order (M the largest |coordinate|), so the closest pair,
+    which cdist puts at most `bound` apart, has projections within
+    W = bound |v| + 2e of each other, widened by _TREE_SLACK for cdist's
+    rounding and by u times the largest projection for the rounding of the
+    window ends.  Two binary searches per row of A over the sorted
+    projections of B list those pairs, which are measured with cdist's bits
+    in pieces of at most _RECHECK_ELEMENTS pairs.  The pair of the largest
+    a.v and the smallest b.v may lower the bound first; for two clusters
+    apart along v it is close to the closest pair.
     """
-    near = tree.query(A)[0]
-    if farthest:
-        rows = near >= near.max() * (1.0 - _TREE_SLACK)
-    else:
-        rows = near <= near.min() * (1.0 + _TREE_SLACK)
-    exact = cdist(A[rows], B).min(axis=1)
-    return float(exact.max() if farthest else exact.min())
+    v = B.mean(axis=0) - A.mean(axis=0)
+    pa, pb = A @ v, B @ v
+    front = _pair_cdist(A, np.array([np.argmax(pa)]), B, np.array([np.argmin(pb)]))
+    best = min(bound, float(front[0]))
+    if best == 0.0:
+        return 0.0
+    M = max(A.max(), -A.min(), B.max(), -B.min())  # no |A| temporary
+    e = _gamma(A.shape[1] + 2) * float(M) * float(np.abs(v).sum())
+    reach = best * math.sqrt(float(v @ v)) + 2.0 * e
+    top = max(np.abs(pa).max(), np.abs(pb).max())
+    W = (1.0 + _TREE_SLACK) * (reach * (1.0 + _TREE_SLACK) + _UNIT_ROUNDOFF * top)
+    order = np.argsort(pb)
+    pb = pb[order]
+    first = np.searchsorted(pb, pa - W, "left")
+    count = np.searchsorted(pb, pa + W, "right") - first
+    ends = np.cumsum(count)
+    start = 0
+    while start < len(A):
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - count[start] + _RECHECK_ELEMENTS, "right")))
+        piece = slice(start, stop)
+        t = np.repeat(np.arange(start, stop), count[piece])
+        if len(t):
+            best = min(best, float(_pair_cdist(A, t, B, order[_ranges(first[piece], count[piece])]).min()))
+        start = stop
+    return best
 
 
 def _set_distance_max(clouds: list[np.ndarray]) -> float:
     """max over pairs i < j of min_{a in clouds[i], b in clouds[j]} |a - b|,
-    equal to the full-cdist minima bit for bit; one tree per cloud."""
-    trees = [cKDTree(c) for c in clouds]
+    equal to the full-cdist minima bit for bit (:func:`_closest_pair`).
+
+    A pair's minimum is at most the cdist value of its two last rows (the
+    certifier puts each ball's center image last).  The pairs are visited
+    in decreasing order of that bound, and once it is no larger than the
+    running maximum, no pair left can raise it.
+    """
+    last = np.array([c[-1] for c in clouds])
+    i, j = np.triu_indices(len(clouds), 1)
+    bound = _pair_cdist(last, i, last, j)
     worst = 0.0
-    for i in range(len(clouds)):
-        for j in range(i + 1, len(clouds)):
-            worst = max(worst, _nearest_extreme(clouds[i], clouds[j], trees[j], farthest=False))
+    for p in np.argsort(-bound, kind="stable").tolist():
+        if bound[p] <= worst:
+            break
+        worst = max(worst, _closest_pair(clouds[i[p]], clouds[j[p]], float(bound[p])))
     return worst
 
 
 #: Most random points certify_configuration draws per ball; each one is made
-#: by exp, mapped and held in a k-d tree.
+#: by exp, mapped, and sorted by its projection in :func:`_closest_pair`.
 SAMPLES_MAX = 100_000
 
 
@@ -776,9 +959,11 @@ def certify_configuration(
     indices with the stable kernel and must exceed 2r + 1/epsilon.  (ii)
     samples the image sets without a net (the center image and seeded,
     volume-uniform random ball points); any cross pair bounds the set
-    distance from above, the center images alone by 2/C < epsilon, and the
-    closest pair is found through one k-d tree per set
-    (`_set_distance_max`).  (iii) is only evaluated for configurations of a
+    distance from above, the center images alone by 2/C < epsilon.  The
+    closest pair of each pair of sets is found among the pairs whose
+    projections onto the line between the sets are close
+    (:func:`_set_distance_max`), and a pair of sets whose center images are
+    no farther apart than the largest closest pair so far is skipped.  (iii) is only evaluated for configurations of a
     Hausdorff search (the set-distance C need not satisfy the Hausdorff
     budget): the certificate net is built here (:func:`certificate_net`),
     not taken from the search, and the Hausdorff distances are bounded by

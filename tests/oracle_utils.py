@@ -2,10 +2,10 @@
 
 Arbitrary-precision (mpmath) values, plus brute-force full scans: the
 O(n^2) sweep for packing separation, the net's lattice points by a scan of
-their whole box, the full-cdist set distances, the one-image-at-a-time
-separated subfamily with its full-cdist assignment and checks, the net
-transported to one basepoint at a time, and the flat-graph mesh built one
-edge at a time.
+their whole box, the full-cdist set distances, close pairs and window
+diameters, the one-image-at-a-time separated subfamily with its full-cdist
+assignment and checks, the net transported to one basepoint at a time, and
+the flat-graph mesh built one edge at a time.
 Everything here recomputes results from first principles, independently of
 the library's evaluation strategy.
 """
@@ -139,6 +139,23 @@ def brute_hausdorff(A, B):
     """Hausdorff distance of two point sets, by full cdist."""
     d = cdist(A, B)
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def brute_close_pairs(images, a, b, limit):
+    """The sorted (t, u) with cdist(images[a[t]], images[b[u]]) < limit, by full cdist."""
+    d = cdist(images[a], images[b])
+    return sorted(zip(*(x.tolist() for x in np.nonzero(d < limit))))
+
+
+def loop_best_window(members, imgs, k):
+    """(window, diameter) of the k consecutive members with the smallest
+    full-cdist image diameter, the first on ties, one window at a time."""
+    best, best_diam = [], math.inf
+    for s in range(len(members) - k + 1):
+        diam = float(np.max(cdist(imgs[s : s + k], imgs[s : s + k])))
+        if diam < best_diam:
+            best, best_diam = members[s : s + k], diam
+    return best, best_diam
 
 
 def per_point_transport(tmpl, p):

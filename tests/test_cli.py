@@ -665,3 +665,48 @@ class TestArtifactWriter:
             json.dumps(payload, sort_keys=True, indent=2)
         with pytest.raises(TypeError):
             _dump_json(payload)
+
+
+def _numeric_cases():
+    """(command, option, value): every numeric option of search and pack at
+    0, -1, nan, inf and 1e300, and at each of its limits plus and minus one."""
+    limits = {
+        ("search", "--m"): [1, 3, M_MAX - 1, M_MAX + 1],
+        ("search", "--r"): [1],
+        # 0.006 is near the smallest eps whose first rung is representable
+        ("search", "--eps"): [1, 2, 0.006],
+        ("search", "--k"): [1, 3],
+        ("search", "--cap"): [1, 3, CAP_MAX - 1, CAP_MAX + 1],
+        ("search", "--R-max"): [],
+        ("search", "--samples"): [1, SAMPLES_MAX - 1, SAMPLES_MAX + 1],
+        ("search", "--seed"): [1],
+        ("pack", "--C"): [1],
+        ("pack", "--R"): [1, 3],  # the limit is 2C = 2
+        ("pack", "--m"): [1, 3, M_MAX - 1, M_MAX + 1],
+        ("pack", "--cap"): [1, 3, CAP_MAX - 1, CAP_MAX + 1],
+    }
+    return [
+        (command, option, value)
+        for (command, option), extra in limits.items()
+        for value in dict.fromkeys(["0", "-1", "nan", "inf", "1e300", *map(str, extra)])
+    ]
+
+
+class TestNumericSweep:
+    """Every numeric option of search and pack, at its edge values, exits 0, 2
+    or 3 in-process within a time limit and a traced memory cap."""
+
+    @pytest.mark.parametrize("command, option, value", _numeric_cases())
+    def test_exit_code(self, tmp_path, capsys, command, option, value):
+        tracemalloc.start()
+        try:
+            with time_limit(60.0):
+                try:
+                    rc = main([command, f"{option}={value}", "--out", str(tmp_path / "o.json")])
+                except SystemExit as exc:  # argparse refuses what its type cannot parse
+                    rc = exc.code
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc in (0, 2, 3)
+        assert peak < 256e6

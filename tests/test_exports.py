@@ -1,7 +1,11 @@
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +64,33 @@ def test_benchmark_trace_hooks_resolve(tmp_path):
     assert set(metrics) == {name for name, _, _ in tracer.PER_LAYER} - from_run
     assert metrics["packing.verify_packing.pairs"] > 0 and metrics["nets.net_size"] > 0
     assert metrics["nets.transport_net.calls"] > 0 and metrics["search.rungs"] >= 1
+
+
+#: Run in a fresh interpreter: the scipy modules left by importing the CLI,
+#: the exit codes of one Hausdorff search and one capped pack (its centers
+#: subsampled), and the modules those two runs import.
+_IMPORT_PROBE = """
+import json, sys
+import hypack.cli
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+before = set(sys.modules)
+out = sys.argv[1]
+codes = [
+    hypack.cli.main(["search", "--eps", "0.5", "--k", "2", "--hausdorff", "--out", out + "/s.json"]),
+    hypack.cli.main(["pack", "--C", "1", "--R", "8", "--cap", "100", "--out", out + "/p.json"]),
+]
+print(json.dumps({"scipy": scipy, "codes": codes, "new": sorted(set(sys.modules) - before)}))
+"""
+
+
+def test_cli_imports_no_scipy_and_its_runs_import_nothing(tmp_path):
+    # importing scipy.spatial took about 0.4 s of every CLI process's set-up,
+    # and a module first imported inside main would load inside the run
+    src = str(Path(hypack.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {"scipy": [], "codes": [0, 0], "new": []}

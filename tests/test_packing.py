@@ -1,13 +1,16 @@
 import math
 import time
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from conftest import time_limit
-from hypack.geometry import HPoint, NumericRangeError, dist_given_q, distance
+import hypack.packing
+from hypack.geometry import HPoint, NumericRangeError, dist_given_q, distance, exp_rows
 from hypack.packing import (
     CAP_MAX,
     count_lower_bound,
@@ -117,6 +120,8 @@ class TestGenerateCenters:
     def test_subsample_exact_cap(self):
         fam = generate_centers(0.5, 11.0, 2, cap=100)
         assert len(fam) == 100
+        k = direction_count(fam.alpha)
+        assert np.array_equal(fam.indices, np.unique(np.round(np.linspace(0.0, k, 100))))
         lags = np.diff(fam.indices)
         assert lags.min() >= 1.0
         # even spacing up to rounding
@@ -164,6 +169,43 @@ class TestGenerateCenters:
         rep = verify_packing(fam)
         assert rep.enclosure_ok
         assert rep.max_center_offset <= fam.R - fam.C + 1e-9
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    def test_blocked_rows_equal_one_exp_call(self, block):
+        # the rows are made in blocks; each has the bits of one exp_rows call
+        # over the whole family
+        with mock.patch.object(hypack.packing, "_CENTER_BLOCK_ELEMENTS", block):
+            fam = generate_centers(1.0, 20.0, 13, cap=5_000)
+        rho, theta = fam.center_radius, 2.0 * fam.indices * fam.alpha
+        vecs = np.zeros((len(fam), 14))
+        vecs[:, 1], vecs[:, 2] = rho * np.cos(theta), rho * np.sin(theta)
+        whole = exp_rows(HPoint.origin(13), vecs, np.full(len(fam), rho))
+        for got, want in ((fam.centers.r, whole.r), (fam.centers.dirs, whole.dirs), (fam.centers.coords, whole.coords)):
+            assert np.array_equal(got, want)
+
+    def test_memory_peak_is_about_the_rows(self):
+        # one exp_rows call over 100,000 rows at m = 13 held about five times
+        # the rows' bytes in temporaries
+        tracemalloc.start()
+        try:
+            fam = generate_centers(1.0, 20.0, 13, cap=100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        c = fam.centers
+        assert len(fam) == 100_000
+        assert peak <= 2 * (c.r.nbytes + c.dirs.nbytes + c.coords.nbytes) + 8e6
+
+    def test_twenty_thousand_plane_centers_are_one_block(self):
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args[2]))
+            return exp_rows(*args)
+
+        with mock.patch.object(hypack.packing, "exp_rows", counting):
+            fam = generate_centers(1.0, 11.5, 2, cap=20_000)
+        assert calls == [len(fam)] == [20_000]
 
 
 class TestVerifyPacking:

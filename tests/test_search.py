@@ -11,10 +11,12 @@ from scipy.spatial.distance import cdist
 
 from conftest import PINWHEEL_R_MAX, pinwheel_map, poincare_at, time_limit
 from oracle_utils import (
+    brute_close_pairs,
     brute_hausdorff,
     brute_set_distance_max,
     full_cdist_theta,
     full_cdist_verify,
+    loop_best_window,
     loop_separated_subfamily,
 )
 import hypack.search
@@ -26,6 +28,9 @@ from hypack.search import (
     ScheduleExhausted,
     SearchParams,
     SeparatedFamily,
+    _best_window,
+    _CellGrid,
+    _close_pairs,
     _pair_cdist,
     _sample_ball_points,
     _set_distance_max,
@@ -516,7 +521,8 @@ class TestCorollarySequences:
 
 
 class TestTreeDistances:
-    """Tree-backed set and Hausdorff distances equal full-cdist scans exactly."""
+    """Prefiltered set and Hausdorff distances and window diameters equal
+    full-cdist scans exactly."""
 
     @staticmethod
     def clouds(kind, k, n, rng):
@@ -541,8 +547,8 @@ class TestTreeDistances:
                 assert hausdorff_distance_estimate(A, B) == brute_hausdorff(A, B)
 
     def test_rows_tied_in_exact_arithmetic(self):
-        # a and a[P] are equally far from {b, b[P]}; the tree and cdist sum the
-        # squares in different orders, so they can rank the two rows oppositely
+        # a and a[P] are equally far from {b, b[P]}; the prefilters and cdist sum
+        # the squares in different orders, so they can rank the two rows oppositely
         rng = np.random.default_rng(5)
         for _ in range(200):
             P = rng.permutation(40)
@@ -552,25 +558,63 @@ class TestTreeDistances:
             assert hausdorff_distance_estimate(A, B) == brute_hausdorff(A, B)
 
 
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_narrow_clouds_far_apart(self, k):
+        # clouds about 1e-8 wide near the unit circle, 0.037 apart in a row, as
+        # the m = 2 Hausdorff certificate's: every cross pair is about as far
+        rng = np.random.default_rng(k)
+        angles = 0.7 + 0.037 * np.arange(k)
+        for rows in (1, 2, 513):
+            clouds = [
+                np.array([math.cos(t), math.sin(t)]) + 1e-8 * rng.standard_normal((rows, 2))
+                for t in angles
+            ]
+            assert _set_distance_max(clouds) == brute_set_distance_max(clouds)
+            for A, B in zip(clouds, clouds[1:]):
+                assert hausdorff_distance_estimate(A, B) == brute_hausdorff(A, B)
+
+    def test_clouds_whose_last_rows_are_not_closest(self):
+        # the last rows bound a pair's minimum only from above
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            clouds = [rng.standard_normal((int(rng.integers(1, 40)), 3)) + 3.0 * rng.standard_normal(3)
+                      for _ in range(int(rng.integers(2, 6)))]
+            for c in clouds:
+                c[-1] = 20.0 * rng.standard_normal(3)
+            assert _set_distance_max(clouds) == brute_set_distance_max(clouds)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    def test_best_window_equals_one_window_at_a_time(self, chunk):
+        rng = np.random.default_rng(chunk)
+        with mock.patch.object(hypack.search, "_RECHECK_ELEMENTS", chunk):
+            for _ in range(40):
+                count, k = int(rng.integers(2, 30)), int(rng.integers(2, 6))
+                k = min(k, count)
+                imgs = 0.5 * rng.integers(0, 3, (count, 3)).astype(float)  # tied diameters
+                members = sorted(rng.choice(1000, count, replace=False).tolist())
+                assert _best_window(members, imgs, k) == loop_best_window(members, imgs, k)
+
+
 @st.composite
 def pigeonhole_cases(draw):
     """(images, sep, recheck chunk, blocks): small image sets of l = blocks
-    blocks with duplicates, exact distances and equidistant ties, shifted far
-    from the origin or not.  "tiled" rows repeat one vector in every block, so
+    blocks with duplicates, exact distances and equidistant ties, in clusters
+    up to 1e9 apart, shifted far from the origin or not.  "tiled" rows repeat one vector in every block, so
     a pair moves by the same vector in each and the block-sum prefilter is
     tight; a pair may sit exactly at the separation or one ulp inside it."""
     blocks = draw(st.sampled_from([1, 2, 20]))
     n = draw(st.sampled_from([1, 2, 3, 8, 40] if blocks == 1 else [1, 2, 3, 4]))
     width = blocks * n
     count = draw(st.integers(1, 60))
-    kind = draw(st.sampled_from(["lattice", "random", "clustered", "spread", "tiled"]))
+    kind = draw(st.sampled_from(["lattice", "random", "clustered", "spread", "tiled", "vast"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "lattice":  # few distinct distances: exact ties everywhere
         X = 0.5 * rng.integers(0, 3, (count, width)).astype(float)
     elif kind == "random":
         X = rng.standard_normal((count, width))
-    elif kind == "clustered":
-        centers = 3.0 * rng.standard_normal((max(1, count // 5), width))
+    elif kind in ("clustered", "vast"):  # vast: keys span over 1e7 cube sides per column
+        scale = 3.0 if kind == "clustered" else 1e9
+        centers = scale * rng.standard_normal((max(1, count // 5), width))
         X = centers[rng.integers(0, len(centers), count)] + 0.2 * rng.standard_normal((count, width))
     elif kind == "tiled":  # clustered in one block, repeated in all
         centers = 3.0 * rng.standard_normal((max(1, count // 5), n))
@@ -758,3 +802,75 @@ class TestPigeonholeScans:
         assert sf.selected.tolist() == sorted(first.values())
         assert all(label[a] == label[m] for a, ms in fib.fibers.items() for m in ms)
         assert sum(map(len, fib.fibers.values())) == len(X) - clusters
+
+
+class TestCellGrid:
+    """The neighbour index and its close pairs against a brute full-cdist listing."""
+
+    @staticmethod
+    def close_pairs(X, a, b, limit, keys=None):
+        keys = prefilter_keys(X) if keys is None else keys
+        t, u, d = _close_pairs(X, _CellGrid(keys, limit), a, b, limit)
+        assert np.array_equal(d, _pair_cdist(X, a[t], X, b[u]))
+        return sorted(zip(t.tolist(), u.tolist()))
+
+    @staticmethod
+    def subsets(rng, count):
+        a = np.flatnonzero(rng.random(count) < 0.7)
+        b = np.flatnonzero(rng.random(count) < 0.5)
+        return (a if a.size else np.arange(count)), (b if b.size else np.arange(count))
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 8])
+    @pytest.mark.parametrize("kind", ["lattice", "random", "single"])
+    def test_pairs_equal_brute_listing(self, width, kind):
+        # keys of min(3, width) columns; lattice rows give duplicates and pairs
+        # exactly at the limit, which cdist does not put below it
+        rng = np.random.default_rng(10 * width + len(kind))
+        for _ in range(40):
+            count = 1 if kind == "single" else int(rng.integers(2, 80))
+            if kind == "lattice":
+                X, limit = 0.5 * rng.integers(0, 4, (count, width)).astype(float), 1.0
+            else:
+                X, limit = rng.standard_normal((count, width)), float(rng.uniform(0.05, 2.0))
+            a, b = self.subsets(rng, count)
+            assert self.close_pairs(X, a, b, limit) == brute_close_pairs(X, a, b, limit)
+
+    def test_queries_outside_the_indexed_box(self):
+        # indexed rows fill the unit square; the queries lie inside it, just
+        # outside it within the limit of a corner, and far beyond it
+        rng = np.random.default_rng(4)
+        inside = rng.random((60, 2))
+        queries = np.array([[-0.1, -0.1], [1.05, 0.5], [0.5, 1.2], [-3.0, 0.5], [1e9, -1e9], [0.5, 0.5]])
+        X = np.vstack([inside, queries])
+        a, b = np.arange(len(X)), np.arange(60)
+        for limit in (0.05, 0.2, 0.5):
+            pairs = self.close_pairs(X, a, b, limit)
+            assert pairs == brute_close_pairs(X, a, b, limit)
+            assert any(t >= 60 for t, _ in pairs)  # some query outside the box has a neighbour
+
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    @pytest.mark.parametrize("code_max", [2**62, 50])
+    def test_span_of_1e10_cubes_per_column(self, w, code_max):
+        # clusters 1e10 apart: a mixed-radix code of two or three raw columns
+        # would pass int64, so the coordinates are renumbered; a small code
+        # limit forces the halving of renumbered coordinates as well
+        rng = np.random.default_rng(w)
+        centers = 1e10 * rng.random((30, w))
+        X = np.repeat(centers, 4, axis=0) + 0.4 * rng.standard_normal((120, w))
+        X = X[rng.permutation(len(X))]
+        keys, sep = prefilter_keys(X), 1.0
+        with mock.patch.object(hypack.search, "_CODE_MAX", code_max):
+            grid = _CellGrid(keys, sep)
+            assert 0 <= grid.codes.min() and grid.codes.max() + 2 * np.abs(grid.steps).max() < code_max
+            a, b = self.subsets(rng, len(X))
+            assert self.close_pairs(X, a, b, sep, keys) == brute_close_pairs(X, a, b, sep)
+            sel, kept = loop_separated_subfamily(X, sep)
+            sf = greedy_separated_subfamily(X, sep, keys)
+            assert np.array_equal(sf.selected, sel)
+            assert theta_assignment(sf, X, keys).fibers == full_cdist_theta(len(X), sel, kept, X, sep)
+
+    def test_empty_reach_lists_nothing(self):
+        # a limit at or below 0: cdist puts no pair below it
+        X = np.zeros((5, 2))
+        for limit in (0.0, -1.0):
+            assert self.close_pairs(X, np.arange(5), np.arange(5), limit) == []
