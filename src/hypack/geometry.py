@@ -83,6 +83,17 @@ _LOG2 = math.log(2.0)
 #: below this, and in log-domain from there on.
 _DIRECT_TOTAL_MAX = 300.0
 
+#: Elements of one array temporary: every loop over rows that bounds its
+#: temporaries, at any input size, takes its blocks from :func:`_row_blocks`.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _row_blocks(n: int, width: int):
+    """Slices of range(n), in order, of at most max(1, _BLOCK_ELEMENTS // width) rows."""
+    step = max(1, _BLOCK_ELEMENTS // width)
+    for lo in range(0, n, step):
+        yield slice(lo, lo + step)
+
 
 class NumericRangeError(ArithmeticError):
     """Raised when a computation leaves the numerically stable regime."""
@@ -640,7 +651,10 @@ def sample_ball(m: int, rho: float, size: int, rng: np.random.Generator) -> np.n
 
     Radius density is proportional to sinh^{m-1}(s) on [0, rho] (the
     uncorrected tangent measure would over-weight the center); directions
-    are uniform on S^{m-1}.  Returns shape (size, m).
+    are uniform on S^{m-1}.  Returns shape (size, m).  Where sinh^{m-1}
+    would overflow the trapezoid sums of its CDF, from about
+    (m-1) log sinh(rho) = 709 on, the density is taken relative to its
+    value at rho, exp((m-1)(log sinh(s) - log sinh(rho))).
     """
     if m < 1 or rho <= 0.0 or size < 0:
         raise ValueError("sample_ball: need m >= 1, rho > 0, size >= 0")
@@ -649,7 +663,11 @@ def sample_ball(m: int, rho: float, size: int, rng: np.random.Generator) -> np.n
         radii = np.arccosh(1.0 + u * (math.cosh(rho) - 1.0))
     else:
         grid = np.linspace(0.0, rho, 4097)
-        dens = np.sinh(grid) ** (m - 1)
+        with np.errstate(over="ignore"):
+            dens = np.sinh(grid) ** (m - 1)
+            overflows = not np.isfinite(dens[-1] + dens[-2])
+        if overflows:
+            dens = np.exp((m - 1) * (_log_sinh(grid) - _log_sinh(rho)))
         cdf = np.concatenate(([0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))))
         cdf /= cdf[-1]
         radii = np.interp(u, cdf, grid)

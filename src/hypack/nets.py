@@ -29,6 +29,7 @@ import numpy as np
 from hypack.geometry import (
     HPoint,
     PolarBatch,
+    _row_blocks,
     distance,
     exp_rows,
     sample_ball,
@@ -187,11 +188,6 @@ class CoverReport:
         return self.covered_fraction == 1.0 and self.max_radial <= self.rho + 1e-9
 
 
-#: Samples verify_cover measures against the net per step; bounds the
-#: memory of its sample-by-net matrices.
-_COVER_CHUNK = 4096
-
-
 def verify_cover(
     tmpl: NetTemplate,
     p: HPoint,
@@ -209,6 +205,8 @@ def verify_cover(
 
     The transported net itself is still constructed (exercising the
     large-radius representation path), and its radial placement is checked.
+    The samples are measured in blocks of :func:`hypack.geometry._row_blocks`,
+    l elements a sample, which bounds the sample-by-net matrices at any l.
     """
     if samples < 1:
         raise ValueError("verify_cover: samples must be >= 1")
@@ -238,8 +236,8 @@ def verify_cover(
     X = sample_ball(tmpl.m, tmpl.rho, samples, rng)
     covered = 0
     worst_u = 0.0
-    for lo in range(0, samples, _COVER_CHUNK):
-        xs = X[lo : lo + _COVER_CHUNK]
+    for part in _row_blocks(samples, tmpl.l):
+        xs = X[part]
         xr = np.linalg.norm(xs, axis=1)
         dots = xs @ tmpl.tangent_points.T  # |x| |n_j| cos(angle)
         u = np.cosh(xr)[:, None] * cosh_n[None, :] - 1.0

@@ -20,6 +20,7 @@ from hypack.geometry import (
     NumericRangeError,
     PolarBatch,
     _log_sinh,
+    _row_blocks,
     check_dimension,
     dist_given_q,
     distance,
@@ -57,10 +58,6 @@ CAP_MAX = 1_000_000
 #: R - 2C = 22 (at C = 1) the double predicates no longer describe the family
 #: of exact angles 2 * j * alpha.
 _LAG_ROUNDING_MAX = 1e-6
-
-#: Elements (rows times m+1) of the tangent rows generate_centers passes to
-#: one exp_rows call; bounds the temporaries of exp at any family size.
-_CENTER_BLOCK_ELEMENTS = 1 << 16
 
 
 def packing_angle(C: float, R: float) -> float:
@@ -171,7 +168,8 @@ def generate_centers(C: float, R: float, m: int, cap: int = 100_000) -> BallFami
     Emits centers exp_o((R-C) * v_j) for directions
     v_j = cos(2 j alpha) e_1 + sin(2 j alpha) e_2, j = 0..k.  When k+1
     exceeds `cap`, indices are subsampled evenly (which trivially preserves
-    the 2C separation).
+    the 2C separation).  The rows are made in blocks of
+    :func:`hypack.geometry._row_blocks`, m+1 elements a row.
 
     Raises
     ------
@@ -209,14 +207,13 @@ def generate_centers(C: float, R: float, m: int, cap: int = 100_000) -> BallFami
     n = len(idx)
     r, dirs, coords = np.empty(n), np.empty((n, m)), np.empty((n, m + 1))
     origin = HPoint.origin(m)
-    block = max(1, _CENTER_BLOCK_ELEMENTS // (m + 1))
-    for lo in range(0, n, block):
-        theta = 2.0 * idx[lo : lo + block] * alpha
+    for part in _row_blocks(n, m + 1):
+        theta = 2.0 * idx[part] * alpha
         vecs = np.zeros((len(theta), m + 1))
         vecs[:, 1] = rho * np.cos(theta)
         vecs[:, 2] = rho * np.sin(theta)
-        part = exp_rows(origin, vecs, np.full(theta.shape, rho))
-        r[lo : lo + block], dirs[lo : lo + block], coords[lo : lo + block] = part.r, part.dirs, part.coords
+        rows = exp_rows(origin, vecs, np.full(theta.shape, rho))
+        r[part], dirs[part], coords[part] = rows.r, rows.dirs, rows.coords
 
     fam = BallFamily(
         centers=PolarBatch(r, dirs, coords),

@@ -28,7 +28,8 @@ import numpy as np
 # time, so that it stays out of the first certification (its seeded sampler)
 import numpy.random  # noqa: F401
 
-from hypack.geometry import EXP_RADIUS_MAX, HPoint, PolarBatch, exp_rows, sample_ball, transport_frame
+from hypack import geometry
+from hypack.geometry import EXP_RADIUS_MAX, HPoint, PolarBatch, _row_blocks, exp_rows, sample_ball, transport_frame
 from hypack.maps import LipschitzMapHandle
 from hypack.nets import NetTemplate, build_reference_net, check_net_size, transport_net
 from hypack.packing import CAP_MAX, generate_centers, min_lag_distance, packing_angle
@@ -189,7 +190,7 @@ def certificate_net(F: LipschitzMapHandle, r: float, epsilon: float) -> NetTempl
 #: Relative slack of every prefilter bound below: it covers cdist's rounding
 #: of a distance against the exact one (gamma_(n+2), under 1e-9 for widths n
 #: up to 10^6) and the rounding of the bound's own evaluation.
-_TREE_SLACK = 1e-9
+_CDIST_SLACK = 1e-9
 
 #: Unit roundoff of float64.
 _UNIT_ROUNDOFF = 2.0**-53
@@ -225,9 +226,9 @@ class PrefilterKeys:
 
     def reach(self, limit: float) -> float:
         """A key distance that every pair cdist puts below `limit` keeps in
-        exact arithmetic: _TREE_SLACK covers cdist's rounding, `rounding`
+        exact arithmetic: _CDIST_SLACK covers cdist's rounding, `rounding`
         the rounding of the keys themselves."""
-        return limit * (1.0 + _TREE_SLACK) + self.rounding
+        return limit * (1.0 + _CDIST_SLACK) + self.rounding
 
 
 def prefilter_keys(images: np.ndarray, blocks: int = 1) -> PrefilterKeys:
@@ -240,7 +241,7 @@ def prefilter_keys(images: np.ndarray, blocks: int = 1) -> PrefilterKeys:
     unit roundoff); so it is off the exact S by at most sqrt(l) M
     gamma_(l+2).  Two rows' computed keys of w coordinates are then off by at
     most 2 sqrt(w l) M gamma_(l+2) in distance.  That bound, widened by
-    _TREE_SLACK for its own evaluation, is ``rounding``.  The keys of one
+    _CDIST_SLACK for its own evaluation, is ``rounding``.  The keys of one
     block are its leading columns, a view, with no rounding.
     """
     rows, width = images.shape
@@ -253,7 +254,7 @@ def prefilter_keys(images: np.ndarray, blocks: int = 1) -> PrefilterKeys:
     keys = images.reshape(rows, blocks, n)[:, :, :w].sum(axis=1)
     keys *= 1.0 / math.sqrt(blocks)
     bound = max(images.max(), -images.min())  # no |images| temporary
-    rounding = (1.0 + _TREE_SLACK) * 2.0 * math.sqrt(w * blocks) * float(bound) * _gamma(blocks + 2)
+    rounding = (1.0 + _CDIST_SLACK) * 2.0 * math.sqrt(w * blocks) * float(bound) * _gamma(blocks + 2)
     return PrefilterKeys(keys=keys, rounding=rounding)
 
 
@@ -351,24 +352,12 @@ def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.repeat(first - ends + count, count) + np.arange(ends[-1] if len(ends) else 0)
 
 
-#: Elements (rows times width) of one temporary array in the exact rechecks
-#: and the distance prefilters; bounds their memory at any candidate count.
-_RECHECK_ELEMENTS = 1 << 16
-
-
-def _recheck_chunks(rows: np.ndarray, width: int):
-    """`rows` in consecutive pieces of at most _RECHECK_ELEMENTS // width rows."""
-    step = max(1, _RECHECK_ELEMENTS // width)
-    for lo in range(0, len(rows), step):
-        yield slice(lo, lo + step)
-
-
 def _pair_cdist(A: np.ndarray, a: np.ndarray, B: np.ndarray, b: np.ndarray) -> np.ndarray:
     """cdist(A[a[t]], B[b[t]]) for each t, with the bits of scipy's euclidean
     cdist: the squared column differences summed in column order, then sqrt
     (np.add.accumulate is sequential by definition, unlike add.reduce)."""
     out = np.empty(len(a))
-    for part in _recheck_chunks(a, A.shape[1]):
+    for part in _row_blocks(len(a), A.shape[1]):
         d = A[a[part]] - B[b[part]]
         d *= d
         out[part] = np.add.accumulate(d, axis=1)[:, -1]
@@ -470,7 +459,7 @@ def greedy_separated_subfamily(
             continue
         later = rows[first[i] : stop[i]]
         later = later[later > i]
-        for part in _recheck_chunks(later, images.shape[1]):
+        for part in _row_blocks(len(later), images.shape[1]):
             close = later[part]
             rejected[close[np.linalg.norm(images[i] - images[close], axis=1) < sep]] = True
     selected = np.flatnonzero(~rejected)
@@ -550,12 +539,6 @@ def theta_assignment(
     return ThetaFibers(fibers)
 
 
-#: Rows one transport_net call of the augmented map may make: its blocks hold
-#: max(1, _AUGMENT_BLOCK_ROWS // l) basepoints, which bounds the memory of the
-#: transported rows and their images.
-_AUGMENT_BLOCK_ROWS = 32_768
-
-
 def augment_map(F: LipschitzMapHandle, net: NetTemplate) -> LipschitzMapHandle:
     """Concatenate F over the transported net: p -> (F(sigma_1 p), ..., F(sigma_l p)).
 
@@ -567,15 +550,15 @@ def augment_map(F: LipschitzMapHandle, net: NetTemplate) -> LipschitzMapHandle:
     The map transports the net to a block of basepoints with one
     transport_net call, maps the block's rows with one F.fn call and
     reshapes them to (block, l*n); each row has the bits of the one-point
-    evaluation.
+    evaluation.  The blocks are those of :func:`hypack.geometry._row_blocks`,
+    l*(m+1) elements a basepoint (its transported rows).
     """
-    block = max(1, _AUGMENT_BLOCK_ROWS // net.l)
     width = F.n * net.l
 
     def fn(pts: PolarBatch) -> np.ndarray:
         out = np.empty((len(pts), width))
-        for lo in range(0, len(pts), block):
-            out[lo : lo + block] = F.fn(transport_net(net, pts[lo : lo + block])).reshape(-1, width)
+        for part in _row_blocks(len(pts), net.l * (F.m + 1)):
+            out[part] = F.fn(transport_net(net, pts[part])).reshape(-1, width)
         return out
 
     return LipschitzMapHandle(
@@ -619,10 +602,11 @@ def _best_window(members: list[int], imgs: np.ndarray, k: int) -> tuple[list[int
     largest cdist value over the window's pairs (the first window on ties).
 
     The pairs of a block of windows are measured in one :func:`_pair_cdist`
-    call, so its index arrays stay within _RECHECK_ELEMENTS entries."""
+    call, so its index arrays stay within the budget of
+    :func:`hypack.geometry._row_blocks`."""
     i, j = np.triu_indices(k, 1)
     diam = np.empty(len(members) - k + 1)
-    for part in _recheck_chunks(diam, len(i)):
+    for part in _row_blocks(len(diam), len(i)):
         s = np.arange(len(diam))[part, None]
         pair = _pair_cdist(imgs, (s + i).ravel(), imgs, (s + j).ravel())
         diam[part] = pair.reshape(len(s), len(i)).max(axis=1)
@@ -676,16 +660,10 @@ def find_bunched_configuration(
     params.check_first_rung()
     net = certificate_net(F, params.r, params.epsilon) if params.hausdorff else None
     diagnostics: list[dict] = []
-    cfg = _walk_ladder(F, params, F, 0.0, F.L, 1, net, max_image_diameter, diagnostics)
-    if cfg is None and net is not None:
-        # the volume bound of the augmented pipeline uses the affine growth
-        # sqrt(l) L (R + 2 rho) of the concatenated image
-        cfg = _walk_ladder(
-            F, params, augment_map(F, net), net.rho, math.sqrt(net.l) * F.L, net.l, None,
-            max_image_diameter, diagnostics,
-        )
-    if cfg is not None:
-        return cfg
+    for augmented in (False,) if net is None else (False, True):
+        cfg = _walk_ladder(F, params, net, augmented, max_image_diameter, diagnostics)
+        if cfg is not None:
+            return cfg
     if net is None:
         message = f"no fiber reached k={params.k}"
     else:
@@ -696,24 +674,26 @@ def find_bunched_configuration(
 def _walk_ladder(
     F: LipschitzMapHandle,
     params: SearchParams,
-    eff_F: LipschitzMapHandle,
-    rho: float,
-    bound_L: float,
-    blocks: int,
     net: NetTemplate | None,
+    augmented: bool,
     max_image_diameter: float | None,
     diagnostics: list[dict],
 ) -> BunchedConfiguration | None:
-    """One R ladder of the pigeonhole on the evaluated map `eff_F` (F itself,
-    the "plain" ladder, or F augmented over a net); None if it is exhausted.
+    """One R ladder of the pigeonhole, on F itself (the "plain" ladder) or,
+    if `augmented`, on F augmented over `net`; None if it is exhausted.
 
-    The volume bound of a rung is counting_upper_bound(R + 2 rho, C,
-    bound_L, eff_F.n), and the images are keyed in `blocks` blocks.  With a
-    `net`, a window is accepted only when :func:`_hausdorff_bound` of its
+    The augmented ladder's volume bound uses the affine growth
+    sqrt(l) L (R + 2 rho) of the concatenated image, and its images are
+    keyed in one block per net point.  On the plain ladder of a search with
+    a `net`, a window is accepted only when :func:`_hausdorff_bound` of its
     centers is at most epsilon.  Appends one entry per rung to
     `diagnostics`.
     """
-    ladder = "plain" if eff_F is F else "augmented"
+    if augmented:
+        eff_F, rho, bound_L, blocks = augment_map(F, net), net.rho, math.sqrt(net.l) * F.L, net.l
+    else:
+        eff_F, rho, bound_L, blocks = F, 0.0, F.L, 1
+    ladder = "augmented" if augmented else "plain"
     sep = 1.0 / params.C
     for R in params.R_schedule:
         fam = generate_centers(params.C, R, F.m, params.cap)
@@ -746,7 +726,7 @@ def _walk_ladder(
         if max_image_diameter is not None and diam >= max_image_diameter and diam > 0.0:
             entry["rejected_diameter"] = diam
             continue
-        if net is not None:
+        if net is not None and not augmented:
             hausdorff = _hausdorff_bound(F, net, fam.centers[chosen])
             if not hausdorff <= params.epsilon:
                 entry["rejected_hausdorff"] = hausdorff
@@ -801,7 +781,7 @@ def hausdorff_distance_estimate(A, B) -> float:
     computed value is off the exact square by at most
     2 gamma_(n+3) (|a|^2 + |b|^2), and the square of cdist's value is off it
     by at most 2 gamma_(n+4) (|a|^2 + |b|^2); their sum over the largest
-    squared norms, widened by _TREE_SLACK, is `err`.  So the row that
+    squared norms, widened by _CDIST_SLACK, is `err`.  So the row that
     attains a directed maximum has a Gram minimum within 2 err of the
     largest one, and its nearest point a Gram value within 2 err of that
     minimum (3 err also covers the rounding of these comparisons).  Only
@@ -812,10 +792,10 @@ def hausdorff_distance_estimate(A, B) -> float:
     if A.size == 0 or B.size == 0:
         raise ValueError("hausdorff_distance_estimate: empty point set")
     na, nb = np.vecdot(A, A), np.vecdot(B, B)
-    err = (1.0 + _TREE_SLACK) * 4.0 * _gamma(A.shape[1] + 4) * float(na.max() + nb.max())
+    err = (1.0 + _CDIST_SLACK) * 4.0 * _gamma(A.shape[1] + 4) * float(na.max() + nb.max())
     B2 = -2.0 * B
     near_a, near_b = np.empty(len(A)), np.full(len(B), np.inf)
-    for part in _recheck_chunks(A, len(B)):
+    for part in _row_blocks(len(A), len(B)):
         G = A[part] @ B2.T
         G += na[part, None]
         G += nb
@@ -836,7 +816,7 @@ def _farthest_nearest(A, na, B, nb, near, err) -> float:
     rows = np.flatnonzero(near >= near.max() - err)
     best = np.full(len(rows), np.inf)
     B2 = -2.0 * B
-    for part in _recheck_chunks(rows, len(B)):
+    for part in _row_blocks(len(rows), len(B)):
         G = A[rows[part]] @ B2.T
         G += na[rows[part], None]
         G += nb
@@ -855,11 +835,12 @@ def _closest_pair(A: np.ndarray, B: np.ndarray, bound: float) -> float:
     projections are off the exact ones by at most e = gamma_(n+2) M |v|_1
     in any summation order (M the largest |coordinate|), so the closest pair,
     which cdist puts at most `bound` apart, has projections within
-    W = bound |v| + 2e of each other, widened by _TREE_SLACK for cdist's
+    W = bound |v| + 2e of each other, widened by _CDIST_SLACK for cdist's
     rounding and by u times the largest projection for the rounding of the
     window ends.  Two binary searches per row of A over the sorted
     projections of B list those pairs, which are measured with cdist's bits
-    in pieces of at most _RECHECK_ELEMENTS pairs.  The pair of the largest
+    in pieces of at most hypack.geometry._BLOCK_ELEMENTS pairs (or one row
+    of A with more), the budget of every blocked loop.  The pair of the largest
     a.v and the smallest b.v may lower the bound first; for two clusters
     apart along v it is close to the closest pair.
     """
@@ -873,7 +854,7 @@ def _closest_pair(A: np.ndarray, B: np.ndarray, bound: float) -> float:
     e = _gamma(A.shape[1] + 2) * float(M) * float(np.abs(v).sum())
     reach = best * math.sqrt(float(v @ v)) + 2.0 * e
     top = max(np.abs(pa).max(), np.abs(pb).max())
-    W = (1.0 + _TREE_SLACK) * (reach * (1.0 + _TREE_SLACK) + _UNIT_ROUNDOFF * top)
+    W = (1.0 + _CDIST_SLACK) * (reach * (1.0 + _CDIST_SLACK) + _UNIT_ROUNDOFF * top)
     order = np.argsort(pb)
     pb = pb[order]
     first = np.searchsorted(pb, pa - W, "left")
@@ -881,7 +862,7 @@ def _closest_pair(A: np.ndarray, B: np.ndarray, bound: float) -> float:
     ends = np.cumsum(count)
     start = 0
     while start < len(A):
-        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - count[start] + _RECHECK_ELEMENTS, "right")))
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - count[start] + geometry._BLOCK_ELEMENTS, "right")))
         piece = slice(start, stop)
         t = np.repeat(np.arange(start, stop), count[piece])
         if len(t):

@@ -2,6 +2,7 @@ import json
 import math
 import shlex
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from conftest import PINWHEEL_R_MAX, pinwheel_map, time_limit
 from hypack.cli import _dump_json, _write_float_rows, main
 import hypack.cli
+import hypack.geometry
 import hypack.search
 from hypack.geometry import M_MAX
 from hypack.maps import FLAT_GRAPH_K_MAX
@@ -302,6 +304,22 @@ class TestSearch:
         assert f"r is too large (r={float(argv[1])}, epsilon=" in err
         assert f"centers at radius {radius}, which exceeds the representable range" in err
 
+    def test_ball_samples_where_the_volume_density_overflows(self, tmp_path, monkeypatch):
+        # at r = 60 and m = 13, sinh(r)^12 overflows a double; the sampled
+        # ball points of (ii) were all NaN, and only the center pair counted
+        original, seen = hypack.search._set_distance_max, []
+
+        def spy(clouds):  # each cloud: the 512 default samples and the center image
+            seen.append([bool(np.isfinite(c).all()) and len(c) == 513 for c in clouds])
+            return original(clouds)
+
+        monkeypatch.setattr(hypack.search, "_set_distance_max", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, _ = run(tmp_path, "s.json", ["search", "--r", "60", "--m", "13", "--k", "2"])
+        assert rc == 0
+        assert seen == [[True, True]]
+
     def test_hausdorff_net_grid_refused_before_any_rung(self, capsys, monkeypatch):
         def never(*args):
             raise AssertionError("called")
@@ -478,6 +496,16 @@ class TestDeterminism:
         _, a = run(tmp_path, "a.json", argv)
         _, b = run(tmp_path, "b.json", argv)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv", [["search", "--hausdorff", "--k", "2"], ["pack", "--R", "8"]], ids=["search", "pack"]
+    )
+    def test_block_budget_leaves_artifacts_unchanged(self, tmp_path, monkeypatch, argv):
+        # every blocked loop gives each row the bits of an unblocked one
+        _, default = run(tmp_path, "default.json", argv)
+        monkeypatch.setattr(hypack.geometry, "_BLOCK_ELEMENTS", 64)
+        _, small = run(tmp_path, "small.json", argv)
+        assert small.read_bytes() == default.read_bytes()
 
 
 def test_readme_examples_run(tmp_path, monkeypatch):

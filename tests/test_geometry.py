@@ -606,6 +606,21 @@ class TestSampling:
         )
         assert np.mean(r <= 1.0) == pytest.approx(oracle, abs=0.01)
 
+    @pytest.mark.parametrize("m, rho", [(13, 59.0), (13, 70.0), (7, 120.0), (3, 356.0)])
+    def test_radius_median_where_the_density_overflows(self, m, rho):
+        # sinh(rho)^(m-1) passes the largest double from (m-1) log sinh(rho)
+        # ~ 709 on, just above rho = 59 at m = 13; there every radius was NaN
+        import mpmath as mp
+
+        r = np.linalg.norm(sample_ball(m, rho, 20_001, np.random.default_rng(0)), axis=1)
+        assert np.all((r >= 0.0) & (r <= rho))
+        # the radius holding half of the mass of sinh^(m-1) on [0, rho]
+        density = lambda s: mp.sinh(s) ** (m - 1)
+        half = mp.quad(density, [0, rho - 20, rho]) / 2
+        median = mp.findroot(lambda s: mp.quad(density, [s, rho]) / half - 1, rho - mp.log(2) / (m - 1))
+        # the radii spread over about 1/(m-1) below rho
+        assert abs(np.median(r) - float(median)) < 0.05 / (m - 1)
+
 
 @settings(max_examples=50, deadline=None)
 @given(

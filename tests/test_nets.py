@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+import hypack.geometry
 import hypack.search
 from conftest import random_point, random_unit, time_limit
 from hypack.geometry import HPoint, NumericRangeError, PolarBatch, distance, sample_ball
@@ -21,7 +22,7 @@ from hypack.nets import (
     transport_net,
     verify_cover,
 )
-from hypack.search import _AUGMENT_BLOCK_ROWS, augment_map
+from hypack.search import augment_map
 from oracle_utils import brute_lattice_points, per_point_augmented, per_point_transport
 
 
@@ -275,7 +276,7 @@ class TestBatchedTransport:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_augmented_blocks_match_oracle(self, offset):
         tmpl = build_reference_net(1.0, 0.5, 2)
-        block = _AUGMENT_BLOCK_ROWS // tmpl.l
+        block = hypack.geometry._BLOCK_ELEMENTS // (tmpl.l * 3)  # l*(m+1) elements per basepoint
         pts = _basepoints(np.random.default_rng(2), 2, block + offset)
         F = poincare_inclusion(2)
         assert np.array_equal(augment_map(F, tmpl).batch(pts), per_point_augmented(F, tmpl, pts))
@@ -283,7 +284,7 @@ class TestBatchedTransport:
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_one_transport_call_per_block(self, monkeypatch, n):
         tmpl = build_reference_net(1.0, 0.5, 2)
-        block = _AUGMENT_BLOCK_ROWS // tmpl.l
+        block = hypack.geometry._BLOCK_ELEMENTS // (tmpl.l * 3)  # l*(m+1) elements per basepoint
         N = (n - 1) * block + 1
         calls = _count_transport_calls(monkeypatch)
         augment_map(poincare_inclusion(2), tmpl).batch(_basepoints(np.random.default_rng(3), 2, N))
@@ -292,7 +293,7 @@ class TestBatchedTransport:
 
     def test_block_holds_one_basepoint_when_the_net_exceeds_the_budget(self, monkeypatch):
         tmpl = build_reference_net(1.0, 0.5, 2)
-        monkeypatch.setattr(hypack.search, "_AUGMENT_BLOCK_ROWS", tmpl.l - 1)
+        monkeypatch.setattr(hypack.geometry, "_BLOCK_ELEMENTS", tmpl.l * 3 - 1)
         calls = _count_transport_calls(monkeypatch)
         pts = _basepoints(np.random.default_rng(4), 2, 4)
         F = poincare_inclusion(2)
@@ -327,6 +328,20 @@ class TestVerifyCover:
     def test_samples_precondition(self, net_2d):
         with pytest.raises(ValueError):
             verify_cover(net_2d, HPoint.origin(2), samples=0)
+
+    def test_memory_is_bounded_in_the_net_size(self):
+        # the Busemann m = 3 certificate net has l = 2,103 points; measuring
+        # 4,096 samples at a time against it peaked at 264 MB
+        F = busemann_map([ideal_point(d) for d in np.eye(3)])
+        tmpl = hypack.search.certificate_net(F, 1.0, 0.5)
+        tracemalloc.start()
+        try:
+            rep = verify_cover(tmpl, HPoint.origin(3), samples=20_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ok
+        assert peak < 32e6
 
 
 class TestSerialization:

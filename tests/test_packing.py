@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import time_limit
+import hypack.geometry
 import hypack.packing
 from hypack.geometry import HPoint, NumericRangeError, dist_given_q, distance, exp_rows
 from hypack.packing import (
@@ -174,7 +175,7 @@ class TestGenerateCenters:
     def test_blocked_rows_equal_one_exp_call(self, block):
         # the rows are made in blocks; each has the bits of one exp_rows call
         # over the whole family
-        with mock.patch.object(hypack.packing, "_CENTER_BLOCK_ELEMENTS", block):
+        with mock.patch.object(hypack.geometry, "_BLOCK_ELEMENTS", block):
             fam = generate_centers(1.0, 20.0, 13, cap=5_000)
         rho, theta = fam.center_radius, 2.0 * fam.indices * fam.alpha
         vecs = np.zeros((len(fam), 14))

@@ -19,6 +19,7 @@ from oracle_utils import (
     loop_best_window,
     loop_separated_subfamily,
 )
+import hypack.geometry
 import hypack.search
 from hypack.geometry import HPoint, HTangent, PolarBatch, distance, exp_map, sample_ball, transport_frame
 from hypack.maps import LipschitzMapHandle, busemann_map, ideal_point, poincare_inclusion
@@ -586,7 +587,7 @@ class TestTreeDistances:
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
     def test_best_window_equals_one_window_at_a_time(self, chunk):
         rng = np.random.default_rng(chunk)
-        with mock.patch.object(hypack.search, "_RECHECK_ELEMENTS", chunk):
+        with mock.patch.object(hypack.geometry, "_BLOCK_ELEMENTS", chunk):
             for _ in range(40):
                 count, k = int(rng.integers(2, 30)), int(rng.integers(2, 6))
                 k = min(k, count)
@@ -653,7 +654,7 @@ class TestPigeonholeScans:
         X, sep, chunk, blocks = case
         sel, kept = loop_separated_subfamily(X, sep)
         keys = prefilter_keys(X, blocks)
-        with mock.patch.object(hypack.search, "_RECHECK_ELEMENTS", chunk):
+        with mock.patch.object(hypack.geometry, "_BLOCK_ELEMENTS", chunk):
             sf = greedy_separated_subfamily(X, sep, keys)
             assert sf.selected.dtype == sel.dtype
             assert np.array_equal(sf.selected, sel)
@@ -674,7 +675,7 @@ class TestPigeonholeScans:
         if sel.size == 0:
             sel = np.array([int(rng.integers(0, len(X)))])
         fam = SeparatedFamily(selected=sel, separation=sep)
-        with mock.patch.object(hypack.search, "_RECHECK_ELEMENTS", chunk):
+        with mock.patch.object(hypack.geometry, "_BLOCK_ELEMENTS", chunk):
             if not full_cdist_verify(sel, X[sel], sep, X, 1e-12):
                 with pytest.raises(AssertionError, match="separation|maximality"):
                     theta_assignment(fam, X, keys)
@@ -747,7 +748,7 @@ class TestPigeonholeScans:
         keys = prefilter_keys(X)
         assert keys.rounding == 0.0 and np.shares_memory(keys.keys, X)
         assert np.array_equal(keys.keys, X[:, :3])
-        assert keys.reach(0.5) == 0.5 * (1.0 + hypack.search._TREE_SLACK)
+        assert keys.reach(0.5) == 0.5 * (1.0 + hypack.search._CDIST_SLACK)
         with pytest.raises(ValueError, match="multiple of 3 blocks"):
             prefilter_keys(X, 3)
 
@@ -779,7 +780,7 @@ class TestPigeonholeScans:
         a = np.repeat(np.arange(9), 9)
         b = np.tile(np.arange(9), 9)
         for chunk in (1, 1 << 16):
-            with mock.patch.object(hypack.search, "_RECHECK_ELEMENTS", chunk):
+            with mock.patch.object(hypack.geometry, "_BLOCK_ELEMENTS", chunk):
                 assert np.array_equal(_pair_cdist(A, a, B, b), cdist(A, B).ravel())
 
     def test_wide_clustered_family_is_fast(self):
