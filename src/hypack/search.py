@@ -37,7 +37,6 @@ from hypack.packing import CAP_MAX, generate_centers, min_lag_distance, packing_
 __all__ = [
     "BunchedConfiguration",
     "Certificate",
-    "PrefilterKeys",
     "SAMPLES_MAX",
     "ScheduleExhausted",
     "SearchParams",
@@ -55,7 +54,6 @@ __all__ = [
     "find_bunched_configuration",
     "greedy_separated_subfamily",
     "hausdorff_distance_estimate",
-    "prefilter_keys",
     "theta_assignment",
 ]
 
@@ -175,16 +173,14 @@ class SearchParams:
             )
 
 
-def _certificate_net_args(F: LipschitzMapHandle, r: float, epsilon: float) -> tuple:
-    """(rho, delta, m) of the certificate net: delta = epsilon/(2L), so the net
-    slack L*delta of conclusion (iii) is epsilon/2."""
-    return r, epsilon / (2.0 * F.L), F.m
-
-
 def certificate_net(F: LipschitzMapHandle, r: float, epsilon: float) -> NetTemplate:
     """The reference net of the certificate: radius r, spacing delta = epsilon/(2L),
-    so the net slack L*delta of conclusion (iii) is epsilon/2."""
-    return build_reference_net(*_certificate_net_args(F, r, epsilon))
+    so the net slack L*delta of conclusion (iii) is epsilon/2.  A net whose
+    size bound is too large is refused (:func:`hypack.nets.check_net_size`)
+    before the build is called."""
+    args = r, epsilon / (2.0 * F.L), F.m
+    check_net_size(*args)
+    return build_reference_net(*args)
 
 
 #: Relative slack of every prefilter bound below: it covers cdist's rounding
@@ -201,62 +197,8 @@ def _gamma(k: int) -> float:
     return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
 
 
-#: Leading columns of the block sum that the pigeonhole scans bucket in
-#: :class:`_CellGrid` (see :func:`prefilter_keys`).
+#: Leading columns of the block sum that :class:`_CellGrid` buckets.
 _PREFILTER_COLUMNS = 3
-
-
-@dataclass(frozen=True)
-class PrefilterKeys:
-    """Neighbour-index keys of image rows, and the reach that keeps them an
-    exact prefilter.
-
-    For images made of l blocks of n columns, the key of a row x is the
-    leading min(_PREFILTER_COLUMNS, n) columns of the scaled block sum
-    S(x) = l^(-1/2) (x_1 + ... + x_l).  S has orthonormal rows, so
-    |S(x) - S(y)| <= |x - y|: a pair that cdist puts below a limit is closer
-    than that limit in exact arithmetic, up to cdist's own rounding, and so
-    are its exact keys.  ``rounding`` bounds how far the computed keys of
-    two rows can move their distance (see :func:`prefilter_keys`); a plain
-    map (l = 1) has its leading columns as keys, exact, and a zero term.
-    """
-
-    keys: np.ndarray
-    rounding: float
-
-    def reach(self, limit: float) -> float:
-        """A key distance that every pair cdist puts below `limit` keeps in
-        exact arithmetic: _CDIST_SLACK covers cdist's rounding, `rounding`
-        the rounding of the keys themselves."""
-        return limit * (1.0 + _CDIST_SLACK) + self.rounding
-
-
-def prefilter_keys(images: np.ndarray, blocks: int = 1) -> PrefilterKeys:
-    """The prefilter keys of image rows made of `blocks` blocks of equal width.
-
-    With l = `blocks` and M = max |x| over the images, each computed key
-    coordinate is l^(-1/2)(1 + theta_3) times the computed block sum, which
-    is off the exact sum by at most gamma_(l-1) (|x_1| + ... + |x_l|) <=
-    gamma_(l-1) l M in any summation order (gamma_k = k u / (1 - k u), u the
-    unit roundoff); so it is off the exact S by at most sqrt(l) M
-    gamma_(l+2).  Two rows' computed keys of w coordinates are then off by at
-    most 2 sqrt(w l) M gamma_(l+2) in distance.  That bound, widened by
-    _CDIST_SLACK for its own evaluation, is ``rounding``.  The keys of one
-    block are its leading columns, a view, with no rounding.
-    """
-    rows, width = images.shape
-    if blocks < 1 or width % blocks:
-        raise ValueError(f"prefilter_keys: width {width} is not a multiple of {blocks} blocks")
-    n = width // blocks
-    w = min(_PREFILTER_COLUMNS, n)
-    if blocks == 1:
-        return PrefilterKeys(keys=images[:, :w], rounding=0.0)
-    keys = images.reshape(rows, blocks, n)[:, :, :w].sum(axis=1)
-    keys *= 1.0 / math.sqrt(blocks)
-    bound = max(images.max(), -images.min())  # no |images| temporary
-    rounding = (1.0 + _CDIST_SLACK) * 2.0 * math.sqrt(w * blocks) * float(bound) * _gamma(blocks + 2)
-    return PrefilterKeys(keys=keys, rounding=rounding)
-
 
 #: Largest cell code of a :class:`_CellGrid`; codes and their neighbour
 #: offsets then stay inside int64.
@@ -264,17 +206,33 @@ _CODE_MAX = 2**62
 
 
 class _CellGrid:
-    """A fixed-radius neighbour index over prefilter keys (a cell list:
-    Bentley, Stanat and Williams, IPL 1977).
+    """A fixed-radius neighbour index over image rows (a cell list:
+    Bentley, Stanat and Williams, IPL 1977) that lists every pair cdist
+    puts below `limit`.
+
+    The key of a row x made of l = `blocks` blocks of n columns is the
+    leading w = min(_PREFILTER_COLUMNS, n) columns of the scaled block sum
+    S(x) = l^(-1/2) (x_1 + ... + x_l).  S has orthonormal rows, so
+    |S(x) - S(y)| <= |x - y|: a pair that cdist puts below `limit` is within
+    ``reach`` = limit (1 + _CDIST_SLACK) + ``rounding`` in the computed keys.
+    _CDIST_SLACK covers cdist's rounding; ``rounding`` that of the keys:
+
+    - With M = max |x| over the images, each computed key coordinate is
+      l^(-1/2)(1 + theta_3) times the computed block sum, which is off the
+      exact sum by at most gamma_(l-1) (|x_1| + ... + |x_l|) <=
+      gamma_(l-1) l M in any summation order (gamma_k = k u / (1 - k u), u
+      the unit roundoff); so it is off the exact S by at most
+      sqrt(l) M gamma_(l+2).  Two rows' computed keys are then off by at
+      most 2 sqrt(w l) M gamma_(l+2) in distance.  That bound, widened by
+      _CDIST_SLACK for its own evaluation, is ``rounding``.
+    - The keys of one block are its leading columns, a view of the images,
+      with no rounding.
 
     Every key row is bucketed in an axis cube of side s; a query row's
     neighbours are the indexed rows of the 3^w cubes around its own.  With
-    s = (reach + 2^-50 D)(1 + 2^-50), D the largest column span of the keys
-    and reach = keys.reach(limit), that lists every pair that cdist puts
-    below `limit`:
+    s = (reach + 2^-50 D)(1 + 2^-50), D the largest column span of the keys,
+    that lists every pair within reach:
 
-    - Such a pair is within reach in every key column, in exact arithmetic
-      (:class:`PrefilterKeys`).
     - A row's cube coordinate is floor(fl(fl(x - lo) / s)), lo the column
       minimum.  Two roundings of relative size u put the computed quotient
       within gamma_2 D / s of (x - lo) / s, so the quotients of a pair within
@@ -294,15 +252,29 @@ class _CellGrid:
       and every larger one at least 2; if they still could, they are divided
       by a power of two, which keeps neighbours neighbours.
 
-    The grid spans every row of `keys`, queries included, so a query row
-    outside the indexed rows' box simply finds no cube.
+    The grid spans every image row, queries included, so a query row
+    outside the indexed rows' box simply finds no cube.  A grid built for
+    `limit` serves every smaller limit as well.
     """
 
-    def __init__(self, keys: PrefilterKeys, limit: float):
-        K = keys.keys
+    def __init__(self, images: np.ndarray, limit: float, blocks: int = 1):
+        rows, width = images.shape
+        if blocks < 1 or width % blocks:
+            raise ValueError(f"_CellGrid: width {width} is not a multiple of {blocks} blocks")
+        n = width // blocks
+        w = min(_PREFILTER_COLUMNS, n)
+        if blocks == 1:
+            K, self.rounding = images[:, :w], 0.0
+        else:
+            K = images.reshape(rows, blocks, n)[:, :, :w].sum(axis=1)
+            K *= 1.0 / math.sqrt(blocks)
+            bound = max(images.max(), -images.min())  # no |images| temporary
+            self.rounding = (1.0 + _CDIST_SLACK) * 2.0 * math.sqrt(w * blocks) * float(bound) * _gamma(blocks + 2)
+        self.images, self.keys, self.limit = images, K, limit
+        self.reach = limit * (1.0 + _CDIST_SLACK) + self.rounding
         lo = K.min(axis=0)
         span = float(np.max(K.max(axis=0) - lo))
-        side = (max(keys.reach(limit), 0.0) + span * 2.0**-50) * (1.0 + 2.0**-50)
+        side = (max(self.reach, 0.0) + span * 2.0**-50) * (1.0 + 2.0**-50)
         if 0.0 < side < math.inf:
             cells = np.floor((K - lo) / side).astype(np.int64)
         else:  # unbounded keys or an empty reach: one cube holds every row
@@ -331,6 +303,16 @@ class _CellGrid:
         count = count.reshape(needles.shape).T
         indptr = np.concatenate(([0], np.cumsum(count.sum(axis=1))))
         return cell, indptr, order[_ranges(first, count.ravel())]
+
+
+def _grid_for(images: np.ndarray, limit: float, grid: _CellGrid | None, name: str) -> _CellGrid:
+    """`grid`, or a one-block grid over `images` for `limit` if it is None;
+    ValueError for a grid over other images or for a smaller limit."""
+    if grid is None:
+        return _CellGrid(images, limit)
+    if grid.images is not images or not grid.limit >= limit:
+        raise ValueError(f"{name}: the grid must be built over these images for a limit of at least {limit}")
+    return grid
 
 
 def _renumber(cells: np.ndarray) -> np.ndarray:
@@ -364,9 +346,9 @@ def _pair_cdist(A: np.ndarray, a: np.ndarray, B: np.ndarray, b: np.ndarray) -> n
     return np.sqrt(out)
 
 
-def _close_pairs(images: np.ndarray, grid: _CellGrid, a: np.ndarray, b: np.ndarray, limit: float):
-    """(t, u, d) for every pair of images[a[t]] and images[b[u]] that cdist
-    puts below `limit`, with d the cdist value.
+def _close_pairs(grid: _CellGrid, a: np.ndarray, b: np.ndarray, limit: float):
+    """(t, u, d) for every pair of the grid's images[a[t]] and images[b[u]]
+    that cdist puts below `limit`, with d the cdist value.
 
     Exact: `grid`, built for a limit of at least `limit`, lists every such
     pair among the rows of the cubes around each images[a[t]], and the
@@ -376,23 +358,21 @@ def _close_pairs(images: np.ndarray, grid: _CellGrid, a: np.ndarray, b: np.ndarr
     count = indptr[cell + 1] - indptr[cell]
     t = np.repeat(np.arange(len(a)), count)
     u = rows[_ranges(indptr[cell], count)]
-    d = _pair_cdist(images, a[t], images, b[u])
+    d = _pair_cdist(grid.images, a[t], grid.images, b[u])
     below = d < limit
     return t[below], u[below], d[below]
 
 
-def _nearest_below(
-    images: np.ndarray, grid: _CellGrid, a: np.ndarray, b: np.ndarray, limit: float
-) -> np.ndarray:
-    """Position in `b` of the image nearest to each images[a[t]] under cdist,
-    the lowest position on ties; -1 where no image of `b` is closer than
-    `limit`.
+def _nearest_below(grid: _CellGrid, a: np.ndarray, b: np.ndarray, limit: float) -> np.ndarray:
+    """Position in `b` of the image nearest to each of the grid's
+    images[a[t]] under cdist, the lowest position on ties; -1 where no image
+    of `b` is closer than `limit`.
 
     Equals np.argmin(cdist(images[a], images[b]), axis=1) wherever that
     minimum is below `limit`, since :func:`_close_pairs` lists every such
     pair.
     """
-    t, u, d = _close_pairs(images, grid, a, b, limit)
+    t, u, d = _close_pairs(grid, a, b, limit)
     best = np.full(len(a), np.inf)
     np.minimum.at(best, t, d)
     tied = d == best[t]
@@ -417,9 +397,7 @@ class SeparatedFamily:
     separation: float
 
 
-def greedy_separated_subfamily(
-    images, sep: float, keys: PrefilterKeys | None = None
-) -> SeparatedFamily:
+def greedy_separated_subfamily(images, sep: float, grid: _CellGrid | None = None) -> SeparatedFamily:
     """Scan in index order; keep a center iff its image clears all kept images.
 
     The output satisfies separation by the acceptance test and maximality
@@ -430,12 +408,13 @@ def greedy_separated_subfamily(
     image against every kept one, each kept image rejects the later images
     close to it, so only close pairs are ever measured:
 
-    - A pair that close in full is within keys.reach(sep) in the prefilter
-      keys (:func:`prefilter_keys`; `keys` defaults to those of one block,
-      the leading columns), so it lies in neighbouring cubes of one
-      :class:`_CellGrid`, whose per-cube lists of neighbour rows are built
-      once.
-    - Each candidate is rechecked with the scan's own predicate.
+    - A pair that close in full lies in neighbouring cubes of `grid`, a
+      :class:`_CellGrid` over `images` for a limit of at least `sep` (by
+      default a one-block grid for `sep`, keyed by the leading columns),
+      whose per-cube lists of neighbour rows are built once.  A grid over
+      other images or for a smaller limit is refused (ValueError).
+    - Each candidate is rechecked with the scan's own predicate, so a grid
+      built for a larger limit only lists more candidates.
       np.linalg.norm(..., axis=1) reduces every row by itself, so a row has
       the same bits in any number of rows.
     - Images alone in their 3^w cubes are kept without a look: nothing is
@@ -449,9 +428,9 @@ def greedy_separated_subfamily(
         raise ValueError("greedy_separated_subfamily: images must be a non-empty finite 2-d array")
     if sep <= 0.0:
         raise ValueError("greedy_separated_subfamily: sep must be > 0")
-    keys = prefilter_keys(images) if keys is None else keys
+    grid = _grid_for(images, sep, grid, "greedy_separated_subfamily")
     every = np.arange(len(images))
-    cell, indptr, rows = _CellGrid(keys, sep).neighbours(every, every)
+    cell, indptr, rows = grid.neighbours(every, every)
     first, stop = indptr[cell], indptr[cell + 1]
     rejected = np.zeros(len(images), dtype=bool)
     for i in np.flatnonzero(stop - first > 1).tolist():
@@ -496,17 +475,16 @@ class ThetaFibers:
         return anchor, self.fibers[anchor]
 
 
-def theta_assignment(
-    fam: SeparatedFamily, images, keys: PrefilterKeys | None = None
-) -> ThetaFibers:
+def theta_assignment(fam: SeparatedFamily, images, grid: _CellGrid | None = None) -> ThetaFibers:
     """Map every non-selected image row to the nearest selected image.
 
     Ties break toward the lowest selected index.  This is also the one check
     of the family, decided as by the full cdist scans; AssertionError names
-    the property that fails.  Both checks list their candidates in one
-    :class:`_CellGrid` over the prefilter keys (:func:`prefilter_keys`;
-    `keys` defaults to those of one block, the leading columns), built for
-    the larger of their two limits:
+    the property that fails.  Both checks list their candidates in `grid`, a
+    :class:`_CellGrid` over `images` for a limit of at least the larger of
+    their two limits, separation + 1e-12 (by default a one-block grid for
+    it, keyed by the leading columns; a grid over other images or for a
+    smaller limit is refused with ValueError):
 
     - separation: no two selected images closer than separation - 1e-12
       under cdist.  Every such pair lies in neighbouring cubes of the grid,
@@ -519,10 +497,9 @@ def theta_assignment(
       so only close pairs are measured.
     """
     images = np.asarray(images, dtype=float)
-    keys = prefilter_keys(images) if keys is None else keys
+    grid = _grid_for(images, fam.separation + 1e-12, grid, "theta_assignment")
     sel = fam.selected
-    grid = _CellGrid(keys, fam.separation + 1e-12)
-    t, u, _ = _close_pairs(images, grid, sel, sel, fam.separation - 1e-12)
+    t, u, _ = _close_pairs(grid, sel, sel, fam.separation - 1e-12)
     if np.any(t != u):
         raise AssertionError("theta_assignment: separation violated")
     mask = np.ones(len(images), dtype=bool)
@@ -531,7 +508,7 @@ def theta_assignment(
     fibers: dict[int, list[int]] = {}
     if leftovers.size == 0:
         return ThetaFibers(fibers)
-    nearest = _nearest_below(images, grid, leftovers, sel, fam.separation + 1e-12)
+    nearest = _nearest_below(grid, leftovers, sel, fam.separation + 1e-12)
     if np.any(nearest < 0):
         raise AssertionError("theta_assignment: maximality violated")
     for pos, anchor in zip(leftovers.tolist(), sel[nearest].tolist()):
@@ -601,15 +578,17 @@ def _best_window(members: list[int], imgs: np.ndarray, k: int) -> tuple[list[int
     """k consecutive fiber members minimizing their image diameter, the
     largest cdist value over the window's pairs (the first window on ties).
 
-    The pairs of a block of windows are measured in one :func:`_pair_cdist`
-    call, so its index arrays stay within the budget of
-    :func:`hypack.geometry._row_blocks`."""
-    i, j = np.triu_indices(k, 1)
-    diam = np.empty(len(members) - k + 1)
-    for part in _row_blocks(len(diam), len(i)):
-        s = np.arange(len(diam))[part, None]
-        pair = _pair_cdist(imgs, (s + i).ravel(), imgs, (s + j).ravel())
-        diam[part] = pair.reshape(len(s), len(i)).max(axis=1)
+    The diameters of all windows of width w follow from those of width
+    w - 1: diam_w(s) = max(diam_(w-1)(s), diam_(w-1)(s + 1),
+    cdist(s, s + w - 1)), since the pairs of a window are those of its two
+    sub-windows and its two ends.  Each diameter is thus the max of the same
+    cdist values, from k - 1 :func:`_pair_cdist` passes over the members:
+    O(len(members) k) time and O(len(members)) memory."""
+    every = np.arange(len(members))
+    diam = np.zeros(len(members))
+    for w in range(2, k + 1):
+        ends = _pair_cdist(imgs, every[: len(diam) - 1], imgs, every[w - 1 :])
+        diam = np.maximum(np.maximum(diam[:-1], diam[1:]), ends)
     s = int(np.argmin(diam))
     return members[s : s + k], float(diam[s])
 
@@ -634,12 +613,12 @@ def find_bunched_configuration(
       augmented over the net (:func:`augment_map`), whose pigeonhole
       guarantees (iii) as R grows (the paper's construction).
 
-    Before any rung, a Hausdorff search refuses a net whose size bound is
-    too large (:func:`hypack.nets.check_net_size`), and then every search
-    refuses a first rung beyond the representable radius
-    (:meth:`SearchParams.check_first_rung`).  Each rung computes the
-    prefilter keys of its images once (:func:`prefilter_keys`, one block
-    per net point on the augmented ladder) for both pigeonhole scans.
+    Before any rung, a Hausdorff search builds its net, which refuses a
+    net whose size bound is too large, and then every search refuses a
+    first rung beyond the representable radius
+    (:meth:`SearchParams.check_first_rung`).  Each rung builds one
+    :class:`_CellGrid` over its images (one block per net point on the
+    augmented ladder) for both pigeonhole scans.
 
     Returns the k members (the consecutive-in-index window of the largest
     fiber with the smallest image spread) together with the fiber's
@@ -655,10 +634,8 @@ def find_bunched_configuration(
         Hausdorff ladder the bound of (iii)); for a Hausdorff search, with
         the diagnostics of both ladders.
     """
-    if params.hausdorff:  # the bound check and the augmented map need the net
-        check_net_size(*_certificate_net_args(F, params.r, params.epsilon))
-    params.check_first_rung()
     net = certificate_net(F, params.r, params.epsilon) if params.hausdorff else None
+    params.check_first_rung()
     diagnostics: list[dict] = []
     for augmented in (False,) if net is None else (False, True):
         cfg = _walk_ladder(F, params, net, augmented, max_image_diameter, diagnostics)
@@ -682,9 +659,12 @@ def _walk_ladder(
     """One R ladder of the pigeonhole, on F itself (the "plain" ladder) or,
     if `augmented`, on F augmented over `net`; None if it is exhausted.
 
-    The augmented ladder's volume bound uses the affine growth
-    sqrt(l) L (R + 2 rho) of the concatenated image, and its images are
-    keyed in one block per net point.  On the plain ladder of a search with
+    Each rung builds one :class:`_CellGrid` over its images for the
+    limit sep + 1e-12 of :func:`theta_assignment` and hands it to both
+    scans; the greedy rechecks its candidates against sep itself.  The
+    augmented ladder's volume bound uses the affine growth
+    sqrt(l) L (R + 2 rho) of the concatenated image, and its grid keys
+    one block per net point.  On the plain ladder of a search with
     a `net`, a window is accepted only when :func:`_hausdorff_bound` of its
     centers is at most epsilon.  Appends one entry per rung to
     `diagnostics`.
@@ -698,14 +678,14 @@ def _walk_ladder(
     for R in params.R_schedule:
         fam = generate_centers(params.C, R, F.m, params.cap)
         images = eff_F.batch(fam.centers)
-        keys = prefilter_keys(images, blocks)
-        sf = greedy_separated_subfamily(images, sep, keys)
+        grid = _CellGrid(images, sep + 1e-12, blocks)
+        sf = greedy_separated_subfamily(images, sep, grid)
         bound = counting_upper_bound(R + 2.0 * rho, params.C, bound_L, eff_F.n)
         if len(sf.selected) > bound:
             raise AssertionError(
                 f"volume bound violated: {len(sf.selected)} selected > {bound}"
             )
-        fibers = theta_assignment(sf, images, keys)
+        fibers = theta_assignment(sf, images, grid)
         anchor, members = fibers.largest
         entry = {
             "R": R,
@@ -876,18 +856,27 @@ def _set_distance_max(clouds: list[np.ndarray]) -> float:
     equal to the full-cdist minima bit for bit (:func:`_closest_pair`).
 
     A pair's minimum is at most the cdist value of its two last rows (the
-    certifier puts each ball's center image last).  The pairs are visited
-    in decreasing order of that bound, and once it is no larger than the
-    running maximum, no pair left can raise it.
+    certifier puts each ball's center image last).  The pairs (i, j) are
+    taken in blocks of rows i (:func:`hypack.geometry._row_blocks`, k pairs
+    a row, one block for k <= 256 clouds).  Within a block only the pairs
+    whose bound exceeds the running maximum are visited, in decreasing
+    order of that bound: once it is no larger than the running maximum, no
+    pair left in the block can raise it.  The result is a max of exact
+    minima, so the order does not move its bits.
     """
+    k = len(clouds)
     last = np.array([c[-1] for c in clouds])
-    i, j = np.triu_indices(len(clouds), 1)
-    bound = _pair_cdist(last, i, last, j)
     worst = 0.0
-    for p in np.argsort(-bound, kind="stable").tolist():
-        if bound[p] <= worst:
-            break
-        worst = max(worst, _closest_pair(clouds[i[p]], clouds[j[p]], float(bound[p])))
+    for part in _row_blocks(k, k):
+        rows = np.arange(k)[part]
+        count = k - 1 - rows
+        i, j = np.repeat(rows, count), _ranges(rows + 1, count)
+        bound = _pair_cdist(last, i, last, j)
+        above = np.flatnonzero(bound > worst)
+        for p in above[np.argsort(-bound[above], kind="stable")].tolist():
+            if bound[p] <= worst:
+                break
+            worst = max(worst, _closest_pair(clouds[i[p]], clouds[j[p]], float(bound[p])))
     return worst
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -46,7 +47,6 @@ from hypack.search import (
     find_bunched_configuration,
     greedy_separated_subfamily,
     hausdorff_distance_estimate,
-    prefilter_keys,
     theta_assignment,
 )
 
@@ -575,14 +575,17 @@ class TestTreeDistances:
                 assert hausdorff_distance_estimate(A, B) == brute_hausdorff(A, B)
 
     def test_clouds_whose_last_rows_are_not_closest(self):
-        # the last rows bound a pair's minimum only from above
+        # the last rows bound a pair's minimum only from above; a small budget
+        # puts the cloud pairs in several blocks of rows
         rng = np.random.default_rng(9)
         for _ in range(50):
             clouds = [rng.standard_normal((int(rng.integers(1, 40)), 3)) + 3.0 * rng.standard_normal(3)
                       for _ in range(int(rng.integers(2, 6)))]
             for c in clouds:
                 c[-1] = 20.0 * rng.standard_normal(3)
-            assert _set_distance_max(clouds) == brute_set_distance_max(clouds)
+            for chunk in (1, 7, 1 << 16):
+                with mock.patch.object(hypack.geometry, "_BLOCK_ELEMENTS", chunk):
+                    assert _set_distance_max(clouds) == brute_set_distance_max(clouds)
 
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
     def test_best_window_equals_one_window_at_a_time(self, chunk):
@@ -594,6 +597,36 @@ class TestTreeDistances:
                 imgs = 0.5 * rng.integers(0, 3, (count, 3)).astype(float)  # tied diameters
                 members = sorted(rng.choice(1000, count, replace=False).tolist())
                 assert _best_window(members, imgs, k) == loop_best_window(members, imgs, k)
+
+    def test_best_window_of_a_wide_fiber_is_fast(self):
+        # 2,000 members on a line in increasing order: a window's diameter is
+        # the gap between its ends; a scan of all pairs of every window of
+        # 1,000 takes minutes
+        rng = np.random.default_rng(11)
+        x = np.cumsum(rng.integers(1, 4, 2000)).astype(float)
+        k = 1000
+        members = list(range(5000, 7000))
+        with time_limit(10.0):
+            chosen, diam = _best_window(members, x[:, None], k)
+        gaps = x[k - 1 :] - x[: len(x) - k + 1]
+        s = int(np.argmin(gaps))  # the first on ties
+        assert chosen == members[s : s + k]
+        assert diam == gaps[s]
+
+    def test_set_distance_memory_is_bounded_in_the_cloud_count(self):
+        # 3,000 one-point clouds: 4.5 million cloud pairs, whose bounds and
+        # their order held 309 MB at once
+        P = np.random.default_rng(12).standard_normal((3000, 2))
+        expected = float(cdist(P, P).max())
+        clouds = [p[None, :] for p in P]
+        tracemalloc.start()
+        try:
+            got = _set_distance_max(clouds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        assert peak < 32e6
 
 
 @st.composite
@@ -653,14 +686,15 @@ class TestPigeonholeScans:
     def test_equal_to_full_scans(self, case):
         X, sep, chunk, blocks = case
         sel, kept = loop_separated_subfamily(X, sep)
-        keys = prefilter_keys(X, blocks)
+        grid = _CellGrid(X, sep + 1e-12, blocks)  # the search's one grid per rung
         with mock.patch.object(hypack.geometry, "_BLOCK_ELEMENTS", chunk):
-            sf = greedy_separated_subfamily(X, sep, keys)
-            assert sf.selected.dtype == sel.dtype
-            assert np.array_equal(sf.selected, sel)
-            assert np.array_equal(X[sf.selected], kept)
+            for greedy_grid in (_CellGrid(X, sep, blocks), grid):
+                sf = greedy_separated_subfamily(X, sep, greedy_grid)
+                assert sf.selected.dtype == sel.dtype
+                assert np.array_equal(sf.selected, sel)
+                assert np.array_equal(X[sf.selected], kept)
             assert full_cdist_verify(sel, kept, sep, X)
-            fib = theta_assignment(sf, X, keys)
+            fib = theta_assignment(sf, X, grid)
         fibers = full_cdist_theta(len(X), sel, kept, X, sep)
         assert fib.fibers == fibers and list(fib.fibers) == list(fibers)
 
@@ -669,7 +703,7 @@ class TestPigeonholeScans:
     def test_hand_built_families(self, case, pick):
         # arbitrary subsets: the assignment must fail exactly where the full scans fail
         X, sep, chunk, blocks = case
-        keys = prefilter_keys(X, blocks)
+        grid = _CellGrid(X, sep + 1e-12, blocks)
         rng = np.random.default_rng(pick)
         sel = np.flatnonzero(rng.random(len(X)) < 0.5)
         if sel.size == 0:
@@ -678,10 +712,10 @@ class TestPigeonholeScans:
         with mock.patch.object(hypack.geometry, "_BLOCK_ELEMENTS", chunk):
             if not full_cdist_verify(sel, X[sel], sep, X, 1e-12):
                 with pytest.raises(AssertionError, match="separation|maximality"):
-                    theta_assignment(fam, X, keys)
+                    theta_assignment(fam, X, grid)
                 return
             expected = full_cdist_theta(len(X), sel, X[sel], X, sep)
-            fib = theta_assignment(fam, X, keys)
+            fib = theta_assignment(fam, X, grid)
         assert fib.fibers == expected and list(fib.fibers) == list(expected)
 
     def test_equidistant_leftover_goes_to_the_lowest_anchor(self):
@@ -719,12 +753,13 @@ class TestPigeonholeScans:
             X = np.tile(Y, (1, blocks)) + 1e6
             i, j = rng.choice(len(X), 2, replace=False)
             exact = float(np.linalg.norm(X[i] - X[j]))
-            keys = prefilter_keys(X, blocks)
             for sep in (exact, float(np.nextafter(exact, np.inf))):
                 sel, kept = loop_separated_subfamily(X, sep)
-                sf = greedy_separated_subfamily(X, sep, keys)
-                assert np.array_equal(sf.selected, sel)
-                fib = theta_assignment(sf, X, keys)
+                grid = _CellGrid(X, sep + 1e-12, blocks)
+                for greedy_grid in (_CellGrid(X, sep, blocks), grid):
+                    sf = greedy_separated_subfamily(X, sep, greedy_grid)
+                    assert np.array_equal(sf.selected, sel)
+                fib = theta_assignment(sf, X, grid)
                 fibers = full_cdist_theta(len(X), sel, kept, X, sep)
                 assert fib.fibers == fibers and list(fib.fibers) == list(fibers)
 
@@ -733,44 +768,62 @@ class TestPigeonholeScans:
         # computed keys against 50-digit block sums, offsets of mixed sign and size
         rng = np.random.default_rng(blocks)
         X = rng.standard_normal((4, 3 * blocks)) * 10.0 ** rng.integers(-2, 7, (4, 3 * blocks))
-        keys = prefilter_keys(X, blocks)
+        grid = _CellGrid(X, 1.0, blocks)
         with mpmath.workdps(50):
             scale = 1 / mpmath.sqrt(blocks)
             worst = max(
-                abs(mpmath.mpf(float(keys.keys[r, c])) - scale * mpmath.fsum(X[r, c::3].tolist()))
+                abs(mpmath.mpf(float(grid.keys[r, c])) - scale * mpmath.fsum(X[r, c::3].tolist()))
                 for r in range(len(X))
                 for c in range(3)
             )
-        assert 0.0 < 2.0 * math.sqrt(3.0) * float(worst) <= keys.rounding
+        assert 0.0 < 2.0 * math.sqrt(3.0) * float(worst) <= grid.rounding
 
     def test_one_block_keys_are_the_leading_columns(self):
         X = np.random.default_rng(3).standard_normal((5, 8)) + 1e6
-        keys = prefilter_keys(X)
-        assert keys.rounding == 0.0 and np.shares_memory(keys.keys, X)
-        assert np.array_equal(keys.keys, X[:, :3])
-        assert keys.reach(0.5) == 0.5 * (1.0 + hypack.search._CDIST_SLACK)
+        grid = _CellGrid(X, 0.5)
+        assert grid.rounding == 0.0 and np.shares_memory(grid.keys, X)
+        assert np.array_equal(grid.keys, X[:, :3])
+        assert grid.reach == 0.5 * (1.0 + hypack.search._CDIST_SLACK)
         with pytest.raises(ValueError, match="multiple of 3 blocks"):
-            prefilter_keys(X, 3)
+            _CellGrid(X, 0.5, 3)
 
     def test_search_keys_have_one_block_per_net_point(self):
-        # only the augmented ladder makes l-block keys; the pinwheel map's
-        # plain Hausdorff ladder is exhausted, so its search reaches it
+        # only the augmented ladder keys l blocks; the pinwheel map's plain
+        # Hausdorff ladder is exhausted, so its search reaches it
         F, P = poincare_inclusion(2), pinwheel_map()
         hausdorff = SearchParams(1.0, 0.5, 2, hausdorff=True, R_max=PINWHEEL_R_MAX)
-        seen = []
+        seen, original = [], _CellGrid
 
-        def spy(images, blocks=1):
+        def spy(images, limit, blocks=1):
             seen.append((images.shape[1], blocks))
-            return prefilter_keys(images, blocks)
+            return original(images, limit, blocks)
 
-        with mock.patch.object(hypack.search, "prefilter_keys", spy):
-            find_bunched_configuration(F, SearchParams(1.0, 0.5, 2))
+        with mock.patch.object(hypack.search, "_CellGrid", spy):
+            cfg = find_bunched_configuration(F, SearchParams(1.0, 0.5, 2))
             plain = len(seen)
+            assert plain == len(cfg.history)
             cfg = find_bunched_configuration(P, hausdorff)
         l = certificate_net(P, 1.0, 0.5).l
         assert seen[:plain] == [(2, 1)] * plain
         assert cfg.ladder == "augmented"
+        assert [e["ladder"] for e in cfg.history] == ["plain", "augmented"]
         assert seen[plain:] == [(2, 1), (2 * l, l)]
+
+    def test_scans_refuse_a_grid_over_other_images_or_a_smaller_limit(self):
+        X = np.zeros((4, 2))
+        X[:, 0] = [0.0, 0.5, 2.0, 2.2]
+        sf = greedy_separated_subfamily(X, 1.0)
+        for grid in (_CellGrid(X.copy(), 2.0), _CellGrid(X, 0.5)):
+            with pytest.raises(ValueError, match="greedy_separated_subfamily: the grid"):
+                greedy_separated_subfamily(X, 1.0, grid)
+            with pytest.raises(ValueError, match="theta_assignment: the grid"):
+                theta_assignment(sf, X, grid)
+        # the assignment's limit is the separation + 1e-12
+        with pytest.raises(ValueError, match="theta_assignment: the grid"):
+            theta_assignment(sf, X, _CellGrid(X, 1.0))
+        grid = _CellGrid(X, 1.0 + 1e-12)
+        assert np.array_equal(greedy_separated_subfamily(X, 1.0, grid).selected, sf.selected)
+        assert theta_assignment(sf, X, grid).fibers == {0: [1], 2: [3]}
 
     @pytest.mark.parametrize("width", [2, 3, 6, 40, 7695])
     def test_pair_distances_have_cdist_bits(self, width):
@@ -809,9 +862,8 @@ class TestCellGrid:
     """The neighbour index and its close pairs against a brute full-cdist listing."""
 
     @staticmethod
-    def close_pairs(X, a, b, limit, keys=None):
-        keys = prefilter_keys(X) if keys is None else keys
-        t, u, d = _close_pairs(X, _CellGrid(keys, limit), a, b, limit)
+    def close_pairs(X, a, b, limit):
+        t, u, d = _close_pairs(_CellGrid(X, limit), a, b, limit)
         assert np.array_equal(d, _pair_cdist(X, a[t], X, b[u]))
         return sorted(zip(t.tolist(), u.tolist()))
 
@@ -859,16 +911,16 @@ class TestCellGrid:
         centers = 1e10 * rng.random((30, w))
         X = np.repeat(centers, 4, axis=0) + 0.4 * rng.standard_normal((120, w))
         X = X[rng.permutation(len(X))]
-        keys, sep = prefilter_keys(X), 1.0
+        sep = 1.0
         with mock.patch.object(hypack.search, "_CODE_MAX", code_max):
-            grid = _CellGrid(keys, sep)
+            grid = _CellGrid(X, sep + 1e-12)
             assert 0 <= grid.codes.min() and grid.codes.max() + 2 * np.abs(grid.steps).max() < code_max
             a, b = self.subsets(rng, len(X))
-            assert self.close_pairs(X, a, b, sep, keys) == brute_close_pairs(X, a, b, sep)
+            assert self.close_pairs(X, a, b, sep) == brute_close_pairs(X, a, b, sep)
             sel, kept = loop_separated_subfamily(X, sep)
-            sf = greedy_separated_subfamily(X, sep, keys)
+            sf = greedy_separated_subfamily(X, sep, grid)
             assert np.array_equal(sf.selected, sel)
-            assert theta_assignment(sf, X, keys).fibers == full_cdist_theta(len(X), sel, kept, X, sep)
+            assert theta_assignment(sf, X, grid).fibers == full_cdist_theta(len(X), sel, kept, X, sep)
 
     def test_empty_reach_lists_nothing(self):
         # a limit at or below 0: cdist puts no pair below it
