@@ -1,9 +1,10 @@
 """Batch front door: the commands pack, growth, search and demo-flat.
 
 One command per process; artifacts are JSON (schema field included) or CSV,
-written atomically.  JSON artifacts are json.dumps(payload, sort_keys=True,
-indent=2) plus a newline, with each 2-D float array formatted straight from
-the array.  Exit codes: 0 pass,
+written atomically with the mode a new open(path, "w") would give.  JSON
+artifacts are json.dumps(payload, sort_keys=True, indent=2) plus a newline,
+with each 2-D float array formatted straight from the array; a column whose
+values are bit-identical in every row is formatted once.  Exit codes: 0 pass,
 1 verification failure, 2 invalid configuration, 3 schedule exhausted.
 """
 
@@ -50,8 +51,12 @@ def _atomic_write(path: str | None, text: str):
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hypack-")
+    # mkstemp creates the file 0600; give it the mode a new open(path, "w") would
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -109,18 +114,26 @@ _FLOAT_ROWS_CHUNK = 4096
 
 def _write_float_rows(rows: np.ndarray, newline: str) -> str:
     """The text of rows.tolist() for a non-empty 2-D float array, for a line
-    that starts with `newline`: _FLOAT_ROWS_CHUNK rows at a time, every value
-    through one map over the chunk's flat list, placed by a per-row template."""
-    fmt = float.__repr__ if np.isfinite(rows).all() else _json_float
+    that starts with `newline`.
+
+    A column whose values are bit-identical in every row has its text written
+    into the per-row template once.  The other columns go _FLOAT_ROWS_CHUNK
+    rows at a time, every value through one map over the chunk's flat list.
+    """
+    bits = rows.view(f"u{rows.itemsize}")  # -0.0 and 0.0 differ; a NaN matches its own bits
+    vary = (bits != bits[0]).any(axis=0)
+    fmt = float.__repr__ if np.isfinite(rows).all(axis=0)[vary].all() else _json_float
     row_break, value_break = newline + "  ", newline + "    "
-    row = "[" + value_break + ("," + value_break).join(["%s"] * rows.shape[1]) + row_break + "]"
+    cells = ["%s" if v else _json_float(x) for v, x in zip(vary.tolist(), rows[0].tolist())]
+    row = "[" + value_break + ("," + value_break).join(cells) + row_break + "]"
     between = "," + row_break
     pieces = ["[" + row_break]
     for lo in range(0, rows.shape[0], _FLOAT_ROWS_CHUNK):
         part = rows[lo : lo + _FLOAT_ROWS_CHUNK]
         if lo:
             pieces.append(between)
-        pieces.append(between.join([row] * part.shape[0]) % tuple(map(fmt, part.ravel().tolist())))
+        # the constant columns are already in `row`
+        pieces.append(between.join([row] * part.shape[0]) % tuple(map(fmt, part[:, vary].ravel().tolist())))
     pieces.append(newline + "]")
     return "".join(pieces)
 

@@ -472,18 +472,20 @@ def exp_rows(base, vecs, t) -> PolarBatch:
 
     `base` is an HPoint or a PolarBatch of B basepoints; `vecs` holds l ambient
     tangent rows at each basepoint, shape (l, m+1) or (B, l, m+1), and `t` their
-    lengths, shape (l,) shared by every basepoint or (B, l).  Each row is the
-    compensated combination cosh(t) x + sinh(t) v/t at its basepoint x, snapped
-    back onto the sheet (x itself where t = 0).  Returns the B*l rows
-    basepoint-major.
+    lengths, shape (l,) shared by every basepoint or (B, l), or a 0-d length
+    shared by every row at every basepoint.  Each row is the compensated
+    combination cosh(t) x + sinh(t) v/t at its basepoint x, snapped back onto
+    the sheet (x itself where t = 0).  Returns the B*l rows basepoint-major.
 
     This is the one exp implementation.  libm cosh/sinh run once per entry of
-    `t`, and every row has the bits of a one-row call at its basepoint.
+    `t`, and every row has the bits of a one-row call at its basepoint.  With
+    a 0-d `t` the product cosh(t) x is formed once per basepoint.
     """
     bases = PolarBatch.of([base]) if isinstance(base, HPoint) else base
     t = np.asarray(t, dtype=float)
     m1 = bases.dirs.shape[1] + 1
-    vecs = np.asarray(vecs, dtype=float).reshape(len(bases), t.shape[-1], m1)
+    per_base = t.shape[-1] if t.ndim else -1
+    vecs = np.asarray(vecs, dtype=float).reshape(len(bases), per_base, m1)
     reach = bases.r[:, None] + t
     if np.any(reach > EXP_RADIUS_MAX):
         raise NumericRangeError(
@@ -493,7 +495,7 @@ def exp_rows(base, vecs, t) -> PolarBatch:
     zero = t == 0.0
     tt = np.where(zero, 1.0, t)[..., None]
     r, dirs, coords = _snap_rows(_comb2(_cosh(tt), x, _sinh(tt), vecs / tt).reshape(-1, m1))
-    stay = np.broadcast_to(zero, reach.shape)
+    stay = np.broadcast_to(zero, vecs.shape[:2])
     if stay.any():
         at = np.nonzero(stay)[0]  # the basepoint of each t = 0 row, in row order
         flat = stay.ravel()

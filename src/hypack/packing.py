@@ -212,7 +212,7 @@ def generate_centers(C: float, R: float, m: int, cap: int = 100_000) -> BallFami
         vecs = np.zeros((len(theta), m + 1))
         vecs[:, 1] = rho * np.cos(theta)
         vecs[:, 2] = rho * np.sin(theta)
-        rows = exp_rows(origin, vecs, np.full(theta.shape, rho))
+        rows = exp_rows(origin, vecs, rho)
         r[part], dirs[part], coords[part] = rows.r, rows.dirs, rows.coords
 
     fam = BallFamily(

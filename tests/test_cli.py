@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import shlex
+import stat
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -675,6 +677,32 @@ class TestArtifactWriter:
         for payload in ({"rows": rows}, {"rows": rows[np.isfinite(rows).all(axis=1)]}):
             assert _dump_json(payload) == json.dumps(_as_lists(payload), sort_keys=True, indent=2) + "\n"
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.full((5, 3), -0.0),
+            np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]),
+            np.column_stack((np.full(4, math.nan), np.arange(4.0), np.full(4, math.nan))),
+            np.column_stack((np.full(4, math.inf), np.arange(4.0), np.full(4, -math.inf))),
+            np.vstack((np.full((5, 3), 10.5), [[10.5, 10.5, 10.500000000000002]])),
+            np.array([[0.1, -0.0, math.nan, math.inf]]),
+            np.tile([0.1, 1e-300, -2.5], (6, 1)),
+            np.column_stack((np.full(5, 0.1), np.linspace(0.0, 1.0, 5))).astype(np.float32),
+        ],
+        ids=["minus-zero", "mixed-zeros", "nan", "inf", "last-row", "one-row", "all-constant", "float32"],
+    )
+    def test_writer_constant_columns(self, rows):
+        payload = {"rows": rows}
+        assert _dump_json(payload) == json.dumps(_as_lists(payload), sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_writer_column_constant_within_one_chunk(self, monkeypatch, chunk):
+        # column 0 repeats within a chunk of 2 rows, column 1 is constant
+        rows = np.array([[1.0, 7.5], [1.0, 7.5], [2.0, 7.5], [2.0, 7.5], [3.0, 7.5]])
+        monkeypatch.setattr(hypack.cli, "_FLOAT_ROWS_CHUNK", chunk)
+        payload = {"rows": rows}
+        assert _dump_json(payload) == json.dumps(_as_lists(payload), sort_keys=True, indent=2) + "\n"
+
     def test_writer_memory_is_bounded(self):
         # rows, then their text, then the joined text: about twice the text,
         # not the whole list of floats and their reprs at once
@@ -686,6 +714,16 @@ class TestArtifactWriter:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * len(text)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+    def test_artifact_mode_follows_the_umask(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            rc, out = run(tmp_path, "pack.json", ["pack", "--C", "1", "--R", "6"])
+        finally:
+            os.umask(old)
+        assert rc == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
 
     @pytest.mark.parametrize("payload", [{"a": object()}, [np.int64(3)], [np.bool_(True)]])
     def test_writer_refuses_what_json_refuses(self, payload):

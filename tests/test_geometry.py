@@ -319,6 +319,45 @@ class TestExpRows:
                 assert np.array_equal(block.coords, one.coords)
             assert one.r[7] == bases.r[i] and np.array_equal(one.coords[0], bases.coords[i])
 
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("t", [0.0, 0.7, 2.5])
+    def test_one_shared_length_equals_full_and_one_row_calls(self, rng, m, t):
+        bases = PolarBatch.of(
+            [HPoint.from_polar(r0, random_unit(rng, m)) if r0 > 0 else HPoint.origin(m) for r0 in EXP_RADII]
+        )
+        W = rng.standard_normal((len(bases), 8, m))
+        W *= t / np.sqrt(np.einsum("bij,bij->bi", W, W))[..., None]
+        vecs = np.einsum("bij,bjk->bik", W, transport_frame(bases))
+        shared = exp_rows(bases, vecs, t)
+        full = exp_rows(bases, vecs, np.full((len(bases), 8), t))
+        assert len(shared) == 8 * len(bases)
+        for i in range(len(bases)):
+            base = bases[i]
+            block = shared[8 * i : 8 * (i + 1)]
+            one_base = exp_rows(base, vecs[i], np.float64(t))
+            for rows in (full[8 * i : 8 * (i + 1)], one_base):
+                assert np.array_equal(block.r, rows.r)
+                assert np.array_equal(block.dirs, rows.dirs)
+                assert np.array_equal(block.coords, rows.coords)
+            for j in range(8):
+                one = exp_rows(base, vecs[i, j : j + 1], [t])[0]
+                r, d, c = scalar_exp(base, vecs[i, j], t)
+                for got in (block[j], one):
+                    assert got.r == r
+                    assert np.array_equal(got.direction, d)
+                    assert np.array_equal(got.coords_extended, c)
+                if t == 0.0:
+                    assert block[j].r == base.r and np.array_equal(block[j].direction, base.direction)
+
+    def test_one_shared_length_range_guard(self):
+        o = HPoint.origin(2)
+        with pytest.raises(NumericRangeError):
+            exp_rows(o, [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], 400.0)
+        far = PolarBatch.of([o, HPoint.from_polar(349.5, [0.6, 0.8])])
+        with pytest.raises(NumericRangeError):
+            exp_rows(far, np.zeros((2, 3, 3)), 1.0)
+        assert len(exp_rows(far, np.zeros((2, 3, 3)), 0.0)) == 6
+
 
 class TestPolarBatch:
     def test_rows_and_sub_batches(self, rng):

@@ -201,7 +201,7 @@ class TestGenerateCenters:
         calls = []
 
         def counting(*args):
-            calls.append(len(args[2]))
+            calls.append(len(args[1]))
             return exp_rows(*args)
 
         with mock.patch.object(hypack.packing, "exp_rows", counting):
