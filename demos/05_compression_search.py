@@ -42,7 +42,7 @@ print(
     f"{cfg.pairwise_manifold_min:.6f} >= 2C = {2 * params.C}, max image distance "
     f"{cfg.pairwise_image_max:.6f} < 2/C = {2 / params.C}"
 )
-cert = certify_configuration(F, cfg, samples=256, seed=3)
+cert = certify_configuration(F, cfg)
 print(
     f"certificate: (i) ball separation {cert.separation_min:.3f} >= 1/eps = "
     f"{1 / eps} -> {cert.pass_i}; (ii) image set distance "
@@ -54,7 +54,7 @@ params_h = SearchParams(r, eps, 2, hausdorff=True)
 cfg_h = find_bunched_configuration(F, params_h)
 net = certificate_net(F, r, eps)
 print(f"net: l = {net.l} points at delta = eps/(2L) = {net.delta}; F^ would map into R^{F.n * net.l}")
-cert_h = certify_configuration(F, cfg_h, samples=256, seed=3)
+cert_h = certify_configuration(F, cfg_h)
 print(
     f"success at R = {cfg_h.R_used} on the {cfg_h.ladder} ladder; (iii) net Hausdorff "
     f"estimate + L*delta slack = {cert_h.hausdorff_max:.6f} <= eps -> {cert_h.pass_iii}"

@@ -30,7 +30,6 @@ from hypack.search import (
     ScheduleExhausted,
     SearchParams,
     certify_configuration,
-    check_samples,
     find_bunched_configuration,
 )
 
@@ -239,7 +238,8 @@ def _map_handle(args):
 
 
 def cmd_search(args) -> int:
-    check_samples(args.samples)
+    if args.seed is not None:
+        print("hypack: --seed has no effect on search (nothing in it is random)", file=sys.stderr)
     F = _map_handle(args)
     params = SearchParams(
         r=args.r, epsilon=args.eps, k=args.k, hausdorff=args.hausdorff, cap=args.cap,
@@ -254,15 +254,15 @@ def cmd_search(args) -> int:
             "error": "schedule-exhausted",
             "message": str(exc),
             "diagnostics": exc.diagnostics,
-            "params": _params_dict(params, F.m, args),
+            "params": _params_dict(params, F.m),
         }
         _atomic_write(args.out, _dump_json(payload))
         return EXIT_EXHAUSTED
-    cert = certify_configuration(F, cfg, samples=args.samples, seed=args.seed)
+    cert = certify_configuration(F, cfg)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "search",
-        "params": _params_dict(params, F.m, args),
+        "params": _params_dict(params, F.m),
         "map": F.label,
         "ladder": cfg.ladder,
         "R_used": cfg.R_used,
@@ -287,7 +287,7 @@ def cmd_search(args) -> int:
     return EXIT_PASS if cert.ok else EXIT_VERIFY_FAIL
 
 
-def _params_dict(params: SearchParams, m: int, args) -> dict:
+def _params_dict(params: SearchParams, m: int) -> dict:
     return {
         "r": params.r,
         "epsilon": params.epsilon,
@@ -295,8 +295,6 @@ def _params_dict(params: SearchParams, m: int, args) -> dict:
         "C": params.C,
         "m": m,
         "cap": params.cap,
-        "seed": args.seed,
-        "samples": args.samples,
         "hausdorff": params.hausdorff,
         "R_schedule": list(params.R_schedule),
     }
@@ -352,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--cap", type=int, default=100_000)
     p_search.add_argument("--R-max", type=float)
     p_search.add_argument("--hausdorff", action="store_true")
-    p_search.add_argument("--samples", type=int, default=512)
-    p_search.add_argument("--seed", type=int, default=0, help="certificate sampling seed")
+    # accepted, with a note on stderr, so that existing command lines still run
+    p_search.add_argument("--seed", type=int, help="no effect: the search draws nothing at random")
 
     p_demo = sub.add_parser("demo-flat", help="flat-graph counterexample report")
     common(p_demo)

@@ -7,7 +7,9 @@ its nearest selected image, and look for a fiber with at least k members.
 Since the family grows like sinh(R-C) while the separated subfamily is
 polynomially bounded in R, some fiber outgrows any k once R is large
 enough; the k members then have pairwise manifold distance >= 2C and image
-distance < 2/C.
+distance < 2/C.  That image bound is also the certificate's bound of
+conclusion (ii): each center p_i lies in its ball B_i, so
+d(F(B_i), F(B_j)) <= |F(p_i) - F(p_j)|.
 
 A Hausdorff search runs this pipeline on the plain map first and accepts a
 window only on its measured bound of conclusion (iii), the net images of
@@ -24,12 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-# numpy loads numpy.random on first use (about 11 ms); load it here, at import
-# time, so that it stays out of the first certification (its seeded sampler)
-import numpy.random  # noqa: F401
-
-from hypack import geometry
-from hypack.geometry import EXP_RADIUS_MAX, HPoint, PolarBatch, _row_blocks, exp_rows, sample_ball, transport_frame
+from hypack.geometry import EXP_RADIUS_MAX, HPoint, PolarBatch, _row_blocks
 from hypack.maps import LipschitzMapHandle
 from hypack.nets import NetTemplate, build_reference_net, check_net_size, transport_net
 from hypack.packing import CAP_MAX, generate_centers, min_lag_distance, packing_angle
@@ -37,7 +34,6 @@ from hypack.packing import CAP_MAX, generate_centers, min_lag_distance, packing_
 __all__ = [
     "BunchedConfiguration",
     "Certificate",
-    "SAMPLES_MAX",
     "ScheduleExhausted",
     "SearchParams",
     "SeparatedFamily",
@@ -49,7 +45,6 @@ __all__ = [
     "counting_upper_bound",
     "certificate_net",
     "certify_configuration",
-    "check_samples",
     "default_schedule",
     "find_bunched_configuration",
     "greedy_separated_subfamily",
@@ -806,89 +801,20 @@ def _farthest_nearest(A, na, B, nb, near, err) -> float:
     return float(best.max())
 
 
-def _closest_pair(A: np.ndarray, B: np.ndarray, bound: float) -> float:
-    """min over a in A and b in B of cdist(a, b), with cdist's bits, given
-    `bound`, the cdist value of one pair of A x B.
+def _pairwise_max(P: np.ndarray) -> float:
+    """max over pairs i < j of cdist(P[i], P[j]), with cdist's bits; 0.0 for
+    one row, NaN if any pair is NaN.
 
-    Rows are ranked by their projections onto v = mean(B) - mean(A), a
-    one-dimensional prefilter: |a - b| >= |b.v - a.v| / |v|.  The computed
-    projections are off the exact ones by at most e = gamma_(n+2) M |v|_1
-    in any summation order (M the largest |coordinate|), so the closest pair,
-    which cdist puts at most `bound` apart, has projections within
-    W = bound |v| + 2e of each other, widened by _CDIST_SLACK for cdist's
-    rounding and by u times the largest projection for the rounding of the
-    window ends.  Two binary searches per row of A over the sorted
-    projections of B list those pairs, which are measured with cdist's bits
-    in pieces of at most hypack.geometry._BLOCK_ELEMENTS pairs (or one row
-    of A with more), the budget of every blocked loop.  The pair of the largest
-    a.v and the smallest b.v may lower the bound first; for two clusters
-    apart along v it is close to the closest pair.
+    The pairs are taken in blocks of rows i (:func:`hypack.geometry._row_blocks`,
+    k pairs a row), so no temporary grows with the k(k - 1)/2 pairs.
     """
-    v = B.mean(axis=0) - A.mean(axis=0)
-    pa, pb = A @ v, B @ v
-    front = _pair_cdist(A, np.array([np.argmax(pa)]), B, np.array([np.argmin(pb)]))
-    best = min(bound, float(front[0]))
-    if best == 0.0:
-        return 0.0
-    M = max(A.max(), -A.min(), B.max(), -B.min())  # no |A| temporary
-    e = _gamma(A.shape[1] + 2) * float(M) * float(np.abs(v).sum())
-    reach = best * math.sqrt(float(v @ v)) + 2.0 * e
-    top = max(np.abs(pa).max(), np.abs(pb).max())
-    W = (1.0 + _CDIST_SLACK) * (reach * (1.0 + _CDIST_SLACK) + _UNIT_ROUNDOFF * top)
-    order = np.argsort(pb)
-    pb = pb[order]
-    first = np.searchsorted(pb, pa - W, "left")
-    count = np.searchsorted(pb, pa + W, "right") - first
-    ends = np.cumsum(count)
-    start = 0
-    while start < len(A):
-        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - count[start] + geometry._BLOCK_ELEMENTS, "right")))
-        piece = slice(start, stop)
-        t = np.repeat(np.arange(start, stop), count[piece])
-        if len(t):
-            best = min(best, float(_pair_cdist(A, t, B, order[_ranges(first[piece], count[piece])]).min()))
-        start = stop
-    return best
-
-
-def _set_distance_max(clouds: list[np.ndarray]) -> float:
-    """max over pairs i < j of min_{a in clouds[i], b in clouds[j]} |a - b|,
-    equal to the full-cdist minima bit for bit (:func:`_closest_pair`).
-
-    A pair's minimum is at most the cdist value of its two last rows (the
-    certifier puts each ball's center image last).  The pairs (i, j) are
-    taken in blocks of rows i (:func:`hypack.geometry._row_blocks`, k pairs
-    a row, one block for k <= 256 clouds).  Within a block only the pairs
-    whose bound exceeds the running maximum are visited, in decreasing
-    order of that bound: once it is no larger than the running maximum, no
-    pair left in the block can raise it.  The result is a max of exact
-    minima, so the order does not move its bits.
-    """
-    k = len(clouds)
-    last = np.array([c[-1] for c in clouds])
-    worst = 0.0
+    k = len(P)
+    block_max = [0.0]
     for part in _row_blocks(k, k):
-        rows = np.arange(k)[part]
-        count = k - 1 - rows
-        i, j = np.repeat(rows, count), _ranges(rows + 1, count)
-        bound = _pair_cdist(last, i, last, j)
-        above = np.flatnonzero(bound > worst)
-        for p in above[np.argsort(-bound[above], kind="stable")].tolist():
-            if bound[p] <= worst:
-                break
-            worst = max(worst, _closest_pair(clouds[i[p]], clouds[j[p]], float(bound[p])))
-    return worst
-
-
-#: Most random points certify_configuration draws per ball; each one is made
-#: by exp, mapped, and sorted by its projection in :func:`_closest_pair`.
-SAMPLES_MAX = 100_000
-
-
-def check_samples(samples: int) -> None:
-    """Refuse a per-ball sample count outside [0, SAMPLES_MAX]."""
-    if not 0 <= samples <= SAMPLES_MAX:
-        raise ValueError(f"samples must be >= 0 and <= {SAMPLES_MAX:,} (got {samples})")
+        i = np.arange(k)[part]
+        count = k - 1 - i
+        block_max.append(_pair_cdist(P, np.repeat(i, count), P, _ranges(i + 1, count)).max(initial=0.0))
+    return float(np.max(block_max))
 
 
 @dataclass(frozen=True)
@@ -917,31 +843,23 @@ class Certificate:
         return {"i": self.pass_i, "ii": self.pass_ii, "iii": self.pass_iii}
 
 
-def certify_configuration(
-    F: LipschitzMapHandle,
-    cfg: BunchedConfiguration,
-    samples: int = 512,
-    seed: int = 0,
-) -> Certificate:
+def certify_configuration(F: LipschitzMapHandle, cfg: BunchedConfiguration) -> Certificate:
     """Independent verification of conclusions (i)-(iii) for a configuration.
 
     (i) is exact: pairwise center distances are recomputed from the center
-    indices with the stable kernel and must exceed 2r + 1/epsilon.  (ii)
-    samples the image sets without a net (the center image and seeded,
-    volume-uniform random ball points); any cross pair bounds the set
-    distance from above, the center images alone by 2/C < epsilon.  The
-    closest pair of each pair of sets is found among the pairs whose
-    projections onto the line between the sets are close
-    (:func:`_set_distance_max`), and a pair of sets whose center images are
-    no farther apart than the largest closest pair so far is skipped.  (iii) is only evaluated for configurations of a
-    Hausdorff search (the set-distance C need not satisfy the Hausdorff
-    budget): the certificate net is built here (:func:`certificate_net`),
-    not taken from the search, and the Hausdorff distances are bounded by
-    the net-image estimate plus the L*delta net slack
-    (:func:`_hausdorff_bound`, the measure the plain Hausdorff ladder
+    indices with the stable kernel and must exceed 2r + 1/epsilon.  (ii) is
+    bounded by the center images, recomputed here: each center p_i lies in
+    its ball, so d(F(B_i), F(B_j)) <= |F(p_i) - F(p_j)|, and the largest of
+    these (:func:`_pairwise_max`) bounds every pair; the search keeps it
+    below 2/C < epsilon.  On the plain ladder it equals the configuration's
+    pairwise_image_max bit for bit.  (iii) is only evaluated for
+    configurations of a Hausdorff search (the set-distance C need not
+    satisfy the Hausdorff budget): the certificate net is built here
+    (:func:`certificate_net`), not taken from the search, and the Hausdorff
+    distances are bounded by the net-image estimate plus the L*delta net
+    slack (:func:`_hausdorff_bound`, the measure the plain Hausdorff ladder
     accepts its window on).
     """
-    check_samples(samples)
     eps = cfg.params.epsilon
     r = cfg.params.r
 
@@ -951,15 +869,7 @@ def certify_configuration(
     pass_i = sep >= 1.0 / eps - 1e-9
     sep_2C_ok = pair_min >= 2.0 * cfg.params.C - 1e-9
 
-    # point clouds per ball: volume-corrected random samples plus the center
-    rng = np.random.default_rng(seed)
-    center_images = F.batch(cfg.centers)
-    clouds = []
-    for p, img in zip(cfg.centers, center_images):
-        extra = F.batch(_sample_ball_points(p, r, samples, rng))
-        clouds.append(np.vstack([extra, img[None, :]]))
-
-    set_dist = _set_distance_max(clouds)
+    set_dist = _pairwise_max(F.batch(cfg.centers))
     pass_ii = set_dist <= eps + 1e-9
 
     hausdorff_max: float | None = None
@@ -980,14 +890,6 @@ def certify_configuration(
         separation_2C_ok=bool(sep_2C_ok),
         net=net,
     )
-
-
-def _sample_ball_points(p: HPoint, r: float, samples: int, rng) -> PolarBatch:
-    """`samples` volume-uniform points of B(p, r), as rows."""
-    X = sample_ball(p.dim, r, samples, rng)
-    # a stacked row-times-frame product rounds like x @ frame for one row x
-    vecs = (X[:, None, :] @ transport_frame(p))[:, 0, :]
-    return exp_rows(p, vecs, np.sqrt(np.vecdot(X, X)))
 
 
 def corollary_sequences(

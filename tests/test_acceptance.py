@@ -236,7 +236,6 @@ def test_criterion_5_theorem_end_to_end(tmp_path):
             argv = [
                 "search", "--map", "poincare", "--m", "2",
                 "--r", str(r), "--eps", str(eps), "--k", str(k),
-                "--seed", str(SEED),
             ]
             if hausdorff:
                 argv.append("--hausdorff")
@@ -399,11 +398,11 @@ def test_criterion_10_determinism(tmp_path):
         "pack": ["pack", "--C", "1", "--R", "6", "--m", "2"],
         "search": [
             "search", "--map", "poincare", "--m", "2",
-            "--r", "1", "--eps", "0.5", "--k", "3", "--seed", str(SEED),
+            "--r", "1", "--eps", "0.5", "--k", "3",
         ],
         "search_hausdorff": [
             "search", "--map", "poincare", "--m", "2",
-            "--r", "1", "--eps", "0.5", "--k", "2", "--hausdorff", "--seed", str(SEED),
+            "--r", "1", "--eps", "0.5", "--k", "2", "--hausdorff",
         ],
         "demo": ["demo-flat", "--K", "6"],
     }

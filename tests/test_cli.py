@@ -19,7 +19,6 @@ from hypack.geometry import M_MAX
 from hypack.maps import FLAT_GRAPH_K_MAX
 from hypack.nets import build_reference_net
 from hypack.packing import CAP_MAX
-from hypack.search import SAMPLES_MAX
 
 
 def run(tmp_path, name, argv):
@@ -186,7 +185,7 @@ class TestSearch:
         assert payload["pass"]["iii"] is True
         assert payload["hausdorff_max"] <= 0.5
         # schema 2: the ladder, the packing data of (i) and the net of (iii)
-        assert payload["ladder"] == "plain" and payload["params"]["samples"] == 512
+        assert payload["ladder"] == "plain" and not {"samples", "seed"} & set(payload["params"])
         assert payload["indices"] == sorted(payload["indices"]) and len(payload["indices"]) == 2
         assert payload["center_radius"] == payload["R_used"] - payload["params"]["C"]
         assert payload["alpha"] > 0.0
@@ -230,12 +229,6 @@ class TestSearch:
         assert payload["error"] == "schedule-exhausted"
         assert payload["diagnostics"]
 
-    def test_negative_samples_exit_2(self, capsys):
-        with time_limit(60.0):
-            rc = main(["search", "--map", "poincare", "--m", "2", "--k", "2", "--samples", "-3"])
-        assert rc == 2
-        assert "samples must be >= 0" in capsys.readouterr().err
-
     @pytest.mark.parametrize("m", ["5", "6"])
     def test_net_grid_over_limit_exit_2(self, capsys, m):
         # the Hausdorff nets' size bounds are 14,329 and 118,236 lattice points;
@@ -260,12 +253,6 @@ class TestSearch:
             rc = main(["search", flag, value])
         assert rc == 2
         assert message in capsys.readouterr().err
-
-    def test_samples_over_limit_exit_2(self, capsys):
-        # 1e8 samples per ball would allocate GBs; refused before the search runs
-        rc = refused_quickly(["search", "--samples", "100000000"])
-        assert rc == 2
-        assert f"<= {SAMPLES_MAX:,}" in capsys.readouterr().err
 
     def test_cap_over_limit_exit_2(self, capsys):
         # the ladder would reach a rung of 27.8 million centers at R = 32; refused
@@ -306,21 +293,16 @@ class TestSearch:
         assert f"r is too large (r={float(argv[1])}, epsilon=" in err
         assert f"centers at radius {radius}, which exceeds the representable range" in err
 
-    def test_ball_samples_where_the_volume_density_overflows(self, tmp_path, monkeypatch):
-        # at r = 60 and m = 13, sinh(r)^12 overflows a double; the sampled
-        # ball points of (ii) were all NaN, and only the center pair counted
-        original, seen = hypack.search._set_distance_max, []
-
-        def spy(clouds):  # each cloud: the 512 default samples and the center image
-            seen.append([bool(np.isfinite(c).all()) and len(c) == 513 for c in clouds])
-            return original(clouds)
-
-        monkeypatch.setattr(hypack.search, "_set_distance_max", spy)
+    def test_ball_samples_where_the_volume_density_overflows(self, tmp_path):
+        # at r = 60 and m = 13, sinh(r)^12 overflows a double, where sampled
+        # ball points were once all NaN; the center bound of (ii) is finite
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc, _ = run(tmp_path, "s.json", ["search", "--r", "60", "--m", "13", "--k", "2"])
-        assert rc == 0
-        assert seen == [[True, True]]
+            rc, out = run(tmp_path, "s.json", ["search", "--r", "60", "--m", "13", "--k", "2"])
+        payload = json.loads(out.read_text())
+        assert rc == 0 and payload["pass"]["ii"] is True
+        assert math.isfinite(payload["set_distance_max"])
+        assert payload["set_distance_max"] == payload["pairwise_image_max"]
 
     def test_hausdorff_net_grid_refused_before_any_rung(self, capsys, monkeypatch):
         def never(*args):
@@ -349,7 +331,7 @@ class TestSearch:
             return build_reference_net(*args)
 
         monkeypatch.setattr(hypack.search, "build_reference_net", counting)
-        rc, _ = run(tmp_path, "search.json", ["search", "--m", "2", "--samples", "16", *argv])
+        rc, _ = run(tmp_path, "search.json", ["search", "--m", "2", *argv])
         assert rc == code
         assert len(calls) == 2 * ("--hausdorff" in argv)
 
@@ -450,7 +432,8 @@ class TestFormat:
 
 
 class TestSeed:
-    """Only the search draws random samples, so only it takes a seed."""
+    """Nothing in any command is random.  Only search still takes --seed,
+    without effect, so that existing search command lines keep running."""
 
     OTHERS = (
         ["pack", "--C", "1", "--R", "3"],
@@ -474,14 +457,20 @@ class TestSeed:
         assert rc == 2 and not out.exists()
         assert f"unknown key 'seed' for {argv[0]}" in capsys.readouterr().err
 
-    def test_search_reads_seed_from_config(self, tmp_path):
-        argv = ["search", "--r", "1", "--eps", "0.5", "--k", "3", "--samples", "16"]
+    def test_search_reads_seed_from_config(self, tmp_path, capsys):
+        argv = ["search", "--r", "1", "--eps", "0.5", "--k", "3"]
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"seed": 7}))
-        _, a = run(tmp_path, "a.json", argv + ["--config", str(cfg)])
-        _, b = run(tmp_path, "b.json", argv + ["--seed", "7"])
-        assert json.loads(a.read_text())["params"]["seed"] == 7
-        assert a.read_bytes() == b.read_bytes()
+        note = "hypack: --seed has no effect on search (nothing in it is random)\n"
+        artifacts, notes = [], []
+        for name, extra in [("config", ["--config", str(cfg)]), ("flag", ["--seed", "7"]), ("none", [])]:
+            rc, out = run(tmp_path, name + ".json", argv + extra)
+            assert rc == 0
+            artifacts.append(out.read_bytes())
+            notes.append(capsys.readouterr().err)
+        assert artifacts[0] == artifacts[1] == artifacts[2]
+        assert notes == [note, note, ""]
+        assert "seed" not in json.loads(artifacts[0])["params"]
 
 
 class TestDeterminism:
@@ -493,7 +482,7 @@ class TestDeterminism:
     def test_search_byte_identical(self, tmp_path):
         argv = [
             "search", "--map", "poincare", "--m", "2",
-            "--r", "1", "--eps", "0.5", "--k", "3", "--seed", "7",
+            "--r", "1", "--eps", "0.5", "--k", "3",
         ]
         _, a = run(tmp_path, "a.json", argv)
         _, b = run(tmp_path, "b.json", argv)
@@ -555,7 +544,7 @@ class TestConfigFile:
         [
             (["search"], {"k": 3.7}, "argument --k: invalid int value: '3.7'"),
             (["search"], {"m": 2.5}, "argument --m: invalid int value: '2.5'"),
-            (["search"], {"samples": 1000.0}, "argument --samples: invalid int value"),
+            (["search"], {"seed": 1000.0}, "argument --seed: invalid int value"),
             (["demo-flat"], {"K": 2.0}, "argument --K: invalid int value: '2.0'"),
             (["search"], {"hausdorff": "yes"}, "'hausdorff' takes true or false"),
             (["search"], {"hausdorff": 1}, "'hausdorff' takes true or false"),
@@ -580,11 +569,11 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "argv, values, flags",
         [
-            (["search", "--samples", "16"], {"k": "3"}, ["--k", "3"]),
-            (["search", "--samples", "16"], {"eps": "0.5"}, ["--eps", "0.5"]),
+            (["search"], {"k": "3"}, ["--k", "3"]),
+            (["search"], {"eps": "0.5"}, ["--eps", "0.5"]),
             # an integer for a float option is written as the float, like the flag
-            (["search", "--samples", "16"], {"r": 1}, ["--r", "1"]),
-            (["search", "--samples", "16"], {"hausdorff": False}, []),
+            (["search"], {"r": 1}, ["--r", "1"]),
+            (["search"], {"hausdorff": False}, []),
             (["growth", "--R-from", "3", "--R-to", "5"], {"R_step": "0.5"}, ["--R-step", "0.5"]),
             (["growth", "--R-from", "3"], {"R-to": 5}, ["--R-to", "5"]),
         ],
@@ -744,7 +733,8 @@ def _numeric_cases():
         ("search", "--k"): [1, 3],
         ("search", "--cap"): [1, 3, CAP_MAX - 1, CAP_MAX + 1],
         ("search", "--R-max"): [],
-        ("search", "--samples"): [1, SAMPLES_MAX - 1, SAMPLES_MAX + 1],
+        # --samples is gone: every value is refused as an unknown option
+        ("search", "--samples"): [1, 99_999, 100_001],
         ("search", "--seed"): [1],
         ("pack", "--C"): [1],
         ("pack", "--R"): [1, 3],  # the limit is 2C = 2

@@ -49,25 +49,31 @@ def test_benchmark_trace_hooks_resolve(tmp_path):
 
 
 #: Run in a fresh interpreter: the scipy modules left by importing the CLI,
-#: the exit codes of one Hausdorff search and one capped pack (its centers
-#: subsampled), and the modules those two runs import.
+#: whether numpy.random is loaded after the import and after the runs, the
+#: exit codes of one set-distance search, one Hausdorff search and one capped
+#: pack (its centers subsampled), and the modules those runs import.
 _IMPORT_PROBE = """
 import json, sys
 import hypack.cli
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+random = ["numpy.random" in sys.modules]
 before = set(sys.modules)
 out = sys.argv[1]
 codes = [
+    hypack.cli.main(["search", "--eps", "0.5", "--k", "2", "--out", out + "/d.json"]),
     hypack.cli.main(["search", "--eps", "0.5", "--k", "2", "--hausdorff", "--out", out + "/s.json"]),
     hypack.cli.main(["pack", "--C", "1", "--R", "8", "--cap", "100", "--out", out + "/p.json"]),
 ]
-print(json.dumps({"scipy": scipy, "codes": codes, "new": sorted(set(sys.modules) - before)}))
+random.append("numpy.random" in sys.modules)
+new = sorted(set(sys.modules) - before)
+print(json.dumps({"scipy": scipy, "numpy.random": random, "codes": codes, "new": new}))
 """
 
 
 def test_cli_imports_no_scipy_and_its_runs_import_nothing(tmp_path):
     # importing scipy.spatial took about 0.4 s of every CLI process's set-up,
-    # and a module first imported inside main would load inside the run
+    # numpy.random about 11 ms, and a module first imported inside main would
+    # load inside the run
     src = str(Path(hypack.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
@@ -75,4 +81,5 @@ def test_cli_imports_no_scipy_and_its_runs_import_nothing(tmp_path):
         capture_output=True, text=True, timeout=60, env=env,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == {"scipy": [], "codes": [0, 0], "new": []}
+    probe = json.loads(done.stdout.splitlines()[-1])
+    assert probe == {"scipy": [], "numpy.random": [False, False], "codes": [0, 0, 0], "new": []}

@@ -645,10 +645,14 @@ class TestSampling:
         )
         assert np.mean(r <= 1.0) == pytest.approx(oracle, abs=0.01)
 
-    @pytest.mark.parametrize("m, rho", [(13, 59.0), (13, 70.0), (7, 120.0), (3, 356.0)])
+    @pytest.mark.parametrize(
+        "m, rho", [(13, 59.0), (13, 70.0), (7, 120.0), (3, 356.0), (13, 1e4), (3, 5e3)]
+    )
     def test_radius_median_where_the_density_overflows(self, m, rho):
         # sinh(rho)^(m-1) passes the largest double from (m-1) log sinh(rho)
-        # ~ 709 on, just above rho = 59 at m = 13; there every radius was NaN
+        # ~ 709 on, just above rho = 59 at m = 13; there every radius was NaN.
+        # A CDF grid over all of [0, rho] put nearly all the mass in its last
+        # cell, 2.4 wide at rho = 1e4: the median was 9,998.85 for 9,999.94
         import mpmath as mp
 
         r = np.linalg.norm(sample_ball(m, rho, 20_001, np.random.default_rng(0)), axis=1)

@@ -22,7 +22,7 @@ from oracle_utils import (
 )
 import hypack.geometry
 import hypack.search
-from hypack.geometry import HPoint, HTangent, PolarBatch, distance, exp_map, sample_ball, transport_frame
+from hypack.geometry import HPoint, HTangent, PolarBatch, distance, exp_map, exp_rows, sample_ball, transport_frame
 from hypack.maps import LipschitzMapHandle, busemann_map, ideal_point, poincare_inclusion
 from hypack.nets import build_reference_net, transport_net
 from hypack.packing import generate_centers
@@ -34,8 +34,7 @@ from hypack.search import (
     _CellGrid,
     _close_pairs,
     _pair_cdist,
-    _sample_ball_points,
-    _set_distance_max,
+    _pairwise_max,
     augment_map,
     certificate_net,
     certify_configuration,
@@ -284,13 +283,13 @@ class TestCertify:
         F = constant_map()
         params = SearchParams(1.0, 0.5, 2, cap=500)
         cfg = find_bunched_configuration(F, params)
-        cert = certify_configuration(F, cfg, samples=64, seed=9)
+        cert = certify_configuration(F, cfg)
         assert cert.pass_i and cert.pass_ii
         assert cert.set_distance_max == 0.0
 
     def test_poincare_all_pass(self, poincare_cfg):
         F, cfg = poincare_cfg
-        cert = certify_configuration(F, cfg, samples=128, seed=10)
+        cert = certify_configuration(F, cfg)
         assert cert.pass_i and cert.pass_ii
         assert cert.separation_min >= 1.0 / cfg.params.epsilon
         assert cert.set_distance_max <= cfg.params.epsilon
@@ -304,13 +303,13 @@ class TestCertify:
         # invariant, but at the center radius R - C the pair is still more
         # than 2r + 1/eps apart, so conclusion (i) itself survives
         bad = replace(cfg, indices=(i0, i0 + 0.5, i2))
-        cert = certify_configuration(F, bad, samples=32, seed=11)
+        cert = certify_configuration(F, bad)
         assert cert.pass_i
         assert not cert.separation_2C_ok
         assert not cert.ok
         # a near-duplicate center breaks conclusion (i) outright
         worse = replace(cfg, indices=(i0, i1, i1 + 1e-4))
-        cert = certify_configuration(F, worse, samples=32, seed=11)
+        cert = certify_configuration(F, worse)
         assert not cert.pass_i
 
     def test_hausdorff_pipeline_certifies_iii(self):
@@ -322,7 +321,7 @@ class TestCertify:
         ref = build_reference_net(1.0, 0.5, 2)
         assert (net.rho, net.delta) == (ref.rho, ref.delta)
         assert np.array_equal(net.tangent_points, ref.tangent_points)
-        cert = certify_configuration(F, cfg, samples=64, seed=12)
+        cert = certify_configuration(F, cfg)
         assert cert.pass_i and cert.pass_ii and cert.pass_iii
         assert cert.hausdorff_max <= 0.5
 
@@ -336,12 +335,42 @@ class TestCertify:
             return transport_net(tmpl, points)
 
         monkeypatch.setattr(hypack.search, "transport_net", counting)
-        assert certify_configuration(F, cfg, samples=16, seed=3).ok
+        assert certify_configuration(F, cfg).ok
         assert calls == [cfg.k]
+
+    @pytest.mark.parametrize("m", [2, 3, 13])
+    @pytest.mark.parametrize("label", ["poincare", "busemann"])
+    def test_set_distance_bound_is_the_searchs_image_diameter(self, label, m):
+        # (ii) is bounded by the center images, recomputed by the certifier;
+        # on the plain ladder they are the window the search measured
+        F = poincare_inclusion(m) if label == "poincare" else busemann_map([ideal_point(d) for d in np.eye(m)])
+        with time_limit(30.0):
+            cfg = find_bunched_configuration(F, SearchParams(1.0, 0.5, 3))
+            cert = certify_configuration(F, cfg)
+        assert cfg.ladder == "plain" and cert.ok
+        assert cert.set_distance_max == cfg.pairwise_image_max
+        assert 0.0 < cert.set_distance_max < 2.0 / cfg.params.C
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_set_distance_bound_is_sound_on_sampled_balls(self, m):
+        # any point of B_i and any of B_j bound d(F(B_i), F(B_j)) from above, so
+        # the set distance of sampled clouds, centers included, is at most the
+        # center bound; the samples lower it by well under 1 %
+        F = busemann_map([ideal_point(d) for d in np.eye(m)])
+        cfg = find_bunched_configuration(F, SearchParams(1.0, 0.5, 3))
+        rng = np.random.default_rng(m)
+        clouds = []
+        for p, img in zip(cfg.centers, F.batch(cfg.centers)):
+            X = sample_ball(m, 1.0, 512, rng)
+            vecs = (X[:, None, :] @ transport_frame(p))[:, 0, :]
+            clouds.append(np.vstack([F.batch(exp_rows(p, vecs, np.linalg.norm(X, axis=1))), img]))
+        sampled = brute_set_distance_max(clouds)
+        bound = certify_configuration(F, cfg).set_distance_max
+        assert sampled <= bound <= 1.01 * sampled
 
     def test_setdist_pipeline_skips_iii(self, poincare_cfg):
         F, cfg = poincare_cfg
-        cert = certify_configuration(F, cfg, samples=32, seed=13)
+        cert = certify_configuration(F, cfg)
         assert cert.pass_iii is None and cert.hausdorff_max is None
 
 
@@ -365,7 +394,7 @@ class TestPlainFirst:
     def test_plain_bound_is_the_certificates_bit_for_bit(self):
         F = poincare_inclusion(2)
         cfg = find_bunched_configuration(F, SearchParams(1.0, 0.5, 2, hausdorff=True))
-        cert = certify_configuration(F, cfg, samples=16, seed=4)
+        cert = certify_configuration(F, cfg)
         assert cfg.ladder == "plain" and cert.ok
         assert cfg.history[-1]["hausdorff_bound"] == cert.hausdorff_max
         assert np.array_equal(cert.net.tangent_points, certificate_net(F, 1.0, 0.5).tangent_points)
@@ -396,7 +425,7 @@ class TestPlainFirst:
         assert plain["rejected_hausdorff"] == pytest.approx(0.85, abs=1e-12)
         assert augmented["ladder"] == "augmented" and "rejected_hausdorff" not in augmented
         assert cfg.ladder == "augmented" and cfg.indices == (4.0, 8.0)
-        cert = certify_configuration(F, cfg, samples=64, seed=5)
+        cert = certify_configuration(F, cfg)
         assert cert.ok and cert.pass_iii
         assert cert.hausdorff_max == pytest.approx(0.25, abs=1e-4)
 
@@ -425,13 +454,16 @@ class TestRowPaths:
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_ball_samples_match_per_row_exp(self, m):
-        # a direction off the axes: there a plain (N, m) @ frame rounds differently at m = 3
+        # ball samples moved to p by its transport frame, at a basepoint in a
+        # direction off the axes; exp_rows takes them in one call
         p = HPoint.from_polar(18.0, np.linspace(0.3, -0.8, m))
-        got = _sample_ball_points(p, 1.0, 300, np.random.default_rng(3))
         frame = transport_frame(p)
         X = sample_ball(m, 1.0, 300, np.random.default_rng(3))
-        for q, x in zip(got, X):
-            ref = exp_map(HTangent(p, x @ frame, float(np.linalg.norm(x))))
+        vecs, lengths = np.array([x @ frame for x in X]), np.array([np.linalg.norm(x) for x in X])
+        got = exp_rows(p, vecs, lengths)
+        assert len(got) == len(X)
+        for q, v, t in zip(got, vecs, lengths.tolist()):
+            ref = exp_map(HTangent(p, v, t))
             assert q.r == ref.r
             assert np.array_equal(q.direction, ref.direction)
             assert np.array_equal(q.coords_extended, ref.coords_extended)
@@ -522,8 +554,17 @@ class TestCorollarySequences:
 
 
 class TestTreeDistances:
-    """Prefiltered set and Hausdorff distances and window diameters equal
-    full-cdist scans exactly."""
+    """The center-image bound of (ii), Hausdorff distances and window
+    diameters equal full-cdist scans exactly."""
+
+    @staticmethod
+    def check_center_bound(clouds):
+        """The blocked max over the clouds' last rows, which stand for the
+        center images, is cdist's and bounds the clouds' set distances."""
+        P = np.array([c[-1] for c in clouds])
+        got = _pairwise_max(P)
+        assert got == float(cdist(P, P).max())
+        assert got >= brute_set_distance_max(clouds)
 
     @staticmethod
     def clouds(kind, k, n, rng):
@@ -543,19 +584,19 @@ class TestTreeDistances:
         rng = np.random.default_rng(1000 * k + len(kind))
         for n in (3, 40):
             clouds = self.clouds(kind, k, n, rng)
-            assert _set_distance_max(clouds) == brute_set_distance_max(clouds)
+            self.check_center_bound(clouds)
             for A, B in zip(clouds, clouds[1:]):
                 assert hausdorff_distance_estimate(A, B) == brute_hausdorff(A, B)
 
     def test_rows_tied_in_exact_arithmetic(self):
-        # a and a[P] are equally far from {b, b[P]}; the prefilters and cdist sum
-        # the squares in different orders, so they can rank the two rows oppositely
+        # a and a[P] are equally far from {b, b[P]}; a prefilter and cdist that
+        # sum the squares in different orders can rank the two rows oppositely
         rng = np.random.default_rng(5)
         for _ in range(200):
             P = rng.permutation(40)
             a, b = rng.standard_normal(40), rng.standard_normal(40) + 0.5
             A, B = np.array([a, a[P]]), np.array([b, b[P]])
-            assert _set_distance_max([A, B]) == brute_set_distance_max([A, B])
+            self.check_center_bound([A, B])
             assert hausdorff_distance_estimate(A, B) == brute_hausdorff(A, B)
 
 
@@ -570,13 +611,13 @@ class TestTreeDistances:
                 np.array([math.cos(t), math.sin(t)]) + 1e-8 * rng.standard_normal((rows, 2))
                 for t in angles
             ]
-            assert _set_distance_max(clouds) == brute_set_distance_max(clouds)
+            self.check_center_bound(clouds)
             for A, B in zip(clouds, clouds[1:]):
                 assert hausdorff_distance_estimate(A, B) == brute_hausdorff(A, B)
 
     def test_clouds_whose_last_rows_are_not_closest(self):
         # the last rows bound a pair's minimum only from above; a small budget
-        # puts the cloud pairs in several blocks of rows
+        # puts the pairs of last rows in several blocks of rows
         rng = np.random.default_rng(9)
         for _ in range(50):
             clouds = [rng.standard_normal((int(rng.integers(1, 40)), 3)) + 3.0 * rng.standard_normal(3)
@@ -585,7 +626,7 @@ class TestTreeDistances:
                 c[-1] = 20.0 * rng.standard_normal(3)
             for chunk in (1, 7, 1 << 16):
                 with mock.patch.object(hypack.geometry, "_BLOCK_ELEMENTS", chunk):
-                    assert _set_distance_max(clouds) == brute_set_distance_max(clouds)
+                    self.check_center_bound(clouds)
 
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
     def test_best_window_equals_one_window_at_a_time(self, chunk):
@@ -613,15 +654,18 @@ class TestTreeDistances:
         assert chosen == members[s : s + k]
         assert diam == gaps[s]
 
+    def test_center_bound_of_one_row_and_of_nan(self):
+        assert _pairwise_max(np.ones((1, 3))) == 0.0
+        assert math.isnan(_pairwise_max(np.array([[0.0, 1.0], [0.0, np.nan], [1.0, 0.0]])))
+
     def test_set_distance_memory_is_bounded_in_the_cloud_count(self):
-        # 3,000 one-point clouds: 4.5 million cloud pairs, whose bounds and
-        # their order held 309 MB at once
+        # 3,000 center images: 4.5 million pairs, whose distances at once
+        # would hold 36 MB, and their index arrays 72 MB more
         P = np.random.default_rng(12).standard_normal((3000, 2))
         expected = float(cdist(P, P).max())
-        clouds = [p[None, :] for p in P]
         tracemalloc.start()
         try:
-            got = _set_distance_max(clouds)
+            got = _pairwise_max(P)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
