@@ -9,7 +9,9 @@ manifold while their images sit within 2/C of each other; the certificate
 then re-verifies the advertised conclusions with independent oracles.
 
 The Hausdorff variant runs the same pigeonhole on F first and accepts a
-window on its measured net bound; only if that ladder is exhausted does it
+window on its measured net bound, the largest distance between the images
+of matched net points of two balls plus L*delta; only if that ladder is
+exhausted does it
 fall back to the map augmented over a transported net.
 """
 
@@ -56,8 +58,8 @@ net = certificate_net(F, r, eps)
 print(f"net: l = {net.l} points at delta = eps/(2L) = {net.delta}; F^ would map into R^{F.n * net.l}")
 cert_h = certify_configuration(F, cfg_h)
 print(
-    f"success at R = {cfg_h.R_used} on the {cfg_h.ladder} ladder; (iii) net Hausdorff "
-    f"estimate + L*delta slack = {cert_h.hausdorff_max:.6f} <= eps -> {cert_h.pass_iii}"
+    f"success at R = {cfg_h.R_used} on the {cfg_h.ladder} ladder; (iii) matched net-image "
+    f"distance + L*delta slack = {cert_h.hausdorff_max:.6f} <= eps -> {cert_h.pass_iii}"
 )
 
 print("\n== compression sequences (epsilon halved per level) ==")

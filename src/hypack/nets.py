@@ -41,7 +41,6 @@ __all__ = [
     "CoverReport",
     "NetTemplate",
     "build_reference_net",
-    "check_net_size",
     "transport_net",
     "verify_cover",
 ]
@@ -95,30 +94,12 @@ def _lattice_step(rho: float, delta: float, m: int) -> tuple[float, float]:
     spacing in floats.  Both are 0 where sinh(rho) overflows."""
     try:
         spacing = delta * rho / math.sinh(rho)
-    except OverflowError:  # rho past about 710: check_net_size refuses h = 0
+    except OverflowError:  # rho past about 710: the size bound refuses h = 0
         return 0.0, 0.0
     h = 2.0 * spacing / math.sqrt(m)
     while h * math.sqrt(m) / 2.0 > spacing:
         h = math.nextafter(h, 0.0)
     return spacing, h
-
-
-def check_net_size(rho: float, delta: float, m: int) -> None:
-    """Refuse, before any allocation, the arguments of a build_reference_net
-    call whose size bound vol B_m(rho + 2 spacing) / h^m exceeds
-    NET_POINTS_MAX (ValueError).  The bound is taken in log domain."""
-    if delta >= rho:
-        return
-    spacing, h = _lattice_step(rho, delta, m)
-    ratio = (rho + 2.0 * spacing) / h if h > 0.0 else math.inf
-    log_bound = 0.5 * m * math.log(math.pi) - math.lgamma(0.5 * m + 1.0) + m * math.log(ratio)
-    if log_bound > math.log(NET_POINTS_MAX):
-        exponent = log_bound / math.log(10.0)
-        size = f"about 10^{exponent:.1f}" if exponent < 308 else "over 10^308"
-        raise ValueError(
-            f"build_reference_net: the net's size bound is {size} lattice points,"
-            f" more than the limit of {NET_POINTS_MAX:,}; raise delta or lower rho or m"
-        )
 
 
 def build_reference_net(rho: float, delta: float, m: int) -> NetTemplate:
@@ -130,15 +111,25 @@ def build_reference_net(rho: float, delta: float, m: int) -> NetTemplate:
     each prefix extended by the values that keep its squared norm within
     the limit, so no set is larger than the net and the (2n+1)^m box is
     never formed.  Values run 0, 1, -1, 2, -2, ..., so the origin is row 0.
-    The size bound is checked first (:func:`check_net_size`).
+    Before any allocation, a net whose size bound vol B_m(rho + 2 spacing) / h^m
+    exceeds NET_POINTS_MAX is refused (ValueError); the bound is taken in
+    log domain.
     """
     if rho <= 0.0 or delta <= 0.0 or m < 1:
         raise ValueError("build_reference_net: need rho > 0, delta > 0, m >= 1")
     if delta >= rho:
         return NetTemplate(rho=rho, delta=delta, tangent_points=np.zeros((1, m)))
 
-    check_net_size(rho, delta, m)
     spacing, h = _lattice_step(rho, delta, m)
+    ratio = (rho + 2.0 * spacing) / h if h > 0.0 else math.inf
+    log_bound = 0.5 * m * math.log(math.pi) - math.lgamma(0.5 * m + 1.0) + m * math.log(ratio)
+    if log_bound > math.log(NET_POINTS_MAX):
+        exponent = log_bound / math.log(10.0)
+        size = f"about 10^{exponent:.1f}" if exponent < 308 else "over 10^308"
+        raise ValueError(
+            f"build_reference_net: the net's size bound is {size} lattice points,"
+            f" more than the limit of {NET_POINTS_MAX:,}; raise delta or lower rho or m"
+        )
     limit = ((rho + spacing) / h) ** 2
     n = math.isqrt(math.floor(limit))
     steps = np.arange(1, n + 1)

@@ -12,11 +12,11 @@ conclusion (ii): each center p_i lies in its ball B_i, so
 d(F(B_i), F(B_j)) <= |F(p_i) - F(p_j)|.
 
 A Hausdorff search runs this pipeline on the plain map first and accepts a
-window only on its measured bound of conclusion (iii), the net images of
-its k balls; the net is transported to those k centers alone.  Only if
-that ladder is exhausted does it run the paper's construction, the
-pipeline on the map augmented over the net, whose fibers bound (iii) as R
-grows.
+window only on its measured bound of conclusion (iii), the largest distance
+between the images of matched net points of its k balls plus L*delta; the
+net is transported to those k centers alone.  Only if that ladder is
+exhausted does it run the paper's construction, the pipeline on the map
+augmented over the net, whose fibers bound (iii) as R grows.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from hypack.geometry import EXP_RADIUS_MAX, HPoint, PolarBatch, _row_blocks
 from hypack.maps import LipschitzMapHandle
-from hypack.nets import NetTemplate, build_reference_net, check_net_size, transport_net
+from hypack.nets import NetTemplate, build_reference_net, transport_net
 from hypack.packing import CAP_MAX, generate_centers, min_lag_distance, packing_angle
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "default_schedule",
     "find_bunched_configuration",
     "greedy_separated_subfamily",
-    "hausdorff_distance_estimate",
     "theta_assignment",
 ]
 
@@ -171,11 +170,9 @@ class SearchParams:
 def certificate_net(F: LipschitzMapHandle, r: float, epsilon: float) -> NetTemplate:
     """The reference net of the certificate: radius r, spacing delta = epsilon/(2L),
     so the net slack L*delta of conclusion (iii) is epsilon/2.  A net whose
-    size bound is too large is refused (:func:`hypack.nets.check_net_size`)
-    before the build is called."""
-    args = r, epsilon / (2.0 * F.L), F.m
-    check_net_size(*args)
-    return build_reference_net(*args)
+    size bound is too large is refused (ValueError) before anything is
+    allocated (:func:`hypack.nets.build_reference_net`)."""
+    return build_reference_net(r, epsilon / (2.0 * F.L), F.m)
 
 
 #: Relative slack of every prefilter bound below: it covers cdist's rounding
@@ -602,7 +599,7 @@ def find_bunched_configuration(
     - the plain ladder: the pigeonhole on F at the Hausdorff C.  On each rung
       the best k-window of the largest fiber is accepted only when the
       bound of conclusion (iii) measured on it (:func:`_hausdorff_bound`,
-      one net transport to its k centers) is at most epsilon; a rejected
+      the net transported to its k centers) is at most epsilon; a rejected
       rung records ``rejected_hausdorff`` and the ladder moves on.
     - only when that ladder is exhausted, the augmented ladder: the map
       augmented over the net (:func:`augment_map`), whose pigeonhole
@@ -733,88 +730,53 @@ def _walk_ladder(
 
 
 def _hausdorff_bound(F: LipschitzMapHandle, net: NetTemplate, centers: PolarBatch) -> float:
-    """The bound of conclusion (iii) for the radius-net.rho balls at `centers`:
-    the largest pairwise Hausdorff estimate between the images of the net
-    transported to each center, plus the net slack F.L * net.delta.  The
-    net goes to all centers in one transport_net call."""
-    net_images = np.split(F.batch(transport_net(net, centers)), len(centers))  # l rows per ball
-    slack = F.L * net.delta
-    worst = 0.0
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            worst = max(worst, hausdorff_distance_estimate(net_images[i], net_images[j]) + slack)
-    return worst
+    """The bound M + L*delta of conclusion (iii) for the radius-net.rho balls
+    B_i at `centers` p_i: M is the largest |F(sigma_t p_i) - F(sigma_t p_j)|
+    over pairs i < j and net indices t (:func:`_pairwise_max`), L = F.L and
+    delta = net.delta.  It is sound for any L-Lipschitz F:
 
+    - N_i = {sigma_t p_i}, the transport_net rows of p_i, is a delta-net of B_i.
+    - For a in B_i pick t with d(a, sigma_t p_i) <= delta; as sigma_t p_j lies
+      in B_j, d(F(a), F(B_j)) <= L*delta + |F(sigma_t p_i) - F(sigma_t p_j)|.
+    - So, with i and j swapped too, d_H(F(B_i), F(B_j)) <= M + L*delta.
 
-def hausdorff_distance_estimate(A, B) -> float:
-    """Hausdorff distance between the finite point sets given as the rows of
-    two 2-D arrays: max of the two directed sup-inf distances, equal to the
-    full-cdist value bit for bit.
-
-    Pairs are ranked by the Gram identity |a - b|^2 = |a|^2 + |b|^2 - 2 a.b,
-    one BLAS product per block of rows of A.  In any summation order the
-    computed value is off the exact square by at most
-    2 gamma_(n+3) (|a|^2 + |b|^2), and the square of cdist's value is off it
-    by at most 2 gamma_(n+4) (|a|^2 + |b|^2); their sum over the largest
-    squared norms, widened by _CDIST_SLACK, is `err`.  So the row that
-    attains a directed maximum has a Gram minimum within 2 err of the
-    largest one, and its nearest point a Gram value within 2 err of that
-    minimum (3 err also covers the rounding of these comparisons).  Only
-    those pairs are measured with cdist's bits (:func:`_farthest_nearest`).
+    M is at most |Phi(p_i) - Phi(p_j)| for Phi = :func:`augment_map`, which
+    the augmented pigeonhole bounds by 2/C.  The nets are transported and
+    mapped in blocks of :func:`hypack.geometry._row_blocks` basepoints
+    (l*(m+1) elements each); only the (k, l, n) images are kept.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.size == 0 or B.size == 0:
-        raise ValueError("hausdorff_distance_estimate: empty point set")
-    na, nb = np.vecdot(A, A), np.vecdot(B, B)
-    err = (1.0 + _CDIST_SLACK) * 4.0 * _gamma(A.shape[1] + 4) * float(na.max() + nb.max())
-    B2 = -2.0 * B
-    near_a, near_b = np.empty(len(A)), np.full(len(B), np.inf)
-    for part in _row_blocks(len(A), len(B)):
-        G = A[part] @ B2.T
-        G += na[part, None]
-        G += nb
-        near_a[part] = G.min(axis=1)
-        np.minimum(near_b, G.min(axis=0), out=near_b)
-    return max(
-        _farthest_nearest(A, na, B, nb, near_a, 3.0 * err),
-        _farthest_nearest(B, nb, A, na, near_b, 3.0 * err),
-    )
-
-
-def _farthest_nearest(A, na, B, nb, near, err) -> float:
-    """max over the rows a of A of min_b cdist(a, b), with cdist's bits, for
-    `near` the Gram row minima and `err` the margin of
-    :func:`hausdorff_distance_estimate`: only the rows whose Gram minimum is
-    within `err` of the largest, and their points within `err` of that
-    minimum, are measured."""
-    rows = np.flatnonzero(near >= near.max() - err)
-    best = np.full(len(rows), np.inf)
-    B2 = -2.0 * B
-    for part in _row_blocks(len(rows), len(B)):
-        G = A[rows[part]] @ B2.T
-        G += na[rows[part], None]
-        G += nb
-        t, u = np.nonzero(G <= near[rows[part], None] + err)
-        t += part.start
-        np.minimum.at(best, t, _pair_cdist(A, rows[t], B, u))
-    return float(best.max())
+    images = np.empty((len(centers), net.l, F.n))
+    for part in _row_blocks(len(centers), net.l * (F.m + 1)):
+        images[part] = F.batch(transport_net(net, centers[part])).reshape(-1, net.l, F.n)
+    return _pairwise_max(images) + F.L * net.delta
 
 
 def _pairwise_max(P: np.ndarray) -> float:
-    """max over pairs i < j of cdist(P[i], P[j]), with cdist's bits; 0.0 for
-    one row, NaN if any pair is NaN.
-
-    The pairs are taken in blocks of rows i (:func:`hypack.geometry._row_blocks`,
-    k pairs a row), so no temporary grows with the k(k - 1)/2 pairs.
+    """max over pairs i < j and indices t of cdist(P[i, t], P[j, t]), with
+    cdist's bits, for a (k, l, n) stack P or a (k, n) array (l = 1); 0.0 for
+    one row, NaN if any pair is NaN.  The squared differences are summed
+    column by column, left to right, as cdist does; sqrt, monotone and
+    correctly rounded, is taken of the largest sum.  Indices t come in
+    blocks of :func:`hypack.geometry._row_blocks` (k n elements each) and,
+    within them, rows i (k elements a pair each), so no temporary grows
+    with the pairs or with l.
     """
-    k = len(P)
+    if P.ndim == 2:
+        P = P[:, None, :]
+    k, l, n = P.shape
     block_max = [0.0]
-    for part in _row_blocks(k, k):
-        i = np.arange(k)[part]
-        count = k - 1 - i
-        block_max.append(_pair_cdist(P, np.repeat(i, count), P, _ranges(i + 1, count)).max(initial=0.0))
-    return float(np.max(block_max))
+    for t in _row_blocks(l, k * n):
+        Q = P[:, t]
+        for part in _row_blocks(k, k * Q[0].size):
+            i = np.arange(k)[part]
+            count = k - 1 - i
+            d = Q[np.repeat(i, count)] - Q[_ranges(i + 1, count)]
+            d *= d
+            s = d[..., 0].copy()
+            for c in range(1, n):
+                s += d[..., c]
+            block_max.append(s.max(initial=0.0))
+    return float(np.sqrt(np.max(block_max)))
 
 
 @dataclass(frozen=True)
@@ -855,10 +817,11 @@ def certify_configuration(F: LipschitzMapHandle, cfg: BunchedConfiguration) -> C
     pairwise_image_max bit for bit.  (iii) is only evaluated for
     configurations of a Hausdorff search (the set-distance C need not
     satisfy the Hausdorff budget): the certificate net is built here
-    (:func:`certificate_net`), not taken from the search, and the Hausdorff
-    distances are bounded by the net-image estimate plus the L*delta net
+    (:func:`certificate_net`), not taken from the search, and each Hausdorff
+    distance d_H(F(B_i), F(B_j)) is bounded by the largest distance between
+    the images of matched net points of the two balls plus the L*delta net
     slack (:func:`_hausdorff_bound`, the measure the plain Hausdorff ladder
-    accepts its window on).
+    accepts its window on, O(k^2 l n) work).
     """
     eps = cfg.params.epsilon
     r = cfg.params.r

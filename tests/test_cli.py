@@ -14,6 +14,7 @@ from conftest import PINWHEEL_R_MAX, pinwheel_map, time_limit
 from hypack.cli import _dump_json, _write_float_rows, main
 import hypack.cli
 import hypack.geometry
+import hypack.nets
 import hypack.search
 from hypack.geometry import M_MAX
 from hypack.maps import FLAT_GRAPH_K_MAX
@@ -202,6 +203,16 @@ class TestSearch:
         assert rc == 0 and payload["pass"] == {"i": True, "ii": True, "iii": True}
         assert payload["ladder"] == "plain" and payload["hausdorff_max"] <= 0.5
 
+    def test_many_balls_hausdorff_search_is_fast(self, tmp_path):
+        # (iii) of 40 balls on the l = 2,103 net: matched net points make it
+        # O(k^2 l n) work, a full Hausdorff estimate of each pair O(k^2 l^2)
+        with time_limit(5.0):
+            rc, out = run(tmp_path, "search.json",
+                          ["search", "--map", "busemann", "--m", "3", "--hausdorff", "--k", "40"])
+        payload = json.loads(out.read_text())
+        assert rc == 0 and payload["pass"] == {"i": True, "ii": True, "iii": True}
+        assert payload["net_l"] == 2103 and payload["hausdorff_max"] <= 0.5
+
     def test_both_ladders_exhausted_exit_3(self, tmp_path, monkeypatch):
         monkeypatch.setattr(hypack.cli, "_map_handle", lambda args: pinwheel_map())
         rc, out = run(
@@ -305,13 +316,16 @@ class TestSearch:
         assert payload["set_distance_max"] == payload["pairwise_image_max"]
 
     def test_hausdorff_net_grid_refused_before_any_rung(self, capsys, monkeypatch):
-        def never(*args):
+        # build_reference_net refuses from the size bound before it allocates
+        # (tests/test_nets.py); no net and no rung is made
+        def never(*args, **kwargs):
             raise AssertionError("called")
 
-        monkeypatch.setattr(hypack.search, "build_reference_net", never)
+        monkeypatch.setattr(hypack.nets, "NetTemplate", never)
         monkeypatch.setattr(hypack.search, "generate_centers", never)
-        assert refused_quickly(["search", "--m", "5", "--hausdorff"], seconds=2.0) == 2
-        assert "lattice points, more than the limit" in capsys.readouterr().err
+        for argv in (["--m", "5"], ["--map", "busemann", "--m", "4"]):  # bounds 10^4.2, 10^4.9
+            assert refused_quickly(["search", *argv, "--hausdorff"], seconds=2.0) == 2
+            assert "lattice points, more than the limit" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, code",

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from conftest import PINWHEEL_R_MAX, pinwheel_map, poincare_at, time_limit
+from conftest import PINWHEEL_C, PINWHEEL_R_MAX, pinwheel_map, poincare_at, time_limit
 from oracle_utils import (
     brute_close_pairs,
     brute_hausdorff,
@@ -25,7 +25,7 @@ import hypack.search
 from hypack.geometry import HPoint, HTangent, PolarBatch, distance, exp_map, exp_rows, sample_ball, transport_frame
 from hypack.maps import LipschitzMapHandle, busemann_map, ideal_point, poincare_inclusion
 from hypack.nets import build_reference_net, transport_net
-from hypack.packing import generate_centers
+from hypack.packing import generate_centers, packing_angle
 from hypack.search import (
     ScheduleExhausted,
     SearchParams,
@@ -45,7 +45,6 @@ from hypack.search import (
     default_schedule,
     find_bunched_configuration,
     greedy_separated_subfamily,
-    hausdorff_distance_estimate,
     theta_assignment,
 )
 
@@ -368,6 +367,19 @@ class TestCertify:
         bound = certify_configuration(F, cfg).set_distance_max
         assert sampled <= bound <= 1.01 * sampled
 
+    @pytest.mark.parametrize("label", ["poincare", "busemann"])
+    def test_hausdorff_bound_is_sound_on_a_finer_net(self, label):
+        # a delta/4-net of each ball lies in it and covers it at delta/4, so
+        # d_H(F(B_i), F(B_j)) is at least the Hausdorff distance of the finer
+        # nets' images less L*delta/4, which the bound must clear
+        F = poincare_inclusion(2) if label == "poincare" else busemann_map([ideal_point(d) for d in np.eye(2)])
+        cfg = find_bunched_configuration(F, SearchParams(1.0, 0.5, 3, hausdorff=True))
+        cert = certify_configuration(F, cfg)
+        fine = build_reference_net(1.0, cert.net.delta / 4.0, 2)
+        images = np.split(F.batch(transport_net(fine, cfg.centers)), cfg.k)
+        estimate = max(brute_hausdorff(images[i], images[j]) for i in range(cfg.k) for j in range(i + 1, cfg.k))
+        assert cert.ok and cert.hausdorff_max >= estimate - F.L * fine.delta
+
     def test_setdist_pipeline_skips_iii(self, poincare_cfg):
         F, cfg = poincare_cfg
         cert = certify_configuration(F, cfg)
@@ -419,15 +431,34 @@ class TestPlainFirst:
         params = SearchParams(1.0, 0.5, 2, hausdorff=True, R_max=PINWHEEL_R_MAX)
         cfg = find_bunched_configuration(F, params)
         plain, augmented = cfg.history
-        # every center maps to 0: one fiber, whose first window's segments
-        # are perpendicular, 0.6 apart, and 0.6 + L*delta > eps
+        # every center maps to 0: one fiber.  Its first window's balls map
+        # onto perpendicular segments (N times the angle 2 alpha between the
+        # centers is pi/2), and the net point e_3 of the template, at distance
+        # 1 above each center, maps to 0.6 times a unit vector on each: the
+        # matched bound is 0.6 sqrt(2), plus L*delta = 0.6 * 0.5/1.2 > eps
         assert plain["ladder"] == "plain" and plain["largest_fiber"] == 22
-        assert plain["rejected_hausdorff"] == pytest.approx(0.85, abs=1e-12)
+        assert plain["rejected_hausdorff"] == pytest.approx(0.6 * math.sqrt(2.0) + 0.25, abs=1e-12)
         assert augmented["ladder"] == "augmented" and "rejected_hausdorff" not in augmented
         assert cfg.ladder == "augmented" and cfg.indices == (4.0, 8.0)
         cert = certify_configuration(F, cfg)
         assert cert.ok and cert.pass_iii
-        assert cert.hausdorff_max == pytest.approx(0.25, abs=1e-4)
+        # N times the angle 8 alpha between these centers is 2 pi, so matched
+        # net points differ only by the angles Delta their frames add.  The
+        # largest gap is at the template point v = (0, -1, 1)/sqrt(2):
+        # exp(v) at a center (cosh 10, sinh 10 (cos th, sin th, 0)) lies
+        # d = asinh(sinh(1)/sqrt(2)) above the plane, at the angle th + Delta
+        # with tan Delta = -sinh(1) cos(th)/sqrt(2) over
+        # cosh(1) sinh(10) - sinh(1) cosh(10) sin(th)/sqrt(2); its images are
+        # 0.6 d (cos, sin)(N th + N Delta), 1.2 d sin(N |Delta_i - Delta_j|/2)
+        # apart, 2.45e-4 here
+        assert cfg.center_radius == 10.0
+        th = np.arctan2(cfg.centers.dirs[:, 1], cfg.centers.dirs[:, 0])
+        s, c = math.sinh(1.0) / math.sqrt(2.0), math.cosh(1.0)
+        delta = np.arctan2(-s * np.cos(th), c * math.sinh(10.0) - s * math.cosh(10.0) * np.sin(th))
+        N = math.pi / (4.0 * packing_angle(PINWHEEL_C, PINWHEEL_R_MAX))
+        gap = 1.2 * math.asinh(s) * math.sin(0.5 * N * abs(delta[0] - delta[1]))
+        assert gap == pytest.approx(2.45027e-4, abs=1e-9)
+        assert cert.hausdorff_max == pytest.approx(gap + 0.25, abs=1e-12)
 
     def test_both_ladders_exhausted(self):
         # 23 centers on the rung; no augmented fiber holds 8
@@ -470,33 +501,52 @@ class TestRowPaths:
 
 
 class TestHausdorffEstimate:
+    """The matched bound of (iii): the largest distance between matched rows
+    P[i, t] and P[j, t] of a (k, l, n) stack of net images."""
+
     def test_identical_sets(self):
         A = np.array([[0.0, 1.0], [2.0, 3.0]])
-        assert hausdorff_distance_estimate(A, A) == 0.0
+        assert _pairwise_max(np.stack([A, A])) == 0.0
 
     def test_singletons(self):
-        assert hausdorff_distance_estimate([[0.0]], [[3.0]]) == 3.0
+        assert _pairwise_max(np.array([[[0.0]], [[3.0]]])) == 3.0
 
     def test_directed_asymmetry(self):
+        # A lies within 10 of B and B within 0 of A; the bound takes the larger
         A = np.array([[0.0], [10.0]])
-        B = np.array([[0.0]])
-        assert hausdorff_distance_estimate(A, B) == 10.0
+        B = np.array([[0.0], [0.0]])
+        assert _pairwise_max(np.stack([A, B])) == 10.0 == brute_hausdorff(A, B)
 
     def test_symmetry_and_triangle(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
-            A = rng.random((6, 3))
-            B = rng.random((5, 3))
-            Cs = rng.random((7, 3))
-            ab = hausdorff_distance_estimate(A, B)
-            assert ab == hausdorff_distance_estimate(B, A)
-            ac = hausdorff_distance_estimate(A, Cs)
-            cb = hausdorff_distance_estimate(Cs, B)
+            A, B, Cs = rng.random((3, 6, 3))
+            ab = _pairwise_max(np.stack([A, B]))
+            assert ab == _pairwise_max(np.stack([B, A]))
+            ac = _pairwise_max(np.stack([A, Cs]))
+            cb = _pairwise_max(np.stack([Cs, B]))
             assert ab <= ac + cb + 1e-12
+            assert _pairwise_max(np.stack([A, B, Cs])) == max(ab, ac, cb)
 
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            hausdorff_distance_estimate(np.zeros((0, 2)), np.zeros((1, 2)))
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    def test_blocks_equal_per_index_cdist(self, chunk):
+        rng = np.random.default_rng(chunk)
+        with mock.patch.object(hypack.geometry, "_BLOCK_ELEMENTS", chunk):
+            for shape in [(2, 1, 1), (3, 5, 2), (7, 40, 3), (12, 9, 1)]:
+                P = rng.integers(0, 3, shape).astype(float)  # tied distances
+                P[rng.integers(shape[0])] += rng.standard_normal(shape[1:])
+                expected = max(np.diag(cdist(P[i], P[j])).max()
+                               for i in range(len(P)) for j in range(i + 1, len(P)))
+                assert _pairwise_max(P) == expected
+            P[1, 2, 0] = np.nan
+            assert math.isnan(_pairwise_max(P))
+
+    def test_matched_rows_not_nearest(self):
+        # the same two points in opposite orders: Hausdorff distance 0, but
+        # each row is measured against its matched row only
+        A = np.array([[0.0], [10.0]])
+        assert brute_hausdorff(A, A[::-1]) == 0.0
+        assert _pairwise_max(np.stack([A, A[::-1]])) == 10.0
 
 
 class TestCorollarySequences:
@@ -554,8 +604,19 @@ class TestCorollarySequences:
 
 
 class TestTreeDistances:
-    """The center-image bound of (ii), Hausdorff distances and window
+    """The center-image bound of (ii), the matched bound of (iii) and window
     diameters equal full-cdist scans exactly."""
+
+    @staticmethod
+    def check_matched_bound(A, B):
+        """The matched bound of the clouds' first rows, as many of each as
+        the shorter has, is the largest cdist value of matched rows and
+        bounds their Hausdorff distance."""
+        l = min(len(A), len(B))
+        A, B = A[:l], B[:l]
+        got = _pairwise_max(np.stack([A, B]))
+        assert got == float(np.diag(cdist(A, B)).max())
+        assert got >= brute_hausdorff(A, B)
 
     @staticmethod
     def check_center_bound(clouds):
@@ -586,7 +647,7 @@ class TestTreeDistances:
             clouds = self.clouds(kind, k, n, rng)
             self.check_center_bound(clouds)
             for A, B in zip(clouds, clouds[1:]):
-                assert hausdorff_distance_estimate(A, B) == brute_hausdorff(A, B)
+                self.check_matched_bound(A, B)
 
     def test_rows_tied_in_exact_arithmetic(self):
         # a and a[P] are equally far from {b, b[P]}; a prefilter and cdist that
@@ -597,7 +658,7 @@ class TestTreeDistances:
             a, b = rng.standard_normal(40), rng.standard_normal(40) + 0.5
             A, B = np.array([a, a[P]]), np.array([b, b[P]])
             self.check_center_bound([A, B])
-            assert hausdorff_distance_estimate(A, B) == brute_hausdorff(A, B)
+            self.check_matched_bound(A, B)
 
 
     @pytest.mark.parametrize("k", [2, 3, 8])
@@ -613,7 +674,7 @@ class TestTreeDistances:
             ]
             self.check_center_bound(clouds)
             for A, B in zip(clouds, clouds[1:]):
-                assert hausdorff_distance_estimate(A, B) == brute_hausdorff(A, B)
+                self.check_matched_bound(A, B)
 
     def test_clouds_whose_last_rows_are_not_closest(self):
         # the last rows bound a pair's minimum only from above; a small budget
@@ -657,6 +718,27 @@ class TestTreeDistances:
     def test_center_bound_of_one_row_and_of_nan(self):
         assert _pairwise_max(np.ones((1, 3))) == 0.0
         assert math.isnan(_pairwise_max(np.array([[0.0, 1.0], [0.0, np.nan], [1.0, 0.0]])))
+
+    def test_hausdorff_memory_is_bounded_in_the_ball_count(self):
+        # 100 balls of the l = 2,103 net of Busemann m = 3: their transported
+        # rows at once would hold about 70 MB
+        F = busemann_map([ideal_point(d) for d in np.eye(3)])
+        net = certificate_net(F, 1.0, 0.5)
+        centers = generate_centers(8.0, 28.0, 3, cap=1000).centers[:100]
+        assert net.l == 2103 and len(centers) == 100
+        images = np.array([F.batch(transport_net(net, centers[i : i + 1])) for i in range(len(centers))])
+        expected = 0.0
+        for i in range(len(images) - 1):
+            d = images[i + 1 :] - images[i]
+            expected = max(expected, float(np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2).max()))
+        tracemalloc.start()
+        try:
+            got = hypack.search._hausdorff_bound(F, net, centers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected + F.L * net.delta
+        assert peak < 32e6
 
     def test_set_distance_memory_is_bounded_in_the_cloud_count(self):
         # 3,000 center images: 4.5 million pairs, whose distances at once
