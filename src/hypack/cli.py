@@ -16,7 +16,6 @@ import json
 import locale  # noqa: F401
 import math
 import os
-import re
 import sys
 import tempfile
 from dataclasses import asdict
@@ -68,9 +67,10 @@ def _dump_json(payload) -> str:
     """The text of json.dumps(payload, sort_keys=True, indent=2) plus a newline.
 
     A non-empty 2-D float array is written in one bulk step: json.dumps puts
-    a unique placeholder string in its place, which is then replaced by the
-    array's rows at the indentation of its line.  Any other array is written
-    as its .tolist(); other types json.dumps refuses raise TypeError.
+    a unique placeholder string in its place; the text is split on the
+    placeholders, and each is replaced by its array's rows at the
+    indentation of its line.  Any other array is written as its .tolist();
+    other types json.dumps refuses raise TypeError.
     """
     tag = os.urandom(16).hex()
     arrays = []
@@ -83,14 +83,14 @@ def _dump_json(payload) -> str:
             return f"{tag}:{len(arrays) - 1}"
         return o.tolist()
 
-    text = json.dumps(payload, sort_keys=True, indent=2, default=default)
-
-    def rows(match):
-        line = text[text.rfind("\n", 0, match.start()) + 1 : match.start()]
+    head, *rest = json.dumps(payload, sort_keys=True, indent=2, default=default).split(f'"{tag}:')
+    out = [head]
+    for piece in rest:
+        index, after = piece.split('"', 1)
+        line = out[-1][out[-1].rfind("\n") + 1 :]
         newline = "\n" + " " * (len(line) - len(line.lstrip(" ")))
-        return _write_float_rows(arrays[int(match.group(1))], newline)
-
-    return re.sub(f'"{tag}:(\\d+)"', rows, text) + "\n"
+        out += [_write_float_rows(arrays[int(index)], newline), after]
+    return "".join(out) + "\n"
 
 
 def _json_float(x: float) -> str:

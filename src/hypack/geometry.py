@@ -89,8 +89,9 @@ _BLOCK_ELEMENTS = 1 << 16
 
 
 def _row_blocks(n: int, width: int):
-    """Slices of range(n), in order, of at most max(1, _BLOCK_ELEMENTS // width) rows."""
-    step = max(1, _BLOCK_ELEMENTS // width)
+    """Slices of range(n), in order, of at most max(1, _BLOCK_ELEMENTS // width)
+    rows; a row of width 0 counts as width 1."""
+    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
     for lo in range(0, n, step):
         yield slice(lo, lo + step)
 
@@ -411,6 +412,11 @@ def _two_prod(a, b):
     return p, err
 
 
+#: Products at least this large in magnitude get their exact error from
+#: _two_prod: its partial products, down to 2^-53 of the product, stay normal.
+_TWO_PROD_EXACT_MIN = 2.0**-969
+
+
 def _comb2(s1, x, s2, y):
     """s1*x + s2*y with one compensation level.
 
@@ -450,13 +456,13 @@ def distance(x, y):
 
 
 def _snap_rows(c: np.ndarray):
-    """(r, dirs, coords) of rows of computed hyperboloid coordinates.
+    """(r, dirs, coords) of rows of computed hyperboloid coordinates; the
+    coords are `c` itself, its column 0 rewritten.
 
     Cancellation in exp/isometry formulas leaves off-sheet drift that scales
     with the construction magnitudes, not the result, so the timelike
     component is snapped instead of re-validated.
     """
-    c = c.copy()
     rest = c[:, 1:]
     # sqrt(vecdot) rounds like the 1-D np.linalg.norm; norm(axis=1) does not
     nr = np.sqrt(np.vecdot(rest, rest))
@@ -480,6 +486,16 @@ def exp_rows(base, vecs, t) -> PolarBatch:
     This is the one exp implementation.  libm cosh/sinh run once per entry of
     `t`, and every row has the bits of a one-row call at its basepoint.  With
     a 0-d `t` the product cosh(t) x is formed once per basepoint.
+
+    Where every basepoint is o (spatial coordinates all +0.0), the spatial
+    columns of the compensated combination are the plain products
+    sinh(t) v/t, bit for bit: cosh(t) * 0 and its Dekker error are +0.0, and
+    fl(p + e) = p for p = fl(a b) and its exact error e.  So the rows are
+    those products there (with -0.0 made +0.0, as the compensated sum makes
+    it), and neither the compensation nor libm cosh runs; column 0 is
+    rewritten by the snap anyway.  If a nonzero product falls below
+    _TWO_PROD_EXACT_MIN, where the Dekker error is not exact, the
+    compensated combination is taken after all.
     """
     bases = PolarBatch.of([base]) if isinstance(base, HPoint) else base
     t = np.asarray(t, dtype=float)
@@ -491,10 +507,19 @@ def exp_rows(base, vecs, t) -> PolarBatch:
         raise NumericRangeError(
             f"exp_map: target radius ~{reach.max():.3g} exceeds the representable range"
         )
-    x = _coords_of(bases)[:, None, :]
+    x = _coords_of(bases)
     zero = t == 0.0
     tt = np.where(zero, 1.0, t)[..., None]
-    r, dirs, coords = _snap_rows(_comb2(_cosh(tt), x, _sinh(tt), vecs / tt).reshape(-1, m1))
+    y = vecs / tt
+    at_o = not (np.any(x[:, 1:]) or np.signbit(x[:, 1:]).any())
+    exact = False
+    if at_o:
+        c = _sinh(tt) * y
+        c += 0.0  # -0.0 to +0.0, as in _comb2
+        exact = not np.any((np.abs(c[..., 1:]) < _TWO_PROD_EXACT_MIN) & (y[..., 1:] != 0.0))
+    if not exact:
+        c = _comb2(_cosh(tt), x[:, None, :], _sinh(tt), y)
+    r, dirs, coords = _snap_rows(c.reshape(-1, m1))
     stay = np.broadcast_to(zero, vecs.shape[:2])
     if stay.any():
         at = np.nonzero(stay)[0]  # the basepoint of each t = 0 row, in row order

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -220,8 +221,8 @@ class _CellGrid:
     - The keys of one block are its leading columns, a view of the images,
       with no rounding.
 
-    Every key row is bucketed in an axis cube of side s; a query row's
-    neighbours are the indexed rows of the 3^w cubes around its own.  With
+    Every key row is bucketed in an axis cube of side s; a row's
+    neighbours are the rows of the 3^w cubes around its own.  With
     s = (reach + 2^-50 D)(1 + 2^-50), D the largest column span of the keys,
     that lists every pair within reach:
 
@@ -236,17 +237,18 @@ class _CellGrid:
       int64 values.  No cube is ever allocated: a cube is named by a code,
       the coordinates (shifted by one) in mixed radix, and the rows are
       sorted by code.  Over the last key column the 3 neighbour cubes are
-      consecutive codes, so one pair of binary searches per offset in the
-      other columns (3^(w-1) of them) finds their rows.
+      consecutive codes, so one pair of binary searches per occupied cube
+      and offset in the other columns (3^(w-1) of them) finds their rows.
     - If the mixed-radix codes could pass _CODE_MAX (spans of millions of
       cubes), each column's coordinates are first renumbered in order with
       gaps capped at 3, which keeps every difference of at most 1 as it is
       and every larger one at least 2; if they still could, they are divided
       by a power of two, which keeps neighbours neighbours.
 
-    The grid spans every image row, queries included, so a query row
-    outside the indexed rows' box simply finds no cube.  A grid built for
-    `limit` serves every smaller limit as well.
+    The neighbour rows of every row are listed once per grid, on first use
+    (:attr:`listing`), and kept with it; a scan against a subset b of the
+    rows filters that listing to b (:meth:`among`) instead of searching
+    again.  A grid built for `limit` serves every smaller limit as well.
     """
 
     def __init__(self, images: np.ndarray, limit: float, blocks: int = 1):
@@ -281,13 +283,17 @@ class _CellGrid:
             steps = (steps[:, None] + np.array([-stride, 0, stride])).ravel()
         self.steps = steps
 
-    def neighbours(self, a: np.ndarray, b: np.ndarray):
-        """(cell, indptr, rows): rows[indptr[cell[t]]:indptr[cell[t] + 1]]
-        are the positions in `b` of the rows in the cubes around row a[t]."""
-        indexed = self.codes[b]
-        order = np.argsort(indexed)
-        indexed = indexed[order]
-        queried, cell = np.unique(self.codes[a], return_inverse=True)
+    @cached_property
+    def listing(self):
+        """(cell, indptr, rows): rows[indptr[cell[i]]:indptr[cell[i] + 1]] are
+        the image rows in the cubes around row i, i itself included.  Built
+        once per grid, on first use."""
+        order = np.argsort(self.codes)
+        indexed = self.codes[order]
+        new = np.concatenate(([True], indexed[1:] != indexed[:-1]))
+        queried = indexed[new]
+        cell = np.empty_like(order)
+        cell[order] = np.cumsum(new) - 1
         needles = self.steps[:, None] + queried  # sorted along each offset
         first = np.searchsorted(indexed, (needles - 1).ravel(), "left")
         count = np.searchsorted(indexed, (needles + 1).ravel(), "right") - first
@@ -295,6 +301,17 @@ class _CellGrid:
         count = count.reshape(needles.shape).T
         indptr = np.concatenate(([0], np.cumsum(count.sum(axis=1))))
         return cell, indptr, order[_ranges(first, count.ravel())]
+
+    def among(self, b: np.ndarray):
+        """(cell, indptr, rows) as in :attr:`listing`, with every listed row
+        replaced by its positions in `b` (none if it is not in `b`)."""
+        cell, indptr, rows = self.listing
+        order = np.argsort(b, kind="stable")
+        count = np.bincount(b, minlength=len(self.images))
+        start = np.cumsum(count) - count
+        per_row = count[rows]
+        indptr = np.concatenate(([0], np.cumsum(per_row)))[indptr]
+        return cell, indptr, order[_ranges(start[rows], per_row)]
 
 
 def _grid_for(images: np.ndarray, limit: float, grid: _CellGrid | None, name: str) -> _CellGrid:
@@ -340,13 +357,15 @@ def _pair_cdist(A: np.ndarray, a: np.ndarray, B: np.ndarray, b: np.ndarray) -> n
 
 def _close_pairs(grid: _CellGrid, a: np.ndarray, b: np.ndarray, limit: float):
     """(t, u, d) for every pair of the grid's images[a[t]] and images[b[u]]
-    that cdist puts below `limit`, with d the cdist value.
+    that cdist puts below `limit`, with d the cdist value; t ascending.
 
     Exact: `grid`, built for a limit of at least `limit`, lists every such
-    pair among the rows of the cubes around each images[a[t]], and the
-    candidates are measured with cdist's bits.
+    pair among the rows of the cubes around each images[a[t]]
+    (:meth:`_CellGrid.among`), and the candidates are measured with cdist's
+    bits.
     """
-    cell, indptr, rows = grid.neighbours(a, b)
+    cell, indptr, rows = grid.among(b)
+    cell = cell[a]
     count = indptr[cell + 1] - indptr[cell]
     t = np.repeat(np.arange(len(a)), count)
     u = rows[_ranges(indptr[cell], count)]
@@ -355,22 +374,25 @@ def _close_pairs(grid: _CellGrid, a: np.ndarray, b: np.ndarray, limit: float):
     return t[below], u[below], d[below]
 
 
-def _nearest_below(grid: _CellGrid, a: np.ndarray, b: np.ndarray, limit: float) -> np.ndarray:
-    """Position in `b` of the image nearest to each of the grid's
-    images[a[t]] under cdist, the lowest position on ties; -1 where no image
-    of `b` is closer than `limit`.
+def _nearest_below(t: np.ndarray, u: np.ndarray, d: np.ndarray, queries: int) -> np.ndarray:
+    """For each query q < `queries`, the u of its pair (t = q) with the
+    smallest d, the lowest u on ties; -1 for a query with no pair.
 
-    Equals np.argmin(cdist(images[a], images[b]), axis=1) wherever that
-    minimum is below `limit`, since :func:`_close_pairs` lists every such
-    pair.
+    Given the pairs :func:`_close_pairs` lists below a limit, this equals
+    np.argmin(cdist(images[a], images[b]), axis=1) wherever that minimum is
+    below the limit.  The pairs of one query are consecutive (t ascending),
+    so each minimum is one np.minimum.reduceat segment.
     """
-    t, u, d = _close_pairs(grid, a, b, limit)
-    best = np.full(len(a), np.inf)
-    np.minimum.at(best, t, d)
-    tied = d == best[t]
-    nearest = np.full(len(a), len(b))
-    np.minimum.at(nearest, t[tied], u[tied])
-    nearest[nearest == len(b)] = -1
+    nearest = np.full(queries, -1)
+    if len(t) == 0:
+        return nearest
+    start = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
+    best = np.minimum.reduceat(d, start)
+    tied = d == np.repeat(best, np.diff(start, append=len(t)))
+    # each query keeps at least its minimum among the tied pairs, and its
+    # tied pairs follow those of the queries before it
+    tied_start = np.cumsum(tied) - tied
+    nearest[t[start]] = np.minimum.reduceat(u[tied], tied_start[start])
     return nearest
 
 
@@ -403,17 +425,20 @@ def greedy_separated_subfamily(images, sep: float, grid: _CellGrid | None = None
     - A pair that close in full lies in neighbouring cubes of `grid`, a
       :class:`_CellGrid` over `images` for a limit of at least `sep` (by
       default a one-block grid for `sep`, keyed by the leading columns),
-      whose per-cube lists of neighbour rows are built once.  A grid over
-      other images or for a smaller limit is refused (ValueError).
-    - Each candidate is rechecked with the scan's own predicate, so a grid
-      built for a larger limit only lists more candidates.
-      np.linalg.norm(..., axis=1) reduces every row by itself, so a row has
-      the same bits in any number of rows.
+      whose listing of every row's neighbour rows (:attr:`_CellGrid.listing`)
+      is built once and kept with the grid.  A grid over other images or for
+      a smaller limit is refused (ValueError).
+    - Each candidate is rechecked with the scan's own predicate,
+      sqrt(add.reduce(d * d, axis=1)) < sep, which has the bits of
+      np.linalg.norm(d, axis=1) and, reducing every row by itself, the same
+      bits in any number of rows.  So a grid built for a larger limit only
+      lists more candidates.
     - Images alone in their 3^w cubes are kept without a look: nothing is
       close to them.
 
-    Python runs one boolean step per image with a neighbour in its cubes
-    and one slice of the neighbour lists per kept image.
+    The scan jumps to the next undecided image with np.argmax over a mask
+    of the images still to decide, so Python runs one step, a slice of the
+    listing and one measurement, per kept image with a neighbour in its cubes.
     """
     images = np.asarray(images, dtype=float)
     if images.ndim != 2 or len(images) == 0 or not np.all(np.isfinite(images)):
@@ -421,19 +446,22 @@ def greedy_separated_subfamily(images, sep: float, grid: _CellGrid | None = None
     if sep <= 0.0:
         raise ValueError("greedy_separated_subfamily: sep must be > 0")
     grid = _grid_for(images, sep, grid, "greedy_separated_subfamily")
-    every = np.arange(len(images))
-    cell, indptr, rows = grid.neighbours(every, every)
+    cell, indptr, rows = grid.listing
     first, stop = indptr[cell], indptr[cell + 1]
-    rejected = np.zeros(len(images), dtype=bool)
-    for i in np.flatnonzero(stop - first > 1).tolist():
-        if rejected[i]:
-            continue
+    todo = stop - first > 1
+    kept = ~todo
+    i = int(np.argmax(todo))
+    while todo[i]:
+        kept[i] = True
+        todo[i] = False
         later = rows[first[i] : stop[i]]
         later = later[later > i]
         for part in _row_blocks(len(later), images.shape[1]):
             close = later[part]
-            rejected[close[np.linalg.norm(images[i] - images[close], axis=1) < sep]] = True
-    selected = np.flatnonzero(~rejected)
+            d = images[i] - images[close]
+            todo[close[np.sqrt(np.add.reduce(d * d, axis=1)) < sep]] = False
+        i += int(np.argmax(todo[i:]))
+    selected = np.flatnonzero(kept)
     return SeparatedFamily(selected=selected, separation=sep)
 
 
@@ -452,19 +480,34 @@ def counting_upper_bound(R: float, C: float, L: float, n: int) -> float:
     return math.exp(log_bound)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThetaFibers:
     """Assignment of each leftover center to its nearest selected image:
-    selected position -> its leftover positions, in order."""
+    leftovers[q] goes to selected[nearest[q]]; `leftovers` ascending."""
 
-    fibers: dict[int, list[int]]
+    selected: np.ndarray
+    leftovers: np.ndarray
+    nearest: np.ndarray
+
+    @property
+    def fibers(self) -> dict[int, list[int]]:
+        """Selected position -> its leftover positions, in order; anchors
+        in the order of their first leftover."""
+        fibers: dict[int, list[int]] = {}
+        for pos, anchor in zip(self.leftovers.tolist(), self.selected[self.nearest].tolist()):
+            fibers.setdefault(anchor, []).append(pos)
+        return fibers
 
     @property
     def largest(self) -> tuple[int, list[int]]:
-        if not self.fibers:
+        """(anchor, members) of the fiber with the most members, the lowest
+        anchor on ties; (-1, []) if there are no leftovers."""
+        if len(self.leftovers) == 0:
             return -1, []
-        anchor = max(self.fibers, key=lambda a: (len(self.fibers[a]), -a))
-        return anchor, self.fibers[anchor]
+        size = np.bincount(self.nearest, minlength=len(self.selected))
+        tied = np.flatnonzero(size == size.max())
+        best = tied[np.argmin(self.selected[tied])]
+        return int(self.selected[best]), self.leftovers[self.nearest == best].tolist()
 
 
 def theta_assignment(fam: SeparatedFamily, images, grid: _CellGrid | None = None) -> ThetaFibers:
@@ -472,40 +515,39 @@ def theta_assignment(fam: SeparatedFamily, images, grid: _CellGrid | None = None
 
     Ties break toward the lowest selected index.  This is also the one check
     of the family, decided as by the full cdist scans; AssertionError names
-    the property that fails.  Both checks list their candidates in `grid`, a
-    :class:`_CellGrid` over `images` for a limit of at least the larger of
-    their two limits, separation + 1e-12 (by default a one-block grid for
-    it, keyed by the leading columns; a grid over other images or for a
-    smaller limit is refused with ValueError):
+    the property that fails.  Both checks take their candidates from one
+    :func:`_close_pairs` pass of every row against the selected ones, below
+    separation + 1e-12, in `grid`, a :class:`_CellGrid` over `images` for a
+    limit of at least that (by default a one-block grid for it, keyed by the
+    leading columns; a grid over other images or for a smaller limit is
+    refused with ValueError).  The pass filters the grid's one listing to
+    the selected rows (:meth:`_CellGrid.among`) and measures every candidate
+    with cdist's bits, so it checks the greedy scan independently:
 
     - separation: no two selected images closer than separation - 1e-12
       under cdist.  Every such pair lies in neighbouring cubes of the grid,
-      so :func:`_close_pairs` lists it and cdist's bits decide it.  The
-      check therefore fails exactly when an off-diagonal entry of
-      cdist(selected, selected) is below the limit.
+      so the pass lists it.  The check therefore fails exactly when an
+      off-diagonal entry of cdist(selected, selected) is below the limit.
     - maximality: every leftover has a selected image closer than
       separation + 1e-12.  Its nearest one is the argmin of its cdist row,
-      found among the candidates of the same grid (:func:`_nearest_below`),
-      so only close pairs are measured.
+      found among the same pairs (:func:`_nearest_below`), so only close
+      pairs are measured.
     """
     images = np.asarray(images, dtype=float)
     grid = _grid_for(images, fam.separation + 1e-12, grid, "theta_assignment")
     sel = fam.selected
-    t, u, _ = _close_pairs(grid, sel, sel, fam.separation - 1e-12)
-    if np.any(t != u):
-        raise AssertionError("theta_assignment: separation violated")
     mask = np.ones(len(images), dtype=bool)
     mask[sel] = False
     leftovers = np.nonzero(mask)[0]
-    fibers: dict[int, list[int]] = {}
-    if leftovers.size == 0:
-        return ThetaFibers(fibers)
-    nearest = _nearest_below(grid, leftovers, sel, fam.separation + 1e-12)
+    # queries: the selected rows, then the leftovers
+    t, u, d = _close_pairs(grid, np.concatenate((sel, leftovers)), sel, fam.separation + 1e-12)
+    own = t < len(sel)
+    if np.any(own & (t != u) & (d < fam.separation - 1e-12)):
+        raise AssertionError("theta_assignment: separation violated")
+    nearest = _nearest_below(t[~own] - len(sel), u[~own], d[~own], len(leftovers))
     if np.any(nearest < 0):
         raise AssertionError("theta_assignment: maximality violated")
-    for pos, anchor in zip(leftovers.tolist(), sel[nearest].tolist()):
-        fibers.setdefault(anchor, []).append(pos)
-    return ThetaFibers(fibers)
+    return ThetaFibers(sel, leftovers, nearest)
 
 
 def augment_map(F: LipschitzMapHandle, net: NetTemplate) -> LipschitzMapHandle:
@@ -610,7 +652,8 @@ def find_bunched_configuration(
     first rung beyond the representable radius
     (:meth:`SearchParams.check_first_rung`).  Each rung builds one
     :class:`_CellGrid` over its images (one block per net point on the
-    augmented ladder) for both pigeonhole scans.
+    augmented ladder) for both pigeonhole scans, which list the neighbour
+    rows of every image once.
 
     Returns the k members (the consecutive-in-index window of the largest
     fiber with the smallest image spread) together with the fiber's
@@ -653,7 +696,8 @@ def _walk_ladder(
 
     Each rung builds one :class:`_CellGrid` over its images for the
     limit sep + 1e-12 of :func:`theta_assignment` and hands it to both
-    scans; the greedy rechecks its candidates against sep itself.  The
+    scans, which read its one neighbour listing; the greedy rechecks its
+    candidates against sep itself.  The
     augmented ladder's volume bound uses the affine growth
     sqrt(l) L (R + 2 rho) of the concatenated image, and its grid keys
     one block per net point.  On the plain ladder of a search with
@@ -754,12 +798,12 @@ def _hausdorff_bound(F: LipschitzMapHandle, net: NetTemplate, centers: PolarBatc
 def _pairwise_max(P: np.ndarray) -> float:
     """max over pairs i < j and indices t of cdist(P[i, t], P[j, t]), with
     cdist's bits, for a (k, l, n) stack P or a (k, n) array (l = 1); 0.0 for
-    one row, NaN if any pair is NaN.  The squared differences are summed
-    column by column, left to right, as cdist does; sqrt, monotone and
-    correctly rounded, is taken of the largest sum.  Indices t come in
-    blocks of :func:`hypack.geometry._row_blocks` (k n elements each) and,
-    within them, rows i (k elements a pair each), so no temporary grows
-    with the pairs or with l.
+    fewer than two rows, NaN if any pair is NaN.  The squared differences
+    are summed column by column, left to right, as cdist does; sqrt,
+    monotone and correctly rounded, is taken of the largest sum.  Indices
+    t come in blocks of :func:`hypack.geometry._row_blocks` (k n elements
+    each) and, within them, rows i (k elements a pair each), so no
+    temporary grows with the pairs or with l.
     """
     if P.ndim == 2:
         P = P[:, None, :]
@@ -767,7 +811,7 @@ def _pairwise_max(P: np.ndarray) -> float:
     block_max = [0.0]
     for t in _row_blocks(l, k * n):
         Q = P[:, t]
-        for part in _row_blocks(k, k * Q[0].size):
+        for part in _row_blocks(k, Q.size):
             i = np.arange(k)[part]
             count = k - 1 - i
             d = Q[np.repeat(i, count)] - Q[_ranges(i + 1, count)]

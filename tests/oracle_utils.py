@@ -1,6 +1,7 @@
 """Oracles the tests check library values against.
 
-Arbitrary-precision (mpmath) values, plus brute-force full scans: the
+Arbitrary-precision (mpmath) values, exp with the compensated combination
+at every basepoint, plus brute-force full scans: the
 O(n^2) sweep for packing separation, the net's lattice points by a scan of
 their whole box, the full-cdist set distances, close pairs and window
 diameters, the one-image-at-a-time separated subfamily with its full-cdist
@@ -19,7 +20,18 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial.distance import cdist
 
-from hypack.geometry import dist_given_q, exp_rows, transport_frame
+from hypack.geometry import (
+    HPoint,
+    PolarBatch,
+    _comb2,
+    _coords_of,
+    _cosh,
+    _sinh,
+    _snap_rows,
+    dist_given_q,
+    exp_rows,
+    transport_frame,
+)
 from hypack.maps import _bump_height
 
 mp.mp.dps = 40
@@ -70,6 +82,24 @@ def mp_exp(r0, u0, w):
             out[k] += ((1 if k == i + 1 else 0) + scale * (x[k] + o[k])) * y[i + 1]
     nr = mp.sqrt(sum(a * a for a in out[1:]))
     return mp.asinh(nr), ([a / nr for a in out[1:]] if nr > 0 else [a / un for a in u])
+
+
+def compensated_exp_rows(base, vecs, t):
+    """exp_rows with the compensated combination cosh(t) x + sinh(t) v/t at
+    every basepoint, o included: the rows as (r, dirs, coords)."""
+    bases = PolarBatch.of([base]) if isinstance(base, HPoint) else base
+    t = np.asarray(t, dtype=float)
+    m1 = bases.dirs.shape[1] + 1
+    vecs = np.asarray(vecs, dtype=float).reshape(len(bases), t.shape[-1] if t.ndim else -1, m1)
+    zero = t == 0.0
+    tt = np.where(zero, 1.0, t)[..., None]
+    c = _comb2(_cosh(tt), _coords_of(bases)[:, None, :], _sinh(tt), vecs / tt)
+    r, dirs, coords = _snap_rows(c.reshape(-1, m1))
+    stay = np.broadcast_to(zero, vecs.shape[:2])
+    at = np.nonzero(stay)[0]
+    flat = stay.ravel()
+    r[flat], dirs[flat], coords[flat] = bases.r[at], bases.dirs[at], bases.coords[at]
+    return r, dirs, coords
 
 
 def mp_packing_angle(C, R):

@@ -667,6 +667,7 @@ class TestArtifactWriter:
             "top",
             -0.0,
             {1: "int key", 2: [np.zeros((1, 1))]},
+            {"many": [np.full((1, 2), i + 0.5) for i in range(12)], "deep": {"x": [[np.eye(2)]]}, "s": '"0:1"'},
         ],
     )
     def test_writer_matches_json_dumps(self, payload):

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hypack.geometry
 import oracle_utils as oracle
 from conftest import random_point, random_unit
 from hypack.geometry import (
+    EXP_RADIUS_MAX,
     HPoint,
     HTangent,
     NumericRangeError,
@@ -357,6 +359,96 @@ class TestExpRows:
         with pytest.raises(NumericRangeError):
             exp_rows(far, np.zeros((2, 3, 3)), 1.0)
         assert len(exp_rows(far, np.zeros((2, 3, 3)), 0.0)) == 6
+
+
+#: Direction components with signed zeros, subnormals and the normal extremes.
+SPECIAL_COMPONENTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-315, 2.2250738585072014e-308, 1e-300, -1.0]
+
+
+@st.composite
+def exp_at_o_cases(draw):
+    """(bases, vecs, t): B bases at o (B = 0 for one HPoint), l tangent rows
+    at each with t their lengths (0-d shared or one per row, some of them 0),
+    directions with signed zeros and subnormal components, t up to
+    EXP_RADIUS_MAX."""
+    m = draw(st.integers(2, 13))
+    B = draw(st.integers(0, 3))
+    l = draw(st.integers(1, 6))
+    rows = max(B, 1) * l
+    component = st.one_of(
+        st.sampled_from(SPECIAL_COMPONENTS),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=True),
+    )
+    d = np.array(draw(st.lists(component, min_size=rows * m, max_size=rows * m))).reshape(rows, m)
+    d[~d.any(axis=1), 0] = 1.0  # a zero row has no direction
+    d /= np.abs(d).max(axis=1, keepdims=True)
+    u = d / np.sqrt(np.vecdot(d, d))[:, None]
+    length = st.one_of(st.just(0.0), st.floats(1e-300, EXP_RADIUS_MAX), st.sampled_from([1e-8, 1.0, EXP_RADIUS_MAX]))
+    if draw(st.booleans()):
+        t = np.float64(draw(length))
+        lengths = np.full(rows, t)
+    else:
+        lengths = np.array(draw(st.lists(length, min_size=rows, max_size=rows)))
+        t = lengths if B == 0 else lengths.reshape(B, l)
+    vecs = np.pad(u * lengths[:, None], ((0, 0), (1, 0)))
+    o = HPoint.origin(m)
+    if B == 0:
+        return o, vecs, t
+    return PolarBatch.of([o] * B), vecs.reshape(B, l, m + 1), t
+
+
+def same_bits(got, expected):
+    return all(a.tobytes() == b.tobytes() for a, b in zip((got.r, got.dirs, got.coords), expected))
+
+
+class TestExpAtOrigin:
+    """exp from o skips the compensation; its rows keep the compensated bits."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=exp_at_o_cases())
+    def test_equal_to_the_compensated_rows(self, case):
+        bases, vecs, t = case
+        assert same_bits(exp_rows(bases, vecs, t), oracle.compensated_exp_rows(bases, vecs, t))
+
+    def spy(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return _comb2(*args)
+
+        monkeypatch.setattr(hypack.geometry, "_comb2", counting)
+        return calls
+
+    @pytest.mark.parametrize("m", [2, 13])
+    def test_only_bases_off_o_take_the_compensation(self, rng, m, monkeypatch):
+        calls = self.spy(monkeypatch)
+        o = HPoint.origin(m)
+        W = rng.standard_normal((5, m))
+        vecs, t = np.pad(W, ((0, 0), (1, 0))), np.sqrt(np.vecdot(W, W))
+        exp_rows(o, vecs, t)
+        exp_rows(PolarBatch.of([o, o]), np.stack([vecs, vecs]), t)
+        assert calls == []
+        # a base off o, a base at o among others, and o with a -0.0 coordinate
+        p = HPoint.from_polar(0.5, random_unit(rng, m))
+        signed = HPoint.from_polar(0.0, -np.eye(1, m)[0])
+        assert np.signbit(signed.coords_extended[1])
+        for bases in (p, PolarBatch.of([o, p]), signed):
+            rows = vecs if isinstance(bases, HPoint) else np.stack([vecs, vecs])
+            got = exp_rows(bases, rows, t)
+            assert calls.pop() and calls == []
+            assert same_bits(got, oracle.compensated_exp_rows(bases, rows, t))
+
+    def test_products_below_the_exact_range_take_the_compensation(self, monkeypatch):
+        # sinh(t) times the second direction component is about 1e-305, below
+        # 2^-969, where the Dekker error need not be exact
+        calls = self.spy(monkeypatch)
+        o = HPoint.origin(2)
+        vecs = np.array([[0.0, 1e-5, 1e-300 * 1e-5]])
+        t = np.array([np.sqrt(np.vecdot(vecs[:, 1:], vecs[:, 1:]))[0]])
+        got = exp_rows(o, vecs, t)
+        assert calls == [1]
+        assert same_bits(got, oracle.compensated_exp_rows(o, vecs, t))
 
 
 class TestPolarBatch:

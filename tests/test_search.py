@@ -1,12 +1,13 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import cached_property
 from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
@@ -22,7 +23,17 @@ from oracle_utils import (
 )
 import hypack.geometry
 import hypack.search
-from hypack.geometry import HPoint, HTangent, PolarBatch, distance, exp_map, exp_rows, sample_ball, transport_frame
+from hypack.geometry import (
+    HPoint,
+    HTangent,
+    PolarBatch,
+    _row_blocks,
+    distance,
+    exp_map,
+    exp_rows,
+    sample_ball,
+    transport_frame,
+)
 from hypack.maps import LipschitzMapHandle, busemann_map, ideal_point, poincare_inclusion
 from hypack.nets import build_reference_net, transport_net
 from hypack.packing import generate_centers, packing_angle
@@ -30,6 +41,7 @@ from hypack.search import (
     ScheduleExhausted,
     SearchParams,
     SeparatedFamily,
+    ThetaFibers,
     _best_window,
     _CellGrid,
     _close_pairs,
@@ -169,6 +181,28 @@ class TestThetaAssignment:
         assert list(sf.selected) == [0, 1]
         fibers = theta_assignment(sf, imgs)
         assert fibers.fibers == {0: [2]}
+
+    def test_largest_of_equal_fibers_is_the_lowest_anchor(self):
+        # two fibers of two members each; the higher anchor's members come first in one case
+        for imgs, expected, largest in (
+            ([[0.0], [10.0], [0.1], [10.1], [0.2], [10.2]], {0: [2, 4], 1: [3, 5]}, [2, 4]),
+            ([[0.0], [10.0], [10.1], [0.1], [10.2], [0.2]], {1: [2, 4], 0: [3, 5]}, [3, 5]),
+        ):
+            fib = theta_assignment(greedy_separated_subfamily(np.array(imgs), 1.0), np.array(imgs))
+            assert fib.fibers == expected and list(fib.fibers) == list(expected)
+            assert fib.largest == (0, largest)
+        # selected out of order: ties still go to the lowest anchor, not the first position
+        fib = ThetaFibers(selected=np.array([7, 3]), leftovers=np.array([0, 1, 2, 4]), nearest=np.array([0, 1, 0, 1]))
+        assert fib.largest == (3, [1, 4])
+        assert fib.fibers == {7: [0, 2], 3: [1, 4]} and list(fib.fibers) == [7, 3]
+        # a strictly larger fiber wins over a lower anchor
+        fib = ThetaFibers(selected=np.array([3, 7]), leftovers=np.array([0, 1, 2]), nearest=np.array([1, 0, 1]))
+        assert fib.largest == (7, [0, 2])
+
+    def test_largest_without_leftovers(self):
+        imgs = np.array([[0.0], [5.0]])
+        fib = theta_assignment(greedy_separated_subfamily(imgs, 1.0), imgs)
+        assert len(fib.leftovers) == 0 and fib.largest == (-1, [])
 
 
 class TestCertificateNet:
@@ -717,6 +751,9 @@ class TestTreeDistances:
 
     def test_center_bound_of_one_row_and_of_nan(self):
         assert _pairwise_max(np.ones((1, 3))) == 0.0
+        # no rows: no pairs, and rows of width 0 take one block
+        assert _pairwise_max(np.zeros((0, 3))) == 0.0 and _pairwise_max(np.zeros((0, 4, 3))) == 0.0
+        assert [range(5)[part] for part in _row_blocks(5, 0)] == [range(5)]
         assert math.isnan(_pairwise_max(np.array([[0.0, 1.0], [0.0, np.nan], [1.0, 0.0]])))
 
     def test_hausdorff_memory_is_bounded_in_the_ball_count(self):
@@ -804,11 +841,29 @@ def pigeonhole_cases(draw):
     return X, sep, chunk, blocks
 
 
+def vast_norm_pair_case():
+    """A "vast" case whose separation is one pair's np.linalg.norm distance:
+    10 rows of width 60 (20 blocks) in clusters 1e9 apart.  There one ulp of
+    the distances, 1.9e-6, is far above the 1e-12 slack of the cdist checks,
+    so the greedy scan keeps a pair that norm puts at the separation and
+    cdist puts below it less 1e-12."""
+    rng = np.random.default_rng(10)
+    centers = 1e9 * rng.standard_normal((2, 60))
+    X = centers[rng.integers(0, 2, 10)] + 0.2 * rng.standard_normal((10, 60))
+    i, j = rng.choice(10, 2, replace=False)
+    return X, float(np.linalg.norm(X[i] - X[j])), 1 << 16, 20
+
+
 class TestPigeonholeScans:
     """The neighbour-local scans against the one-image loop and full cdists."""
 
     @settings(max_examples=400, deadline=None)
     @given(case=pigeonhole_cases())
+    @example(case=vast_norm_pair_case()).xfail(
+        raises=AssertionError,
+        reason="the greedy scan's norm predicate and the cdist checks' absolute "
+        "slack of 1e-12 disagree once distances reach ~1e10",
+    )
     def test_equal_to_full_scans(self, case):
         X, sep, chunk, blocks = case
         sel, kept = loop_separated_subfamily(X, sep)
@@ -940,6 +995,7 @@ class TestPigeonholeScans:
         X[:, 0] = [0.0, 0.5, 2.0, 2.2]
         sf = greedy_separated_subfamily(X, 1.0)
         for grid in (_CellGrid(X.copy(), 2.0), _CellGrid(X, 0.5)):
+            grid.listing  # a listing already built changes nothing
             with pytest.raises(ValueError, match="greedy_separated_subfamily: the grid"):
                 greedy_separated_subfamily(X, 1.0, grid)
             with pytest.raises(ValueError, match="theta_assignment: the grid"):
@@ -950,6 +1006,42 @@ class TestPigeonholeScans:
         grid = _CellGrid(X, 1.0 + 1e-12)
         assert np.array_equal(greedy_separated_subfamily(X, 1.0, grid).selected, sf.selected)
         assert theta_assignment(sf, X, grid).fibers == {0: [1], 2: [3]}
+
+    def test_augmented_pinwheel_grid(self):
+        # the l-block grid of the pinwheel map's augmented ladder on its one
+        # rung, at the search's separation and at wider ones
+        P = pinwheel_map()
+        net = certificate_net(P, 1.0, 0.5)
+        C = SearchParams(1.0, 0.5, 2, hausdorff=True).C
+        X = augment_map(P, net).batch(generate_centers(C, PINWHEEL_R_MAX, 3, 100_000).centers)
+        assert X.shape[1] == 2 * net.l
+        kinds = set()
+        for sep in (1.0 / C, 0.5, 1.0, 2.0, 4.0):
+            sel, kept = loop_separated_subfamily(X, sep)
+            grid = _CellGrid(X, sep + 1e-12, net.l)
+            sf = greedy_separated_subfamily(X, sep, grid)
+            assert np.array_equal(sf.selected, sel)
+            fibers = full_cdist_theta(len(X), sel, kept, X, sep)
+            fib = theta_assignment(sf, X, grid)
+            assert fib.fibers == fibers and list(fib.fibers) == list(fibers)
+            kinds.add((len(sel) == 1, len(sel) == len(X)))
+        assert (False, False) in kinds  # some separation keeps some images and leaves others
+
+    def test_one_listing_per_rung(self, monkeypatch):
+        # the greedy scan and the fiber assignment of a rung share its grid's listing
+        builds = []
+        original = _CellGrid.listing.func
+
+        def counting(grid):
+            builds.append(len(grid.images))
+            return original(grid)
+
+        listing = cached_property(counting)
+        listing.__set_name__(_CellGrid, "listing")
+        monkeypatch.setattr(_CellGrid, "listing", listing)
+        F = busemann_map([ideal_point(d) for d in np.eye(3)])
+        cfg = find_bunched_configuration(F, SearchParams(1.0, 0.5, 8))
+        assert builds == [e["family"] for e in cfg.history]
 
     @pytest.mark.parametrize("width", [2, 3, 6, 40, 7695])
     def test_pair_distances_have_cdist_bits(self, width):
