@@ -343,16 +343,23 @@ def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.repeat(first - ends + count, count) + np.arange(ends[-1] if len(ends) else 0)
 
 
+def _image_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x - y| along the last axis (broadcast) with the bits of scipy's
+    euclidean cdist: squares summed from left to right (np.add.accumulate;
+    add.reduce sums in pairs from 8 columns on), then sqrt.  As fl(x - y) =
+    -fl(y - x), swapping x and y keeps the bits.  The one image metric of
+    the pigeonhole scans and of the bounds of conclusions (ii) and (iii)."""
+    d = x - y
+    d *= d
+    return np.sqrt(np.add.accumulate(d, axis=-1, out=d)[..., -1])
+
+
 def _pair_cdist(A: np.ndarray, a: np.ndarray, B: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """cdist(A[a[t]], B[b[t]]) for each t, with the bits of scipy's euclidean
-    cdist: the squared column differences summed in column order, then sqrt
-    (np.add.accumulate is sequential by definition, unlike add.reduce)."""
+    """cdist(A[a[t]], B[b[t]]) for each t (:func:`_image_distance`)."""
     out = np.empty(len(a))
     for part in _row_blocks(len(a), A.shape[1]):
-        d = A[a[part]] - B[b[part]]
-        d *= d
-        out[part] = np.add.accumulate(d, axis=1)[:, -1]
-    return np.sqrt(out)
+        out[part] = _image_distance(A[a[part]], B[b[part]])
+    return out
 
 
 def _close_pairs(grid: _CellGrid, a: np.ndarray, b: np.ndarray, limit: float):
@@ -360,9 +367,8 @@ def _close_pairs(grid: _CellGrid, a: np.ndarray, b: np.ndarray, limit: float):
     that cdist puts below `limit`, with d the cdist value; t ascending.
 
     Exact: `grid`, built for a limit of at least `limit`, lists every such
-    pair among the rows of the cubes around each images[a[t]]
-    (:meth:`_CellGrid.among`), and the candidates are measured with cdist's
-    bits.
+    pair around each images[a[t]] (:meth:`_CellGrid.among`), and the
+    candidates are measured by :func:`_pair_cdist`.
     """
     cell, indptr, rows = grid.among(b)
     cell = cell[a]
@@ -400,38 +406,42 @@ def _nearest_below(t: np.ndarray, u: np.ndarray, d: np.ndarray, queries: int) ->
 class SeparatedFamily:
     """Maximal subfamily whose images are pairwise >= separation apart.
 
-    ``selected`` holds positions into the scanned image rows.  Property a)
-    (pairwise separation) and b) (maximality: every other image lies within
-    the separation of a selected one) hold by construction of the greedy
-    scan.  :func:`theta_assignment`, which needs b) anyway, checks both for
-    any family it is given, with the decisions of the full cdist scans.
+    ``selected`` holds positions into the scanned image rows.  Separation and
+    maximality (every other image closer than the separation to a selected
+    one) hold by construction of the greedy scan; :func:`theta_assignment`
+    checks both for any family it is given, at the separation itself.
     """
 
     selected: np.ndarray
     separation: float
 
 
+def _check_scan(images, sep: float, name: str) -> np.ndarray:
+    """`images` as floats; ValueError unless they are a non-empty finite 2-d array and sep > 0."""
+    images = np.asarray(images, dtype=float)
+    if images.ndim != 2 or images.size == 0 or not np.all(np.isfinite(images)):
+        raise ValueError(f"{name}: images must be a non-empty finite 2-d array")
+    if not sep > 0.0:
+        raise ValueError(f"{name}: the separation must be > 0 (got {sep})")
+    return images
+
+
 def greedy_separated_subfamily(images, sep: float, grid: _CellGrid | None = None) -> SeparatedFamily:
     """Scan in index order; keep a center iff its image clears all kept images.
 
-    The output satisfies separation by the acceptance test and maximality
-    because every rejected image was within `sep` of some kept one.
+    Image i is kept iff no kept image j < i has cdist(images[j], images[i])
+    < sep (:func:`_image_distance`, the metric of :func:`theta_assignment`);
+    so the output is separated, and maximal since every rejected image lies
+    within `sep` of a kept one.  Rather than measure each image against
+    every kept one, each kept image rejects the later images close to it, so
+    only close pairs are ever measured:
 
-    Image i is kept iff no kept image j < i has
-    np.linalg.norm(images[j] - images[i]) < sep.  Rather than measure each
-    image against every kept one, each kept image rejects the later images
-    close to it, so only close pairs are ever measured:
-
-    - A pair that close in full lies in neighbouring cubes of `grid`, a
+    - A pair that close lies in neighbouring cubes of `grid`, a
       :class:`_CellGrid` over `images` for a limit of at least `sep` (by
       default a one-block grid for `sep`, keyed by the leading columns),
       whose listing of every row's neighbour rows (:attr:`_CellGrid.listing`)
       is built once and kept with the grid.  A grid over other images or for
-      a smaller limit is refused (ValueError).
-    - Each candidate is rechecked with the scan's own predicate,
-      sqrt(add.reduce(d * d, axis=1)) < sep, which has the bits of
-      np.linalg.norm(d, axis=1) and, reducing every row by itself, the same
-      bits in any number of rows.  So a grid built for a larger limit only
+      a smaller limit is refused (ValueError); one for a larger limit only
       lists more candidates.
     - Images alone in their 3^w cubes are kept without a look: nothing is
       close to them.
@@ -439,12 +449,10 @@ def greedy_separated_subfamily(images, sep: float, grid: _CellGrid | None = None
     The scan jumps to the next undecided image with np.argmax over a mask
     of the images still to decide, so Python runs one step, a slice of the
     listing and one measurement, per kept image with a neighbour in its cubes.
+    Images other than a non-empty finite 2-d array and a `sep` not > 0
+    (NaN included) are refused (ValueError).
     """
-    images = np.asarray(images, dtype=float)
-    if images.ndim != 2 or len(images) == 0 or not np.all(np.isfinite(images)):
-        raise ValueError("greedy_separated_subfamily: images must be a non-empty finite 2-d array")
-    if sep <= 0.0:
-        raise ValueError("greedy_separated_subfamily: sep must be > 0")
+    images = _check_scan(images, sep, "greedy_separated_subfamily")
     grid = _grid_for(images, sep, grid, "greedy_separated_subfamily")
     cell, indptr, rows = grid.listing
     first, stop = indptr[cell], indptr[cell + 1]
@@ -458,8 +466,7 @@ def greedy_separated_subfamily(images, sep: float, grid: _CellGrid | None = None
         later = later[later > i]
         for part in _row_blocks(len(later), images.shape[1]):
             close = later[part]
-            d = images[i] - images[close]
-            todo[close[np.sqrt(np.add.reduce(d * d, axis=1)) < sep]] = False
+            todo[close[_image_distance(images[i], images[close]) < sep]] = False
         i += int(np.argmax(todo[i:]))
     selected = np.flatnonzero(kept)
     return SeparatedFamily(selected=selected, separation=sep)
@@ -514,35 +521,37 @@ def theta_assignment(fam: SeparatedFamily, images, grid: _CellGrid | None = None
     """Map every non-selected image row to the nearest selected image.
 
     Ties break toward the lowest selected index.  This is also the one check
-    of the family, decided as by the full cdist scans; AssertionError names
-    the property that fails.  Both checks take their candidates from one
-    :func:`_close_pairs` pass of every row against the selected ones, below
-    separation + 1e-12, in `grid`, a :class:`_CellGrid` over `images` for a
-    limit of at least that (by default a one-block grid for it, keyed by the
-    leading columns; a grid over other images or for a smaller limit is
+    of the family, decided at the separation s itself as by the full cdist
+    scans; AssertionError names the property that fails.  Both checks take
+    their candidates from one :func:`_close_pairs` pass of every row against
+    the selected ones, below s, in `grid`, a :class:`_CellGrid` over `images`
+    for a limit of at least s (by default a one-block grid for s, keyed by
+    the leading columns; a grid over other images or for a smaller limit is
     refused with ValueError).  The pass filters the grid's one listing to
     the selected rows (:meth:`_CellGrid.among`) and measures every candidate
-    with cdist's bits, so it checks the greedy scan independently:
+    with :func:`_image_distance`, the greedy scan's metric, so every family
+    of the greedy scan passes both checks:
 
-    - separation: no two selected images closer than separation - 1e-12
-      under cdist.  Every such pair lies in neighbouring cubes of the grid,
-      so the pass lists it.  The check therefore fails exactly when an
-      off-diagonal entry of cdist(selected, selected) is below the limit.
-    - maximality: every leftover has a selected image closer than
-      separation + 1e-12.  Its nearest one is the argmin of its cdist row,
-      found among the same pairs (:func:`_nearest_below`), so only close
-      pairs are measured.
+    - separation: no two selected images closer than s.  Every such pair
+      lies in neighbouring cubes of the grid, so the pass lists it.
+    - maximality: every leftover has a selected image closer than s.  Its
+      nearest one is the argmin of its cdist row, found among the same pairs
+      (:func:`_nearest_below`).
+
+    Images or a separation that :func:`greedy_separated_subfamily` refuses,
+    and selected positions that are not 1-d integers in [0, len(images)),
+    are refused (ValueError).
     """
-    images = np.asarray(images, dtype=float)
-    grid = _grid_for(images, fam.separation + 1e-12, grid, "theta_assignment")
-    sel = fam.selected
-    mask = np.ones(len(images), dtype=bool)
-    mask[sel] = False
-    leftovers = np.nonzero(mask)[0]
+    images = _check_scan(images, fam.separation, "theta_assignment")
+    sel = np.asarray(fam.selected)
+    if sel.ndim != 1 or sel.dtype.kind not in "iu" or not np.all((sel >= 0) & (sel < len(images))):
+        raise ValueError(f"theta_assignment: selected must be 1-d integers in [0, {len(images)})")
+    grid = _grid_for(images, fam.separation, grid, "theta_assignment")
+    leftovers = np.delete(np.arange(len(images)), sel)
     # queries: the selected rows, then the leftovers
-    t, u, d = _close_pairs(grid, np.concatenate((sel, leftovers)), sel, fam.separation + 1e-12)
+    t, u, d = _close_pairs(grid, np.concatenate((sel, leftovers)), sel, fam.separation)
     own = t < len(sel)
-    if np.any(own & (t != u) & (d < fam.separation - 1e-12)):
+    if np.any(own & (t != u)):
         raise AssertionError("theta_assignment: separation violated")
     nearest = _nearest_below(t[~own] - len(sel), u[~own], d[~own], len(leftovers))
     if np.any(nearest < 0):
@@ -695,15 +704,12 @@ def _walk_ladder(
     if `augmented`, on F augmented over `net`; None if it is exhausted.
 
     Each rung builds one :class:`_CellGrid` over its images for the
-    limit sep + 1e-12 of :func:`theta_assignment` and hands it to both
-    scans, which read its one neighbour listing; the greedy rechecks its
-    candidates against sep itself.  The
-    augmented ladder's volume bound uses the affine growth
-    sqrt(l) L (R + 2 rho) of the concatenated image, and its grid keys
-    one block per net point.  On the plain ladder of a search with
-    a `net`, a window is accepted only when :func:`_hausdorff_bound` of its
-    centers is at most epsilon.  Appends one entry per rung to
-    `diagnostics`.
+    separation sep and hands it to both scans, which read its one neighbour
+    listing.  The augmented ladder's volume bound uses the affine growth
+    sqrt(l) L (R + 2 rho) of the concatenated image, and its grid keys one
+    block per net point.  On the plain ladder of a search with a `net`, a
+    window is accepted only when :func:`_hausdorff_bound` of its centers is
+    at most epsilon.  Appends one entry per rung to `diagnostics`.
     """
     if augmented:
         eff_F, rho, bound_L, blocks = augment_map(F, net), net.rho, math.sqrt(net.l) * F.L, net.l
@@ -714,7 +720,7 @@ def _walk_ladder(
     for R in params.R_schedule:
         fam = generate_centers(params.C, R, F.m, params.cap)
         images = eff_F.batch(fam.centers)
-        grid = _CellGrid(images, sep + 1e-12, blocks)
+        grid = _CellGrid(images, sep, blocks)
         sf = greedy_separated_subfamily(images, sep, grid)
         bound = counting_upper_bound(R + 2.0 * rho, params.C, bound_L, eff_F.n)
         if len(sf.selected) > bound:
@@ -796,14 +802,12 @@ def _hausdorff_bound(F: LipschitzMapHandle, net: NetTemplate, centers: PolarBatc
 
 
 def _pairwise_max(P: np.ndarray) -> float:
-    """max over pairs i < j and indices t of cdist(P[i, t], P[j, t]), with
-    cdist's bits, for a (k, l, n) stack P or a (k, n) array (l = 1); 0.0 for
-    fewer than two rows, NaN if any pair is NaN.  The squared differences
-    are summed column by column, left to right, as cdist does; sqrt,
-    monotone and correctly rounded, is taken of the largest sum.  Indices
-    t come in blocks of :func:`hypack.geometry._row_blocks` (k n elements
-    each) and, within them, rows i (k elements a pair each), so no
-    temporary grows with the pairs or with l.
+    """max over pairs i < j and indices t of cdist(P[i, t], P[j, t])
+    (:func:`_image_distance`), for a (k, l, n) stack P or a (k, n) array
+    (l = 1); 0.0 for fewer than two rows, NaN if any pair is NaN.  Indices t
+    come in blocks of :func:`hypack.geometry._row_blocks` (k n elements
+    each) and, within them, rows i (k elements a pair each), so no temporary
+    grows with the pairs or with l.
     """
     if P.ndim == 2:
         P = P[:, None, :]
@@ -814,13 +818,8 @@ def _pairwise_max(P: np.ndarray) -> float:
         for part in _row_blocks(k, Q.size):
             i = np.arange(k)[part]
             count = k - 1 - i
-            d = Q[np.repeat(i, count)] - Q[_ranges(i + 1, count)]
-            d *= d
-            s = d[..., 0].copy()
-            for c in range(1, n):
-                s += d[..., c]
-            block_max.append(s.max(initial=0.0))
-    return float(np.sqrt(np.max(block_max)))
+            block_max.append(_image_distance(Q[np.repeat(i, count)], Q[_ranges(i + 1, count)]).max(initial=0.0))
+    return float(np.max(block_max))
 
 
 @dataclass(frozen=True)

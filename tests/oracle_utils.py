@@ -202,12 +202,12 @@ def per_point_augmented(F, tmpl, points):
 
 def loop_separated_subfamily(images, sep):
     """(selected, kept images) of the greedy scan, one image at a time: image
-    i is kept iff its norm distance to every image kept before it is >= sep."""
+    i is kept iff its cdist distance to every image kept before it is >= sep."""
     images = np.asarray(images, dtype=float)
     kept = []
     kept_imgs = np.empty_like(images)
     for i, img in enumerate(images):
-        if kept and np.min(np.linalg.norm(kept_imgs[: len(kept)] - img, axis=1)) < sep:
+        if kept and cdist(kept_imgs[: len(kept)], img[None]).min() < sep:
             continue
         kept_imgs[len(kept)] = img
         kept.append(i)
@@ -218,7 +218,7 @@ def full_cdist_theta(n_centers, selected, sel_images, images, sep):
     """The fibers (selected position -> leftover positions, in order) from the
     full cdist of leftovers to the selected images: first minimum per row, so
     ties go to the lowest position.  Raises AssertionError where a leftover
-    is not within sep + 1e-12."""
+    has no selected image closer than sep."""
     mask = np.ones(n_centers, dtype=bool)
     mask[selected] = False
     leftovers = np.nonzero(mask)[0]
@@ -226,7 +226,7 @@ def full_cdist_theta(n_centers, selected, sel_images, images, sep):
         return {}
     d = cdist(np.asarray(images, dtype=float)[leftovers], sel_images)
     nearest = np.argmin(d, axis=1)
-    if np.any(d[np.arange(leftovers.size), nearest] >= sep + 1e-12):
+    if np.any(d[np.arange(leftovers.size), nearest] >= sep):
         raise AssertionError("maximality violated")
     fibers = {}
     for pos, anchor in zip(leftovers, selected[nearest]):
@@ -234,17 +234,18 @@ def full_cdist_theta(n_centers, selected, sel_images, images, sep):
     return fibers
 
 
-def full_cdist_verify(selected, sel_images, sep, all_images, tol=1e-12):
-    """Separation and maximality of a separated family, from full cdists."""
+def full_cdist_verify(selected, sel_images, sep, all_images):
+    """Separation (no two selected images closer than sep) and maximality
+    (every other image closer than sep to a selected one), from full cdists."""
     if len(sel_images) > 1:
         gaps = cdist(sel_images, sel_images)
         np.fill_diagonal(gaps, np.inf)
-        if gaps.min() < sep - tol:
+        if gaps.min() < sep:
             return False
     mask = np.ones(len(all_images), dtype=bool)
     mask[selected] = False
     rest = all_images[mask]
-    return not (rest.size and cdist(rest, sel_images).min(axis=1).max() >= sep + tol)
+    return not (rest.size and cdist(rest, sel_images).min(axis=1).max() >= sep)
 
 
 def loop_mesh_shortest_path(k, nx, ny=7):

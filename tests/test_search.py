@@ -140,6 +140,11 @@ class TestGreedySeparated:
         with pytest.raises(ValueError, match="finite"):
             greedy_separated_subfamily(imgs, 1.0)
 
+    @pytest.mark.parametrize("sep", [float("nan"), 0.0, -1.0])
+    def test_separation_not_above_zero_refused(self, sep):
+        with pytest.raises(ValueError, match="separation must be > 0"):
+            greedy_separated_subfamily(np.zeros((4, 3)), sep)
+
 
 class TestCountingBound:
     def test_substitution_example(self):
@@ -203,6 +208,26 @@ class TestThetaAssignment:
         imgs = np.array([[0.0], [5.0]])
         fib = theta_assignment(greedy_separated_subfamily(imgs, 1.0), imgs)
         assert len(fib.leftovers) == 0 and fib.largest == (-1, [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_images_refused(self, bad):
+        imgs = np.array([[0.0], [0.5], [2.0]])
+        fam = greedy_separated_subfamily(imgs, 1.0)
+        imgs[1, 0] = bad
+        with pytest.raises(ValueError, match="theta_assignment: images must be a non-empty finite 2-d array"):
+            theta_assignment(fam, imgs)
+
+    @pytest.mark.parametrize("imgs", [np.zeros(3), np.zeros((0, 2)), np.zeros((3, 0))])
+    def test_one_dimensional_or_empty_images_refused(self, imgs):
+        fam = SeparatedFamily(selected=np.array([0]), separation=1.0)
+        with pytest.raises(ValueError, match="theta_assignment: images must be a non-empty finite 2-d array"):
+            theta_assignment(fam, imgs)
+
+    @pytest.mark.parametrize("selected", [[3], [-1], [0, 5], [0.0]])
+    def test_selected_outside_the_rows_refused(self, selected):
+        fam = SeparatedFamily(selected=np.array(selected), separation=1.0)
+        with pytest.raises(ValueError, match=r"selected must be 1-d integers in \[0, 3\)"):
+            theta_assignment(fam, np.array([[0.0], [0.5], [2.0]]))
 
 
 class TestCertificateNet:
@@ -843,10 +868,10 @@ def pigeonhole_cases(draw):
 
 def vast_norm_pair_case():
     """A "vast" case whose separation is one pair's np.linalg.norm distance:
-    10 rows of width 60 (20 blocks) in clusters 1e9 apart.  There one ulp of
-    the distances, 1.9e-6, is far above the 1e-12 slack of the cdist checks,
-    so the greedy scan keeps a pair that norm puts at the separation and
-    cdist puts below it less 1e-12."""
+    10 rows of width 60 (20 blocks) in two clusters about 1e10 apart, where
+    one ulp of the distances is 1.9e-6.  15 of its 45 pairs read differently
+    under np.linalg.norm and cdist, so scans that measure with different
+    bits disagree about which pairs clear the separation."""
     rng = np.random.default_rng(10)
     centers = 1e9 * rng.standard_normal((2, 60))
     X = centers[rng.integers(0, 2, 10)] + 0.2 * rng.standard_normal((10, 60))
@@ -859,21 +884,16 @@ class TestPigeonholeScans:
 
     @settings(max_examples=400, deadline=None)
     @given(case=pigeonhole_cases())
-    @example(case=vast_norm_pair_case()).xfail(
-        raises=AssertionError,
-        reason="the greedy scan's norm predicate and the cdist checks' absolute "
-        "slack of 1e-12 disagree once distances reach ~1e10",
-    )
+    @example(case=vast_norm_pair_case())
     def test_equal_to_full_scans(self, case):
         X, sep, chunk, blocks = case
         sel, kept = loop_separated_subfamily(X, sep)
-        grid = _CellGrid(X, sep + 1e-12, blocks)  # the search's one grid per rung
+        grid = _CellGrid(X, sep, blocks)  # the search's one grid per rung
         with mock.patch.object(hypack.geometry, "_BLOCK_ELEMENTS", chunk):
-            for greedy_grid in (_CellGrid(X, sep, blocks), grid):
-                sf = greedy_separated_subfamily(X, sep, greedy_grid)
-                assert sf.selected.dtype == sel.dtype
-                assert np.array_equal(sf.selected, sel)
-                assert np.array_equal(X[sf.selected], kept)
+            sf = greedy_separated_subfamily(X, sep, grid)
+            assert sf.selected.dtype == sel.dtype
+            assert np.array_equal(sf.selected, sel)
+            assert np.array_equal(X[sf.selected], kept)
             assert full_cdist_verify(sel, kept, sep, X)
             fib = theta_assignment(sf, X, grid)
         fibers = full_cdist_theta(len(X), sel, kept, X, sep)
@@ -884,14 +904,14 @@ class TestPigeonholeScans:
     def test_hand_built_families(self, case, pick):
         # arbitrary subsets: the assignment must fail exactly where the full scans fail
         X, sep, chunk, blocks = case
-        grid = _CellGrid(X, sep + 1e-12, blocks)
+        grid = _CellGrid(X, sep, blocks)
         rng = np.random.default_rng(pick)
         sel = np.flatnonzero(rng.random(len(X)) < 0.5)
         if sel.size == 0:
             sel = np.array([int(rng.integers(0, len(X)))])
         fam = SeparatedFamily(selected=sel, separation=sep)
         with mock.patch.object(hypack.geometry, "_BLOCK_ELEMENTS", chunk):
-            if not full_cdist_verify(sel, X[sel], sep, X, 1e-12):
+            if not full_cdist_verify(sel, X[sel], sep, X):
                 with pytest.raises(AssertionError, match="separation|maximality"):
                     theta_assignment(fam, X, grid)
                 return
@@ -915,13 +935,14 @@ class TestPigeonholeScans:
         X += 1e6
         sf = greedy_separated_subfamily(X, 1.0)
         assert sf.selected.tolist() == [0, 1]
-        assert full_cdist_verify(sf.selected, X[sf.selected], 1.0, X, 1e-12)
+        assert full_cdist_verify(sf.selected, X[sf.selected], 1.0, X)
         assert theta_assignment(sf, X).fibers == {0: [2]}
-        # a separation just above the gap
-        wider = SeparatedFamily(selected=sf.selected, separation=1.0 + 2e-9)
-        assert not full_cdist_verify(wider.selected, X[wider.selected], wider.separation, X, 1e-12)
-        with pytest.raises(AssertionError, match="separation"):
-            theta_assignment(wider, X)
+        # a separation just above the gap, and one ulp above it
+        for above in (1.0 + 2e-9, float(np.nextafter(1.0, 2.0))):
+            wider = SeparatedFamily(selected=sf.selected, separation=above)
+            assert not full_cdist_verify(wider.selected, X[wider.selected], wider.separation, X)
+            with pytest.raises(AssertionError, match="separation"):
+                theta_assignment(wider, X)
 
     @pytest.mark.parametrize("blocks, n", [(2, 1), (2, 3), (20, 1), (20, 3)])
     def test_translated_pairs_at_the_separation(self, blocks, n):
@@ -936,10 +957,9 @@ class TestPigeonholeScans:
             exact = float(np.linalg.norm(X[i] - X[j]))
             for sep in (exact, float(np.nextafter(exact, np.inf))):
                 sel, kept = loop_separated_subfamily(X, sep)
-                grid = _CellGrid(X, sep + 1e-12, blocks)
-                for greedy_grid in (_CellGrid(X, sep, blocks), grid):
-                    sf = greedy_separated_subfamily(X, sep, greedy_grid)
-                    assert np.array_equal(sf.selected, sel)
+                grid = _CellGrid(X, sep, blocks)
+                sf = greedy_separated_subfamily(X, sep, grid)
+                assert np.array_equal(sf.selected, sel)
                 fib = theta_assignment(sf, X, grid)
                 fibers = full_cdist_theta(len(X), sel, kept, X, sep)
                 assert fib.fibers == fibers and list(fib.fibers) == list(fibers)
@@ -994,18 +1014,36 @@ class TestPigeonholeScans:
         X = np.zeros((4, 2))
         X[:, 0] = [0.0, 0.5, 2.0, 2.2]
         sf = greedy_separated_subfamily(X, 1.0)
-        for grid in (_CellGrid(X.copy(), 2.0), _CellGrid(X, 0.5)):
+        for grid in (_CellGrid(X.copy(), 2.0), _CellGrid(X, float(np.nextafter(1.0, 0.0)))):
             grid.listing  # a listing already built changes nothing
             with pytest.raises(ValueError, match="greedy_separated_subfamily: the grid"):
                 greedy_separated_subfamily(X, 1.0, grid)
             with pytest.raises(ValueError, match="theta_assignment: the grid"):
                 theta_assignment(sf, X, grid)
-        # the assignment's limit is the separation + 1e-12
-        with pytest.raises(ValueError, match="theta_assignment: the grid"):
-            theta_assignment(sf, X, _CellGrid(X, 1.0))
-        grid = _CellGrid(X, 1.0 + 1e-12)
-        assert np.array_equal(greedy_separated_subfamily(X, 1.0, grid).selected, sf.selected)
-        assert theta_assignment(sf, X, grid).fibers == {0: [1], 2: [3]}
+        # a grid for exactly the separation serves both scans, and so does a larger one
+        for limit in (1.0, 2.0):
+            grid = _CellGrid(X, limit)
+            assert np.array_equal(greedy_separated_subfamily(X, 1.0, grid).selected, sf.selected)
+            assert theta_assignment(sf, X, grid).fibers == {0: [1], 2: [3]}
+
+    def test_norm_one_ulp_above_cdist_is_not_separated(self):
+        # from 8 columns on np.linalg.norm sums in pairs and cdist from left
+        # to right; with s the norm distance of rows 0 and 1, where cdist reads
+        # one ulp less, row 1 is within s of row 0 and must not be kept
+        rng = np.random.default_rng(13)
+        for _ in range(1000):
+            X = rng.uniform(-0.7, 0.7, (30, 13))  # entries of Poincare m=13 size
+            sep = float(np.linalg.norm(X[:1] - X[1:2], axis=1)[0])
+            if sep == np.nextafter(cdist(X[:1], X[1:2])[0, 0], np.inf):
+                break
+        else:
+            pytest.fail("no pair of rows whose norm distance is one ulp above cdist's")
+        sel, kept = loop_separated_subfamily(X, sep)
+        sf = greedy_separated_subfamily(X, sep)
+        assert 1 not in sf.selected.tolist()
+        assert np.array_equal(sf.selected, sel)
+        assert full_cdist_verify(sf.selected, X[sf.selected], sep, X)
+        assert theta_assignment(sf, X).fibers == full_cdist_theta(len(X), sel, kept, X, sep)
 
     def test_augmented_pinwheel_grid(self):
         # the l-block grid of the pinwheel map's augmented ladder on its one
@@ -1018,7 +1056,7 @@ class TestPigeonholeScans:
         kinds = set()
         for sep in (1.0 / C, 0.5, 1.0, 2.0, 4.0):
             sel, kept = loop_separated_subfamily(X, sep)
-            grid = _CellGrid(X, sep + 1e-12, net.l)
+            grid = _CellGrid(X, sep, net.l)
             sf = greedy_separated_subfamily(X, sep, grid)
             assert np.array_equal(sf.selected, sel)
             fibers = full_cdist_theta(len(X), sel, kept, X, sep)
@@ -1131,7 +1169,7 @@ class TestCellGrid:
         X = X[rng.permutation(len(X))]
         sep = 1.0
         with mock.patch.object(hypack.search, "_CODE_MAX", code_max):
-            grid = _CellGrid(X, sep + 1e-12)
+            grid = _CellGrid(X, sep)
             assert 0 <= grid.codes.min() and grid.codes.max() + 2 * np.abs(grid.steps).max() < code_max
             a, b = self.subsets(rng, len(X))
             assert self.close_pairs(X, a, b, sep) == brute_close_pairs(X, a, b, sep)
