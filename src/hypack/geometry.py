@@ -44,7 +44,6 @@ __all__ = [
     "minkowski_inner",
     "parallel_transport",
     "polar_distance",
-    "sample_ball",
     "transport_frame",
     "triangle_angles",
 ]
@@ -667,47 +666,3 @@ def law_of_sines_residual(sides, angles) -> float:
     ratios = np.sinh(sides) / np.sin(angles)
     return float(ratios.max() - ratios.min())
 
-
-# ---------------------------------------------------------------------------
-# sampling
-# ---------------------------------------------------------------------------
-
-
-#: Width, in units of 1/(m-1), of the radius interval sample_ball's CDF grid spans.
-_SAMPLE_SPAN = 40.0
-
-
-def sample_ball(m: int, rho: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample tangent coordinates uniformly w.r.t. hyperbolic volume in B(rho).
-
-    Radius density is proportional to sinh^{m-1}(s) on [0, rho] (the
-    uncorrected tangent measure would over-weight the center); directions
-    are uniform on S^{m-1}.  Returns shape (size, m).  For m >= 3 the
-    radius is interpolated in the density's CDF on a grid of 4,097 points
-    over [max(0, rho - _SAMPLE_SPAN / (m-1)), rho] (over [0, rho] for
-    m = 1).  Since sinh(s) / sinh(rho) <= e^(s - rho), the mass below that
-    interval is a share of about e^-_SAMPLE_SPAN or less, and the grid
-    resolves the density's width 1/(m-1) at any rho.  Where sinh^{m-1}
-    would overflow the trapezoid sums of its CDF, from about
-    (m-1) log sinh(rho) = 709 on, the density is taken relative to its
-    value at rho, exp((m-1)(log sinh(s) - log sinh(rho))).
-    """
-    if m < 1 or rho <= 0.0 or size < 0:
-        raise ValueError("sample_ball: need m >= 1, rho > 0, size >= 0")
-    u = rng.random(size)
-    if m == 2:
-        radii = np.arccosh(1.0 + u * (math.cosh(rho) - 1.0))
-    else:
-        lo = max(0.0, rho - _SAMPLE_SPAN / (m - 1)) if m > 1 else 0.0
-        grid = np.linspace(lo, rho, 4097)
-        with np.errstate(over="ignore"):
-            dens = np.sinh(grid) ** (m - 1)
-            overflows = not np.isfinite(dens[-1] + dens[-2])
-        if overflows:
-            dens = np.exp((m - 1) * (_log_sinh(grid) - _log_sinh(rho)))
-        cdf = np.concatenate(([0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(grid))))
-        cdf /= cdf[-1]
-        radii = np.interp(u, cdf, grid)
-    dirs = rng.standard_normal((size, m))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return radii[:, None] * dirs

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from hypack.geometry import HPoint, PolarBatch, _tanh, distance, exp_rows, sample_ball
+from hypack.geometry import PolarBatch, _tanh
 
 __all__ = [
     "FLAT_GRAPH_K_MAX",
@@ -23,7 +23,6 @@ __all__ = [
     "LipschitzMapHandle",
     "busemann_map",
     "compose_euclidean",
-    "estimate_lipschitz",
     "flat_graph_example",
     "ideal_point",
     "poincare_inclusion",
@@ -149,29 +148,6 @@ def compose_euclidean(
         return g(F.batch(pts))
 
     return LipschitzMapHandle(fn=fn, L=F.L * L_g, n=n, m=F.m, label=label or f"composed({F.label})")
-
-
-def estimate_lipschitz(
-    F: LipschitzMapHandle,
-    pairs: int = 10_000,
-    seed: int = 0,
-    region_radius: float = 20.0,
-) -> float:
-    """Max sampled ratio |F(x)-F(y)| / d(x,y) over random pairs in B(o, radius).
-
-    A lower bound on the true constant; shipped handles must keep it at or
-    below the declared L.
-    """
-    if pairs < 1:
-        raise ValueError("estimate_lipschitz: pairs must be >= 1")
-    rng = np.random.default_rng(seed)
-    X = sample_ball(F.m, region_radius, 2 * pairs, rng)
-    pts = exp_rows(HPoint.origin(F.m), np.pad(X, ((0, 0), (1, 0))), np.sqrt(np.vecdot(X, X)))
-    d = distance(pts[0::2], pts[1::2])
-    imgs = F.batch(pts)
-    gap = imgs[0::2] - imgs[1::2]
-    far = d >= 1e-12
-    return float(np.max(np.sqrt(np.vecdot(gap, gap))[far] / d[far], initial=0.0))
 
 
 # ---------------------------------------------------------------------------

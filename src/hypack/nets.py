@@ -26,23 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hypack.geometry import (
-    HPoint,
-    PolarBatch,
-    _row_blocks,
-    distance,
-    exp_rows,
-    sample_ball,
-    transport_frame,
-)
+from hypack.geometry import PolarBatch, exp_rows, transport_frame
 
 __all__ = [
     "NET_POINTS_MAX",
-    "CoverReport",
     "NetTemplate",
     "build_reference_net",
     "transport_net",
-    "verify_cover",
 ]
 
 #: Most points a reference net may hold, by its closed-form size bound; the
@@ -165,85 +155,4 @@ def transport_net(tmpl: NetTemplate, points: PolarBatch) -> PolarBatch:
     vecs = tmpl.tangent_points @ transport_frame(points)
     norms = np.linalg.norm(tmpl.tangent_points, axis=1)  # frames are isometric
     return exp_rows(points, vecs, norms)
-
-
-@dataclass(frozen=True)
-class CoverReport:
-    covered_fraction: float
-    max_gap: float
-    max_radial: float
-    rho: float
-
-    @property
-    def ok(self) -> bool:
-        return self.covered_fraction == 1.0 and self.max_radial <= self.rho + 1e-9
-
-
-def verify_cover(
-    tmpl: NetTemplate,
-    p: HPoint,
-    samples: int = 100_000,
-    seed: int = 0,
-) -> CoverReport:
-    """Monte-Carlo check that B(p, rho) is covered by delta-balls at the net.
-
-    Draws volume-corrected samples in exponential coordinates at p and
-    measures hyperbolic distances to the transported net points.  Distances
-    are evaluated in the tangent frame at p via the law-of-cosines kernel:
-    the frame transport is a linear isometry, so this equals the ambient
-    computation exactly while staying immune to the eps*sinh(r) position
-    resolution loss at far basepoints.
-
-    The transported net itself is still constructed (exercising the
-    large-radius representation path), and its radial placement is checked.
-    The samples are measured in blocks of :func:`hypack.geometry._row_blocks`,
-    l elements a sample, which bounds the sample-by-net matrices at any l.
-    """
-    if samples < 1:
-        raise ValueError("verify_cover: samples must be >= 1")
-    sigma = transport_net(tmpl, PolarBatch.of([p]))
-    # Lemma "i)" check: net points stay inside B(p, rho).  Radial distances
-    # equal the template norms by the radial isometry of exp; at moderate
-    # radius the ambient distance oracle must agree.
-    norms = np.linalg.norm(tmpl.tangent_points, axis=1)
-    max_radial = float(norms.max())
-    if p.r <= 12.0:
-        ambient = float(np.max(distance(p, sigma)))
-        if abs(ambient - max_radial) > 1e-9:
-            raise AssertionError(
-                f"transported net radial mismatch: {ambient} vs {max_radial}"
-            )
-
-    # Comparisons run in the cosh domain: cosh(d) - 1 is monotone in d and
-    # costs only products of precomputed cosh/sinh factors per pair, so the
-    # big sample-by-net matrix never sees a transcendental.
-    cosh_n = np.cosh(norms)
-    sinh_n = np.sinh(norms)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(norms > 0, sinh_n / norms, 0.0)
-    u_thresh = math.cosh(tmpl.delta) - 1.0
-
-    rng = np.random.default_rng(seed)
-    X = sample_ball(tmpl.m, tmpl.rho, samples, rng)
-    covered = 0
-    worst_u = 0.0
-    for part in _row_blocks(samples, tmpl.l):
-        xs = X[part]
-        xr = np.linalg.norm(xs, axis=1)
-        dots = xs @ tmpl.tangent_points.T  # |x| |n_j| cos(angle)
-        u = np.cosh(xr)[:, None] * cosh_n[None, :] - 1.0
-        pos = xr > 0
-        scale = np.zeros_like(xr)
-        scale[pos] = np.sinh(xr[pos]) / xr[pos]
-        u -= (scale[:, None] * dots) * ratio[None, :]
-        nearest = u.min(axis=1)
-        covered += int(np.count_nonzero(nearest <= u_thresh + 1e-12))
-        worst_u = max(worst_u, float(nearest.max()))
-    max_gap = float(math.acosh(1.0 + max(worst_u, 0.0)))
-    return CoverReport(
-        covered_fraction=covered / samples,
-        max_gap=max_gap,
-        max_radial=max_radial,
-        rho=tmpl.rho,
-    )
 

@@ -5,8 +5,9 @@ at every basepoint, plus brute-force full scans: the
 O(n^2) sweep for packing separation, the net's lattice points by a scan of
 their whole box, the full-cdist set distances, close pairs and window
 diameters, the one-image-at-a-time separated subfamily with its full-cdist
-assignment and checks, the net transported to one basepoint at a time, and
-the flat-graph mesh built one edge at a time.
+assignment and checks, the net transported to one basepoint at a time,
+the net's cover gap measured at probe points by the exact law of cosines,
+sampled Lipschitz ratios, and the flat-graph mesh built one edge at a time.
 Everything here recomputes results from first principles, independently of
 the library's evaluation strategy.
 """
@@ -29,10 +30,12 @@ from hypack.geometry import (
     _sinh,
     _snap_rows,
     dist_given_q,
+    distance,
     exp_rows,
     transport_frame,
 )
 from hypack.maps import _bump_height
+from hypack.nets import _lattice_step
 
 mp.mp.dps = 40
 
@@ -198,6 +201,61 @@ def per_point_transport(tmpl, p):
 def per_point_augmented(F, tmpl, points):
     """The net-augmented map one basepoint at a time: F over each net, flattened."""
     return np.array([F.fn(per_point_transport(tmpl, p)).ravel() for p in points])
+
+
+def tangent_ball(rng, m, rho, size):
+    """`size` points drawn uniformly from the Euclidean rho-ball of R^m, shape (size, m)."""
+    dirs = rng.standard_normal((size, m))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return (rho * rng.random(size) ** (1.0 / m))[:, None] * dirs
+
+
+def cover_probes(rho, delta, m):
+    """(corners, sphere, ball): probe points of the tangent rho-ball for the
+    lattice net of (rho, delta, m).  The corners of the lattice cells inside
+    the ball (the points farthest from the lattice), 2,000 points of the
+    rho-sphere (the ones the projection onto the ball serves), and 20,000
+    uniform points of the ball; the draws are seeded by m."""
+    _, h = _lattice_step(rho, delta, m)
+    n = math.ceil(rho / h) + 1
+    axis = h * (np.arange(-n, n + 1) + 0.5)
+    corners = np.stack(np.meshgrid(*([axis] * m), indexing="ij"), axis=-1).reshape(-1, m)
+    corners = corners[np.linalg.norm(corners, axis=1) <= rho]
+    rng = np.random.default_rng(m)
+    dirs = rng.standard_normal((2_000, m))
+    sphere = rho * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    return corners, sphere, tangent_ball(rng, m, rho, 20_000)
+
+
+def net_gap(tangent_points, probes):
+    """Largest hyperbolic distance from a probe to its nearest net point, both
+    given in tangent coordinates at one basepoint: the law of cosines
+    (dist_given_q) on the two norms and q = |u - v|^2 / 4 of the unit
+    directions, which is exact at any basepoint, in blocks of 1,024 probes."""
+
+    def polar(x):
+        r = np.linalg.norm(x, axis=1)
+        return r, x / np.where(r > 0.0, r, 1.0)[:, None]
+
+    rn, un = polar(np.asarray(tangent_points, dtype=float))
+    worst = 0.0
+    for b in range(0, len(probes), 1024):
+        rx, ux = polar(np.asarray(probes[b : b + 1024], dtype=float))
+        d = dist_given_q(rx[:, None], rn[None, :], 0.25 * cdist(ux, un, "sqeuclidean"))
+        worst = max(worst, float(d.min(axis=1).max()))
+    return worst
+
+
+def sampled_lipschitz(F, pairs, rng, radius):
+    """Largest ratio |F(x) - F(y)| / d(x, y) over `pairs` pairs of exp_o of
+    uniform tangent points of the radius-ball: a lower bound on F's
+    Lipschitz constant."""
+    X = tangent_ball(rng, F.m, radius, 2 * pairs)
+    pts = exp_rows(HPoint.origin(F.m), np.pad(X, ((0, 0), (1, 0))), np.linalg.norm(X, axis=1))
+    d = distance(pts[0::2], pts[1::2])
+    gap = np.linalg.norm(F.batch(pts[0::2]) - F.batch(pts[1::2]), axis=1)
+    far = d >= 1e-12
+    return float(np.max(gap[far] / d[far], initial=0.0))
 
 
 def loop_separated_subfamily(images, sep):

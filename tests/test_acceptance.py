@@ -27,7 +27,7 @@ from hypack.geometry import (
     triangle_angles,
 )
 from hypack.maps import poincare_inclusion
-from hypack.nets import build_reference_net, verify_cover
+from hypack.nets import build_reference_net, transport_net
 from hypack.packing import (
     count_lower_bound,
     direction_count,
@@ -178,16 +178,22 @@ def test_criterion_3_law_of_sines_attainable():
 
 
 # -------------------------------------------------------------------------
-# criterion 4: Lemma 4 Monte-Carlo cover
+# criterion 4: Lemma 4 cover, probed by exact distances
 # -------------------------------------------------------------------------
 
 
 def test_criterion_4_net_cover():
+    # the gap is measured in tangent coordinates, where the law of cosines is
+    # exact at any basepoint; each base transports the net, and at r <= 12
+    # the ambient radial distances must equal the template norms
     t0 = time.perf_counter()
     lines = []
     ok = True
     for rho, delta, m in ((1.0, 0.25, 2), (2.0, 0.5, 3)):
         tmpl = build_reference_net(rho, delta, m)
+        gap = oracle.net_gap(tmpl.tangent_points, np.vstack(oracle.cover_probes(rho, delta, m)))
+        ok = ok and gap <= delta
+        norms = np.linalg.norm(tmpl.tangent_points, axis=1)
         e1 = np.eye(m)[0]
         bases = [
             HPoint.origin(m),
@@ -195,12 +201,14 @@ def test_criterion_4_net_cover():
             HPoint.from_polar(50.0, e1),
         ]
         for base in bases:
-            rep = verify_cover(tmpl, base, samples=100_000, seed=SEED)
-            ok = ok and rep.ok
-            lines.append(
-                f"(rho={rho}, delta={delta}, m={m}) at r={base.r:.0f}: "
-                f"frac={rep.covered_fraction} gap={rep.max_gap:.4f}"
-            )
+            sigma = transport_net(tmpl, PolarBatch.of([base]))
+            ok = ok and len(sigma) == tmpl.l
+            line = f"(rho={rho}, delta={delta}, m={m}) at r={base.r:.0f}: gap={gap:.4f}"
+            if base.r <= 12.0:
+                radial = float(np.max(np.abs(distance(base, sigma) - norms)))
+                ok = ok and radial <= 1e-9
+                line += f" radial={radial:.1e}"
+            lines.append(line)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0
     report(4, ok, f"{'; '.join(lines)}; {elapsed:.1f}s < 60s")

@@ -304,9 +304,9 @@ class TestSearch:
         assert f"r is too large (r={float(argv[1])}, epsilon=" in err
         assert f"centers at radius {radius}, which exceeds the representable range" in err
 
-    def test_ball_samples_where_the_volume_density_overflows(self, tmp_path):
-        # at r = 60 and m = 13, sinh(r)^12 overflows a double, where sampled
-        # ball points were once all NaN; the center bound of (ii) is finite
+    def test_set_distance_bound_finite_at_r_60_m_13(self, tmp_path):
+        # at r = 60 and m = 13, sinh(r)^12 overflows a double; the center
+        # bound of (ii) stays finite
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc, out = run(tmp_path, "s.json", ["search", "--r", "60", "--m", "13", "--k", "2"])
@@ -748,8 +748,6 @@ def _numeric_cases():
         ("search", "--k"): [1, 3],
         ("search", "--cap"): [1, 3, CAP_MAX - 1, CAP_MAX + 1],
         ("search", "--R-max"): [],
-        # --samples is gone: every value is refused as an unknown option
-        ("search", "--samples"): [1, 99_999, 100_001],
         ("search", "--seed"): [1],
         ("pack", "--C"): [1],
         ("pack", "--R"): [1, 3],  # the limit is 2C = 2

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import pkgutil
@@ -19,6 +20,20 @@ def test_every_public_name_resolves(name):
     module = importlib.import_module(f"hypack.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_public_callable_takes_a_seed(name):
+    # the package draws nothing at random, so no public entry point takes
+    # a seed or a generator
+    module = importlib.import_module(f"hypack.{name}")
+    seeded = []
+    for attr in getattr(module, "__all__", ()):
+        obj = getattr(module, attr)
+        if callable(obj) and not (isinstance(obj, type) and issubclass(obj, BaseException)):
+            if {"seed", "rng"} & set(inspect.signature(obj).parameters):
+                seeded.append(attr)
+    assert seeded == []
 
 
 def test_benchmark_trace_hooks_resolve(tmp_path):

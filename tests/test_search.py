@@ -20,6 +20,7 @@ from oracle_utils import (
     full_cdist_verify,
     loop_best_window,
     loop_separated_subfamily,
+    tangent_ball,
 )
 import hypack.geometry
 import hypack.search
@@ -31,7 +32,6 @@ from hypack.geometry import (
     distance,
     exp_map,
     exp_rows,
-    sample_ball,
     transport_frame,
 )
 from hypack.maps import LipschitzMapHandle, busemann_map, ideal_point, poincare_inclusion
@@ -419,7 +419,7 @@ class TestCertify:
         rng = np.random.default_rng(m)
         clouds = []
         for p, img in zip(cfg.centers, F.batch(cfg.centers)):
-            X = sample_ball(m, 1.0, 512, rng)
+            X = tangent_ball(rng, m, 1.0, 512)
             vecs = (X[:, None, :] @ transport_frame(p))[:, 0, :]
             clouds.append(np.vstack([F.batch(exp_rows(p, vecs, np.linalg.norm(X, axis=1))), img]))
         sampled = brute_set_distance_max(clouds)
@@ -548,7 +548,7 @@ class TestRowPaths:
         # direction off the axes; exp_rows takes them in one call
         p = HPoint.from_polar(18.0, np.linspace(0.3, -0.8, m))
         frame = transport_frame(p)
-        X = sample_ball(m, 1.0, 300, np.random.default_rng(3))
+        X = tangent_ball(np.random.default_rng(3), m, 1.0, 300)
         vecs, lengths = np.array([x @ frame for x in X]), np.array([np.linalg.norm(x) for x in X])
         got = exp_rows(p, vecs, lengths)
         assert len(got) == len(X)
