@@ -8,6 +8,8 @@ carried to any basepoint by the frame-transport isometry: the net size l
 depends only on (rho, delta, m), never on the basepoint.
 """
 
+import math
+
 import numpy as np
 
 from hypack.geometry import HPoint, PolarBatch, dist_given_q, distance
@@ -16,7 +18,7 @@ from hypack.nets import build_reference_net, transport_net
 rho, delta, m = 1.0, 0.25, 2
 tmpl = build_reference_net(rho, delta, m)
 print(f"reference net of B(., {rho}) with cover radius {delta} in H^{m}: l = {tmpl.l} points")
-print(f"tangent spacing compensates the exp stretch sinh(rho)/rho = {1.1752:.4f}")
+print(f"tangent spacing compensates the exp stretch sinh(rho)/rho = {math.sinh(rho) / rho:.4f}")
 
 # probes of the tangent ball: a fine square grid inside it and 4,096 points of
 # its sphere; a probe x and a net point n lie d(exp x, exp n) apart by the law

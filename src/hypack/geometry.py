@@ -210,10 +210,37 @@ def polar_distance(r1: float, r2: float, cos_theta: float) -> float:
     return float(dist_given_q(r1, r2, q))
 
 
+#: Longest run of consecutive doubles that :func:`_libm` evaluates whole,
+#: and the fewest elements it does so for.
+_LIBM_RUN = 64
+
+
 def _libm(fn):
+    """`fn`, a libm function of math, applied to every element of an array.
+
+    If the array has more than _LIBM_RUN elements whose int64 bit patterns
+    lie in a run of at most _LIBM_RUN consecutive doubles (under _LIBM_RUN
+    ulps from end to end), none of them NaN, `fn` runs once per double of
+    that run and the results are indexed by bit pattern.  Such a run is of
+    one sign, since any run through both signs passes a NaN pattern.  Every
+    other array takes one call per element.  Either way each element has
+    the bits of fn(element).  The wrapped functions grow with |x|, so a
+    double inside a run raises only where one of the array's ends does.
+    """
+
     def apply(x):
         x = np.asarray(x, dtype=float)
-        return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+        flat = x.ravel()
+        if flat.size > _LIBM_RUN:
+            bits = flat.view(np.int64)
+            lo = int(bits.min())
+            span = int(bits.max()) - lo + 1
+            if span <= _LIBM_RUN:
+                run = np.arange(lo, lo + span, dtype=np.int64).view(float)
+                if not np.isnan(run).any():
+                    values = np.array([fn(v) for v in run.tolist()])
+                    return values[bits - lo].reshape(x.shape)
+        return np.fromiter(map(fn, flat.tolist()), float, x.size).reshape(x.shape)
 
     return apply
 

@@ -249,6 +249,10 @@ class _CellGrid:
     (:attr:`listing`), and kept with it; a scan against a subset b of the
     rows filters that listing to b (:meth:`among`) instead of searching
     again.  A grid built for `limit` serves every smaller limit as well.
+
+    The grid also keeps ``columns``, a C-contiguous column-major copy of the
+    images (shape (width, rows)), which the scans of its rows measure on
+    (:func:`_image_distance`).
     """
 
     def __init__(self, images: np.ndarray, limit: float, blocks: int = 1):
@@ -265,6 +269,7 @@ class _CellGrid:
             bound = max(images.max(), -images.min())  # no |images| temporary
             self.rounding = (1.0 + _CDIST_SLACK) * 2.0 * math.sqrt(w * blocks) * float(bound) * _gamma(blocks + 2)
         self.images, self.keys, self.limit = images, K, limit
+        self.columns = np.ascontiguousarray(images.T)
         self.reach = limit * (1.0 + _CDIST_SLACK) + self.rounding
         lo = K.min(axis=0)
         span = float(np.max(K.max(axis=0) - lo))
@@ -343,22 +348,37 @@ def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.repeat(first - ends + count, count) + np.arange(ends[-1] if len(ends) else 0)
 
 
-def _image_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """|x - y| along the last axis (broadcast) with the bits of scipy's
-    euclidean cdist: squares summed from left to right (np.add.accumulate;
-    add.reduce sums in pairs from 8 columns on), then sqrt.  As fl(x - y) =
-    -fl(y - x), swapping x and y keeps the bits.  The one image metric of
-    the pigeonhole scans and of the bounds of conclusions (ii) and (iii)."""
-    d = x - y
+def _image_distance(X: np.ndarray, a: np.ndarray, Y: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|X[:, a[t]] - Y[:, b[t]]| for each t, for column-major images X and Y
+    (one image a column, shape (W, N)); `b` may hold one index, which every
+    a[t] is measured against.  The bits are those of scipy's euclidean
+    cdist, squares summed from the first column to the last, then sqrt:
+
+    - the columns are gathered with np.take, differenced and squared in
+      place, and np.add.reduce down axis 0 of the (W, P) squares adds their
+      W rows in order into the P outputs whenever P >= 2;
+    - a lone pair (P = 1) makes the reduction one contiguous run, which
+      numpy sums in pairs from 8 terms on, so its one column is summed by
+      np.add.accumulate instead.
+
+    As fl(x - y) = -fl(y - x), swapping X[:, a] and Y[:, b] keeps the bits.
+    The one image metric of the pigeonhole scans, the best-window diameters
+    and the bounds of conclusions (ii) and (iii)."""
+    d = X.take(a, axis=1)
+    d -= Y.take(b, axis=1)
     d *= d
-    return np.sqrt(np.add.accumulate(d, axis=-1, out=d)[..., -1])
+    if d.shape[1] == 1:
+        return np.sqrt(np.add.accumulate(d, axis=0, out=d)[-1])
+    return np.sqrt(np.add.reduce(d, axis=0))
 
 
 def _pair_cdist(A: np.ndarray, a: np.ndarray, B: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """cdist(A[a[t]], B[b[t]]) for each t (:func:`_image_distance`)."""
+    """cdist(A[:, a[t]], B[:, b[t]]) for each t, for column-major images A
+    and B (:func:`_image_distance`), in blocks of
+    :func:`hypack.geometry._row_blocks` pairs (W elements each)."""
     out = np.empty(len(a))
-    for part in _row_blocks(len(a), A.shape[1]):
-        out[part] = _image_distance(A[a[part]], B[b[part]])
+    for part in _row_blocks(len(a), A.shape[0]):
+        out[part] = _image_distance(A, a[part], B, b[part])
     return out
 
 
@@ -375,7 +395,7 @@ def _close_pairs(grid: _CellGrid, a: np.ndarray, b: np.ndarray, limit: float):
     count = indptr[cell + 1] - indptr[cell]
     t = np.repeat(np.arange(len(a)), count)
     u = rows[_ranges(indptr[cell], count)]
-    d = _pair_cdist(grid.images, a[t], grid.images, b[u])
+    d = _pair_cdist(grid.columns, a[t], grid.columns, b[u])
     below = d < limit
     return t[below], u[below], d[below]
 
@@ -448,7 +468,8 @@ def greedy_separated_subfamily(images, sep: float, grid: _CellGrid | None = None
 
     The scan jumps to the next undecided image with np.argmax over a mask
     of the images still to decide, so Python runs one step, a slice of the
-    listing and one measurement, per kept image with a neighbour in its cubes.
+    listing filtered to the undecided images and one measurement (on the
+    grid's columns), per kept image with a neighbour in its cubes.
     Images other than a non-empty finite 2-d array and a `sep` not > 0
     (NaN included) are refused (ValueError).
     """
@@ -458,15 +479,17 @@ def greedy_separated_subfamily(images, sep: float, grid: _CellGrid | None = None
     first, stop = indptr[cell], indptr[cell + 1]
     todo = stop - first > 1
     kept = ~todo
+    at = np.zeros(1, dtype=np.intp)
     i = int(np.argmax(todo))
     while todo[i]:
         kept[i] = True
         todo[i] = False
         later = rows[first[i] : stop[i]]
-        later = later[later > i]
+        later = later[todo[later]]  # every image up to i is decided
+        at[0] = i
         for part in _row_blocks(len(later), images.shape[1]):
             close = later[part]
-            todo[close[_image_distance(images[i], images[close]) < sep]] = False
+            todo[close[_image_distance(grid.columns, close, grid.columns, at) < sep]] = False
         i += int(np.argmax(todo[i:]))
     selected = np.flatnonzero(kept)
     return SeparatedFamily(selected=selected, separation=sep)
@@ -617,9 +640,11 @@ class BunchedConfiguration:
         return len(self.centers)
 
 
-def _best_window(members: list[int], imgs: np.ndarray, k: int) -> tuple[list[int], float]:
+def _best_window(members: list[int], columns: np.ndarray, k: int) -> tuple[list[int], float]:
     """k consecutive fiber members minimizing their image diameter, the
-    largest cdist value over the window's pairs (the first window on ties).
+    largest cdist value over the window's pairs (the first window on ties);
+    `columns` are the column-major images (shape (W, N)) that the members
+    index.
 
     The diameters of all windows of width w follow from those of width
     w - 1: diam_w(s) = max(diam_(w-1)(s), diam_(w-1)(s + 1),
@@ -627,10 +652,10 @@ def _best_window(members: list[int], imgs: np.ndarray, k: int) -> tuple[list[int
     sub-windows and its two ends.  Each diameter is thus the max of the same
     cdist values, from k - 1 :func:`_pair_cdist` passes over the members:
     O(len(members) k) time and O(len(members)) memory."""
-    every = np.arange(len(members))
+    at = np.asarray(members, dtype=np.intp)
     diam = np.zeros(len(members))
     for w in range(2, k + 1):
-        ends = _pair_cdist(imgs, every[: len(diam) - 1], imgs, every[w - 1 :])
+        ends = _pair_cdist(columns, at[: len(diam) - 1], columns, at[w - 1 :])
         diam = np.maximum(np.maximum(diam[:-1], diam[1:]), ends)
     s = int(np.argmin(diam))
     return members[s : s + k], float(diam[s])
@@ -744,7 +769,7 @@ def _walk_ladder(
         diagnostics.append(entry)
         if len(members) < params.k:
             continue
-        chosen, diam = _best_window(members, images[members], params.k)
+        chosen, diam = _best_window(members, grid.columns, params.k)
         if max_image_diameter is not None and diam >= max_image_diameter and diam > 0.0:
             entry["rejected_diameter"] = diam
             continue
@@ -804,21 +829,25 @@ def _hausdorff_bound(F: LipschitzMapHandle, net: NetTemplate, centers: PolarBatc
 def _pairwise_max(P: np.ndarray) -> float:
     """max over pairs i < j and indices t of cdist(P[i, t], P[j, t])
     (:func:`_image_distance`), for a (k, l, n) stack P or a (k, n) array
-    (l = 1); 0.0 for fewer than two rows, NaN if any pair is NaN.  Indices t
-    come in blocks of :func:`hypack.geometry._row_blocks` (k n elements
-    each) and, within them, rows i (k elements a pair each), so no temporary
-    grows with the pairs or with l.
+    (l = 1); 0.0 for fewer than two rows, NaN if any pair is NaN.  The
+    stack is measured as one column-major copy, P[i, t] its column i l + t.
+    Indices t come in blocks of :func:`hypack.geometry._row_blocks` (k n
+    elements each) and, within them, rows i (k elements a pair each), so
+    beyond that copy no temporary grows with the pairs or with l.
     """
     if P.ndim == 2:
         P = P[:, None, :]
     k, l, n = P.shape
+    X = np.ascontiguousarray(P.reshape(k * l, n).T)
     block_max = [0.0]
-    for t in _row_blocks(l, k * n):
-        Q = P[:, t]
-        for part in _row_blocks(k, Q.size):
+    for block in _row_blocks(l, k * n):
+        t = np.arange(l)[block]
+        for part in _row_blocks(k, k * len(t) * n):
             i = np.arange(k)[part]
             count = k - 1 - i
-            block_max.append(_image_distance(Q[np.repeat(i, count)], Q[_ranges(i + 1, count)]).max(initial=0.0))
+            a = (np.repeat(i * l, count)[:, None] + t).ravel()
+            b = (_ranges(i + 1, count)[:, None] * l + t).ravel()
+            block_max.append(_image_distance(X, a, X, b).max(initial=0.0))
     return float(np.max(block_max))
 
 

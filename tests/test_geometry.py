@@ -696,23 +696,99 @@ class TestDistGivenQKernel:
 
 
 class TestLibmHelpers:
-    # the row kernels call libm one element at a time; numpy's own ufuncs
-    # differ from it in the last bit on a few percent of elements
+    # the row kernels call libm once per element, or once per double of a
+    # short run of consecutive doubles that a long array lies in; numpy's own
+    # ufuncs differ from libm in the last bit on a few percent of elements
     HELPERS = [(_cosh, math.cosh), (_sinh, math.sinh), (_tanh, math.tanh), (_asinh, math.asinh)]
 
-    @pytest.mark.parametrize("shape", [(), (257,), (6, 5, 1), (0,), (3, 0, 1)])
-    def test_equal_math_elementwise(self, rng, shape):
-        x = rng.uniform(-30.0, 30.0, shape)
-        for helper, fn in self.HELPERS:
+    @staticmethod
+    def assert_bitwise(x):
+        """Every helper equals its math function elementwise, bit for bit
+        (the sign of zero and NaN payloads included)."""
+        x = np.asarray(x, dtype=float)
+        for helper, fn in TestLibmHelpers.HELPERS:
             got = helper(x)
             assert got.shape == x.shape and got.dtype == np.float64
             want = np.array([fn(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
-            assert np.array_equal(got, want)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @staticmethod
+    def calls(x):
+        """How many times the libm function runs for `x`."""
+        seen = []
+        hypack.geometry._libm(lambda v: seen.append(v) or math.asinh(v))(x)
+        return len(seen)
+
+    @staticmethod
+    def ulp_run(base, ulps, size, rng):
+        """`size` doubles from `base` up to `ulps` ulps beyond it, both ends
+        included, in random order (NaN patterns beyond inf)."""
+        start = np.float64(base).view(np.int64)
+        bits = start + rng.integers(0, ulps + 1, size)
+        bits[:2] = start, start + ulps
+        return rng.permutation(bits).view(float)
+
+    @pytest.mark.parametrize("shape", [(), (257,), (6, 5, 1), (0,), (3, 0, 1)])
+    def test_equal_math_elementwise(self, rng, shape):
+        self.assert_bitwise(rng.uniform(-30.0, 30.0, shape))
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 0.5, -3.0, 20.0, 710.0, math.inf, -math.inf])
+    @pytest.mark.parametrize("size", [65, 1000])
+    def test_constant_arrays(self, value, size):
+        x = np.full(size, value)
+        self.assert_bitwise(x)
+        self.assert_bitwise(x.reshape(5, -1))
+        assert self.calls(x) == 1
+
+    def test_short_arrays_take_one_call_per_element(self):
+        assert self.calls(np.full(64, 0.5)) == 64
+        assert self.calls(np.full((8, 8), 0.5)) == 64
+
+    @pytest.mark.parametrize("ulps", [1, 2, 17, 63, 64, 65, 1000])
+    @pytest.mark.parametrize("base", [0.0, -0.0, 5e-324, 1e-300, 0.7, -2.5, 3.0, -700.0, math.inf])
+    def test_runs_of_ulps(self, rng, base, ulps):
+        # runs of at most 64 doubles (up to 63 ulps end to end) are evaluated
+        # whole, once per double; longer ones element by element
+        x = self.ulp_run(base, ulps, 300, rng)
+        self.assert_bitwise(x)
+        run = ulps < 64 and not np.isnan(x).any()
+        assert self.calls(x) == (ulps + 1 if run else 300)
+
+    def test_mixed_signs_and_nan(self):
+        x = np.full(100, 0.0)
+        x[::2] = -0.0  # the two zeros, 2^63 bit patterns apart
+        self.assert_bitwise(x)
+        assert self.calls(x) == 100
+        x = np.full(100, 1e-310)
+        x[::3] = -1e-310
+        self.assert_bitwise(x)
+        # +0.0 and the NaN of bit pattern -1 are one pattern apart; a run
+        # through both signs passes a NaN pattern and is not taken
+        x = np.full(100, 0.0)
+        x[7] = np.array([-1], dtype=np.int64).view(float)[0]
+        self.assert_bitwise(x)
+        assert self.calls(x) == 100
+        for special in (np.nan, math.inf, -math.inf):
+            x = np.full(100, 1.5)
+            x[50] = special
+            self.assert_bitwise(x)
+        x = np.full(100, np.nan)
+        self.assert_bitwise(x)
+        assert self.calls(x) == 100
+
+    def test_all_distinct(self, rng):
+        x = rng.uniform(-30.0, 30.0, 5000)
+        self.assert_bitwise(x)
+        assert self.calls(x) == 5000
 
     def test_overflow_propagates(self):
         for helper in (_cosh, _sinh):
             with pytest.raises(OverflowError):
                 helper(np.array([1.0, 800.0]))
+            with pytest.raises(OverflowError):
+                helper(np.full(1000, 800.0))  # one call for the whole run
+            with pytest.raises(OverflowError):
+                helper(np.full(1000, 1.0) + np.arange(1000) % 2 * 799.0)
 
 
 @settings(max_examples=50, deadline=None)

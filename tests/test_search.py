@@ -757,7 +757,9 @@ class TestTreeDistances:
                 k = min(k, count)
                 imgs = 0.5 * rng.integers(0, 3, (count, 3)).astype(float)  # tied diameters
                 members = sorted(rng.choice(1000, count, replace=False).tolist())
-                assert _best_window(members, imgs, k) == loop_best_window(members, imgs, k)
+                columns = np.full((3, 1000), np.nan)  # only the members' columns are read
+                columns[:, members] = imgs.T
+                assert _best_window(members, columns, k) == loop_best_window(members, imgs, k)
 
     def test_best_window_of_a_wide_fiber_is_fast(self):
         # 2,000 members on a line in increasing order: a window's diameter is
@@ -767,8 +769,10 @@ class TestTreeDistances:
         x = np.cumsum(rng.integers(1, 4, 2000)).astype(float)
         k = 1000
         members = list(range(5000, 7000))
+        columns = np.zeros((1, 7000))
+        columns[0, members] = x
         with time_limit(10.0):
-            chosen, diam = _best_window(members, x[:, None], k)
+            chosen, diam = _best_window(members, columns, k)
         gaps = x[k - 1 :] - x[: len(x) - k + 1]
         s = int(np.argmin(gaps))  # the first on ties
         assert chosen == members[s : s + k]
@@ -1081,16 +1085,22 @@ class TestPigeonholeScans:
         cfg = find_bunched_configuration(F, SearchParams(1.0, 0.5, 8))
         assert builds == [e["family"] for e in cfg.history]
 
-    @pytest.mark.parametrize("width", [2, 3, 6, 40, 7695])
+    @pytest.mark.parametrize("width", [2, 3, 6, 13, 40, 7695])
     def test_pair_distances_have_cdist_bits(self, width):
+        # chunk 1 makes every pair a lone pair
         rng = np.random.default_rng(width)
         A = rng.standard_normal((9, width)) * 10.0 ** rng.integers(-3, 4, (9, 1))
         B = A[::-1] + 1e-3 * rng.standard_normal((9, width))
         a = np.repeat(np.arange(9), 9)
         b = np.tile(np.arange(9), 9)
+        cols_a, cols_b = np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)
         for chunk in (1, 1 << 16):
             with mock.patch.object(hypack.geometry, "_BLOCK_ELEMENTS", chunk):
-                assert np.array_equal(_pair_cdist(A, a, B, b), cdist(A, B).ravel())
+                assert np.array_equal(_pair_cdist(cols_a, a, cols_b, b), cdist(A, B).ravel())
+        # every column of B against one of A, the greedy step's form
+        for t in range(9):
+            got = hypack.search._image_distance(cols_b, np.arange(9), cols_a, [t])
+            assert np.array_equal(got, cdist(A[t : t + 1], B)[0])
 
     def test_wide_clustered_family_is_fast(self):
         # 6,000 images of width 512 in 2,000 tight clusters far apart; the
@@ -1119,8 +1129,10 @@ class TestCellGrid:
 
     @staticmethod
     def close_pairs(X, a, b, limit):
-        t, u, d = _close_pairs(_CellGrid(X, limit), a, b, limit)
-        assert np.array_equal(d, _pair_cdist(X, a[t], X, b[u]))
+        grid = _CellGrid(X, limit)
+        t, u, d = _close_pairs(grid, a, b, limit)
+        assert np.array_equal(d, _pair_cdist(grid.columns, a[t], grid.columns, b[u]))
+        assert np.array_equal(d, cdist(X[a[t]], X[b[u]]).diagonal())
         return sorted(zip(t.tolist(), u.tolist()))
 
     @staticmethod
@@ -1183,3 +1195,77 @@ class TestCellGrid:
         X = np.zeros((5, 2))
         for limit in (0.0, -1.0):
             assert self.close_pairs(X, np.arange(5), np.arange(5), limit) == []
+
+
+class TestPairKernel:
+    """The column-major pair kernel keeps cdist's bits: squares summed from
+    the first column to the last, a lone pair included."""
+
+    @staticmethod
+    def lone_pairs(width, count, seed):
+        """`count` pairs of rows of `width` columns over 7 decades of scale."""
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-3, 4, (count, 1))
+        A = rng.standard_normal((count, width)) * scale
+        return A, A + rng.standard_normal((count, width)) * scale
+
+    @pytest.mark.parametrize("width", [2, 3, 8, 13, 40, 7695])
+    def test_reduce_down_columns_sums_in_order(self, width):
+        # the summation order the kernel rests on: np.add.reduce down axis 0
+        # of a C-contiguous (W, P >= 2) array adds its rows first to last, as
+        # a Python sum does and as cdist does; a numpy that changes this
+        # order fails here rather than changing artifacts
+        A, B = self.lone_pairs(width, 3, width)
+        for P in (2, 3):
+            d = np.ascontiguousarray((A[:P] - B[:P]).T)
+            d *= d
+            got = np.add.reduce(d, axis=0)
+            for col, value in zip(d.T.tolist(), got.tolist()):
+                total = col[0]
+                for v in col[1:]:
+                    total += v
+                assert value == total
+            assert np.array_equal(np.sqrt(got), cdist(A[:P], B[:P]).diagonal())
+        # the lone-pair path
+        cols_a, cols_b = np.ascontiguousarray(A.T), np.ascontiguousarray(B.T)
+        for t in range(len(A)):
+            lone = hypack.search._image_distance(cols_a, [t], cols_b, [t])
+            assert lone.shape == (1,) and lone[0] == cdist(A[t : t + 1], B[t : t + 1])[0, 0]
+
+    @pytest.mark.parametrize("l", [1, 2, 5])
+    def test_pairwise_max_of_two_wide_stacks(self, l):
+        # (2, l, 13) stacks: one pair per t, alone in its block at l = 1 or
+        # with one-element blocks
+        A, B = self.lone_pairs(13, 60 * l, l)
+        for P in np.stack([A.reshape(60, l, 13), B.reshape(60, l, 13)], axis=1):
+            want = float(cdist(P[0], P[1]).diagonal().max())
+            for chunk in (1, 1 << 16):
+                with mock.patch.object(hypack.geometry, "_BLOCK_ELEMENTS", chunk):
+                    assert _pairwise_max(P) == want
+
+    def test_best_window_of_two(self):
+        # k = 2 measures one pair per window; two members make a lone pair
+        A, B = self.lone_pairs(13, 40, 3)
+        X = np.stack([A, B], axis=1).reshape(80, 13)  # rows 2t and 2t + 1 a pair
+        columns = np.ascontiguousarray(X.T)
+        for chunk in (1, 1 << 16):
+            with mock.patch.object(hypack.geometry, "_BLOCK_ELEMENTS", chunk):
+                for members in [[s, s + 1] for s in range(0, 80, 2)] + [list(range(80))]:
+                    want = loop_best_window(members, X[members], 2)
+                    assert _best_window(members, columns, 2) == want
+
+    def test_greedy_step_with_one_undecided_row(self):
+        # two rows: row 0 is kept, and its listing holds row 1 alone; the
+        # separation sits at the pair's cdist value or one ulp above it, so
+        # a value one ulp off cdist's flips one of the two decisions
+        A, B = self.lone_pairs(13, 100, 4)
+        for x, y in zip(A, B):
+            X = np.stack([x, y])
+            d = float(cdist(X[:1], X[1:])[0, 0])
+            for sep in (d, float(np.nextafter(d, math.inf))):
+                grid = _CellGrid(X, sep)
+                cell, indptr, rows = grid.listing
+                assert sorted(rows[indptr[cell[0]] : indptr[cell[0] + 1]].tolist()) == [0, 1]
+                sel, _ = loop_separated_subfamily(X, sep)
+                assert greedy_separated_subfamily(X, sep, grid).selected.tolist() == sel.tolist()
+                assert sel.tolist() == ([0, 1] if sep == d else [0])
