@@ -36,7 +36,7 @@ from hypack.geometry import (
 )
 from hypack.maps import LipschitzMapHandle, busemann_map, ideal_point, poincare_inclusion
 from hypack.nets import build_reference_net, transport_net
-from hypack.packing import generate_centers, packing_angle
+from hypack.packing import CAP_MAX, direction_count, generate_centers, packing_angle
 from hypack.search import (
     ScheduleExhausted,
     SearchParams,
@@ -284,10 +284,36 @@ class TestSearchParams:
             SearchParams(**{"r": 1.0, "epsilon": 0.5, "k": 2, **kwargs})
 
     def test_default_schedule_ladder(self):
-        sched = default_schedule(8.0, 100_000)
-        assert sched[0] == 18.0
-        diffs = [b - 16.0 for b in sched]
-        assert diffs == [2.0 * 2.0**i for i in range(len(sched))]
+        # rung i sits at 2C + 2 + i ln 4, computed from i (no rounding
+        # accumulates), so the uncapped family pi/alpha grows 4x per rung
+        step = math.log(4.0)
+        for C in (0.26, 1.0, 8.0, 170.0):
+            sched = default_schedule(C, 100_000)
+            assert sched == tuple(2.0 * C + (2.0 + i * step) for i in range(len(sched)))
+            for i, R in enumerate(sched):
+                assert R - 2.0 * C == pytest.approx(2.0 + i * step, rel=0.0, abs=2.0 * math.ulp(R))
+            uncapped = [math.pi / packing_angle(C, R) for R in sched]
+            assert all(3.9 <= b / a <= 4.1 for a, b in zip(uncapped, uncapped[1:]))
+            # the family counts floor those: at C = 1 the first rung's 26.7
+            # directions give 26 centers, and 107 / 26 = 4.12
+            family = [direction_count(packing_angle(C, R)) + 1 for R in sched]
+            assert all(3.9 <= b / a <= 4.2 for a, b in zip(family, family[1:]))
+        assert [direction_count(packing_angle(8.0, R)) + 1 for R in default_schedule(8.0, 100)[:4]] == [
+            23, 92, 371, 1485
+        ]
+        assert [direction_count(packing_angle(0.26, R)) + 1 for R in default_schedule(0.26, 100)[:3]] == [
+            56, 228, 915
+        ]
+
+    @pytest.mark.parametrize("cap", [2, 1_000, 100_000, CAP_MAX])
+    def test_default_schedule_stops_one_rung_past_ten_caps(self, cap):
+        # the last rung is the first whose uncapped family pi/alpha exceeds
+        # 10 cap; _MAX_RUNGS never ends the ladder first
+        for C in [0.26, 1.0, 8.0, 170.0, *np.geomspace(0.01, 700.0, 41)]:
+            sched = default_schedule(C, cap)
+            over = [math.pi / packing_angle(C, R) > 10.0 * cap for R in sched]
+            assert over == [False] * (len(sched) - 1) + [True]
+            assert len(sched) <= 11 < hypack.search._MAX_RUNGS
 
 
 class TestFindBunched:
@@ -310,6 +336,18 @@ class TestFindBunched:
             for j in range(i + 1, 3):
                 d = distance(cfg.centers[i], cfg.centers[j])
                 assert d >= 16.0 - 1e-6  # polar storage resolution at R ~ 20
+
+    def test_ladder_families_until_the_first_k_fiber(self):
+        # set distance, Busemann m = 3, k = 8 (C = 8): the rungs 18 and
+        # 18 + ln 4 hold fibers of 0 and 4, and 18 + 2 ln 4 the first of 8
+        F = busemann_map([ideal_point(d) for d in np.eye(3)])
+        cfg = find_bunched_configuration(F, SearchParams(1.0, 0.5, 8))
+        assert [h["family"] for h in cfg.history] == [23, 92, 371]
+        assert cfg.R_used == cfg.history[-1]["R"] == cfg.params.R_schedule[2]
+        assert all(h["largest_fiber"] < 8 for h in cfg.history[:-1])
+        # Hausdorff, Poincare m = 2, k = 2: no 2-fiber among 23 centers
+        cfg = find_bunched_configuration(poincare_inclusion(2), SearchParams(1.0, 0.5, 2, hausdorff=True))
+        assert [h["family"] for h in cfg.history] == [23, 92]
 
     def test_busemann_small_schedule_exhausts(self):
         B = busemann_map([ideal_point([1.0, 0.0]), ideal_point([0.0, 1.0])])
@@ -476,7 +514,9 @@ class TestPlainFirst:
         F = busemann_map([ideal_point(d) for d in np.eye(3)])
         with time_limit(10.0):
             cfg = find_bunched_configuration(F, SearchParams(1.0, 0.5, 2, hausdorff=True))
-        assert cfg.ladder == "plain" and cfg.R_used == 20.0
+        # C = 8: the rung 18 (23 centers) holds no 2-fiber; the rung
+        # 18 + ln 4 (92 centers) holds one of 4, whose window passes (iii)
+        assert cfg.ladder == "plain" and cfg.R_used == 16.0 + (2.0 + math.log(4.0))
         assert [len(points) for _, points in transported] == [2] and augmented == []
 
     def test_set_distance_search_builds_and_transports_no_net(self, monkeypatch):
@@ -639,7 +679,10 @@ class TestCorollarySequences:
         F = busemann_map([ideal_point(d) for d in np.eye(3)])
         with time_limit(60.0):
             cfgs = corollary_sequences(F, k=2, levels=2, base_params=SearchParams(1.0, 0.5, 2))
-        assert [c.R_used for c in cfgs] == [20.0, 28.0]
+        # level 0 (C = 8) accepts on its second rung, 18 + ln 4, at image
+        # diameter 0.0402; level 1 (C = 12) rejects the 2-fiber of its second
+        # rung, 26 + ln 4, at diameter 0.0836 and accepts on its third
+        assert [c.R_used for c in cfgs] == [16.0 + (2.0 + math.log(4.0)), 24.0 + (2.0 + 2 * math.log(4.0))]
         assert all(c.centers.dirs.shape[1] == 3 for c in cfgs)
 
     def test_constant_map_zero_diameters(self):
