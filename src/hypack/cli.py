@@ -3,19 +3,23 @@
 One command per process; artifacts are JSON (schema field included) or CSV,
 written atomically with the mode a new open(path, "w") would give.  JSON
 artifacts are json.dumps(payload, sort_keys=True, indent=2) plus a newline,
-with each 2-D float array formatted straight from the array; a column whose
-values are bit-identical in every row is formatted once.  Exit codes: 0 pass,
-1 verification failure, 2 invalid configuration, 3 schedule exhausted.
+written in pieces: each 2-D float array is formatted straight from the
+array, _FLOAT_ROWS_CHUNK rows per piece, so its text never exists
+as one string; a column whose values are bit-identical in every row is
+formatted once.  Exit codes: 0 pass, 1 verification failure, 2 invalid
+configuration, 3 schedule exhausted.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 # argparse's gettext loads locale for the first parser; load it at import time
 import locale  # noqa: F401
 import math
 import os
+import shutil
 import sys
 import tempfile
 from dataclasses import asdict
@@ -43,9 +47,10 @@ EXIT_EXHAUSTED = 3
 GROWTH_ROWS_MAX = 100_000
 
 
-def _atomic_write(path: str | None, text: str):
+def _atomic_write(path: str | None, pieces):
+    """Write the text pieces to `path` atomically, or to stdout without a path."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hypack-")
@@ -55,7 +60,7 @@ def _atomic_write(path: str | None, text: str):
     try:
         with os.fdopen(fd, "w") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -63,13 +68,14 @@ def _atomic_write(path: str | None, text: str):
         raise
 
 
-def _dump_json(payload) -> str:
-    """The text of json.dumps(payload, sort_keys=True, indent=2) plus a newline.
+def _dump_json(payload):
+    """Yield the text of json.dumps(payload, sort_keys=True, indent=2) plus a
+    newline, in pieces.
 
-    A non-empty 2-D float array is written in one bulk step: json.dumps puts
-    a unique placeholder string in its place; the text is split on the
-    placeholders, and each is replaced by its array's rows at the
-    indentation of its line.  Any other array is written as its .tolist();
+    A non-empty 2-D float array is written straight from the array: json.dumps
+    puts a unique placeholder string in its place; the text is split on the
+    placeholders, and each is replaced by the pieces of its array's rows at
+    the indentation of its line.  Any other array is written as its .tolist();
     other types json.dumps refuses raise TypeError.
     """
     tag = os.urandom(16).hex()
@@ -83,14 +89,16 @@ def _dump_json(payload) -> str:
             return f"{tag}:{len(arrays) - 1}"
         return o.tolist()
 
-    head, *rest = json.dumps(payload, sort_keys=True, indent=2, default=default).split(f'"{tag}:')
-    out = [head]
+    text, *rest = json.dumps(payload, sort_keys=True, indent=2, default=default).split(f'"{tag}:')
+    yield text
     for piece in rest:
         index, after = piece.split('"', 1)
-        line = out[-1][out[-1].rfind("\n") + 1 :]
+        line = text[text.rfind("\n") + 1 :]
         newline = "\n" + " " * (len(line) - len(line.lstrip(" ")))
-        out += [_write_float_rows(arrays[int(index)], newline), after]
-    return "".join(out) + "\n"
+        yield from _write_float_rows(arrays[int(index)], newline)
+        yield after
+        text = after
+    yield "\n"
 
 
 def _json_float(x: float) -> str:
@@ -103,38 +111,46 @@ def _json_float(x: float) -> str:
     return float.__repr__(x)
 
 
-#: Rows _write_float_rows formats per step; bounds the Python floats and
-#: reprs alive at once.  It counts rows of Python objects, not array
-#: elements, so it is not the element budget geometry._BLOCK_ELEMENTS: under
-#: that budget the 20,000 rows of a 20k-center pack would be one step, and
-#: the peak would rise from about 2x to about 4.6x the text.
-_FLOAT_ROWS_CHUNK = 4096
+#: Rows _write_float_rows formats per piece; bounds the Python floats, reprs
+#: and text alive at once.  It counts rows of Python objects, not array
+#: elements, so it is not the element budget geometry._BLOCK_ELEMENTS.  Under
+#: tracemalloc the writer peaks at 0.13x the text of a 20k-center pack's rows
+#: (0.20 of 1.55 MB) and at 0.20x for 20,000 rows of 14 columns; one string
+#: of all the rows peaked at 3.0x and 2.0x.  256 to 1,024 rows wrote a 20k
+#: pack equally fast (within 3 %); 4,096 rows took about 3 % longer.
+_FLOAT_ROWS_CHUNK = 512
 
 
-def _write_float_rows(rows: np.ndarray, newline: str) -> str:
-    """The text of rows.tolist() for a non-empty 2-D float array, for a line
-    that starts with `newline`.
+def _write_float_rows(rows: np.ndarray, newline: str):
+    """Yield the text of rows.tolist() for a non-empty 2-D float array, for a
+    line that starts with `newline`, in one piece per _FLOAT_ROWS_CHUNK rows.
 
-    A column whose values are bit-identical in every row has its text written
-    into the per-row template once.  The other columns go _FLOAT_ROWS_CHUNK
-    rows at a time, every value through one map over the chunk's flat list.
+    The row template is cut at each column whose values differ between rows;
+    a column bit-identical in every row keeps its text in the cuts.  A piece
+    formats its rows' varying values with one map and puts them between the
+    cuts, which cycle through each row.
     """
     bits = rows.view(f"u{rows.itemsize}")  # -0.0 and 0.0 differ; a NaN matches its own bits
     vary = (bits != bits[0]).any(axis=0)
+    vary[0] |= not vary.any()  # a row needs one cut: with no varying column, column 0 varies
     fmt = float.__repr__ if np.isfinite(rows).all(axis=0)[vary].all() else _json_float
     row_break, value_break = newline + "  ", newline + "    "
-    cells = ["%s" if v else _json_float(x) for v, x in zip(vary.tolist(), rows[0].tolist())]
-    row = "[" + value_break + ("," + value_break).join(cells) + row_break + "]"
+    # a NUL marks each varying value's place; no float text or indentation holds one
+    cells = ["\0" if v else _json_float(x) for v, x in zip(vary.tolist(), rows[0].tolist())]
+    cuts = ("[" + value_break + ("," + value_break).join(cells) + row_break + "]").split("\0")
     between = "," + row_break
-    pieces = ["[" + row_break]
-    for lo in range(0, rows.shape[0], _FLOAT_ROWS_CHUNK):
-        part = rows[lo : lo + _FLOAT_ROWS_CHUNK]
-        if lo:
-            pieces.append(between)
-        # the constant columns are already in `row`
-        pieces.append(between.join([row] * part.shape[0]) % tuple(map(fmt, part[:, vary].ravel().tolist())))
-    pieces.append(newline + "]")
-    return "".join(pieces)
+    q = len(cuts) - 1  # varying values per row
+    step = _FLOAT_ROWS_CHUNK
+    out = [None] * (2 * q * step + 1)
+    out[0::2] = [cuts[q] + between + cuts[0], *cuts[1:q]] * step + [cuts[q]]
+    for lo in range(0, rows.shape[0], step):
+        part = rows[lo : lo + step]
+        if part.shape[0] < step:
+            out = out[: 2 * q * part.shape[0]] + [cuts[q]]
+        out[0] = ("[" + row_break if lo == 0 else between) + cuts[0]
+        out[1::2] = map(fmt, part[:, vary].ravel().tolist())
+        yield "".join(out)
+    yield newline + "]"
 
 
 def _polar_rows(points: PolarBatch) -> np.ndarray:
@@ -215,7 +231,7 @@ def cmd_growth(args) -> int:
         R += args.R_step
     rows = growth_table(args.C, R_values)
     if args.format == "csv":
-        _atomic_write(args.out, growth_table_csv(rows))
+        _atomic_write(args.out, (growth_table_csv(rows),))
     else:
         payload = {
             "schema": SCHEMA_VERSION,
@@ -315,33 +331,36 @@ def cmd_demo_flat(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse makes a help formatter per argument, and each would ask the
+    # terminal for its width; ask once, and give the width argparse would use
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="hypack",
         description="Hyperbolic ball packings, delta-nets, and Lipschitz compression search.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help):
+        p = sub.add_parser(name, help=help, formatter_class=formatter)
         p.add_argument("--out", help="output path (stdout if omitted)")
         p.add_argument("--config", help="JSON config file; flags win")
+        return p
 
-    p_pack = sub.add_parser("pack", help="generate and verify one packing")
-    common(p_pack)
+    p_pack = command("pack", "generate and verify one packing")
     p_pack.add_argument("--C", type=float, default=1.0)
     p_pack.add_argument("--R", type=float, default=3.0)
     p_pack.add_argument("--m", type=int, default=2)
     p_pack.add_argument("--cap", type=int, default=100_000)
 
-    p_growth = sub.add_parser("growth", help="family growth table over an R range")
-    common(p_growth)
+    p_growth = command("growth", "family growth table over an R range")
     p_growth.add_argument("--format", choices=("json", "csv"), default="csv")
     p_growth.add_argument("--C", type=float, default=1.0)
     p_growth.add_argument("--R-from", type=float)
     p_growth.add_argument("--R-to", type=float)
     p_growth.add_argument("--R-step", type=float, default=1.0)
 
-    p_search = sub.add_parser("search", help="find and certify a bunched configuration")
-    common(p_search)
+    p_search = command("search", "find and certify a bunched configuration")
     p_search.add_argument("--map", default="poincare", choices=("poincare", "busemann"))
     p_search.add_argument("--m", type=int, default=2)
     p_search.add_argument("--r", type=float, default=1.0)
@@ -353,8 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     # accepted, with a note on stderr, so that existing command lines still run
     p_search.add_argument("--seed", type=int, help="no effect: the search draws nothing at random")
 
-    p_demo = sub.add_parser("demo-flat", help="flat-graph counterexample report")
-    common(p_demo)
+    p_demo = command("demo-flat", "flat-graph counterexample report")
     p_demo.add_argument("--K", type=int, default=8)
 
     return parser

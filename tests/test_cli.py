@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import PINWHEEL_R_MAX, pinwheel_map, time_limit
-from hypack.cli import _dump_json, _write_float_rows, main
+from hypack.cli import _dump_json, _write_float_rows, build_parser, main
 import hypack.cli
 import hypack.geometry
 import hypack.nets
@@ -413,6 +414,26 @@ class TestDimension:
             assert rc == 3 and payload["params"]["m"] == M_MAX
 
 
+class TestHelp:
+    @pytest.mark.parametrize("columns", ["60", "100", None], ids=["60", "100", "unset"])
+    @pytest.mark.parametrize("command", [None, "search", "pack"])
+    def test_help_as_argparse_formats_it(self, monkeypatch, capsys, columns, command):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        with time_limit(10.0), pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        # the same parsers with argparse's own formatter, which asks the terminal each time
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for p in [parser, *sub.choices.values()]:
+            p.formatter_class = argparse.HelpFormatter
+        expected = (sub.choices[command] if command else parser).format_help()
+        assert capsys.readouterr().out == expected
+
+
 class TestTolerance:
     """The packing check's slack is the fixed DEFAULT_TOL, so no command takes --tolerance."""
 
@@ -628,6 +649,32 @@ def _as_lists(o):
     return o
 
 
+def _joined(payload) -> str:
+    return "".join(_dump_json(payload))
+
+
+def _dumped(payload) -> str:
+    return json.dumps(_as_lists(payload), sort_keys=True, indent=2) + "\n"
+
+
+def _special_rows(n, pattern, special, where):
+    """n rows of 3 columns: `pattern` "one" varies only column 1, "all" varies
+    every column, "none" none; `special` is put in column 0 of every row
+    ("constant") or of the middle row ("varying")."""
+    rows = np.tile([2.5, -1.0, 0.1], (n, 1))
+    ramp = np.arange(n) / 7.0
+    if pattern in ("one", "all"):
+        rows[:, 1] += ramp
+    if pattern == "all":
+        rows[:, 0] += ramp
+        rows[:, 2] -= ramp
+    if where == "constant":
+        rows[:, 0] = special
+    elif special is not None:
+        rows[n // 2, 0] = special
+    return rows
+
+
 class TestArtifactWriter:
     """Artifacts have the bytes of json.dumps(sort_keys=True, indent=2)."""
 
@@ -671,7 +718,7 @@ class TestArtifactWriter:
         ],
     )
     def test_writer_matches_json_dumps(self, payload):
-        assert _dump_json(payload) == json.dumps(_as_lists(payload), sort_keys=True, indent=2) + "\n"
+        assert _joined(payload) == _dumped(payload)
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
     def test_writer_rows_in_chunks(self, monkeypatch, chunk):
@@ -679,7 +726,7 @@ class TestArtifactWriter:
         rows[5, 1] = math.nan
         monkeypatch.setattr(hypack.cli, "_FLOAT_ROWS_CHUNK", chunk)
         for payload in ({"rows": rows}, {"rows": rows[np.isfinite(rows).all(axis=1)]}):
-            assert _dump_json(payload) == json.dumps(_as_lists(payload), sort_keys=True, indent=2) + "\n"
+            assert _joined(payload) == _dumped(payload)
 
     @pytest.mark.parametrize(
         "rows",
@@ -696,28 +743,86 @@ class TestArtifactWriter:
         ids=["minus-zero", "mixed-zeros", "nan", "inf", "last-row", "one-row", "all-constant", "float32"],
     )
     def test_writer_constant_columns(self, rows):
-        payload = {"rows": rows}
-        assert _dump_json(payload) == json.dumps(_as_lists(payload), sort_keys=True, indent=2) + "\n"
+        assert _joined({"rows": rows}) == _dumped({"rows": rows})
 
     @pytest.mark.parametrize("chunk", [1, 2, 3])
     def test_writer_column_constant_within_one_chunk(self, monkeypatch, chunk):
         # column 0 repeats within a chunk of 2 rows, column 1 is constant
         rows = np.array([[1.0, 7.5], [1.0, 7.5], [2.0, 7.5], [2.0, 7.5], [3.0, 7.5]])
         monkeypatch.setattr(hypack.cli, "_FLOAT_ROWS_CHUNK", chunk)
-        payload = {"rows": rows}
-        assert _dump_json(payload) == json.dumps(_as_lists(payload), sort_keys=True, indent=2) + "\n"
+        assert _joined({"rows": rows}) == _dumped({"rows": rows})
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, "2x+1"], ids=["chunk-1", "chunk", "chunk+1", "2chunk+1"])
+    @pytest.mark.parametrize("pattern", ["one", "all", "none"])
+    @pytest.mark.parametrize(
+        "special, where",
+        [(None, None), (math.nan, "varying"), (math.inf, "varying"), (-math.inf, "varying"), (-0.0, "varying"),
+         (math.nan, "constant"), (math.inf, "constant"), (-math.inf, "constant"), (-0.0, "constant")],
+        ids=["finite", "nan", "inf", "-inf", "-0", "const-nan", "const-inf", "const--inf", "const--0"],
+    )
+    def test_writer_rows_around_the_chunk(self, extra, pattern, special, where):
+        # at the real chunk size: one piece short of, at, past and two past it
+        chunk = hypack.cli._FLOAT_ROWS_CHUNK
+        n = 2 * chunk + 1 if extra == "2x+1" else chunk + extra
+        rows = _special_rows(n, pattern, special, where)
+        payload = {"rows": rows, "deep": [{"rows": rows}]}
+        assert _joined(payload) == _dumped(payload)
 
     def test_writer_memory_is_bounded(self):
-        # rows, then their text, then the joined text: about twice the text,
-        # not the whole list of floats and their reprs at once
+        # one chunk of floats, reprs and text at a time, not all the rows'
         rows = np.random.default_rng(1).standard_normal((20_000, 14))
+        size = 0
         tracemalloc.start()
         try:
-            text = _write_float_rows(rows, "\n  ")
+            for piece in _write_float_rows(rows, "\n  "):
+                size += len(piece)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * len(text)
+        assert size == len(json.dumps(rows.tolist(), indent=2).replace("\n", "\n  "))
+        assert peak < 0.5 * size
+
+    def test_large_pack_memory_is_bounded(self, tmp_path):
+        # 200,000 centers, a 17.5 MB artifact: streamed, the rows' text is
+        # never held whole (holding it as one string, the call peaked at 68 MB)
+        tracemalloc.start()
+        try:
+            with time_limit(60.0):
+                rc, out = run(tmp_path, "pack.json", ["pack", "--C", "1", "--R", "13", "--cap", "200000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert json.loads(out.read_text())["family"]["n_centers"] == 200_000
+        assert peak < 40e6
+
+    def test_failed_write_leaves_the_old_artifact(self, tmp_path, monkeypatch):
+        out = tmp_path / "pack.json"
+        out.write_text("previous artifact\n")
+        real = hypack.cli._write_float_rows
+
+        def fails_after_the_first_chunk(rows, newline):
+            pieces = real(rows, newline)
+            yield next(pieces)
+            raise RuntimeError("formatter failed")
+
+        monkeypatch.setattr(hypack.cli, "_write_float_rows", fails_after_the_first_chunk)
+        with time_limit(30.0), pytest.raises(RuntimeError, match="formatter failed"):
+            main(["pack", "--C", "1", "--R", "11.5", "--cap", "20000", "--out", str(out)])
+        assert out.read_text() == "previous artifact\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pack.json"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["pack", "--C", "1", "--R", "11.5", "--cap", "5000"], ["search", "--m", "2", "--k", "3"],
+         ["growth", "--C", "1", "--R-from", "3", "--R-to", "12"]],
+        ids=["pack", "search", "growth-csv"],
+    )
+    def test_stdout_has_the_artifact_bytes(self, tmp_path, capsys, argv):
+        with time_limit(30.0):
+            rc, out = run(tmp_path, "artifact", argv)
+            assert main(argv) == rc == 0
+        assert capsys.readouterr().out == out.read_text()
 
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
     def test_artifact_mode_follows_the_umask(self, tmp_path, umask):
@@ -734,7 +839,7 @@ class TestArtifactWriter:
         with pytest.raises(TypeError):
             json.dumps(payload, sort_keys=True, indent=2)
         with pytest.raises(TypeError):
-            _dump_json(payload)
+            _joined(payload)
 
 
 def _numeric_cases():
