@@ -43,7 +43,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_INVALID = 2
 EXIT_EXHAUSTED = 3
 
-#: Most rows of one growth table; the R list is built before the first row.
+#: Most rows of one growth table; they are counted before any R value or row is built.
 GROWTH_ROWS_MAX = 100_000
 
 
@@ -219,17 +219,21 @@ def cmd_growth(args) -> int:
         raise ValueError("growth: --R-from and --R-to must be finite")
     if not (math.isfinite(args.R_step) and args.R_step > 0.0):
         raise ValueError(f"growth: --R-step must be finite and > 0 (got {args.R_step})")
-    span = (args.R_to - args.R_from) / args.R_step  # the table has floor(span) + 1 rows
-    if span >= GROWTH_ROWS_MAX:
-        raise ValueError(f"growth: about {span:.3g} rows exceed the limit of {GROWTH_ROWS_MAX}")
-    R_values = []
-    R = args.R_from
-    while R <= args.R_to + 1e-12:
-        R_values.append(R)
-        if R + args.R_step == R:
-            raise ValueError(f"growth: --R-step {args.R_step} does not advance R from {R}")
-        R += args.R_step
-    rows = growth_table(args.C, R_values)
+    R_from, step, limit = args.R_from, args.R_step, args.R_to + 1e-12
+    # rows R_i = R_from + i step while R_i <= limit, each from i; counted before any is built
+    span = (limit - R_from) / step  # inf if the difference overflows
+    count = GROWTH_ROWS_MAX + 1 if span > GROWTH_ROWS_MAX else max(math.floor(span) + 1, 0)
+    while count > 0 and not R_from + (count - 1) * step <= limit:  # R_i does not fall as i grows
+        count -= 1
+    while count <= GROWTH_ROWS_MAX and R_from + count * step <= limit:
+        count += 1
+    if count > GROWTH_ROWS_MAX:
+        raise ValueError(f"growth: at least {count} rows exceed the limit of {GROWTH_ROWS_MAX}")
+    R = R_from + np.arange(count + 1) * step
+    stuck = np.flatnonzero(R[1:] <= R[:-1])
+    if len(stuck):
+        raise ValueError(f"growth: --R-step {step} does not advance R from {float(R[stuck[0]])}")
+    rows = growth_table(args.C, R[:count].tolist())
     if args.format == "csv":
         _atomic_write(args.out, (growth_table_csv(rows),))
     else:
@@ -286,7 +290,7 @@ def cmd_search(args) -> int:
         "alpha": cfg.alpha,
         "center_radius": cfg.center_radius,
         "centers_polar": _polar_rows(cfg.centers),
-        "fiber_anchor_polar": _polar_rows(PolarBatch.of([cfg.fiber_anchor]))[0].tolist(),
+        "fiber_anchor_polar": _polar_rows(cfg.fiber_anchor)[0].tolist(),
         "pairwise_manifold_min": cfg.pairwise_manifold_min,
         "pairwise_image_max": cfg.pairwise_image_max,
         "hausdorff_max": cert.hausdorff_max,

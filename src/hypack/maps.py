@@ -35,10 +35,11 @@ class LipschitzMapHandle:
     """A map H^m -> R^n with a declared Lipschitz constant.
 
     ``fn(points) -> (N, n)`` maps the rows of a PolarBatch, reading
-    ``points.r`` and ``points.dirs`` (the net-augmented map also reads the
-    ambient ``points.coords`` it transports from).  ``fn`` must be pure and
-    reentrant; handles are immutable and safe to share.  The declared L is
-    an upper bound that sampled difference quotients are tested against.
+    ``points.r`` and ``points.dirs`` (``transport_net`` reads the ambient
+    ``points.coords`` of the basepoints it moves a net to).  ``fn`` must be
+    pure and reentrant; handles are immutable and safe to share.  The
+    declared L is an upper bound that sampled difference quotients are
+    tested against.
     """
 
     fn: Callable[[PolarBatch], np.ndarray]

@@ -16,7 +16,8 @@ window only on its measured bound of conclusion (iii), the largest distance
 between the images of matched net points of its k balls plus L*delta; the
 net is transported to those k centers alone.  Only if that ladder is
 exhausted does it run the paper's construction, the pipeline on the map
-augmented over the net, whose fibers bound (iii) as R grows.
+augmented over the net, whose fibers bound (iii) as R grows.  Both bounds
+read the net's images from one routine, :func:`net_images`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from hypack.geometry import EXP_RADIUS_MAX, HPoint, PolarBatch, _row_blocks
+from hypack.geometry import EXP_RADIUS_MAX, PolarBatch, _row_blocks
 from hypack.maps import LipschitzMapHandle
 from hypack.nets import NetTemplate, build_reference_net, transport_net
 from hypack.packing import CAP_MAX, generate_centers, min_lag_distance, packing_angle
@@ -39,7 +40,6 @@ __all__ = [
     "SearchParams",
     "SeparatedFamily",
     "ThetaFibers",
-    "augment_map",
     "choose_C_hausdorff",
     "choose_C_setdist",
     "corollary_sequences",
@@ -49,6 +49,7 @@ __all__ = [
     "default_schedule",
     "find_bunched_configuration",
     "greedy_separated_subfamily",
+    "net_images",
     "theta_assignment",
 ]
 
@@ -594,35 +595,17 @@ def theta_assignment(fam: SeparatedFamily, images, grid: _CellGrid | None = None
     return ThetaFibers(sel, leftovers, nearest)
 
 
-def augment_map(F: LipschitzMapHandle, net: NetTemplate) -> LipschitzMapHandle:
-    """Concatenate F over the transported net: p -> (F(sigma_1 p), ..., F(sigma_l p)).
-
-    Each sigma_j moves points at most e^rho times as fast as p moves (the
-    equidistant-curve stretch plus frame rotation), so sqrt(l) L e^rho is a
-    sound declared constant; the counting bound uses the tighter affine
-    form sqrt(l) L (R + 2 rho) directly.
-
-    The map transports the net to a block of basepoints with one
-    transport_net call, maps the block's rows with one F.fn call and
-    reshapes them to (block, l*n); each row has the bits of the one-point
-    evaluation.  The blocks are those of :func:`hypack.geometry._row_blocks`,
-    l*(m+1) elements a basepoint (its transported rows).
-    """
-    width = F.n * net.l
-
-    def fn(pts: PolarBatch) -> np.ndarray:
-        out = np.empty((len(pts), width))
-        for part in _row_blocks(len(pts), net.l * (F.m + 1)):
-            out[part] = F.fn(transport_net(net, pts[part])).reshape(-1, width)
-        return out
-
-    return LipschitzMapHandle(
-        fn=fn,
-        L=math.sqrt(net.l) * F.L * math.exp(net.rho),
-        n=width,
-        m=F.m,
-        label=f"augmented({F.label}, l={net.l})",
-    )
+def net_images(F: LipschitzMapHandle, net: NetTemplate, points: PolarBatch) -> np.ndarray:
+    """The (N, l, n) stack F(sigma_t p_i) of the net moved to each row p_i of
+    `points`: raveled, row i is the net-augmented map at p_i, and the bound
+    of (iii) (:func:`_hausdorff_bound`) pairs [i, t] with [j, t] the same way.
+    One transport_net and one F.batch call per block of
+    :func:`hypack.geometry._row_blocks` basepoints (l*(m+1) elements each);
+    each row has the bits of the one-point evaluation."""
+    out = np.empty((len(points), net.l, F.n))
+    for part in _row_blocks(len(points), net.l * (F.m + 1)):
+        out[part] = F.batch(transport_net(net, points[part])).reshape(-1, net.l, F.n)
+    return out
 
 
 @dataclass(frozen=True)
@@ -638,7 +621,7 @@ class BunchedConfiguration:
     R_used: float
     pairwise_manifold_min: float
     pairwise_image_max: float
-    fiber_anchor: HPoint
+    fiber_anchor: PolarBatch  # one row: the fiber's selected center
     alpha: float
     indices: tuple[float, ...]
     center_radius: float
@@ -689,9 +672,10 @@ def find_bunched_configuration(
       bound of conclusion (iii) measured on it (:func:`_hausdorff_bound`,
       the net transported to its k centers) is at most epsilon; a rejected
       rung records ``rejected_hausdorff`` and the ladder moves on.
-    - only when that ladder is exhausted, the augmented ladder: the map
-      augmented over the net (:func:`augment_map`), whose pigeonhole
-      guarantees (iii) as R grows (the paper's construction).
+    - only when that ladder is exhausted, the augmented ladder: the
+      pigeonhole on the map augmented over the net, each center's row of
+      :func:`net_images` raveled, which guarantees (iii) as R grows (the
+      paper's construction).
 
     Before any rung, a Hausdorff search builds its net, which refuses a
     net whose size bound is too large, and then every search refuses a
@@ -742,24 +726,30 @@ def _walk_ladder(
 
     Each rung builds one :class:`_CellGrid` over its images for the
     separation sep and hands it to both scans, which read its one neighbour
-    listing.  The augmented ladder's volume bound uses the affine growth
-    sqrt(l) L (R + 2 rho) of the concatenated image, and its grid keys one
-    block per net point.  On the plain ladder of a search with a `net`, a
-    window is accepted only when :func:`_hausdorff_bound` of its centers is
-    at most epsilon.  Appends one entry per rung to `diagnostics`.
+    listing.  The augmented ladder's images are :func:`net_images` of the
+    rung's centers, one row of l blocks of n columns a center (a view of the
+    stack); its volume bound uses the affine growth sqrt(l) L (R + 2 rho) of
+    that concatenated image, and its grid keys one block per net point.  On
+    the plain ladder of a search with a `net`, a window is accepted only
+    when :func:`_hausdorff_bound` of its centers is at most epsilon.
+    Appends one entry per rung to `diagnostics`.
     """
     if augmented:
-        eff_F, rho, bound_L, blocks = augment_map(F, net), net.rho, math.sqrt(net.l) * F.L, net.l
+        rho, bound_L, blocks = net.rho, math.sqrt(net.l) * F.L, net.l
     else:
-        eff_F, rho, bound_L, blocks = F, 0.0, F.L, 1
+        rho, bound_L, blocks = 0.0, F.L, 1
+    width = F.n * blocks
     ladder = "augmented" if augmented else "plain"
     sep = 1.0 / params.C
     for R in params.R_schedule:
         fam = generate_centers(params.C, R, F.m, params.cap)
-        images = eff_F.batch(fam.centers)
+        if augmented:
+            images = net_images(F, net, fam.centers).reshape(len(fam), width)
+        else:
+            images = F.batch(fam.centers)
         grid = _CellGrid(images, sep, blocks)
         sf = greedy_separated_subfamily(images, sep, grid)
-        bound = counting_upper_bound(R + 2.0 * rho, params.C, bound_L, eff_F.n)
+        bound = counting_upper_bound(R + 2.0 * rho, params.C, bound_L, width)
         if len(sf.selected) > bound:
             raise AssertionError(
                 f"volume bound violated: {len(sf.selected)} selected > {bound}"
@@ -771,7 +761,7 @@ def _walk_ladder(
             "R_effective": R + 2.0 * rho,
             "C": params.C,
             "L_effective": bound_L,
-            "n_effective": eff_F.n,
+            "n_effective": width,
             "family": len(fam),
             "selected": int(len(sf.selected)),
             "largest_fiber": len(members),
@@ -804,7 +794,7 @@ def _walk_ladder(
             R_used=R,
             pairwise_manifold_min=pair_min,
             pairwise_image_max=diam,
-            fiber_anchor=fam.centers[anchor],
+            fiber_anchor=fam.centers[anchor : anchor + 1],
             alpha=fam.alpha,
             indices=idx,
             center_radius=fam.center_radius,
@@ -827,15 +817,11 @@ def _hausdorff_bound(F: LipschitzMapHandle, net: NetTemplate, centers: PolarBatc
       in B_j, d(F(a), F(B_j)) <= L*delta + |F(sigma_t p_i) - F(sigma_t p_j)|.
     - So, with i and j swapped too, d_H(F(B_i), F(B_j)) <= M + L*delta.
 
-    M is at most |Phi(p_i) - Phi(p_j)| for Phi = :func:`augment_map`, which
-    the augmented pigeonhole bounds by 2/C.  The nets are transported and
-    mapped in blocks of :func:`hypack.geometry._row_blocks` basepoints
-    (l*(m+1) elements each); only the (k, l, n) images are kept.
+    M is at most |Phi(p_i) - Phi(p_j)| for Phi the net-augmented map, which
+    the augmented pigeonhole bounds by 2/C: both read the (k, l, n) stack of
+    :func:`net_images`, and only that stack is kept.
     """
-    images = np.empty((len(centers), net.l, F.n))
-    for part in _row_blocks(len(centers), net.l * (F.m + 1)):
-        images[part] = F.batch(transport_net(net, centers[part])).reshape(-1, net.l, F.n)
-    return _pairwise_max(images) + F.L * net.delta
+    return _pairwise_max(net_images(F, net, centers)) + F.L * net.delta
 
 
 def _pairwise_max(P: np.ndarray) -> float:

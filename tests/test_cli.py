@@ -146,6 +146,43 @@ class TestGrowth:
         assert rc == 2
         assert "rows exceed" in capsys.readouterr().err
 
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The R lists the command hands to growth_table, which builds no row here."""
+        built = []
+        monkeypatch.setattr(hypack.cli, "growth_table", lambda C, R: built.append(R) or [])
+        return built
+
+    @pytest.mark.parametrize(
+        "bounds", [["--R-from", "0", "--R-to", "1"], ["--C", "0.1", "--R-from", "1", "--R-to", "2"]]
+    )
+    def test_rows_are_counted_before_any_is_built(self, tmp_path, capsys, built, bounds):
+        # R_i <= R_to + 1e-12 holds for i = 0 .. 100,000: one row over the
+        # limit, where the span (R_to - R_from) / R_step reads 99,999.99999999999
+        with time_limit(10.0):
+            rc, out = run(tmp_path, "growth.csv", ["growth", *bounds, "--R-step", "1e-5"])
+        assert rc == 2 and not out.exists() and built == []
+        assert "at least 100001 rows exceed the limit of 100000" in capsys.readouterr().err
+
+    def test_R_values_are_taken_from_the_index(self, tmp_path, built):
+        # R_i = R_from + i R_step: adding the step row after row would end at
+        # 11.999999999983466
+        argv = ["growth", "--R-from", "3", "--R-to", "12", "--R-step", "0.0001"]
+        assert run(tmp_path, "growth.csv", argv)[0] == 0
+        [R] = built
+        assert len(R) == 90_001 and R[-1] == 12.0
+        assert R == [3.0 + i * 0.0001 for i in range(90_001)]
+
+    def test_R_values_of_a_built_table(self, tmp_path):
+        rc, out = run(
+            tmp_path,
+            "growth.json",
+            ["growth", "--C", "2", "--R-from", "4.5", "--R-to", "9", "--R-step", "0.3", "--format", "json"],
+        )
+        assert rc == 0
+        R = [row["R"] for row in json.loads(out.read_text())["rows"]]
+        assert R == [4.5 + i * 0.3 for i in range(16)] and R[-1] == 9.0
+
     def test_json_format(self, tmp_path):
         rc, out = run(
             tmp_path,

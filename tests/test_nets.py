@@ -13,7 +13,7 @@ import hypack.geometry
 import hypack.search
 from conftest import random_point, random_unit, time_limit
 from hypack.geometry import HPoint, NumericRangeError, PolarBatch, distance
-from hypack.maps import busemann_map, ideal_point, poincare_inclusion
+from hypack.maps import LipschitzMapHandle, busemann_map, ideal_point, poincare_inclusion
 from hypack.nets import (
     NET_POINTS_MAX,
     NetTemplate,
@@ -21,7 +21,7 @@ from hypack.nets import (
     build_reference_net,
     transport_net,
 )
-from hypack.search import augment_map
+from hypack.search import net_images
 from oracle_utils import (
     brute_lattice_points,
     cover_probes,
@@ -224,8 +224,13 @@ def _assert_same_rows(got, ref):
     assert np.array_equal(got.coords, ref.coords)
 
 
+def _augmented_rows(F, tmpl, pts):
+    """The net-augmented map at every basepoint: its row of net_images, raveled."""
+    return net_images(F, tmpl, pts).reshape(len(pts), -1)
+
+
 def _check_transport_matches_oracle(m, n=40, seed=0):
-    """Batched transport and augmented maps equal the per-basepoint oracle bit for bit."""
+    """Batched transport and net images equal the per-basepoint oracle bit for bit."""
     rng = np.random.default_rng(seed)
     tmpl = build_reference_net(1.0, 0.3, m)
     assert not tmpl.tangent_points[0].any()  # the t = 0 rows are exercised
@@ -236,11 +241,11 @@ def _check_transport_matches_oracle(m, n=40, seed=0):
         _assert_same_rows(got[i * tmpl.l : (i + 1) * tmpl.l], per_point_transport(tmpl, pts[i]))
     e = np.eye(m)
     for F in (poincare_inclusion(m), busemann_map([ideal_point(d) for d in np.vstack([e, -e])])):
-        assert np.array_equal(augment_map(F, tmpl).batch(pts), per_point_augmented(F, tmpl, pts))
+        assert np.array_equal(_augmented_rows(F, tmpl, pts), per_point_augmented(F, tmpl, pts))
 
 
 def _count_transport_calls(monkeypatch):
-    """Route the augmented map's transport_net calls through a counter; returns
+    """Route the transport_net calls of net_images through a counter; returns
     the list of batch sizes it sees."""
     calls = []
 
@@ -286,7 +291,7 @@ class TestBatchedTransport:
             with pytest.raises(NumericRangeError):
                 transport_net(tmpl, PolarBatch.of([ok, far]))
             with pytest.raises(NumericRangeError):
-                augment_map(poincare_inclusion(2), tmpl).batch(PolarBatch.of([far]))
+                net_images(poincare_inclusion(2), tmpl, PolarBatch.of([far]))
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_augmented_blocks_match_oracle(self, offset):
@@ -294,7 +299,7 @@ class TestBatchedTransport:
         block = hypack.geometry._BLOCK_ELEMENTS // (tmpl.l * 3)  # l*(m+1) elements per basepoint
         pts = _basepoints(np.random.default_rng(2), 2, block + offset)
         F = poincare_inclusion(2)
-        assert np.array_equal(augment_map(F, tmpl).batch(pts), per_point_augmented(F, tmpl, pts))
+        assert np.array_equal(_augmented_rows(F, tmpl, pts), per_point_augmented(F, tmpl, pts))
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_one_transport_call_per_block(self, monkeypatch, n):
@@ -302,7 +307,7 @@ class TestBatchedTransport:
         block = hypack.geometry._BLOCK_ELEMENTS // (tmpl.l * 3)  # l*(m+1) elements per basepoint
         N = (n - 1) * block + 1
         calls = _count_transport_calls(monkeypatch)
-        augment_map(poincare_inclusion(2), tmpl).batch(_basepoints(np.random.default_rng(3), 2, N))
+        net_images(poincare_inclusion(2), tmpl, _basepoints(np.random.default_rng(3), 2, N))
         assert len(calls) == n == -(-N // block) and sum(calls) == N
         assert max(calls) <= block
 
@@ -312,8 +317,23 @@ class TestBatchedTransport:
         calls = _count_transport_calls(monkeypatch)
         pts = _basepoints(np.random.default_rng(4), 2, 4)
         F = poincare_inclusion(2)
-        assert np.array_equal(augment_map(F, tmpl).batch(pts), per_point_augmented(F, tmpl, pts))
+        assert np.array_equal(_augmented_rows(F, tmpl, pts), per_point_augmented(F, tmpl, pts))
         assert calls == [1, 1, 1, 1]
+
+    def test_net_images_of_no_basepoints(self, monkeypatch):
+        tmpl = build_reference_net(1.0, 0.5, 2)
+        calls = _count_transport_calls(monkeypatch)
+        got = net_images(poincare_inclusion(2), tmpl, _basepoints(np.random.default_rng(5), 2, 3)[:0])
+        assert got.shape == (0, tmpl.l, 2) and calls == []
+
+    def test_net_images_refuse_a_map_of_the_wrong_shape(self):
+        # the right number of values, raveled: F.batch checks the shape of F.fn's output
+        tmpl = build_reference_net(1.0, 0.5, 2)
+        P = poincare_inclusion(2)
+        raveled = LipschitzMapHandle(fn=lambda pts: P.fn(pts).ravel(), L=P.L, n=2, m=2, label="raveled")
+        pts = _basepoints(np.random.default_rng(6), 2, 3)
+        with pytest.raises(ValueError, match=r"raveled: expected output of shape \(%d, 2\)" % (3 * tmpl.l)):
+            net_images(raveled, tmpl, pts)
 
 
 class TestSerialization:

@@ -47,7 +47,6 @@ from hypack.search import (
     _close_pairs,
     _pair_cdist,
     _pairwise_max,
-    augment_map,
     certificate_net,
     certify_configuration,
     choose_C_hausdorff,
@@ -57,6 +56,7 @@ from hypack.search import (
     default_schedule,
     find_bunched_configuration,
     greedy_separated_subfamily,
+    net_images,
     theta_assignment,
 )
 
@@ -317,6 +317,15 @@ class TestSearchParams:
 
 
 class TestFindBunched:
+    def test_fiber_anchor_is_one_row_near_every_member(self):
+        # the anchor is the selected center whose image is nearest to each
+        # member's, closer than the separation 1/C
+        F = poincare_inclusion(2)
+        params = SearchParams(1.0, 0.5, 3)
+        cfg = find_bunched_configuration(F, params)
+        assert isinstance(cfg.fiber_anchor, PolarBatch) and len(cfg.fiber_anchor) == 1
+        assert cdist(F.batch(cfg.fiber_anchor), F.batch(cfg.centers)).max() < 1.0 / params.C
+
     def test_constant_map_first_rung(self):
         params = SearchParams(1.0, 0.5, 3, cap=1_000)
         cfg = find_bunched_configuration(constant_map(), params)
@@ -510,14 +519,17 @@ class TestPlainFirst:
 
     def test_plain_ladder_transports_the_net_to_k_centers(self, monkeypatch):
         transported = self.record_calls(monkeypatch, "transport_net")
-        augmented = self.record_calls(monkeypatch, "augment_map")
+        imaged = self.record_calls(monkeypatch, "net_images")
         F = busemann_map([ideal_point(d) for d in np.eye(3)])
         with time_limit(10.0):
             cfg = find_bunched_configuration(F, SearchParams(1.0, 0.5, 2, hausdorff=True))
         # C = 8: the rung 18 (23 centers) holds no 2-fiber; the rung
         # 18 + ln 4 (92 centers) holds one of 4, whose window passes (iii)
         assert cfg.ladder == "plain" and cfg.R_used == 16.0 + (2.0 + math.log(4.0))
-        assert [len(points) for _, points in transported] == [2] and augmented == []
+        assert [len(points) for _, points in transported] == [2]
+        # the net is mapped once, at the chosen centers, never at a whole rung
+        [(_, _, points)] = imaged
+        assert np.array_equal(points.coords, cfg.centers.coords) and cfg.k == 2
 
     def test_set_distance_search_builds_and_transports_no_net(self, monkeypatch):
         calls = [self.record_calls(monkeypatch, name) for name in ("certificate_net", "transport_net")]
@@ -559,6 +571,21 @@ class TestPlainFirst:
         assert gap == pytest.approx(2.45027e-4, abs=1e-9)
         assert cert.hausdorff_max == pytest.approx(gap + 0.25, abs=1e-12)
 
+    def test_augmented_window_bounds_its_own_iii(self):
+        # (iii) and the augmented ladder pair net point t of one ball with net
+        # point t of the other, so the measured part M of (iii) is at most the
+        # distance of the window's augmented images, which is below 2/C
+        F = pinwheel_map()
+        params = SearchParams(1.0, 0.5, 2, hausdorff=True, R_max=PINWHEEL_R_MAX)
+        cfg = find_bunched_configuration(F, params)
+        cert = certify_configuration(F, cfg)
+        assert cfg.ladder == "augmented" and cert.ok
+        stack = net_images(F, cert.net, cfg.centers)
+        assert cfg.pairwise_image_max == float(cdist(stack[:1].reshape(1, -1), stack[1:].reshape(1, -1))[0, 0])
+        M = cert.hausdorff_max - F.L * cert.net.delta
+        assert M == pytest.approx(2.45e-4, rel=1e-2)
+        assert M <= cfg.pairwise_image_max < 2.0 / params.C
+
     def test_both_ladders_exhausted(self):
         # 23 centers on the rung; no augmented fiber holds 8
         params = SearchParams(1.0, 0.5, 8, hausdorff=True, R_max=PINWHEEL_R_MAX)
@@ -580,7 +607,7 @@ class TestRowPaths:
             [np.concatenate([poincare_at(s) for s in transport_net(net, centers[i : i + 1])])
              for i in range(len(centers))]
         )
-        assert np.array_equal(augment_map(F, net).batch(centers), expected)
+        assert np.array_equal(net_images(F, net, centers).reshape(len(centers), -1), expected)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_ball_samples_match_per_row_exp(self, m):
@@ -827,6 +854,13 @@ class TestTreeDistances:
         assert _pairwise_max(np.zeros((0, 3))) == 0.0 and _pairwise_max(np.zeros((0, 4, 3))) == 0.0
         assert [range(5)[part] for part in _row_blocks(5, 0)] == [range(5)]
         assert math.isnan(_pairwise_max(np.array([[0.0, 1.0], [0.0, np.nan], [1.0, 0.0]])))
+
+    def test_hausdorff_bound_of_one_ball_is_the_net_slack(self):
+        # one ball has no pair: (iii) is the net slack L*delta alone
+        F = busemann_map([ideal_point(d) for d in np.eye(3)])
+        net = certificate_net(F, 1.0, 0.5)
+        centers = generate_centers(8.0, 18.0, 3, cap=100).centers[3:4]
+        assert hypack.search._hausdorff_bound(F, net, centers) == F.L * net.delta
 
     def test_hausdorff_memory_is_bounded_in_the_ball_count(self):
         # 100 balls of the l = 2,103 net of Busemann m = 3: their transported
@@ -1098,7 +1132,8 @@ class TestPigeonholeScans:
         P = pinwheel_map()
         net = certificate_net(P, 1.0, 0.5)
         C = SearchParams(1.0, 0.5, 2, hausdorff=True).C
-        X = augment_map(P, net).batch(generate_centers(C, PINWHEEL_R_MAX, 3, 100_000).centers)
+        centers = generate_centers(C, PINWHEEL_R_MAX, 3, 100_000).centers
+        X = net_images(P, net, centers).reshape(len(centers), -1)
         assert X.shape[1] == 2 * net.l
         kinds = set()
         for sep in (1.0 / C, 0.5, 1.0, 2.0, 4.0):
