@@ -3,17 +3,22 @@
 One command per process; artifacts are JSON (schema field included) or CSV,
 written atomically with the mode a new open(path, "w") would give.  JSON
 artifacts are json.dumps(payload, sort_keys=True, indent=2) plus a newline,
-written in pieces: each 2-D float array is formatted straight from the
-array, _FLOAT_ROWS_CHUNK rows per piece, so its text never exists
-as one string; a column whose values are bit-identical in every row is
-formatted once.  Exit codes: 0 pass, 1 verification failure, 2 invalid
-configuration, 3 schedule exhausted.
+written as a stream of pieces, so no artifact's text exists as one string:
+the encoder's tokens go out _JSON_TOKENS at a time, dataclass rows become
+dicts one at a time, and each 2-D float array is formatted straight from
+the array, _PIECE_VALUES varying values per piece, with
+floattext.repr_texts from _REPR_TEXTS_MIN values on; a column whose values
+are bit-identical in every row is formatted once.  The growth CSV is
+written in pieces of rows too.  Exit codes: 0 pass, 1 verification
+failure, 2 invalid configuration, 3 schedule exhausted.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
+import itertools
 import json
 # argparse's gettext loads locale for the first parser; load it at import time
 import locale  # noqa: F401
@@ -22,7 +27,6 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import asdict
 
 import numpy as np
 
@@ -68,15 +72,19 @@ def _atomic_write(path: str | None, pieces):
         raise
 
 
+#: Tokens of json.JSONEncoder.iterencode that _dump_json joins per piece.
+_JSON_TOKENS = 4096
+
+
 def _dump_json(payload):
     """Yield the text of json.dumps(payload, sort_keys=True, indent=2) plus a
-    newline, in pieces.
+    newline, in pieces of _JSON_TOKENS encoder tokens.
 
-    A non-empty 2-D float array is written straight from the array: json.dumps
-    puts a unique placeholder string in its place; the text is split on the
-    placeholders, and each is replaced by the pieces of its array's rows at
-    the indentation of its line.  Any other array is written as its .tolist();
-    other types json.dumps refuses raise TypeError.
+    A non-empty 2-D float array is written straight from the array: the
+    encoder puts a unique placeholder string in its place; each piece is
+    split on the placeholders, and each is replaced by the pieces of its
+    array's rows at the indentation of its line.  Any other array is
+    written as its .tolist(); other types json.dumps refuses raise TypeError.
     """
     tag = os.urandom(16).hex()
     arrays = []
@@ -89,16 +97,35 @@ def _dump_json(payload):
             return f"{tag}:{len(arrays) - 1}"
         return o.tolist()
 
-    text, *rest = json.dumps(payload, sort_keys=True, indent=2, default=default).split(f'"{tag}:')
-    yield text
-    for piece in rest:
-        index, after = piece.split('"', 1)
-        line = text[text.rfind("\n") + 1 :]
-        newline = "\n" + " " * (len(line) - len(line.lstrip(" ")))
-        yield from _write_float_rows(arrays[int(index)], newline)
-        yield after
-        text = after
+    tokens = json.JSONEncoder(sort_keys=True, indent=2, default=default).iterencode(payload)
+    marker = f'"{tag}:'
+    line = ""  # the text written since the last newline
+    while text := "".join(itertools.islice(tokens, _JSON_TOKENS)):
+        text, *rest = text.split(marker)
+        for piece in rest:
+            yield text
+            line = _last_line(line, text)
+            index, text = piece.split('"', 1)
+            newline = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+            yield from _write_float_rows(arrays[int(index)], newline)
+            line = newline[1:] + "]"
+        yield text
+        line = _last_line(line, text)
     yield "\n"
+
+
+class _AsDicts(list):
+    """A list of dataclass instances that iterates as their asdict()s, each
+    made when the JSON encoder reaches it."""
+
+    def __iter__(self):
+        return map(dataclasses.asdict, super().__iter__())
+
+
+def _last_line(line: str, text: str) -> str:
+    """The text since the last newline, after `line` is followed by `text`."""
+    cut = text.rfind("\n")
+    return line + text if cut < 0 else text[cut + 1 :]
 
 
 def _json_float(x: float) -> str:
@@ -111,24 +138,35 @@ def _json_float(x: float) -> str:
     return float.__repr__(x)
 
 
-#: Rows _write_float_rows formats per piece; bounds the Python floats, reprs
-#: and text alive at once.  It counts rows of Python objects, not array
-#: elements, so it is not the element budget geometry._BLOCK_ELEMENTS.  Under
-#: tracemalloc the writer peaks at 0.13x the text of a 20k-center pack's rows
-#: (0.20 of 1.55 MB) and at 0.20x for 20,000 rows of 14 columns; one string
-#: of all the rows peaked at 3.0x and 2.0x.  256 to 1,024 rows wrote a 20k
-#: pack equally fast (within 3 %); 4,096 rows took about 3 % longer.
-_FLOAT_ROWS_CHUNK = 512
+#: Varying values _write_float_rows formats per piece, on either path; it
+#: bounds the values, texts and piece text alive at once, and counts values,
+#: not rows, so a piece of a wide array holds about as much text as one of
+#: a narrow array.  Measured on the writer alone: a 20k-center pack (40,000
+#: values) wrote fastest in pieces of 4,096 values (1,024: +33 %, 2,048:
+#: +9 %, 8,192 and 16,384: +2 to 3 %); 20,000 rows of 14 columns peak at
+#: 0.23x their text under tracemalloc (8,192 values: 0.46x).
+_PIECE_VALUES = 4096
+
+#: Fewest varying values that _write_float_rows formats with
+#: floattext.repr_texts.  A CLI process writes one artifact, so the kernel's
+#: cost there includes importing floattext (about 1.3 ms, compiled) and its
+#: first call (0.3 ms); fresh processes wrote 3,072 values in the same time
+#: on either path.  Below this, one float.__repr__ per value is faster, and
+#: floattext is not imported.
+_REPR_TEXTS_MIN = 3000
 
 
 def _write_float_rows(rows: np.ndarray, newline: str):
     """Yield the text of rows.tolist() for a non-empty 2-D float array, for a
-    line that starts with `newline`, in one piece per _FLOAT_ROWS_CHUNK rows.
+    line that starts with `newline`, in one piece per _PIECE_VALUES varying
+    values (at least one row).
 
     The row template is cut at each column whose values differ between rows;
     a column bit-identical in every row keeps its text in the cuts.  A piece
-    formats its rows' varying values with one map and puts them between the
-    cuts, which cycle through each row.
+    formats its rows' varying values, with float.__repr__ one value at a
+    time or, from _REPR_TEXTS_MIN varying values in the array on, with
+    floattext.repr_texts, and puts them between the cuts, which cycle
+    through each row.
     """
     bits = rows.view(f"u{rows.itemsize}")  # -0.0 and 0.0 differ; a NaN matches its own bits
     vary = (bits != bits[0]).any(axis=0)
@@ -140,7 +178,16 @@ def _write_float_rows(rows: np.ndarray, newline: str):
     cuts = ("[" + value_break + ("," + value_break).join(cells) + row_break + "]").split("\0")
     between = "," + row_break
     q = len(cuts) - 1  # varying values per row
-    step = _FLOAT_ROWS_CHUNK
+    if rows.shape[0] * q < _REPR_TEXTS_MIN:
+
+        def texts(values):
+            return map(fmt, values.tolist())
+
+    else:
+        from hypack.floattext import repr_texts
+
+        texts = functools.partial(repr_texts, fallback=fmt)
+    step = min(max(_PIECE_VALUES // q, 1), rows.shape[0])  # rows per piece
     out = [None] * (2 * q * step + 1)
     out[0::2] = [cuts[q] + between + cuts[0], *cuts[1:q]] * step + [cuts[q]]
     for lo in range(0, rows.shape[0], step):
@@ -148,7 +195,7 @@ def _write_float_rows(rows: np.ndarray, newline: str):
         if part.shape[0] < step:
             out = out[: 2 * q * part.shape[0]] + [cuts[q]]
         out[0] = ("[" + row_break if lo == 0 else between) + cuts[0]
-        out[1::2] = map(fmt, part[:, vary].ravel().tolist())
+        out[1::2] = texts(part[:, vary].ravel())
         yield "".join(out)
     yield newline + "]"
 
@@ -235,13 +282,13 @@ def cmd_growth(args) -> int:
         raise ValueError(f"growth: --R-step {step} does not advance R from {float(R[stuck[0]])}")
     rows = growth_table(args.C, R[:count].tolist())
     if args.format == "csv":
-        _atomic_write(args.out, (growth_table_csv(rows),))
+        _atomic_write(args.out, growth_table_csv(rows))
     else:
         payload = {
             "schema": SCHEMA_VERSION,
             "command": "growth",
             "C": args.C,
-            "rows": [asdict(row) for row in rows],
+            "rows": _AsDicts(rows),
         }
         _atomic_write(args.out, _dump_json(payload))
     return EXIT_PASS
@@ -328,7 +375,7 @@ def cmd_demo_flat(args) -> int:
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "demo-flat",
-        "rows": [asdict(row) for row in flat_graph_example(K=args.K)],
+        "rows": _AsDicts(flat_graph_example(K=args.K)),
     }
     _atomic_write(args.out, _dump_json(payload))
     return EXIT_PASS

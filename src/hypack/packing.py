@@ -306,10 +306,18 @@ def growth_table(C: float, R_values) -> list[GrowthRow]:
     return rows
 
 
-def growth_table_csv(rows: list[GrowthRow]) -> str:
-    lines = ["R,alpha,family_size,lower_bound,ratio"]
-    for row in rows:
-        size = f"{int(row.family_size)}" if row.family_size <= _EXACT_COUNT_MAX else repr(row.family_size)
-        ratio = "" if row.ratio is None else repr(row.ratio)
-        lines.append(f"{row.R!r},{row.alpha!r},{size},{row.lower_bound!r},{ratio}")
-    return "\n".join(lines) + "\n"
+#: Rows growth_table_csv writes per piece.
+_CSV_ROWS = 4096
+
+
+def growth_table_csv(rows: list[GrowthRow]):
+    """Yield the CSV text of the rows in pieces: the header line, then one
+    piece per _CSV_ROWS rows."""
+    yield "R,alpha,family_size,lower_bound,ratio\n"
+    for lo in range(0, len(rows), _CSV_ROWS):
+        lines = []
+        for row in rows[lo : lo + _CSV_ROWS]:
+            size = f"{int(row.family_size)}" if row.family_size <= _EXACT_COUNT_MAX else repr(row.family_size)
+            ratio = "" if row.ratio is None else repr(row.ratio)
+            lines.append(f"{row.R!r},{row.alpha!r},{size},{row.lower_bound!r},{ratio}\n")
+        yield "".join(lines)

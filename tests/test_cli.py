@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -20,7 +21,7 @@ import hypack.search
 from hypack.geometry import M_MAX
 from hypack.maps import FLAT_GRAPH_K_MAX
 from hypack.nets import build_reference_net
-from hypack.packing import CAP_MAX
+from hypack.packing import CAP_MAX, GrowthRow
 
 
 def run(tmp_path, name, argv):
@@ -696,8 +697,9 @@ def _dumped(payload) -> str:
 
 def _special_rows(n, pattern, special, where):
     """n rows of 3 columns: `pattern` "one" varies only column 1, "all" varies
-    every column, "none" none; `special` is put in column 0 of every row
-    ("constant") or of the middle row ("varying")."""
+    every column, "none" none, "dirs" puts a unit direction in columns 1 and
+    2, as a packing center row does; `special` is put in column 0 of every
+    row ("constant") or of the middle row ("varying")."""
     rows = np.tile([2.5, -1.0, 0.1], (n, 1))
     ramp = np.arange(n) / 7.0
     if pattern in ("one", "all"):
@@ -705,11 +707,40 @@ def _special_rows(n, pattern, special, where):
     if pattern == "all":
         rows[:, 0] += ramp
         rows[:, 2] -= ramp
+    if pattern == "dirs":
+        rows[:, 1], rows[:, 2] = np.cos(ramp), np.sin(ramp)
     if where == "constant":
         rows[:, 0] = special
     elif special is not None:
         rows[n // 2, 0] = special
     return rows
+
+
+def _varying_columns(rows) -> int:
+    """The varying values per row _write_float_rows formats: the columns
+    whose bits differ between rows, at least one."""
+    bits = rows.view(np.uint64)
+    return max(int((bits != bits[0]).any(axis=0).sum()), 1)
+
+
+#: Payloads whose artifact text must equal json.dumps(sort_keys=True, indent=2).
+_PAYLOADS = [
+    {"floats": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-05, 3.0, -2.0, 0.1]},
+    {"scalars": [True, False, None, 0, -7, 2**70, np.float64(0.1)], "b": True, "n": None},
+    {"text": ["\u00e9\u2202\u20ac\U0001f600", "a\x00b\x1f\n\t\"\\/", ""], "\u00e9 key\n": 1},
+    {"empty": [], "nothing": {}, "rows": np.zeros((0, 3)), "deep": [[[]], {"a": {}}]},
+    {"one": np.array([[1.5]]), "wide": np.array([[1.0, -0.0, math.nan, math.inf, -math.inf]])},
+    {"tall": np.random.default_rng(5).standard_normal((7, 3)) * 1e17, "cols": np.zeros((3, 0))},
+    {"tuple": (1, (2.5, ()), [np.array([[0.5, 2.0]])]), "ints": np.arange(6).reshape(2, 3)},
+    {"vector": np.array([1.0, 2.0]), "single": np.float32([[0.1]])},
+    [np.ones((2, 2)), {"z": 1, "a": [{"y": (), "b": 1e-300}]}],
+    [],
+    {},
+    "top",
+    -0.0,
+    {1: "int key", 2: [np.zeros((1, 1))]},
+    {"many": [np.full((1, 2), i + 0.5) for i in range(12)], "deep": {"x": [[np.eye(2)]]}, "s": '"0:1"'},
+]
 
 
 class TestArtifactWriter:
@@ -734,34 +765,22 @@ class TestArtifactWriter:
         text = out.read_text()
         assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            {"floats": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-05, 3.0, -2.0, 0.1]},
-            {"scalars": [True, False, None, 0, -7, 2**70, np.float64(0.1)], "b": True, "n": None},
-            {"text": ["\u00e9\u2202\u20ac\U0001f600", "a\x00b\x1f\n\t\"\\/", ""], "\u00e9 key\n": 1},
-            {"empty": [], "nothing": {}, "rows": np.zeros((0, 3)), "deep": [[[]], {"a": {}}]},
-            {"one": np.array([[1.5]]), "wide": np.array([[1.0, -0.0, math.nan, math.inf, -math.inf]])},
-            {"tall": np.random.default_rng(5).standard_normal((7, 3)) * 1e17, "cols": np.zeros((3, 0))},
-            {"tuple": (1, (2.5, ()), [np.array([[0.5, 2.0]])]), "ints": np.arange(6).reshape(2, 3)},
-            {"vector": np.array([1.0, 2.0]), "single": np.float32([[0.1]])},
-            [np.ones((2, 2)), {"z": 1, "a": [{"y": (), "b": 1e-300}]}],
-            [],
-            {},
-            "top",
-            -0.0,
-            {1: "int key", 2: [np.zeros((1, 1))]},
-            {"many": [np.full((1, 2), i + 0.5) for i in range(12)], "deep": {"x": [[np.eye(2)]]}, "s": '"0:1"'},
-        ],
-    )
+    @pytest.mark.parametrize("payload", _PAYLOADS)
     def test_writer_matches_json_dumps(self, payload):
         assert _joined(payload) == _dumped(payload)
+
+    @pytest.mark.parametrize("tokens", [1, 2, 5])
+    def test_writer_in_pieces_of_few_tokens(self, monkeypatch, tokens):
+        # a placeholder and the start of its line fall in different pieces
+        monkeypatch.setattr(hypack.cli, "_JSON_TOKENS", tokens)
+        for payload in _PAYLOADS:
+            assert _joined(payload) == _dumped(payload)
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
     def test_writer_rows_in_chunks(self, monkeypatch, chunk):
         rows = np.random.default_rng(chunk).standard_normal((7, 3))
         rows[5, 1] = math.nan
-        monkeypatch.setattr(hypack.cli, "_FLOAT_ROWS_CHUNK", chunk)
+        monkeypatch.setattr(hypack.cli, "_PIECE_VALUES", 3 * chunk)  # `chunk` rows of 3 varying values
         for payload in ({"rows": rows}, {"rows": rows[np.isfinite(rows).all(axis=1)]}):
             assert _joined(payload) == _dumped(payload)
 
@@ -786,11 +805,13 @@ class TestArtifactWriter:
     def test_writer_column_constant_within_one_chunk(self, monkeypatch, chunk):
         # column 0 repeats within a chunk of 2 rows, column 1 is constant
         rows = np.array([[1.0, 7.5], [1.0, 7.5], [2.0, 7.5], [2.0, 7.5], [3.0, 7.5]])
-        monkeypatch.setattr(hypack.cli, "_FLOAT_ROWS_CHUNK", chunk)
+        monkeypatch.setattr(hypack.cli, "_PIECE_VALUES", chunk)
         assert _joined({"rows": rows}) == _dumped({"rows": rows})
 
-    @pytest.mark.parametrize("extra", [-1, 0, 1, "2x+1"], ids=["chunk-1", "chunk", "chunk+1", "2chunk+1"])
-    @pytest.mark.parametrize("pattern", ["one", "all", "none"])
+    @pytest.mark.parametrize(
+        "extra", [-1, 0, 1, "2x+1", "min-1", "min"], ids=["chunk-1", "chunk", "chunk+1", "2chunk+1", "min-1", "min"]
+    )
+    @pytest.mark.parametrize("pattern", ["one", "all", "none", "dirs"])
     @pytest.mark.parametrize(
         "special, where",
         [(None, None), (math.nan, "varying"), (math.inf, "varying"), (-math.inf, "varying"), (-0.0, "varying"),
@@ -798,9 +819,14 @@ class TestArtifactWriter:
         ids=["finite", "nan", "inf", "-inf", "-0", "const-nan", "const-inf", "const--inf", "const--0"],
     )
     def test_writer_rows_around_the_chunk(self, extra, pattern, special, where):
-        # at the real chunk size: one piece short of, at, past and two past it
-        chunk = hypack.cli._FLOAT_ROWS_CHUNK
-        n = 2 * chunk + 1 if extra == "2x+1" else chunk + extra
+        # at the real piece size: one row short of, at, past and two past a
+        # piece; and one row short of and at the fewest varying values that
+        # floattext.repr_texts formats, on either side of its threshold
+        q = _varying_columns(_special_rows(5, pattern, special, where))
+        chunk = hypack.cli._PIECE_VALUES // q
+        least = -(-hypack.cli._REPR_TEXTS_MIN // q)  # rows
+        sizes = {"2x+1": 2 * chunk + 1, "min-1": least - 1, "min": least}
+        n = sizes[extra] if isinstance(extra, str) else chunk + extra
         rows = _special_rows(n, pattern, special, where)
         payload = {"rows": rows, "deep": [{"rows": rows}]}
         assert _joined(payload) == _dumped(payload)
@@ -832,6 +858,30 @@ class TestArtifactWriter:
         assert rc == 0
         assert json.loads(out.read_text())["family"]["n_centers"] == 200_000
         assert peak < 40e6
+
+    def test_growth_json_memory_is_bounded(self, tmp_path, monkeypatch):
+        # 90,001 rows, a 15 MB artifact, streamed: as a list of dicts dumped to
+        # one string, the call peaked at 121 MB; streamed, at 3.7 MB, most of
+        # it the list of R values.  growth_table takes 6 s for these R values
+        # (40 s under tracemalloc), so the rows are made up here.
+        rows = [
+            GrowthRow(R=3.0 + i * 1e-4, alpha=1.0 / (i + 1), family_size=float(i + 2), lower_bound=0.5 * i,
+                      ratio=None if i == 0 else 1.0 + 1.0 / i)
+            for i in range(90_001)
+        ]
+        monkeypatch.setattr(hypack.cli, "growth_table", lambda C, R: rows)
+        argv = ["growth", "--R-from", "3", "--R-to", "12", "--R-step", "0.0001", "--format", "json"]
+        tracemalloc.start()
+        try:
+            with time_limit(120.0):
+                rc, out = run(tmp_path, "growth.json", argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 6e6
+        payload = {"schema": 2, "command": "growth", "C": 1.0, "rows": [dataclasses.asdict(row) for row in rows]}
+        assert out.read_text() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def test_failed_write_leaves_the_old_artifact(self, tmp_path, monkeypatch):
         out = tmp_path / "pack.json"

@@ -349,12 +349,12 @@ class TestGrowthTable:
 
     def test_empty(self):
         assert growth_table(1.0, []) == []
-        assert growth_table_csv([]) == "R,alpha,family_size,lower_bound,ratio\n"
+        assert "".join(growth_table_csv([])) == "R,alpha,family_size,lower_bound,ratio\n"
 
     def test_single_row_no_ratio(self):
         rows = growth_table(1.0, [4.0])
         assert len(rows) == 1 and rows[0].ratio is None
-        csv = growth_table_csv(rows)
+        csv = "".join(growth_table_csv(rows))
         assert csv.splitlines()[1].endswith(",")
 
     def test_ratios_near_e_at_large_R(self):
@@ -363,7 +363,7 @@ class TestGrowthTable:
             assert abs(row.ratio / math.e - 1.0) < 0.05
 
     def test_csv_header(self):
-        csv = growth_table_csv(growth_table(1.0, [3.0, 4.0]))
+        csv = "".join(growth_table_csv(growth_table(1.0, [3.0, 4.0])))
         assert csv.splitlines()[0] == "R,alpha,family_size,lower_bound,ratio"
 
 
