@@ -15,8 +15,8 @@ import numpy as np
 
 from hypack.geometry import HPoint, PolarBatch
 from hypack.maps import (
+    LipschitzMapHandle,
     busemann_map,
-    compose_euclidean,
     flat_graph_example,
     ideal_point,
     poincare_inclusion,
@@ -37,7 +37,8 @@ for p, val in zip(ray, B.batch(PolarBatch.of(ray))):
     print(f"  along the first ray at t={t:>5}: b = {np.round(val, 6)} (first coordinate = -t)")
 print(f"declared L = {B.L:.4f} = sqrt(2) for two coordinates")
 
-G = compose_euclidean(F, lambda v: v[:, :1], 1.0, label="first-coordinate")
+# a 1-Lipschitz projection after F: the composite's constant is F's
+G = LipschitzMapHandle(fn=lambda pts: F.batch(pts)[:, :1], L=F.L, n=1, m=F.m, label="first-coordinate")
 print(f"\ncomposed with a projection: n = {G.n}, declared L = {G.L}")
 
 print("\n== flat-graph surface: proper but not strongly proper ==")

@@ -5,7 +5,9 @@ R^{m,1}, with base point ``o = (1, 0, ..., 0)``.  Every point carries a
 polar representation (hyperbolic radius from o, unit direction in the
 tangent space at o); ambient coordinates are kept only while they are
 representable.  Hot paths hold many points as one PolarBatch of rows, made by
-the one exp kernel, exp_rows, at one basepoint or at each of many.  All
+the one exp kernel, exp_rows, at one basepoint or at each of many.  A
+tangent vector is what exp_rows takes: an ambient row at its basepoint with
+its length; exp_map is the one-row call for an HPoint.  All
 distances funnel through one log-domain law-of-cosines kernel that stays
 accurate for radii up to 1e4, reached by three entry points: `distance` for
 HPoints and PolarBatch rows, packing.lag_distance for index lags at the
@@ -30,7 +32,6 @@ __all__ = [
     "DEFAULT_TOL",
     "EXP_RADIUS_MAX",
     "HPoint",
-    "HTangent",
     "M_MAX",
     "NumericRangeError",
     "PolarBatch",
@@ -39,13 +40,8 @@ __all__ = [
     "distance",
     "exp_map",
     "exp_rows",
-    "law_of_sines_residual",
-    "log_map",
-    "minkowski_inner",
-    "parallel_transport",
     "polar_distance",
     "transport_frame",
-    "triangle_angles",
 ]
 
 #: Radius beyond which ambient coordinates stop being the authoritative
@@ -102,19 +98,6 @@ class NumericRangeError(ArithmeticError):
 # ---------------------------------------------------------------------------
 # scalar/vector kernels
 # ---------------------------------------------------------------------------
-
-
-def minkowski_inner(x, y):
-    """Minkowski bilinear form -x0*y0 + sum_i x_i*y_i.
-
-    Accepts arrays whose last axis is the coordinate axis; broadcasting
-    follows numpy rules.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape[-1] != y.shape[-1]:
-        raise ValueError("minkowski_inner: mismatched coordinate lengths")
-    return -x[..., 0] * y[..., 0] + np.sum(x[..., 1:] * y[..., 1:], axis=-1)
 
 
 def _log_sinh(r):
@@ -258,7 +241,7 @@ def _unit_gap_q(u1, u2):
 
 
 # ---------------------------------------------------------------------------
-# points and tangents
+# points
 # ---------------------------------------------------------------------------
 
 
@@ -309,10 +292,6 @@ class HPoint:
             coords = np.concatenate(([math.cosh(r)], math.sinh(r) * d))
             coords.setflags(write=False)
         return HPoint(r, d, coords)
-
-    @property
-    def dim(self) -> int:
-        return self.direction.shape[0]
 
     @property
     def coords(self) -> np.ndarray:
@@ -375,47 +354,6 @@ class PolarBatch:
         if isinstance(i, (int, np.integer)):
             return HPoint(float(self.r[i]), self.dirs[i], coords)
         return PolarBatch(self.r[i], self.dirs[i], coords)
-
-
-@dataclass(frozen=True)
-class HTangent:
-    """Tangent vector at an HPoint, stored in ambient coordinates.
-
-    ``known_norm`` records the Minkowski length when the construction
-    already knows it (isometric transports, frame combinations, log maps).
-    At basepoint radius r the bilinear form evaluates with absolute error
-    ~eps*e^{2r}, so recomputing the norm of a unit vector is meaningless
-    beyond r ~ 17; the carried value is exact instead.
-    """
-
-    base: HPoint
-    vec: np.ndarray
-    known_norm: float | None = None
-
-    def __post_init__(self):
-        v = np.asarray(self.vec, dtype=float).copy()
-        if v.shape != (self.base.dim + 1,):
-            raise ValueError("HTangent: vector length must be m+1")
-        v.setflags(write=False)
-        object.__setattr__(self, "vec", v)
-
-    @staticmethod
-    def at(base: HPoint, vec, project: bool = False) -> "HTangent":
-        v = np.asarray(vec, dtype=float)
-        if project:
-            x = base.coords_extended
-            v = v + minkowski_inner(v, x) * x
-        return HTangent(base, v)
-
-    @property
-    def norm(self) -> float:
-        if self.known_norm is not None:
-            return self.known_norm
-        return math.sqrt(max(float(minkowski_inner(self.vec, self.vec)), 0.0))
-
-    def scaled(self, t: float) -> "HTangent":
-        kn = None if self.known_norm is None else abs(t) * self.known_norm
-        return HTangent(self.base, t * self.vec, kn)
 
 
 # ---------------------------------------------------------------------------
@@ -554,47 +492,13 @@ def exp_rows(base, vecs, t) -> PolarBatch:
     return PolarBatch(r, dirs, coords)
 
 
-def exp_map(v: HTangent) -> HPoint:
-    """Riemannian exponential: follow the geodesic with velocity v for time 1."""
-    if v.norm == 0.0:
-        return v.base
-    return exp_rows(v.base, v.vec, [v.norm])[0]
+def exp_map(x: HPoint, v, t) -> HPoint:
+    """exp at x of the ambient tangent row v of length t: exp_rows' one-row call.
 
-
-def log_map(x: HPoint, y: HPoint) -> HTangent:
-    """Inverse of exp at x: tangent v with exp_x(v) = y and |v| = d(x, y).
-
-    The length comes from the stable polar kernel; ambient coordinates only
-    supply the direction.
+    No package module calls it; it stays as the scalar exp of the HPoint API,
+    which bench/tracer.py times by name.
     """
-    return _log_map_known(x, y, distance(x, y))
-
-
-def _log_map_known(x: HPoint, y: HPoint, d: float) -> HTangent:
-    """:func:`log_map` with the length d = d(x, y) already measured."""
-    if d == 0.0:
-        return HTangent(x, np.zeros(x.dim + 1), 0.0)
-    xc = x.coords_extended
-    yc = y.coords_extended
-    factor = d / math.sinh(d) if d > 1e-8 else 1.0 - d * d / 6.0
-    # the formula is tangent analytically; re-projecting numerically would
-    # inject cancellation noise of size eps*|v|*|x|^2
-    v = _comb2(1.0, yc, -math.cosh(d), xc) * factor
-    return HTangent(x, v, d)
-
-
-def parallel_transport(v: HTangent, to: HPoint) -> HTangent:
-    """Parallel transport along the unique geodesic from v.base to `to`.
-
-    Closed form on the hyperboloid:
-    P(v) = v + <y, v>_M / (1 - <x, y>_M) * (x + y), which is well
-    conditioned since 1 - <x,y>_M = 1 + cosh d >= 2.
-    """
-    x = v.base.coords_extended
-    y = to.coords_extended
-    denom = 1.0 - float(minkowski_inner(x, y))
-    w = v.vec + (float(minkowski_inner(y, v.vec)) / denom) * (x + y)
-    return HTangent(to, w, v.norm)  # transport is an isometry
+    return exp_rows(x, v, [t])[0]
 
 
 def _coords_of(points: PolarBatch) -> np.ndarray:
@@ -624,72 +528,3 @@ def transport_frame(p) -> np.ndarray:
     frame[..., 1:] = np.eye(m)
     frame += scale[..., :, None] * axis[..., None, :]
     return frame
-
-
-def tangent_angle(u: HTangent, w: HTangent) -> float:
-    """Angle between two tangent vectors at a common basepoint.
-
-    Uses atan2 of the rejection norm against the cosine, which keeps small
-    angles at full relative precision of the stored components.
-    """
-    nu, nw = u.norm, w.norm
-    if nu == 0.0 or nw == 0.0:
-        raise ValueError("tangent_angle: zero tangent vector")
-    uh = u.vec / nu
-    wh = w.vec / nw
-    c = float(minkowski_inner(uh, wh))
-    rej = wh - c * uh
-    s = math.sqrt(max(float(minkowski_inner(rej, rej)), 0.0))
-    return math.atan2(s, c)
-
-
-def triangle_angles(a: HPoint, b: HPoint, c: HPoint) -> tuple[float, float, float]:
-    """Interior angles at a, b, c of the geodesic triangle abc.
-
-    The tangent directions come from o-based ambient coordinates, whose
-    error grows like eps*e^{2r} with the vertex radius r; from r ~ 10 on the
-    measured angles can describe no hyperbolic triangle at all.
-
-    Raises
-    ------
-    ValueError
-        If two vertices coincide within 1e-12 (the angle is undefined).
-    NumericRangeError
-        If the measured angles are impossible for a hyperbolic triangle: an
-        angle outside (0, pi) or an angle sum of pi or more.
-    """
-    d_ab, d_ac, d_bc = distance(a, b), distance(a, c), distance(b, c)
-    for d, name in ((d_ab, "a,b"), (d_ac, "a,c"), (d_bc, "b,c")):
-        if d <= 1e-12:
-            raise ValueError(f"triangle_angles: vertices {name} coincide")
-
-    # the kernel is exactly symmetric, so each side length serves both ends
-    angles = (
-        tangent_angle(_log_map_known(a, b, d_ab), _log_map_known(a, c, d_ac)),
-        tangent_angle(_log_map_known(b, a, d_ab), _log_map_known(b, c, d_bc)),
-        tangent_angle(_log_map_known(c, a, d_ac), _log_map_known(c, b, d_bc)),
-    )
-    if not (min(angles) > 0.0 and max(angles) < math.pi and sum(angles) < math.pi):
-        raise NumericRangeError(
-            f"triangle_angles: measured angles {angles} (sum {sum(angles)!r}) fit no hyperbolic"
-            f" triangle; vertex radii up to {max(a.r, b.r, c.r):.3g} exceed the resolution of"
-            " the ambient coordinates"
-        )
-    return angles
-
-
-def law_of_sines_residual(sides, angles) -> float:
-    """Max pairwise absolute difference of the ratios sinh(side)/sin(angle).
-
-    sides[i] must be opposite angles[i].  Zero in exact arithmetic for any
-    hyperbolic triangle.
-    """
-    sides = np.asarray(sides, dtype=float)
-    angles = np.asarray(angles, dtype=float)
-    if sides.shape != (3,) or angles.shape != (3,):
-        raise ValueError("law_of_sines_residual: expected three sides and three angles")
-    if np.any(sides <= 0.0) or np.any(angles <= 0.0) or np.any(angles >= math.pi):
-        raise ValueError("law_of_sines_residual: sides must be > 0, angles in (0, pi)")
-    ratios = np.sinh(sides) / np.sin(angles)
-    return float(ratios.max() - ratios.min())
-

@@ -1,10 +1,11 @@
 """Evaluable Lipschitz maps H^m -> R^n with certified constants.
 
 Testbed maps for the compression search: the Poincare-ball chart (Lipschitz
-constant 1/2), Busemann coordinate maps (1-Lipschitz per coordinate), and
-Euclidean post-compositions, each one vectorized function of a PolarBatch.
-Also the flat-graph surface demo showing a proper embedding that is not
-strongly proper.
+constant 1/2) and Busemann coordinate maps (1-Lipschitz per coordinate),
+each one vectorized function of a PolarBatch.  Any other map, a Euclidean
+post-composition of these included, is a LipschitzMapHandle of its own
+function and declared constant.  Also the flat-graph surface demo showing a
+proper embedding that is not strongly proper.
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ __all__ = [
     "FlatGraphRow",
     "LipschitzMapHandle",
     "busemann_map",
-    "compose_euclidean",
     "flat_graph_example",
     "ideal_point",
     "poincare_inclusion",
-    "radial_distance_map",
 ]
 
 
@@ -125,30 +124,6 @@ def busemann_map(ideal_points) -> LipschitzMapHandle:
         return np.logaddexp(a, b)
 
     return LipschitzMapHandle(fn=fn, L=math.sqrt(n), n=n, m=m, label="busemann")
-
-
-def radial_distance_map(m: int) -> LipschitzMapHandle:
-    """x -> d(o, x), the canonical 1-Lipschitz scalar map."""
-
-    def fn(pts: PolarBatch) -> np.ndarray:
-        return pts.r[:, None]
-
-    return LipschitzMapHandle(fn=fn, L=1.0, n=1, m=m, label="radial")
-
-
-def compose_euclidean(
-    F: LipschitzMapHandle,
-    g: Callable[[np.ndarray], np.ndarray],
-    L_g: float,
-    label: str | None = None,
-) -> LipschitzMapHandle:
-    """Post-compose F with an L_g-Lipschitz Euclidean map g acting on (N, F.n) rows."""
-    n = np.asarray(g(np.zeros((1, F.n))), dtype=float).shape[1]  # g's output width
-
-    def fn(pts: PolarBatch) -> np.ndarray:
-        return g(F.batch(pts))
-
-    return LipschitzMapHandle(fn=fn, L=F.L * L_g, n=n, m=F.m, label=label or f"composed({F.label})")
 
 
 # ---------------------------------------------------------------------------

@@ -151,10 +151,7 @@ class SearchParams:
         if self.R_max is not None and math.isnan(self.R_max):
             raise ValueError("SearchParams: R_max must not be NaN")
         if 2.0 * self.C + 2.0 <= 2.0 * self.C:
-            raise ValueError(
-                f"SearchParams: r is too large (r={self.r}, epsilon={self.epsilon}): "
-                f"the first rung R = 2C + 2 rounds to 2C"
-            )
+            raise ValueError(f"{self._names_C()}: the first rung R = 2C + 2 rounds to 2C")
         sched = default_schedule(self.C, self.cap)
         if self.R_max is not None:
             sched = tuple(R for R in sched if R <= self.R_max) or (min(sched[0], self.R_max),)
@@ -175,10 +172,13 @@ class SearchParams:
         radius = self.R_schedule[0] - self.C
         if radius > EXP_RADIUS_MAX:
             raise ValueError(
-                f"SearchParams: r is too large (r={self.r}, epsilon={self.epsilon}): the first"
-                f" rung puts its centers at radius {radius:.4g}, which exceeds the representable"
-                f" range (radius {EXP_RADIUS_MAX:g})"
+                f"{self._names_C()}: the first rung puts its centers at radius {radius:.4g},"
+                f" which exceeds the representable range (radius {EXP_RADIUS_MAX:g})"
             )
+
+    def _names_C(self) -> str:
+        """The head of a refusal caused by C: both inputs and the C they give."""
+        return f"SearchParams: r={self.r} and epsilon={self.epsilon} give C={self.C:.4g}"
 
 
 def certificate_net(F: LipschitzMapHandle, r: float, epsilon: float) -> NetTemplate:

@@ -7,7 +7,11 @@ their whole box, the full-cdist set distances, close pairs and window
 diameters, the one-image-at-a-time separated subfamily with its full-cdist
 assignment and checks, the net transported to one basepoint at a time,
 the net's cover gap measured at probe points by the exact law of cosines,
-sampled Lipschitz ratios, and the flat-graph mesh built one edge at a time.
+sampled Lipschitz ratios, the flat-graph mesh built one edge at a time, and
+the tangent-vector references: the log map that exp is round-tripped
+against, parallel transport that transport_frame is checked against, and
+triangle angles with the law-of-sines residual, all over ambient tangent
+rows and their lengths.
 Everything here recomputes results from first principles, independently of
 the library's evaluation strategy.
 """
@@ -31,6 +35,7 @@ from hypack.geometry import (
     _snap_rows,
     dist_given_q,
     distance,
+    exp_map,
     exp_rows,
     transport_frame,
 )
@@ -103,6 +108,105 @@ def compensated_exp_rows(base, vecs, t):
     flat = stay.ravel()
     r[flat], dirs[flat], coords[flat] = bases.r[at], bases.dirs[at], bases.coords[at]
     return r, dirs, coords
+
+
+def minkowski_inner(x, y):
+    """Minkowski bilinear form -x0*y0 + sum_i x_i*y_i over the last axis."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return -x[..., 0] * y[..., 0] + np.sum(x[..., 1:] * y[..., 1:], axis=-1)
+
+
+def tangent_norm(v):
+    """Minkowski length of the tangent row v, recomputed from its components.
+
+    At basepoint radius r the form carries absolute error ~eps*e^{2r}, so
+    the length of a unit row means nothing beyond r ~ 17; log_map hands its
+    exact length on instead, and parallel transport keeps the length it got.
+    """
+    return math.sqrt(max(float(minkowski_inner(v, v)), 0.0))
+
+
+def project_tangent(x, vec):
+    """The ambient row vec made tangent at the HPoint x: vec + <vec, x> x."""
+    v = np.asarray(vec, dtype=float)
+    xc = x.coords_extended
+    return v + minkowski_inner(v, xc) * xc
+
+
+def exp_along(x, v):
+    """exp at x of the tangent row v, its length recomputed by tangent_norm."""
+    return exp_map(x, v, tangent_norm(v))
+
+
+def log_map(x, y, d=None):
+    """(v, d): the tangent row at x with exp_x(v) = y, and its length
+    d = d(x, y), measured by the polar kernel unless given.  The ambient
+    coordinates only supply the direction."""
+    if d is None:
+        d = distance(x, y)
+    if d == 0.0:
+        return np.zeros(len(x.direction) + 1), 0.0
+    xc = x.coords_extended
+    yc = y.coords_extended
+    factor = d / math.sinh(d) if d > 1e-8 else 1.0 - d * d / 6.0
+    # the formula is tangent analytically; re-projecting numerically would
+    # inject cancellation noise of size eps*|v|*|x|^2
+    return _comb2(1.0, yc, -math.cosh(d), xc) * factor, d
+
+
+def parallel_transport(x, v, y):
+    """The tangent row v at x, parallel transported along the geodesic to y;
+    its length is v's.
+
+    Closed form on the hyperboloid:
+    P(v) = v + <y, v>_M / (1 - <x, y>_M) * (x + y), which is well
+    conditioned since 1 - <x,y>_M = 1 + cosh d >= 2.
+    """
+    xc = x.coords_extended
+    yc = y.coords_extended
+    denom = 1.0 - float(minkowski_inner(xc, yc))
+    return v + (float(minkowski_inner(yc, v)) / denom) * (xc + yc)
+
+
+def tangent_angle(u, nu, w, nw):
+    """Angle between the tangent rows u and w, of lengths nu and nw, at one
+    basepoint: atan2 of the rejection norm against the cosine, which keeps
+    small angles at the full relative precision of the components."""
+    uh = u / nu
+    wh = w / nw
+    c = float(minkowski_inner(uh, wh))
+    rej = wh - c * uh
+    s = math.sqrt(max(float(minkowski_inner(rej, rej)), 0.0))
+    return math.atan2(s, c)
+
+
+def triangle_angles(a, b, c):
+    """Interior angles at the HPoints a, b, c of the geodesic triangle abc,
+    from the log maps at each vertex.  The directions come from o-based
+    ambient coordinates, whose error grows like eps*e^{2r} with the vertex
+    radius r.  Raises ValueError if two vertices lie within 1e-12."""
+    d_ab, d_ac, d_bc = distance(a, b), distance(a, c), distance(b, c)
+    if min(d_ab, d_ac, d_bc) <= 1e-12:
+        raise ValueError("triangle_angles: two vertices coincide")
+
+    def angle(x, y, dy, z, dz):
+        (u, nu), (w, nw) = log_map(x, y, dy), log_map(x, z, dz)
+        return tangent_angle(u, nu, w, nw)
+
+    # the kernel is exactly symmetric, so each side length serves both ends
+    return (
+        angle(a, b, d_ab, c, d_ac),
+        angle(b, a, d_ab, c, d_bc),
+        angle(c, a, d_ac, b, d_bc),
+    )
+
+
+def law_of_sines_residual(sides, angles):
+    """Max pairwise absolute difference of the ratios sinh(side)/sin(angle),
+    with sides[i] opposite angles[i]; zero in exact arithmetic."""
+    ratios = np.sinh(np.asarray(sides, dtype=float)) / np.sin(np.asarray(angles, dtype=float))
+    return float(ratios.max() - ratios.min())
 
 
 def mp_packing_angle(C, R):

@@ -18,13 +18,9 @@ import oracle_utils as oracle
 from hypack.cli import main
 from hypack.geometry import (
     HPoint,
-    HTangent,
     PolarBatch,
     distance,
-    exp_map,
-    law_of_sines_residual,
     polar_distance,
-    triangle_angles,
 )
 from hypack.maps import poincare_inclusion
 from hypack.nets import build_reference_net, transport_net
@@ -123,10 +119,10 @@ def _random_triangle(rng, smin, smax, legfrac=0.1):
         t1 = rng.uniform(0.0, 2.0 * math.pi)
         t2 = t1 + rng.uniform(0.3, math.pi - 0.3)
         legs = rng.uniform(max(smin, legfrac * smax), 0.5 * smax, size=2)
-        u1 = HTangent.at(base, [0.0, math.cos(t1), math.sin(t1)], project=True)
-        u2 = HTangent.at(base, [0.0, math.cos(t2), math.sin(t2)], project=True)
-        p1 = exp_map(u1.scaled(legs[0] / u1.norm))
-        p2 = exp_map(u2.scaled(legs[1] / u2.norm))
+        u1 = oracle.project_tangent(base, [0.0, math.cos(t1), math.sin(t1)])
+        u2 = oracle.project_tangent(base, [0.0, math.cos(t2), math.sin(t2)])
+        p1 = oracle.exp_along(base, legs[0] / oracle.tangent_norm(u1) * u1)
+        p2 = oracle.exp_along(base, legs[1] / oracle.tangent_norm(u2) * u2)
         sides = (distance(p1, p2), distance(base, p2), distance(base, p1))
         if smin <= min(sides) and max(sides) <= smax:
             return (base, p1, p2), sides
@@ -141,8 +137,8 @@ def _measure_residuals(rng, n, smin, smax):
     absolute, relative, t0 = 0.0, 0.0, time.perf_counter()
     for _ in range(n):
         (a, b, c), sides = _random_triangle(rng, smin, smax)
-        angles = triangle_angles(a, b, c)
-        res = law_of_sines_residual(sides, angles)
+        angles = oracle.triangle_angles(a, b, c)
+        res = oracle.law_of_sines_residual(sides, angles)
         absolute = max(absolute, res)
         relative = max(relative, res / (math.sinh(sides[0]) / math.sin(angles[0])))
     return absolute, relative, time.perf_counter() - t0

@@ -319,8 +319,8 @@ class TestSearch:
             # r = 710, and the net's grid limit refuses it
             ("1000 --hausdorff", "lattice points, more than the limit"),
             # the first default rung 2C + 2 rounds to 2C, also for the smaller Hausdorff C
-            ("1e300", "r is too large (r=1e+300, epsilon=0.5)"),
-            ("1e16 --hausdorff", "r is too large (r=1e+16, epsilon=0.5)"),
+            ("1e300", "r=1e+300 and epsilon=0.5 give C=4e+300: the first rung R = 2C + 2 rounds to 2C"),
+            ("1e16 --hausdorff", "r=1e+16 and epsilon=0.5 give C=1e+16: the first rung R = 2C + 2 rounds"),
         ],
     )
     def test_huge_r_exit_2(self, capsys, r, message):
@@ -335,13 +335,22 @@ class TestSearch:
             (["--r", "100"], "406"),
             # a one-point net passes; C = 4/eps = 400 puts the centers at 402
             (["--r", "0.01", "--eps", "0.01", "--hausdorff"], "402"),
+            # the default r = 1: epsilon alone makes C = 2(2 r eps + 1)/eps huge
+            (["--eps", "1e-8", "--k", "2"], "2e+08"),
         ],
     )
     def test_unrepresentable_first_rung_exit_2(self, capsys, argv, radius):
         assert refused_quickly(["search", *argv], seconds=2.0) == 2
         err = capsys.readouterr().err
-        assert f"r is too large (r={float(argv[1])}, epsilon=" in err
-        assert f"centers at radius {radius}, which exceeds the representable range" in err
+        # the cause is C, named with both inputs, never r alone
+        given = dict(zip(argv[::2], argv[1::2]))
+        r, eps = float(given.get("--r", 1.0)), float(given.get("--eps", 0.5))
+        C = 4.0 / eps if "--hausdorff" in argv else 2.0 * (2.0 * r * eps + 1.0) / eps
+        assert (
+            f"r={r} and epsilon={eps} give C={C:.4g}: the first rung puts its centers"
+            f" at radius {radius}, which exceeds the representable range" in err
+        )
+        assert "too large" not in err
 
     def test_set_distance_bound_finite_at_r_60_m_13(self, tmp_path):
         # at r = 60 and m = 13, sinh(r)^12 overflows a double; the center

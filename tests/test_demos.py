@@ -43,3 +43,10 @@ def test_delta_net_demo_computes_the_exp_stretch(tmp_path):
     rho = float(re.search(r"net of B\(\., ([0-9.]+)\)", out).group(1))
     stretch = re.search(r"sinh\(rho\)/rho = ([0-9.]+)", out).group(1)
     assert stretch == f"{math.sinh(rho) / rho:.4f}"
+
+
+def test_geometry_demo_recovers_the_plane_angle(tmp_path):
+    # the angle at o, from the three kernel side lengths, is the legs' 1.1
+    out = run_demo(ROOT / "demos" / "01_hyperboloid_geometry.py", tmp_path)
+    angle = float(re.search(r"angle at o = ([0-9.e+-]+)", out).group(1))
+    assert abs(angle - 1.1) <= 1e-12

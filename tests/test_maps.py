@@ -7,11 +7,9 @@ from hypack.maps import (
     LipschitzMapHandle,
     _mesh_shortest_path,
     busemann_map,
-    compose_euclidean,
     flat_graph_example,
     ideal_point,
     poincare_inclusion,
-    radial_distance_map,
 )
 from oracle_utils import loop_mesh_shortest_path, sampled_lipschitz
 
@@ -20,6 +18,11 @@ TANH1 = 0.7615941559557649  # tanh(1), oracle rounded to double
 
 def images(F, *points):
     return F.batch(PolarBatch.of(points))
+
+
+def radial_map(m):
+    """x -> d(o, x), the canonical 1-Lipschitz scalar map."""
+    return LipschitzMapHandle(fn=lambda pts: pts.r[:, None], L=1.0, n=1, m=m, label="radial")
 
 
 class TestPoincareInclusion:
@@ -75,34 +78,13 @@ class TestBusemannMap:
             busemann_map([np.array([-1.0, 1.0, 0.0])])
 
 
-class TestComposeEuclidean:
-    def test_identity(self):
-        F = poincare_inclusion(2)
-        G = compose_euclidean(F, lambda v: v, 1.0)
-        assert G.L == F.L and G.n == F.n
-        p = HPoint.from_polar(1.5, [0.0, 1.0])
-        np.testing.assert_array_equal(images(G, p), images(F, p))
-
-    def test_scaling_doubles_L(self):
-        F = poincare_inclusion(2)
-        G = compose_euclidean(F, lambda v: 2.0 * v, 2.0)
-        assert G.L == 2.0 * F.L
-
-    def test_projection_reduces_n(self, rng):
-        F = poincare_inclusion(2)
-        G = compose_euclidean(F, lambda v: v[:, :1], 1.0)
-        assert G.n == 1
-        est = sampled_lipschitz(G, 3_000, np.random.default_rng(6), 10.0)
-        assert est <= G.L * (1.0 + 1e-9)
-
-
 class TestEstimateLipschitz:
     def test_constant_map(self):
         const = LipschitzMapHandle(fn=lambda pts: np.zeros((len(pts), 2)), L=1.0, n=2, m=2, label="const")
         assert sampled_lipschitz(const, 500, np.random.default_rng(7), 5.0) == 0.0
 
     def test_radial_map_at_most_one(self):
-        R = radial_distance_map(2)
+        R = radial_map(2)
         est = sampled_lipschitz(R, 5_000, np.random.default_rng(8), 10.0)
         assert est <= 1.0 + 1e-9
 
@@ -110,7 +92,7 @@ class TestEstimateLipschitz:
         handles = [
             poincare_inclusion(2),
             busemann_map([ideal_point([1.0, 0.0]), ideal_point([0.0, 1.0])]),
-            radial_distance_map(2),
+            radial_map(2),
         ]
         for F in handles:
             for seed in (11, 12, 13):
@@ -154,12 +136,14 @@ class TestBatchMatchesClosedForm:
 
     def test_radial(self, rng):
         pts = self.points(rng, 3)
-        got = radial_distance_map(3).batch(PolarBatch.of(pts))
+        got = radial_map(3).batch(PolarBatch.of(pts))
         assert np.array_equal(got, np.array([[p.r] for p in pts]))
 
     def test_composed_rows(self, rng):
+        # a Euclidean post-composition is a handle whose fn reads another handle's rows
         pts = self.points(rng, 2)
-        G = compose_euclidean(poincare_inclusion(2), lambda v: v[:, ::-1] * 3.0, 3.0)
+        F = poincare_inclusion(2)
+        G = LipschitzMapHandle(fn=lambda p: F.batch(p)[:, ::-1] * 3.0, L=3.0 * F.L, n=2, m=2, label="composed")
         expected = np.array([poincare_at(p)[::-1] * 3.0 for p in pts])
         assert np.array_equal(G.batch(PolarBatch.of(pts)), expected)
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from functools import cached_property
@@ -26,7 +27,6 @@ import hypack.geometry
 import hypack.search
 from hypack.geometry import (
     HPoint,
-    HTangent,
     PolarBatch,
     _row_blocks,
     distance,
@@ -274,14 +274,17 @@ class TestSearchParams:
         "kwargs, message",
         [
             # the first rung 2C + 2 rounds to 2C
-            ({"r": 1e300}, "r is too large"),
+            ({"r": 1e300}, "r=1e+300 and epsilon=0.5 give C=4e+300: the first rung R = 2C + 2 rounds to 2C"),
             ({"R_max": math.nan}, "R_max must not be NaN"),
-            ({"r": 1e16, "hausdorff": True}, "r is too large"),
+            ({"r": 1e16, "hausdorff": True}, "r=1e+16 and epsilon=0.5 give C=1e+16: the first rung"),
+            # by epsilon alone, at r = 1
+            ({"epsilon": 1e-300}, "r=1.0 and epsilon=1e-300 give C=2e+300: the first rung"),
         ],
     )
     def test_bad_schedule_raises(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)) as refused:
             SearchParams(**{"r": 1.0, "epsilon": 0.5, "k": 2, **kwargs})
+        assert "too large" not in str(refused.value)
 
     def test_default_schedule_ladder(self):
         # rung i sits at 2C + 2 + i ln 4, computed from i (no rounding
@@ -620,7 +623,7 @@ class TestRowPaths:
         got = exp_rows(p, vecs, lengths)
         assert len(got) == len(X)
         for q, v, t in zip(got, vecs, lengths.tolist()):
-            ref = exp_map(HTangent(p, v, t))
+            ref = exp_map(p, v, t)
             assert q.r == ref.r
             assert np.array_equal(q.direction, ref.direction)
             assert np.array_equal(q.coords_extended, ref.coords_extended)
