@@ -48,16 +48,9 @@ import sys
 
 import numpy as np
 
+from hypack.geometry import _split
+
 __all__ = ["repr_texts"]
-
-_SPLITTER = 134217729.0  # 2^27 + 1: Dekker's split into two 26-bit halves
-
-
-def _split(v):
-    c = _SPLITTER * v
-    hi = c - (c - v)
-    return hi, v - hi
-
 
 _PLACEHOLDER = 0.30000000000000004  # a 17-digit value: leaves the scan at t = 1
 _MANTISSA = np.int64(2**52 - 1)

@@ -1,34 +1,34 @@
 """Hyperboloid-model hyperbolic geometry with large-radius-stable kernels.
 
 Points live on the upper sheet of ``<x,x>_M = -1`` in Minkowski space
-R^{m,1}, with base point ``o = (1, 0, ..., 0)``.  Every point carries a
-polar representation (hyperbolic radius from o, unit direction in the
-tangent space at o); ambient coordinates are kept only while they are
-representable.  Hot paths hold many points as one PolarBatch of rows, made by
-the one exp kernel, exp_rows, at one basepoint or at each of many.  A
-tangent vector is what exp_rows takes: an ambient row at its basepoint with
-its length; exp_map is the one-row call for an HPoint.  All
+R^{m,1}, with base point ``o = (1, 0, ..., 0)``.  A point is one record: its
+hyperbolic radius from o, its unit direction in the tangent space at o, and
+its ambient coordinates, None beyond EXP_RADIUS_MAX; an HPoint holds exactly
+what one PolarBatch row holds.  Hot paths hold many points as one PolarBatch
+of rows, made by the one exp kernel, exp_rows, at one basepoint or at each
+of many.  A tangent vector is what exp_rows takes: an ambient row at its
+basepoint with its length; exp_map is the one-row call for an HPoint.  All
 distances funnel through one log-domain law-of-cosines kernel that stays
 accurate for radii up to 1e4, reached by three entry points: `distance` for
 HPoints and PolarBatch rows, packing.lag_distance for index lags at the
 packing angle, and `polar_distance` for (r1, r2, cos theta).
 
-Resolution caveat: double-precision o-based coordinates (ambient or polar)
-locate a point at radius r only to within ~eps*sinh(r) length units, so
-local questions at a far basepoint (coverage, frame geometry) must be posed
-in tangent coordinates at that basepoint.  In constant curvature -1 the
-law-of-cosines kernel answers them exactly.
+Resolution caveat (Sala, De Sa, Gu and Re, ICML 2018): double-precision
+o-based coordinates (ambient or polar) locate a point at radius r only to
+within ~eps*sinh(r) length units, so local questions at a far basepoint
+(coverage, frame geometry) must be posed in tangent coordinates at that
+basepoint.  In constant curvature -1 the law-of-cosines kernel answers them
+exactly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "COORDS_RADIUS_MAX",
     "DEFAULT_TOL",
     "EXP_RADIUS_MAX",
     "HPoint",
@@ -43,11 +43,6 @@ __all__ = [
     "polar_distance",
     "transport_frame",
 ]
-
-#: Radius beyond which ambient coordinates stop being the authoritative
-#: representation (they stay exactly representable far longer, but lose
-#: absolute positional meaning as eps*sinh(r) grows).
-COORDS_RADIUS_MAX = 30.0
 
 #: Ceiling for carrying ambient coordinates at all, and so the largest radius
 #: exp_rows reaches.  cosh(350) is ~5e151, so products of two such
@@ -257,7 +252,7 @@ def _as_unit(direction, what):
 
 @dataclass(frozen=True)
 class HPoint:
-    """Point of H^m: polar data (always) plus ambient coordinates (optional).
+    """Point of H^m: what one PolarBatch row holds.
 
     Attributes
     ----------
@@ -266,14 +261,13 @@ class HPoint:
     direction : ndarray, shape (m,)
         Unit direction in the tangent space at o.  Arbitrary (e_1) at r=0.
     coords : ndarray, shape (m+1,) or None
-        Hyperboloid coordinates cosh(r)*o + sinh(r)*(0, direction); absent
-        when r is too large for them to be representable.  Polar data is
-        authoritative beyond ``COORDS_RADIUS_MAX``.
+        Hyperboloid coordinates cosh(r)*o + sinh(r)*(0, direction); None
+        beyond ``EXP_RADIUS_MAX``, where they are not representable.
     """
 
     r: float
     direction: np.ndarray
-    _coords: np.ndarray | None = field(default=None, repr=False)
+    coords: np.ndarray | None = None
 
     @staticmethod
     def origin(m: int) -> "HPoint":
@@ -292,31 +286,6 @@ class HPoint:
             coords = np.concatenate(([math.cosh(r)], math.sinh(r) * d))
             coords.setflags(write=False)
         return HPoint(r, d, coords)
-
-    @property
-    def coords(self) -> np.ndarray:
-        """Ambient coordinates; a range error beyond ``COORDS_RADIUS_MAX``."""
-        if self.r > COORDS_RADIUS_MAX:
-            raise NumericRangeError(
-                f"coords requested at radius {self.r:.3g} > {COORDS_RADIUS_MAX:g}; "
-                "use the polar representation"
-            )
-        assert self._coords is not None
-        return self._coords
-
-    @property
-    def coords_extended(self) -> np.ndarray:
-        """Ambient coordinates up to the internal representability ceiling.
-
-        Positions carry absolute error ~eps*sinh(r); callers must only use
-        these for operations whose results are consumed in relative or
-        tangent terms.
-        """
-        if self._coords is None:
-            raise NumericRangeError(
-                f"ambient coordinates unavailable at radius {self.r:.3g}"
-            )
-        return self._coords
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,7 +308,7 @@ class PolarBatch:
     @staticmethod
     def of(points) -> "PolarBatch":
         """Stack HPoints into rows."""
-        coords = [p._coords for p in points]
+        coords = [p.coords for p in points]
         return PolarBatch(
             np.array([p.r for p in points], dtype=float),
             np.array([p.direction for p in points]),
@@ -363,15 +332,18 @@ class PolarBatch:
 _SPLITTER = float(2**27 + 1)
 
 
+def _split(v):
+    """Dekker's split of v into two 26-bit halves: hi + lo == v exactly."""
+    c = _SPLITTER * v
+    hi = c - (c - v)
+    return hi, v - hi
+
+
 def _two_prod(a, b):
     """Dekker product: p + err == a*b exactly (|inputs| < ~1e292)."""
     p = a * b
-    ta = _SPLITTER * a
-    ah = ta - (ta - a)
-    al = a - ah
-    tb = _SPLITTER * b
-    bh = tb - (tb - b)
-    bl = b - bh
+    ah, al = _split(a)
+    bh, bl = _split(b)
     err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     return p, err
 
@@ -501,13 +473,12 @@ def exp_map(x: HPoint, v, t) -> HPoint:
     return exp_rows(x, v, [t])[0]
 
 
-def _coords_of(points: PolarBatch) -> np.ndarray:
-    """Ambient coordinates of every row; a range error when some row has none."""
-    if points.coords is None:
-        raise NumericRangeError(
-            f"ambient coordinates unavailable at radius {points.r.max():.3g}"
-        )
-    return points.coords
+def _coords_of(p) -> np.ndarray:
+    """Ambient coordinates of an HPoint or of every PolarBatch row; a range
+    error when some row has none."""
+    if p.coords is None:
+        raise NumericRangeError(f"ambient coordinates unavailable at radius {np.max(p.r):.3g}")
+    return p.coords
 
 
 def transport_frame(p) -> np.ndarray:
@@ -518,7 +489,7 @@ def transport_frame(p) -> np.ndarray:
     PolarBatch of N points returns the N frames, shape (N, m, m+1), each with
     the bits of its one-point frame.
     """
-    x = p.coords_extended if isinstance(p, HPoint) else _coords_of(p)
+    x = _coords_of(p)
     m = x.shape[-1] - 1
     o = np.zeros(m + 1)
     o[0] = 1.0

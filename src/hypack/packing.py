@@ -66,9 +66,9 @@ def packing_angle(C: float, R: float) -> float:
     alpha = arcsin(sinh(C) / sinh(R - C)), in (0, pi/2] for R > 2C.
     Strictly decreasing in R for fixed C.
     """
-    if C <= 0.0:
-        raise ValueError("packing_angle: C must be > 0")
-    if R <= 2.0 * C:
+    if not C > 0.0:
+        raise ValueError(f"packing_angle: C must be > 0 (got C={C})")
+    if not R > 2.0 * C:
         raise ValueError(f"packing_angle: need R > 2C (got R={R}, C={C})")
     log_ratio = float(_log_sinh(C) - _log_sinh(R - C))
     if log_ratio > 0.0:

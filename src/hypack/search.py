@@ -127,11 +127,16 @@ def default_schedule(C: float, cap: int) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Search parameters; C is derived from (r, epsilon, hausdorff) by the chooser.
+    """Search parameters, and the one gate for C and its ladder.
 
-    The dimension is the map's.  R_schedule is derived too: the default
-    ladder 2C + 2 + i ln 4 for C and cap (:func:`default_schedule`), less
-    the rungs above R_max (keeping min(first rung, R_max) if none is left).
+    C is derived from (r, epsilon, hausdorff) by the chooser, once.  The
+    dimension is the map's.  R_schedule is derived too: the default ladder
+    2C + 2 + i ln 4 for C and cap (:func:`default_schedule`), less the rungs
+    above R_max (just (R_max,) if none is left).  Refused (ValueError): a C
+    whose first rung puts its centers, at radius C + 2, beyond
+    EXP_RADIUS_MAX, where exp_rows cannot make them (an infinite C
+    included), and an R_max that is not above 2C (NaN included).  Past
+    those, every rung is above 2C and the ladder strictly increases.
     """
 
     r: float
@@ -140,6 +145,7 @@ class SearchParams:
     hausdorff: bool = False
     cap: int = 100_000
     R_max: float | None = None
+    C: float = field(init=False)
     R_schedule: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
@@ -148,33 +154,19 @@ class SearchParams:
             raise ValueError("SearchParams: k must be >= 2")
         if not 2 <= self.cap <= CAP_MAX:
             raise ValueError(f"SearchParams: cap must lie in [2, {CAP_MAX:,}] (got {self.cap})")
-        if self.R_max is not None and math.isnan(self.R_max):
-            raise ValueError("SearchParams: R_max must not be NaN")
-        if 2.0 * self.C + 2.0 <= 2.0 * self.C:
-            raise ValueError(f"{self._names_C()}: the first rung R = 2C + 2 rounds to 2C")
-        sched = default_schedule(self.C, self.cap)
-        if self.R_max is not None:
-            sched = tuple(R for R in sched if R <= self.R_max) or (min(sched[0], self.R_max),)
-        if any(R <= 2.0 * self.C for R in sched):
-            raise ValueError("SearchParams: every R must exceed 2C")
-        if any(b <= a for a, b in zip(sched, sched[1:])):
-            raise ValueError("SearchParams: R schedule must be increasing")
-        object.__setattr__(self, "R_schedule", sched)
-
-    @property
-    def C(self) -> float:
-        """The chooser's separation scale for the set-distance or the Hausdorff conclusion."""
-        return (choose_C_hausdorff if self.hausdorff else choose_C_setdist)(self.r, self.epsilon)
-
-    def check_first_rung(self) -> None:
-        """Refuse (ValueError) a schedule whose first rung puts its centers,
-        at radius R - C, beyond EXP_RADIUS_MAX, where exp_rows cannot make them."""
-        radius = self.R_schedule[0] - self.C
-        if radius > EXP_RADIUS_MAX:
+        C = (choose_C_hausdorff if self.hausdorff else choose_C_setdist)(self.r, self.epsilon)
+        object.__setattr__(self, "C", C)
+        if not C + 2.0 <= EXP_RADIUS_MAX:
             raise ValueError(
-                f"{self._names_C()}: the first rung puts its centers at radius {radius:.4g},"
+                f"{self._names_C()}: the first rung puts its centers at radius {C + 2.0:.4g},"
                 f" which exceeds the representable range (radius {EXP_RADIUS_MAX:g})"
             )
+        sched = default_schedule(C, self.cap)
+        if self.R_max is not None:
+            if not self.R_max > 2.0 * C:
+                raise ValueError(f"{self._names_C()}: R_max={self.R_max} must exceed 2C={2.0 * C:.4g}")
+            sched = tuple(R for R in sched if R <= self.R_max) or (self.R_max,)
+        object.__setattr__(self, "R_schedule", sched)
 
     def _names_C(self) -> str:
         """The head of a refusal caused by C: both inputs and the C they give."""
@@ -677,13 +669,12 @@ def find_bunched_configuration(
       :func:`net_images` raveled, which guarantees (iii) as R grows (the
       paper's construction).
 
-    Before any rung, a Hausdorff search builds its net, which refuses a
-    net whose size bound is too large, and then every search refuses a
-    first rung beyond the representable radius
-    (:meth:`SearchParams.check_first_rung`).  Each rung builds one
-    :class:`_CellGrid` over its images (one block per net point on the
-    augmented ladder) for both pigeonhole scans, which list the neighbour
-    rows of every image once.
+    A C or R_max that the ladder cannot use was refused when `params` was
+    made (:class:`SearchParams`).  Before any rung, a Hausdorff search
+    builds its net, which refuses a net whose size bound is too large.  Each
+    rung builds one :class:`_CellGrid` over its images (one block per net
+    point on the augmented ladder) for both pigeonhole scans, which list the
+    neighbour rows of every image once.
 
     Returns the k members (the consecutive-in-index window of the largest
     fiber with the smallest image spread) together with the fiber's
@@ -700,7 +691,6 @@ def find_bunched_configuration(
         the diagnostics of both ladders.
     """
     net = certificate_net(F, params.r, params.epsilon) if params.hausdorff else None
-    params.check_first_rung()
     diagnostics: list[dict] = []
     for augmented in (False,) if net is None else (False, True):
         cfg = _walk_ladder(F, params, net, augmented, max_image_diameter, diagnostics)

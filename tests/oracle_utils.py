@@ -130,7 +130,7 @@ def tangent_norm(v):
 def project_tangent(x, vec):
     """The ambient row vec made tangent at the HPoint x: vec + <vec, x> x."""
     v = np.asarray(vec, dtype=float)
-    xc = x.coords_extended
+    xc = x.coords
     return v + minkowski_inner(v, xc) * xc
 
 
@@ -147,8 +147,8 @@ def log_map(x, y, d=None):
         d = distance(x, y)
     if d == 0.0:
         return np.zeros(len(x.direction) + 1), 0.0
-    xc = x.coords_extended
-    yc = y.coords_extended
+    xc = x.coords
+    yc = y.coords
     factor = d / math.sinh(d) if d > 1e-8 else 1.0 - d * d / 6.0
     # the formula is tangent analytically; re-projecting numerically would
     # inject cancellation noise of size eps*|v|*|x|^2
@@ -163,8 +163,8 @@ def parallel_transport(x, v, y):
     P(v) = v + <y, v>_M / (1 - <x, y>_M) * (x + y), which is well
     conditioned since 1 - <x,y>_M = 1 + cosh d >= 2.
     """
-    xc = x.coords_extended
-    yc = y.coords_extended
+    xc = x.coords
+    yc = y.coords
     denom = 1.0 - float(minkowski_inner(xc, yc))
     return v + (float(minkowski_inner(yc, v)) / denom) * (xc + yc)
 

@@ -101,6 +101,16 @@ class TestPack:
         assert rc == 2 and not out.exists()
         assert "too small for double precision" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--R", "nan"], "need R > 2C (got R=nan, C=1.0)"), (["--C", "nan"], "C must be > 0 (got C=nan)")],
+    )
+    def test_nan_value_exit_2(self, capsys, argv, message):
+        # the packing angle names the NaN, which never reaches the direction count
+        with time_limit(10.0):
+            assert main(["pack", *argv]) == 2
+        assert f"packing_angle: {message}" in capsys.readouterr().err
+
 
 class TestGrowth:
     def test_csv_table(self, tmp_path):
@@ -132,6 +142,11 @@ class TestGrowth:
             rc = main(["growth", "--C", "1", "--R-from", "3", "--R-to", "5", f"--R-step={step}"])
         assert rc == 2
         assert "--R-step" in capsys.readouterr().err
+
+    def test_nan_C_exit_2(self, capsys):
+        with time_limit(10.0):
+            assert main(["growth", "--C", "nan", "--R-from", "3", "--R-to", "5"]) == 2
+        assert "packing_angle: C must be > 0 (got C=nan)" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "bounds",
@@ -296,7 +311,10 @@ class TestSearch:
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--R-max", "nan", "R_max must not be NaN"), ("--r", "nan", "r must be finite and > 0")],
+        [
+            ("--R-max", "nan", "r=1.0 and epsilon=0.5 give C=8: R_max=nan must exceed 2C=16"),
+            ("--r", "nan", "r must be finite and > 0"),
+        ],
     )
     def test_nan_value_exit_2(self, capsys, flag, value, message):
         with time_limit(10.0):
@@ -315,12 +333,11 @@ class TestSearch:
         [
             # the first rung's centers lie at radius R - C = 4006
             ("1000", "exceeds the representable range"),
-            # the Hausdorff search builds its net first; sinh(r) overflows past
-            # r = 710, and the net's grid limit refuses it
-            ("1000 --hausdorff", "lattice points, more than the limit"),
-            # the first default rung 2C + 2 rounds to 2C, also for the smaller Hausdorff C
-            ("1e300", "r=1e+300 and epsilon=0.5 give C=4e+300: the first rung R = 2C + 2 rounds to 2C"),
-            ("1e16 --hausdorff", "r=1e+16 and epsilon=0.5 give C=1e+16: the first rung R = 2C + 2 rounds"),
+            # C is refused before the Hausdorff search builds its net
+            ("1000 --hausdorff", "r=1000.0 and epsilon=0.5 give C=1001: the first rung puts its centers at radius 1003"),
+            # also where 2C + 2 rounds to 2C, for the smaller Hausdorff C too
+            ("1e300", "r=1e+300 and epsilon=0.5 give C=4e+300: the first rung puts its centers at radius 4e+300"),
+            ("1e16 --hausdorff", "r=1e+16 and epsilon=0.5 give C=1e+16: the first rung puts its centers at radius 1e+16"),
         ],
     )
     def test_huge_r_exit_2(self, capsys, r, message):
@@ -337,6 +354,8 @@ class TestSearch:
             (["--r", "0.01", "--eps", "0.01", "--hausdorff"], "402"),
             # the default r = 1: epsilon alone makes C = 2(2 r eps + 1)/eps huge
             (["--eps", "1e-8", "--k", "2"], "2e+08"),
+            # and, past eps = 1e-308 or so, infinite
+            (["--eps", "1e-320", "--k", "2"], "inf"),
         ],
     )
     def test_unrepresentable_first_rung_exit_2(self, capsys, argv, radius):
@@ -351,6 +370,11 @@ class TestSearch:
             f" at radius {radius}, which exceeds the representable range" in err
         )
         assert "too large" not in err
+
+    def test_R_max_not_above_2C_exit_2(self, capsys):
+        # the refusal names R_max, C and the inputs that give C
+        assert refused_quickly(["search", "--R-max", "5", "--k", "2"], seconds=2.0) == 2
+        assert "r=1.0 and epsilon=0.5 give C=8: R_max=5.0 must exceed 2C=16" in capsys.readouterr().err
 
     def test_set_distance_bound_finite_at_r_60_m_13(self, tmp_path):
         # at r = 60 and m = 13, sinh(r)^12 overflows a double; the center

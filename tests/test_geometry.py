@@ -250,8 +250,8 @@ class TestExpLog:
 def scalar_exp(base, v, t):
     """One exp in scalar arithmetic: libm cosh/sinh/asinh and the 1-D norm."""
     if t == 0.0:
-        return base.r, base.direction, base.coords_extended
-    c = _comb2(math.cosh(t), base.coords_extended, math.sinh(t), v / t)
+        return base.r, base.direction, base.coords
+    c = _comb2(math.cosh(t), base.coords, math.sinh(t), v / t)
     rest = c[1:]
     nr = float(np.linalg.norm(rest))
     d = rest / nr if nr > 0.0 else np.eye(1, rest.shape[0])[0]
@@ -284,7 +284,7 @@ class TestExpRows:
             for got in (rows[i], one[0], p):
                 assert got.r == r
                 assert np.array_equal(got.direction, d)
-                assert np.array_equal(got.coords_extended, c)
+                assert np.array_equal(got.coords, c)
         for i in (0, len(t) // 2, len(t) - 1):
             assert rows[i].r == base.r and np.array_equal(rows[i].direction, base.direction)
 
@@ -355,7 +355,7 @@ class TestExpRows:
                 for got in (block[j], one):
                     assert got.r == r
                     assert np.array_equal(got.direction, d)
-                    assert np.array_equal(got.coords_extended, c)
+                    assert np.array_equal(got.coords, c)
                 if t == 0.0:
                     assert block[j].r == base.r and np.array_equal(block[j].direction, base.direction)
 
@@ -440,7 +440,7 @@ class TestExpAtOrigin:
         # a base off o, a base at o among others, and o with a -0.0 coordinate
         p = HPoint.from_polar(0.5, random_unit(rng, m))
         signed = HPoint.from_polar(0.0, -np.eye(1, m)[0])
-        assert np.signbit(signed.coords_extended[1])
+        assert np.signbit(signed.coords[1])
         for bases in (p, PolarBatch.of([o, p]), signed):
             rows = vecs if isinstance(bases, HPoint) else np.stack([vecs, vecs])
             got = exp_rows(bases, rows, t)
@@ -467,7 +467,7 @@ class TestPolarBatch:
         for p, q in zip(pts, batch):
             assert q.r == p.r and type(q.r) is float
             assert np.array_equal(q.direction, p.direction)
-            assert np.array_equal(q.coords_extended, p.coords_extended)
+            assert np.array_equal(q.coords, p.coords)
         sub = batch[[4, 1]]
         assert isinstance(sub, PolarBatch) and np.array_equal(sub.r, [pts[4].r, pts[1].r])
         assert len(batch[1:3]) == 2
@@ -483,7 +483,7 @@ class TestPolarBatch:
         batch = PolarBatch.of([HPoint.origin(2), far])
         assert batch.coords is None and batch.r[1] == 400.0
         with pytest.raises(NumericRangeError):
-            batch[0].coords_extended
+            transport_frame(batch[0])
 
 
 class TestHPoint:
@@ -496,13 +496,28 @@ class TestHPoint:
         for _ in range(200):
             p = random_point(rng, 2, 30.0)
             rebuilt = np.concatenate(([math.cosh(p.r)], math.sinh(p.r) * p.direction))
-            np.testing.assert_allclose(p._coords, rebuilt, rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(p.coords, rebuilt, rtol=1e-9, atol=1e-9)
 
-    def test_polar_authoritative_beyond_30(self):
-        p = HPoint.from_polar(50.0, [1.0, 0.0])
+    def test_no_coords_past_exp_radius_max(self):
+        p = HPoint.from_polar(400.0, [1.0, 0.0])
+        assert p.coords is None and p.r == 400.0
         with pytest.raises(NumericRangeError):
-            _ = p.coords
-        assert p.r == 50.0
+            transport_frame(p)
+        with pytest.raises(NumericRangeError):
+            exp_rows(p, np.zeros((1, 3)), [0.0])
+
+    @pytest.mark.parametrize("r", [0.0, 29.0, 31.0, 349.0])
+    def test_point_is_a_batch_row(self, r):
+        # an HPoint holds what a PolarBatch row holds, bit for bit, on
+        # either side of radius 30
+        p = HPoint.from_polar(r, [0.6, -0.3, 0.74])
+        batch = PolarBatch.of([p])
+        q = batch[0]
+        assert q.r == p.r
+        for a, b in ((q.direction, p.direction), (q.coords, p.coords)):
+            assert a.tobytes() == b.tobytes()
+        if r > 30.0:
+            assert transport_frame(p).tobytes() == transport_frame(batch)[0].tobytes()
 
 
 class TestParallelTransport:

@@ -265,26 +265,52 @@ class TestSearchParams:
         assert new.R_schedule != params.R_schedule
 
     def test_schedule_is_not_an_input(self):
-        with pytest.raises(TypeError):
-            SearchParams(1.0, 0.5, 2, R_schedule=(20.0,))
-        with pytest.raises(ValueError, match="init=False"):
-            replace(SearchParams(1.0, 0.5, 2), R_schedule=(20.0,))
+        # nor is C, which the chooser derives once
+        for name, value in (("R_schedule", (20.0,)), ("C", 8.0)):
+            with pytest.raises(TypeError):
+                SearchParams(1.0, 0.5, 2, **{name: value})
+            with pytest.raises(ValueError, match="init=False"):
+                replace(SearchParams(1.0, 0.5, 2), **{name: value})
 
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            # the first rung 2C + 2 rounds to 2C
-            ({"r": 1e300}, "r=1e+300 and epsilon=0.5 give C=4e+300: the first rung R = 2C + 2 rounds to 2C"),
-            ({"R_max": math.nan}, "R_max must not be NaN"),
+            # the first rung's centers lie at radius C + 2
+            ({"r": 1e300}, "r=1e+300 and epsilon=0.5 give C=4e+300: the first rung puts its centers at radius 4e+300"),
+            # an R_max at or below 2C = 16, NaN included
+            ({"R_max": math.nan}, "r=1.0 and epsilon=0.5 give C=8: R_max=nan must exceed 2C=16"),
             ({"r": 1e16, "hausdorff": True}, "r=1e+16 and epsilon=0.5 give C=1e+16: the first rung"),
-            # by epsilon alone, at r = 1
+            # by epsilon alone, at r = 1, up to a C that overflows
             ({"epsilon": 1e-300}, "r=1.0 and epsilon=1e-300 give C=2e+300: the first rung"),
+            ({"epsilon": 1e-320}, "r=1.0 and epsilon=1e-320 give C=inf: the first rung puts its centers at radius inf"),
+            ({"R_max": 5.0}, "r=1.0 and epsilon=0.5 give C=8: R_max=5.0 must exceed 2C=16"),
+            ({"R_max": 16.0}, "R_max=16.0 must exceed 2C=16"),
         ],
     )
     def test_bad_schedule_raises(self, kwargs, message):
         with pytest.raises(ValueError, match=re.escape(message)) as refused:
             SearchParams(**{"r": 1.0, "epsilon": 0.5, "k": 2, **kwargs})
         assert "too large" not in str(refused.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        r=st.floats(1e-3, 100.0),
+        epsilon=st.floats(5e-3, 0.999),
+        hausdorff=st.booleans(),
+        cap=st.integers(2, CAP_MAX),
+        R_max=st.none() | st.floats(0.0, 1000.0) | st.sampled_from([math.nan, math.inf]),
+    )
+    def test_every_constructed_ladder_is_usable(self, r, epsilon, hausdorff, cap, R_max):
+        # whatever SearchParams accepts, its first rung's centers are
+        # representable and its ladder strictly increases above 2C
+        try:
+            params = SearchParams(r, epsilon, 2, hausdorff=hausdorff, cap=cap, R_max=R_max)
+        except ValueError:
+            return
+        sched = params.R_schedule
+        assert sched[0] - params.C <= hypack.geometry.EXP_RADIUS_MAX
+        assert sched[0] > 2.0 * params.C
+        assert all(b > a for a, b in zip(sched, sched[1:]))
 
     def test_default_schedule_ladder(self):
         # rung i sits at 2C + 2 + i ln 4, computed from i (no rounding
@@ -626,7 +652,7 @@ class TestRowPaths:
             ref = exp_map(p, v, t)
             assert q.r == ref.r
             assert np.array_equal(q.direction, ref.direction)
-            assert np.array_equal(q.coords_extended, ref.coords_extended)
+            assert np.array_equal(q.coords, ref.coords)
 
 
 class TestHausdorffEstimate:
